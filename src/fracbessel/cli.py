@@ -126,6 +126,8 @@ def _parse_range(text: str, name: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise DomainError(f"could not parse --{name} {text!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise DomainError(f"--{name} needs finite lo, hi and step, got {text!r}")
     if step <= 0:
         raise DomainError(f"--{name} step must be positive, got {step!r}")
     if hi < lo:
@@ -139,27 +141,6 @@ def _parse_range(text: str, name: str) -> list[float]:
         out.append(v)
         i += 1
     return out
-
-
-def _validate_method_point(s: float, z: float, method: str) -> None:
-    """Upfront argument validation mirroring the evaluators' domains."""
-    if z <= 0:
-        raise DomainError(f"z must be positive, got z={z!r}")
-    if method == "oracle":
-        if abs(s) > 50:
-            raise DomainError(f"oracle supports |s| <= 50, got s={s!r}")
-        return
-    if abs(s) < 1e-10:
-        raise DomainError(
-            f"s={s!r} rejected: Gamma(s) pole at s = 0 (K_0 is outside every series method)"
-        )
-    if method == "m9":
-        m = round(abs(s) - 0.5)
-        if m >= 0 and abs(abs(s) - 0.5 - m) < 1e-10:
-            raise DomainError(
-                f"method m9 is undefined at half-integer s={s!r} "
-                "(prefactor pole); use rearranged"
-            )
 
 
 def _evaluate(s: float, z: float, method: str, policy: TruncationPolicy) -> OutputRow:
@@ -221,12 +202,10 @@ def _rows_to_json(rows: list[OutputRow]) -> str:
 
 def _cmd_eval(args) -> int:
     try:
-        _validate_method_point(args.s, args.z, args.method)
         policy = TruncationPolicy(max_terms=args.max_terms)
+        row = _evaluate(args.s, args.z, args.method, policy)
     except (DomainError, PoleError) as exc:
         return _fail(str(exc), 1)
-    try:
-        row = _evaluate(args.s, args.z, args.method, policy)
     except ToleranceNotMet as exc:
         return _fail(str(exc), 2)
     if args.json:
@@ -257,25 +236,16 @@ def _cmd_table(args) -> int:
         for m in methods:
             if m not in _METHOD_LABEL:
                 raise DomainError(f"unknown method {m!r} (choose from {sorted(_METHOD_LABEL)})")
-        for s, z in grid.points():
-            for m in methods:
-                _validate_method_point(s, z, m)
-        if args.with_oracle:
-            for s in grid.s_values:
-                if abs(s) > 50:
-                    raise DomainError(f"--with-oracle needs |s| <= 50, got s={s!r}")
         policy = TruncationPolicy(max_terms=args.max_terms)
-    except (DomainError, PoleError) as exc:
-        return _fail(str(exc), 1)
-
-    rows = []
-    try:
+        rows = []
         for s, z in grid.points():
             for m in methods:
                 row = _evaluate(s, z, m, policy)
                 if args.with_oracle:
                     _attach_oracle_err(row)
                 rows.append(row)
+    except (DomainError, PoleError) as exc:
+        return _fail(str(exc), 1)
     except ToleranceNotMet as exc:
         return _fail(str(exc), 2)
     payload = _rows_to_json(rows) if args.json else _rows_to_csv(rows)
@@ -301,16 +271,15 @@ def _cmd_converge(args) -> int:
     statuses: dict[str, int] = {"converged": 0, "max-terms": 0, "diverging": 0, "rejected": 0}
     converged_s: set[float] = set()
     for s, z in grid.points():
-        if abs(s) < 1e-10:
+        try:
+            approx = k_series_rearranged(abs(s), z, policy)
+            status = "converged" if approx.converged else "max-terms"
+            terms, last = approx.terms_used, approx.last_term_abs
+        except SeriesDiverged as exc:
+            approx = exc.approximation
+            status, terms, last = "diverging", approx.terms_used, approx.last_term_abs
+        except DomainError:
             status, terms, last = "rejected", 0, math.nan
-        else:
-            try:
-                approx = k_series_rearranged(abs(s), z, policy)
-                status = "converged" if approx.converged else "max-terms"
-                terms, last = approx.terms_used, approx.last_term_abs
-            except SeriesDiverged as exc:
-                approx = exc.approximation
-                status, terms, last = "diverging", approx.terms_used, approx.last_term_abs
         if status == "converged":
             converged_s.add(s)
         statuses[status] += 1

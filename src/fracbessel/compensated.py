@@ -41,13 +41,6 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = two_sum(xh, yh)
-    e += xl + yl
-    hi = s + e
-    return hi, (s - hi) + e
-
-
 def dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
     p, e = two_prod(xh, yh)
     e += xh * yl + xl * yh
@@ -67,12 +60,6 @@ def dd_div_f(xh: float, xl: float, f: float) -> tuple[float, float]:
     ph, pe = two_prod(q, f)
     r = ((xh - ph) - pe) + xl
     return two_sum(q, r / f)
-
-
-def dd_from_int(n: int) -> tuple[float, float]:
-    """Represent an integer as hi + lo (exact up to ~106 bits)."""
-    hi = float(n)
-    return hi, float(n - int(hi))
 
 
 def fsum_dd(parts: list[tuple[float, float]]) -> float:

@@ -89,9 +89,9 @@ def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> f
     is truncated at the first T with z cosh T - |s| T > 745 (double
     underflow margin); |s| <= 50 keeps that cut well behaved.
     """
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"k_oracle requires z > 0, got z={z!r}")
-    if abs(s) > 50:
+    if not abs(s) <= 50:
         raise DomainError(f"k_oracle supports |s| <= 50 (tail control), got s={s!r}")
     T = 1.0
     while z * math.cosh(T) - abs(s) * T <= _EXP_UNDERFLOW:

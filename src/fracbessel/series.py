@@ -1,35 +1,42 @@
 """Hypergeometric-like series evaluation of the McDonald function K_s(z).
 
-Three related expansions are implemented, all built on the V_k polynomial
-family and a ratio of Pochhammer-type gamma factors:
+Three related expansions are implemented.  Each is one stream of terms
+(1/2-s)_k/(1/2+s)_k * inner_k, where the Pochhammer ratio is what remains of
+Gamma(k+1/2-s)/Gamma(k+1/2+s) once its k = 0 value is moved into the
+prefactor, and inner_k is a polynomial in z:
 
-* ``k_series_m9``   - the raw k-sum with prefactor
+* ``k_series_m9``   - the raw k-sum with the printed prefactor
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
-  (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z);
+  (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z), summed as
+  sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2+s) times the ratio stream;
 * ``k_series_rearranged`` - the algebraically equivalent double-sum form
   2^{s-1} Gamma(s) z^{-s} e^{-z} [1 + sum_k (1/2-s)_k/(1/2+s)_k S_k(z)],
   S_k(z) = sum_{j=1}^{k} C(k-1, j-1) (-2z)^j / j!, which is pole-free and
   terminates after s + 1/2 outer terms at half-integer s;
-* ``k_series_m10``  - the companion expansion in V_k^{(-1/2)}(z), evaluated
-  both as printed and through a duplication-formula regularization.  Its
-  correctness is deliberately not presumed: it feeds ``adjudicate_m10``,
-  which measures it against the quadrature oracle and reports deviations.
+* ``k_series_m10``  - the companion expansion in V_k^{(-1/2)}(z).  Once the
+  constant gamma ratio is folded in, its printed prefactor equals the
+  duplication-regularized 2^{3s-2} Gamma(s), so both readings share one
+  path.  Its correctness is deliberately not presumed: it feeds
+  ``adjudicate_m10``, which measures it against the quadrature oracle and
+  reports deviations.
 
 ``general_expansion_m7`` evaluates the underlying order-s derivative of
 x^nu exp(-beta x^alpha) for any alpha, the expansion the K series descend
 from.
 
-All gamma ratios are carried in log space with explicit signs, and the
-heavily cancelling inner sums run in compensated (double-double) arithmetic;
-see :mod:`fracbessel.compensated`.
+Prefactors are summed in log space and exponentiated once; one outside the
+float64 range raises ``DomainError``.  Only M7's reciprocal gamma is still
+carried per term in log space with an explicit sign.  The heavily
+cancelling inner sums run in compensated (double-double) arithmetic; see
+:mod:`fracbessel.compensated`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import chain, count
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,7 +83,7 @@ def half_integer_offset(s: float) -> int | None:
     return None
 
 
-# --- scaled V_k coefficient engine -----------------------------------------
+# --- term streams ---------------------------------------------------------
 
 def _dd_div_f_vec(xh, xl, f):
     q = xh / f
@@ -85,8 +92,8 @@ def _dd_div_f_vec(xh, xl, f):
     return _two_sum_vec(q, r / f)
 
 
-class _ScaledVkTable:
-    """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k! in double-double.
+def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
+    """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., in double-double.
 
     The raw coefficients grow factorially; dividing by k! keeps the stored
     arrays bounded.  On the coefficient recurrence
@@ -94,23 +101,11 @@ class _ScaledVkTable:
 
         E_{k+1,j} = [ -(alpha j - k) E_{k,j} + alpha E_{k,j-1} ] / (k + 1).
     """
+    ch, cl = np.array([1.0]), np.array([0.0])
+    pwh, pwl = [1.0], [0.0]
+    for k in count(0):
+        yield dd_dot(ch, cl, np.array(pwh), np.array(pwl))
 
-    def __init__(self, alpha: float, w: float):
-        self.alpha = alpha
-        self.w = w
-        self.k = 0
-        self._ch = np.array([1.0])
-        self._cl = np.array([0.0])
-        self._pwh = [1.0]
-        self._pwl = [0.0]
-
-    def value(self) -> float:
-        """E_k at the current k."""
-        n = self.k + 1
-        return dd_dot(self._ch, self._cl, np.array(self._pwh[:n]), np.array(self._pwl[:n]))
-
-    def advance(self) -> None:
-        k, alpha = self.k, self.alpha
         j = np.arange(k + 2, dtype=float)
         # -(alpha*j - k) in double-double: alpha*j may round for generic alpha
         mh, me = _two_prod_vec(np.full(k + 2, alpha), j)
@@ -118,21 +113,29 @@ class _ScaledVkTable:
         nh, nl = _renorm_vec(nh, ne + me)
         nh, nl = -nh, -nl
 
-        ch = np.append(self._ch, 0.0)
-        cl = np.append(self._cl, 0.0)
-        t1h, t1l = dd_mul_vec(ch, cl, nh, nl)
-
-        sh = np.concatenate(([0.0], self._ch))
-        sl = np.concatenate(([0.0], self._cl))
-        t2h, t2l = dd_scale_vec(sh, sl, alpha)
-
+        t1h, t1l = dd_mul_vec(np.append(ch, 0.0), np.append(cl, 0.0), nh, nl)
+        t2h, t2l = dd_scale_vec(np.concatenate(([0.0], ch)), np.concatenate(([0.0], cl)), alpha)
         ah, al = dd_add_vec(t1h, t1l, t2h, t2l)
-        self._ch, self._cl = _dd_div_f_vec(ah, al, float(k + 1))
-        self.k += 1
+        ch, cl = _dd_div_f_vec(ah, al, float(k + 1))
 
-        ph, pl = dd_mul_f(self._pwh[-1], self._pwl[-1], self.w)
-        self._pwh.append(ph)
-        self._pwl.append(pl)
+        ph, pl = dd_mul_f(pwh[-1], pwl[-1], w)
+        pwh.append(ph)
+        pwl.append(pl)
+
+
+def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
+    """Yield (a)_k/(b)_k * inner_k for k = 0, 1, ...
+
+    The Pochhammer ratio is a running product, so when a + k is exactly
+    zero every later term vanishes and the stream ends there, after k + 1
+    terms.  ``inner`` is pulled lazily, one value per yielded term.
+    """
+    ratio = 1.0
+    for k, value in enumerate(inner):
+        yield ratio * value
+        if a + k == 0.0:
+            return
+        ratio *= (a + k) / (b + k)
 
 
 def _inner_binomial_sum(k: int, z: float) -> float:
@@ -161,9 +164,9 @@ def _require_positive_z(z: float) -> None:
 
 
 def _require_positive_order(s: float) -> None:
-    if not s >= ZERO_ORDER_TOL:
+    if not ZERO_ORDER_TOL <= s < math.inf:
         raise DomainError(
-            f"order s={s!r} rejected: need s >= {ZERO_ORDER_TOL} "
+            f"order s={s!r} rejected: need finite s >= {ZERO_ORDER_TOL} "
             "(Gamma(s) prefactor pole at 0)"
         )
 
@@ -174,6 +177,16 @@ def _reject_half_integer(s: float, which: str) -> None:
             f"{which} has a Gamma(1/2-s) pole in its printed prefactor at "
             f"half-integer s={s!r}; use the rearranged/regularized form"
         )
+
+
+def _exp_prefactor(log_pref: float) -> float:
+    try:
+        return math.exp(log_pref)
+    except OverflowError:
+        raise DomainError(
+            f"series prefactor exp({log_pref:.6g}) is outside the float64 range "
+            "(largest finite double ~1.8e308)"
+        ) from None
 
 
 def _finalize(gen: Iterator[float], policy: TruncationPolicy, scale: float) -> SeriesApproximation:
@@ -199,60 +212,41 @@ def k_series_rearranged(
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    pref = math.exp((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
-
-    def gen() -> Iterator[float]:
-        yield 1.0
-        ratio = 1.0
-        for k in count(1):
-            num = (0.5 - s) + (k - 1)
-            if num == 0.0:
-                return
-            ratio *= num / ((0.5 + s) + (k - 1))
-            yield ratio * _inner_binomial_sum(k, z)
-
-    return _finalize(gen(), policy, pref)
+    pref = _exp_prefactor((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
+    inner = chain([1.0], (_inner_binomial_sum(k, z) for k in count(1)))
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
 def k_series_m9(
     s: float, z: float, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> SeriesApproximation:
-    """The raw k-sum over V_k^{(-1)}(2z), exactly as printed.
+    """The raw k-sum over V_k^{(-1)}(2z).
+
+    As printed, sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) times
+    sum_k (-1)^k/k! Gamma(k+1/2-s)/Gamma(k+1/2+s) V_k^{(-1)}(2z).  The
+    k = 0 gamma ratio Gamma(1/2-s)/Gamma(1/2+s) is folded into the
+    prefactor, which leaves
+
+        sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2+s)
+        sum_k (1/2-s)_k/(1/2+s)_k (-1)^k/k! V_k^{(-1)}(2z).
 
     Kept as the independent partner of the rearranged form: the two must
-    agree term by term up to rounding.  Half-integer s is rejected (the
-    printed prefactor sits on a Gamma(1/2-s) pole there).
+    agree term by term up to rounding, and the Gamma(2s) prefactor checks
+    the duplication formula against the rearranged 2^{s-1} Gamma(s).
+    Half-integer s is rejected, as the printed prefactor sits on a
+    Gamma(1/2-s) pole there.
     """
     _require_positive_order(s)
     _require_positive_z(z)
     _reject_half_integer(s, "the raw k-sum")
-
-    lg_2s = gamma_log(2.0 * s)
-    lg_half = gamma_log(0.5 - s)
-    log_pref = (
+    pref = _exp_prefactor(
         0.5 * math.log(math.pi)
         - s * math.log(2.0 * z)
         - z
-        + lg_2s.log_abs
-        - lg_half.log_abs
+        + math.lgamma(2.0 * s)
+        - math.lgamma(0.5 + s)
     )
-    pref = lg_2s.sign * lg_half.sign * math.exp(log_pref)
-
-    def gen() -> Iterator[float]:
-        table = _ScaledVkTable(alpha=-1.0, w=2.0 * z)
-        num0 = gamma_log(0.5 - s)
-        den0 = gamma_log(0.5 + s)
-        log_g = num0.log_abs - den0.log_abs
-        sign_g = num0.sign * den0.sign
-        for k in count(0):
-            yield sign_g * math.exp(log_g) * table.value()
-            f = 0.5 - s + k
-            log_g += math.log(abs(f)) - math.log(0.5 + s + k)
-            if f < 0:
-                sign_g = -sign_g
-            table.advance()
-
-    return _finalize(gen(), policy, pref)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _scaled_vk(-1.0, 2.0 * z)), policy, pref)
 
 
 def k_series_m10(
@@ -264,70 +258,26 @@ def k_series_m10(
 ) -> SeriesApproximation:
     """The companion expansion over V_k^{(-1/2)}(z).
 
-    ``regularized=False`` evaluates the printed form
+    As printed it reads
     2^{s-1} sqrt(pi) Gamma(2s)/Gamma(1/2-s) z^{-s} e^{-z}
-    sum_k (-1)^k/k! Gamma(k+1/2-s)/Gamma(k+1/2+s) V_k^{(-1/2)}(z),
-    undefined at half-integer s.  ``regularized=True`` folds the gamma
-    ratios into Pochhammer products through the duplication formula,
+    sum_k (-1)^k/k! Gamma(k+1/2-s)/Gamma(k+1/2+s) V_k^{(-1/2)}(z).
+    Folding the k = 0 gamma ratio into the prefactor and applying the
+    duplication formula turns this into
 
         2^{3s-2} Gamma(s) z^{-s} e^{-z}
         sum_k (-1)^k/k! (1/2-s)_k/(1/2+s)_k V_k^{(-1/2)}(z),
 
-    which is total at half-integers and terminates there.  The result is
+    which is total at half-integers and terminates there.  Both readings
+    evaluate this one form; ``regularized=False`` only rejects half-integer
+    s, where the printed prefactor has a Gamma(1/2-s) pole.  The result is
     not presumed equal to K_s(z); ``adjudicate_m10`` decides empirically.
     """
     _require_positive_order(s)
     _require_positive_z(z)
-
-    if regularized:
-        pref = math.exp(
-            (3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z
-        )
-
-        def gen() -> Iterator[float]:
-            table = _ScaledVkTable(alpha=-0.5, w=z)
-            ratio = 1.0
-            for k in count(0):
-                yield ratio * table.value()
-                num = (0.5 - s) + k
-                if num == 0.0:
-                    return
-                ratio *= num / ((0.5 + s) + k)
-                table.advance()
-
-        return _finalize(gen(), policy, pref)
-
-    _reject_half_integer(s, "the printed companion expansion")
-    lg_2s = gamma_log(2.0 * s)
-    lg_half = gamma_log(0.5 - s)
-    pref = (
-        lg_2s.sign
-        * lg_half.sign
-        * math.exp(
-            (s - 1.0) * math.log(2.0)
-            + 0.5 * math.log(math.pi)
-            - s * math.log(z)
-            - z
-            + lg_2s.log_abs
-            - lg_half.log_abs
-        )
-    )
-
-    def gen() -> Iterator[float]:
-        table = _ScaledVkTable(alpha=-0.5, w=z)
-        num0 = gamma_log(0.5 - s)
-        den0 = gamma_log(0.5 + s)
-        log_g = num0.log_abs - den0.log_abs
-        sign_g = num0.sign * den0.sign
-        for k in count(0):
-            yield sign_g * math.exp(log_g) * table.value()
-            f = 0.5 - s + k
-            log_g += math.log(abs(f)) - math.log(0.5 + s + k)
-            if f < 0:
-                sign_g = -sign_g
-            table.advance()
-
-    return _finalize(gen(), policy, pref)
+    if not regularized:
+        _reject_half_integer(s, "the printed companion expansion")
+    pref = _exp_prefactor((3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _scaled_vk(-0.5, z)), policy, pref)
 
 
 def k_mcdonald(
@@ -339,14 +289,7 @@ def k_mcdonald(
     the rearranged form, which terminates at half-integers and truncates
     adaptively elsewhere.  Orders within 1e-10 of zero are rejected.
     """
-    _require_positive_z(z)
-    s = abs(s)
-    if s < ZERO_ORDER_TOL:
-        raise DomainError(
-            "order s = 0 rejected: Gamma(s) pole, and K_0 has a logarithmic "
-            "structure the expansion cannot represent"
-        )
-    return k_series_rearranged(s, z, policy)
+    return k_series_rearranged(abs(s), z, policy)
 
 
 def general_expansion_m7(
@@ -378,27 +321,25 @@ def general_expansion_m7(
         raise DomainError(f"need x > 0, got x={x!r}")
 
     w = beta * x ** alpha
-    pref = math.exp((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
+    pref = _exp_prefactor((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
 
     def gen() -> Iterator[float]:
-        table = _ScaledVkTable(alpha=alpha, w=w)
         log_poch = 0.0
         sign_poch = 1
-        for k in count(0):
+        for k, e_k in enumerate(_scaled_vk(alpha, w)):
             arg = k - s + nu + 1.0
             n_arg = round(arg)
             if n_arg <= 0 and abs(arg - n_arg) < POLE_TOL:
                 yield 0.0  # reciprocal-gamma zero for this k only
             else:
                 lg = gamma_log(arg)
-                yield sign_poch * lg.sign * math.exp(log_poch - lg.log_abs) * table.value()
+                yield sign_poch * lg.sign * math.exp(log_poch - lg.log_abs) * e_k
             f = -s + k
             if f == 0.0:
                 return  # (-s)_{k+1} and beyond vanish identically
             log_poch += math.log(abs(f))
             if f < 0:
                 sign_poch = -sign_poch
-            table.advance()
 
     return _finalize(gen(), policy, pref)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc, psi
+from scipy.special import psi
 
 from .errors import DomainError, PoleError, ToleranceNotMet
 
@@ -83,11 +83,6 @@ def gamma_log(x: float) -> LogGammaValue:
     if g is not None and math.isfinite(g) and abs(g) > 1e-300:
         return LogGammaValue(math.log(abs(g)), 1 if g > 0 else -1)
     return LogGammaValue(math.lgamma(x), _gamma_sign(x))
-
-
-def gamma_value(x: float) -> float:
-    """Gamma(x) as a plain float (pole-checked)."""
-    return gamma_log(x).value()
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -180,11 +175,3 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
         )
     return math.exp(a * math.log(x) - x) * total
 
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0 (thin scipy wrapper)."""
-    if a <= 0:
-        raise DomainError("regularized form requires a > 0")
-    if x < 0:
-        raise DomainError("requires x >= 0")
-    return float(gammainc(a, x))

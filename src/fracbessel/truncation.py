@@ -28,7 +28,7 @@ class TruncationPolicy:
     divergence_window: int = 5
 
     def __post_init__(self):
-        if self.rel_stop <= 0 or self.consecutive <= 0:
+        if not self.rel_stop > 0 or self.consecutive <= 0:
             raise DomainError("rel_stop and consecutive must be positive")
         if self.max_terms <= 0 or self.divergence_window <= 0:
             raise DomainError("max_terms and divergence_window must be positive")

@@ -50,9 +50,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
-
 
 def _simplify(c) -> object:
     """Collapse Fractions with unit denominator to ints."""

@@ -33,6 +33,21 @@ class TestEval:
         assert "pole" in err.lower()
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "1", "--z", "nan"),
+            ("--s", "inf", "--z", "1"),
+            ("--s", "2.5", "--z", "1e-200"),  # prefactor overflows float64
+            ("--s", "60", "--z", "1", "--method", "oracle"),
+        ],
+    )
+    def test_library_domain_errors_exit_1(self, argv):
+        code, out, err = run("eval", *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_oracle_method(self):
         code, out, _ = run("eval", "--s", "2.5", "--z", "3", "--method", "oracle", "--json")
         assert code == 0
@@ -136,9 +151,19 @@ class TestTable:
         assert code == 1
 
     def test_nonpositive_z_exits_1(self, tmp_path):
-        code, _, err = run("table", "--s-list", "0.5", "--z-list", "1,-2", "--out", str(tmp_path / "x.csv"))
+        for z_list in ("1,-2", "1,nan"):
+            code, _, err = run("table", "--s-list", "0.5", "--z-list", z_list, "--out", str(tmp_path / "x.csv"))
+            assert code == 1
+            assert "positive" in err
+
+    def test_oracle_order_limit_exits_1(self, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(
+            "table", "--s-list", "0.5,60", "--z-list", "1", "--with-oracle", "--out", str(out_path),
+        )
         assert code == 1
-        assert "positive" in err
+        assert err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_unwritable_path_exits_1(self):
         code, _, err = run("table", "--s-list", "0.5", "--z-list", "1", "--out", "/nonexistent/dir/x.csv")
@@ -155,6 +180,12 @@ class TestConverge:
         assert "terms=" in out
         assert "summary:" in out
 
+    def test_zero_order_is_rejected_per_point(self):
+        code, out, _ = run("converge", "--s-range", "0:0.5:0.5", "--z-range", "1:1:1")
+        assert code == 0
+        assert "s=0 z=1 status=rejected" in out
+        assert "s=0.5 z=1 status=converged" in out
+
     def test_half_integer_rows_all_converge(self):
         code, out, _ = run("converge", "--s-range", "0.5:2.5:1", "--z-range", "0.5:1.5:0.5")
         assert code == 0
@@ -169,6 +200,9 @@ class TestConverge:
             ("0.5:1:0.1", "1:2:-1"),
             ("junk", "1:2:1"),
             ("0.5:1:0.1", "0:2:1"),  # z grid touching zero
+            ("nan:1:0.5", "1:2:1"),  # a non-finite bound or step would make an endless grid
+            ("0:inf:0.5", "1:2:1"),
+            ("0:1:inf", "1:2:1"),
         ],
     )
     def test_malformed_ranges_exit_1(self, s_range, z_range):

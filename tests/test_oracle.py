@@ -48,6 +48,10 @@ class TestKOracle:
             k_oracle(0.5, 0.0)
         with pytest.raises(DomainError):
             k_oracle(51.0, 1.0)
+        with pytest.raises(DomainError):
+            k_oracle(1.0, math.nan)
+        with pytest.raises(DomainError):
+            k_oracle(math.nan, 1.0)
 
 
 class TestRecordArithmetic:

@@ -82,6 +82,10 @@ class TestRearranged:
             k_series_rearranged(1e-12, 1.0)
         with pytest.raises(DomainError):
             k_series_rearranged(0.5, -1.0)
+        with pytest.raises(DomainError):
+            k_series_rearranged(math.inf, 1.0)
+        with pytest.raises(DomainError):
+            k_series_rearranged(0.5, math.nan)
 
 
 class TestRawM9:
@@ -154,6 +158,25 @@ class TestKMcdonald:
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
             k_mcdonald(0.0, 1.0)
+
+    @pytest.mark.parametrize("s,z", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.3, math.nan)])
+    def test_non_finite_input_rejected(self, s, z):
+        with pytest.raises(DomainError):
+            k_mcdonald(s, z)
+
+    @pytest.mark.parametrize(
+        "evaluate,args",
+        [
+            (k_mcdonald, (2.5, 1e-200)),
+            (k_mcdonald, (200.5, 1.0)),
+            (k_series_m9, (2.7, 1e-200)),
+            (k_series_m10, (2.7, 1e-200)),
+            (general_expansion_m7, (5.0, 0.5, 1.0, 1.0, 1e-100)),
+        ],
+    )
+    def test_overflowing_prefactor_is_a_domain_error(self, evaluate, args):
+        with pytest.raises(DomainError, match="float64 range"):
+            evaluate(*args)
 
     def test_divergence_heuristic_raises_with_partial(self):
         # large z: term magnitudes climb through the initial hump, which the
@@ -269,6 +292,8 @@ class TestTruncationEngine:
     def test_policy_validation(self):
         with pytest.raises(DomainError):
             TruncationPolicy(rel_stop=0.0)
+        with pytest.raises(DomainError):
+            TruncationPolicy(rel_stop=math.nan)
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
 
