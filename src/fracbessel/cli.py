@@ -47,6 +47,9 @@ _M10_GRID = [
 _ANCHOR_TOL_M4 = 1e-10
 _ANCHOR_TOL_INFO = 1e-9
 
+#: Most points one lo:hi:step range may expand to.
+_MAX_RANGE_POINTS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad arguments; the contract here is 1."""
@@ -132,6 +135,9 @@ def _parse_range(text: str, name: str) -> list[float]:
         raise DomainError(f"--{name} step must be positive, got {step!r}")
     if hi < lo:
         raise DomainError(f"--{name} needs lo <= hi, got {text!r}")
+    # the loop below makes floor((hi - lo) / step + 1e-9) + 1 points
+    if (hi - lo) / step + 1e-9 >= _MAX_RANGE_POINTS:
+        raise DomainError(f"--{name} {text!r} makes more than {_MAX_RANGE_POINTS} points")
     out = []
     i = 0
     while True:

@@ -1,77 +1,30 @@
-"""Compensated (double-double) arithmetic for heavily cancelling sums.
+"""Compensated (double-double) arithmetic for the V_k coefficient recurrences.
 
-The alternating inner sums of the series evaluators combine terms whose
-magnitudes exceed the final result by up to ~1e22, far past what plain
-float64 parts can survive even under exact (fsum) accumulation.  Each part
-is therefore carried as an unevaluated pair ``hi + lo`` of doubles
-(~32 significant digits) built with the classic error-free transforms of
-Dekker and Knuth; the final reduction feeds every hi/lo component through
-``math.fsum``, which is exact.
+The scaled V_k polynomials of :mod:`fracbessel.series` combine coefficients
+and powers whose magnitudes exceed the final value by many orders, far past
+what plain float64 parts can survive even under exact (fsum) accumulation.
+Each coefficient and power is therefore carried as an unevaluated pair
+``hi + lo`` of doubles (~32 significant digits) built with the classic
+error-free transforms of Dekker and Knuth, and the final dot product feeds
+every hi/lo component through ``math.fsum``, which is exact.
 
-Scalar helpers operate on ``(hi, lo)`` tuples; the ``_vec`` variants do the
-same elementwise on numpy arrays and back the polynomial-coefficient
-recurrences in :mod:`fracbessel.series`.
+Every operation acts elementwise on float64 numpy arrays; plain floats
+pass through the same code.  The Dekker split overflows for magnitudes
+above ``_SPLIT_MAX``, so callers keep their values below it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant for float64
 
+#: Largest magnitude whose Dekker split (``_SPLIT * a``) stays finite, ~1.3e300.
+_SPLIT_MAX = sys.float_info.max / _SPLIT
 
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free sum: returns (s, e) with s + e == a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Error-free product: returns (p, e) with p + e == a * b exactly."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    hi = p + e
-    return hi, (p - hi) + e
-
-
-def dd_mul_f(xh: float, xl: float, f: float) -> tuple[float, float]:
-    p, e = two_prod(xh, f)
-    e += xl * f
-    hi = p + e
-    return hi, (p - hi) + e
-
-
-def dd_div_f(xh: float, xl: float, f: float) -> tuple[float, float]:
-    q = xh / f
-    ph, pe = two_prod(q, f)
-    r = ((xh - ph) - pe) + xl
-    return two_sum(q, r / f)
-
-
-def fsum_dd(parts: list[tuple[float, float]]) -> float:
-    """Exactly reduce a list of double-double parts to the nearest double."""
-    flat = []
-    for hi, lo in parts:
-        flat.append(hi)
-        flat.append(lo)
-    return math.fsum(flat)
-
-
-# --- vectorised variants (elementwise on float64 arrays) ---
 
 def _two_sum_vec(a, b):
     s = a + b
@@ -99,6 +52,14 @@ def dd_scale_vec(xh, xl, c):
     """(xh, xl) * c for a plain float64 array c."""
     p, e = _two_prod_vec(xh, c)
     return _renorm_vec(p, e + xl * c)
+
+
+def _dd_div_f_vec(xh, xl, f):
+    """(xh, xl) / f for a plain float f."""
+    q = xh / f
+    ph, pe = _two_prod_vec(q, f)
+    r = ((xh - ph) - pe) + xl
+    return _two_sum_vec(q, r / f)
 
 
 def dd_add_vec(xh, xl, yh, yl):

@@ -24,6 +24,7 @@ from .errors import DomainError, ToleranceNotMet
 from .special import (
     EULER_GAMMA,
     POLE_TOL,
+    _pole_location,
     digamma,
     gamma_log,
     gen_binomial,
@@ -128,7 +129,7 @@ def rl_integral(
     which for hint = 0 has a constant weight u^0.  Adaptive bisection alone
     converges too slowly for s near 0-.
     """
-    if s >= 0:
+    if not s < 0:
         raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
     sigma = -s
     hint = spec.endpoint_exponent_hint or 0.0
@@ -172,7 +173,7 @@ def rl_derivative(
     noise amplified by h^-n, with h chosen to balance the two.  The result
     is independent of the choice of n within that combined tolerance.
     """
-    if s < 0:
+    if not s >= 0:
         raise DomainError(f"rl_derivative requires s >= 0, got s={s!r} (use rl_integral)")
     if n is None:
         n = math.floor(s) + 1
@@ -206,11 +207,10 @@ def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
     and the exact result 0 is returned (e.g. integer-order derivatives that
     annihilate the power).
     """
-    if p <= -1:
+    if not p > -1:
         raise DomainError(f"power rule requires p > -1, got p={p!r}")
     q = p + 1.0 - s
-    nq = round(q)
-    if nq <= 0 and abs(q - nq) < POLE_TOL:
+    if _pole_location(q) is not None:
         return 0.0
     num = gamma_log(p + 1.0)
     den = gamma_log(q)
@@ -219,6 +219,8 @@ def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
 
 
 def _near_int(s: float) -> int | None:
+    if math.isnan(s):
+        raise DomainError(f"order s must be a number, got s={s!r}")
     n = round(s)
     return n if abs(s - n) < POLE_TOL else None
 
@@ -249,7 +251,7 @@ def log_rule(s: float, x: float) -> float:
     (-1)^{n-1} (n-1)! / x^n; s = 0 is served explicitly as the identity
     operation (the displayed bracket's 1/s term only cancels in the limit).
     """
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"log rule requires x > 0, got x={x!r}")
     if s == 0:
         return math.log(x)

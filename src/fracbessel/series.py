@@ -27,36 +27,34 @@ from.
 Prefactors are summed in log space and exponentiated once; one outside the
 float64 range raises ``DomainError``.  Only M7's reciprocal gamma is still
 carried per term in log space with an explicit sign.  The heavily
-cancelling inner sums run in compensated (double-double) arithmetic; see
-:mod:`fracbessel.compensated`.
+cancelling inner sums are never formed in plain float64: S_k(z) is summed
+exactly in integers and rounded once, and the V_k stream runs in
+compensated (double-double) arithmetic, see :mod:`fracbessel.compensated`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, count
-from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .compensated import (
+    _SPLIT_MAX,
+    _dd_div_f_vec,
     _renorm_vec,
     _two_prod_vec,
     _two_sum_vec,
     dd_add_vec,
-    dd_div_f,
     dd_dot,
-    dd_mul,
-    dd_mul_f,
     dd_mul_vec,
     dd_scale_vec,
-    fsum_dd,
 )
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
-from .special import POLE_TOL, gamma_log
+from .special import _pole_location, gamma_log
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
@@ -85,13 +83,6 @@ def half_integer_offset(s: float) -> int | None:
 
 # --- term streams ---------------------------------------------------------
 
-def _dd_div_f_vec(xh, xl, f):
-    q = xh / f
-    ph, pe = _two_prod_vec(q, f)
-    r = ((xh - ph) - pe) + xl
-    return _two_sum_vec(q, r / f)
-
-
 def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
     """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., in double-double.
 
@@ -100,6 +91,10 @@ def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
     A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1} this is
 
         E_{k+1,j} = [ -(alpha j - k) E_{k,j} + alpha E_{k,j-1} ] / (k + 1).
+
+    The powers w^j are split into halves for the double-double products,
+    so a power past ~1e300 raises ``DomainError`` instead of turning E_k
+    into NaN.
     """
     ch, cl = np.array([1.0]), np.array([0.0])
     pwh, pwl = [1.0], [0.0]
@@ -118,7 +113,12 @@ def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
         ah, al = dd_add_vec(t1h, t1l, t2h, t2l)
         ch, cl = _dd_div_f_vec(ah, al, float(k + 1))
 
-        ph, pl = dd_mul_f(pwh[-1], pwl[-1], w)
+        ph, pl = dd_scale_vec(pwh[-1], pwl[-1], w)
+        if not abs(ph) < _SPLIT_MAX:
+            raise DomainError(
+                f"power w^{k + 1} of w={w!r} in the V_k table is outside the float64 "
+                "range of the double-double split (~1.3e300)"
+            )
         pwh.append(ph)
         pwl.append(pl)
 
@@ -139,21 +139,27 @@ def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
 
 
 def _inner_binomial_sum(k: int, z: float) -> float:
-    """S_k(z) = sum_{j=1}^k C(k-1, j-1) (-2z)^j / j!, compensated.
+    """S_k(z) = sum_{j=1}^k C(k-1, j-1) (-2z)^j / j!, summed exactly.
 
-    The alternating powers cancel heavily for large z: each part is built in
-    double-double and the whole lot reduced exactly by fsum.
+    The alternating powers cancel heavily for large z, so nothing is rounded
+    until the end.  With -2z = p / 2^e exactly, 2^{ek} k! S_k is the integer
+    sum_j c_j p^j 2^{e(k-j)}, c_j = C(k-1, j-1) k!/j!.  Horner's scheme
+    builds it from c_k = 1 down through c_{j-1} = c_j j (j-1) / (k-j+1),
+    an exact division, and one correctly rounded division gives S_k.
     """
-    w = -2.0 * z
-    pwh, pwl = 1.0, 0.0
-    parts = []
-    for jj in range(1, k + 1):
-        pwh, pwl = dd_mul_f(pwh, pwl, w)
-        pwh, pwl = dd_div_f(pwh, pwl, float(jj))
-        c = comb(k - 1, jj - 1)
-        chi = float(c)
-        parts.append(dd_mul(pwh, pwl, chi, float(c - int(chi))))
-    return fsum_dd(parts)
+    try:
+        p, q = (-2.0 * z).as_integer_ratio()
+        e = q.bit_length() - 1
+        c = acc = 1
+        for j in range(k, 1, -1):
+            c = c * j * (j - 1) // (k - j + 1)
+            acc = acc * p + (c << e * (k - j + 1))
+        return acc * p / (math.factorial(k) << e * k)
+    except OverflowError:
+        raise DomainError(
+            f"inner sum S_{k}({z!r}) is outside the float64 range "
+            "(largest finite double ~1.8e308)"
+        ) from None
 
 
 # --- validation helpers -----------------------------------------------------
@@ -328,8 +334,7 @@ def general_expansion_m7(
         sign_poch = 1
         for k, e_k in enumerate(_scaled_vk(alpha, w)):
             arg = k - s + nu + 1.0
-            n_arg = round(arg)
-            if n_arg <= 0 and abs(arg - n_arg) < POLE_TOL:
+            if _pole_location(arg) is not None:
                 yield 0.0  # reciprocal-gamma zero for this k only
             else:
                 lg = gamma_log(arg)

@@ -41,13 +41,14 @@ class LogGammaValue:
     log_abs: float
     sign: int
 
-    def value(self) -> float:
-        """Reconstruct Gamma(x); may overflow to inf for large ``log_abs``."""
-        return self.sign * math.exp(self.log_abs)
-
 
 def _pole_location(x: float) -> float | None:
-    """Return the nearest non-positive integer if x is within POLE_TOL of it."""
+    """Return the nearest non-positive integer if x is within POLE_TOL of it.
+
+    NaN has no place relative to the poles and raises ``DomainError``.
+    """
+    if math.isnan(x):
+        raise DomainError(f"gamma-family argument must be a number, got {x!r}")
     if x > 0.5:
         return None
     n = round(x)
@@ -95,6 +96,8 @@ def pochhammer(a: float, k: int) -> float:
     """
     if k < 0:
         raise DomainError("pochhammer index k must be a non-negative integer")
+    if math.isnan(a):
+        raise DomainError(f"pochhammer base must be a number, got a={a!r}")
     if k == 0:
         return 1.0
     a_int = round(a)
@@ -157,7 +160,7 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     non-integer a.  Terms stop once |term| < 1e-16 * |partial sum|; a hard
     cap of 500 terms guards pathological inputs.
     """
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"lower_incomplete_gamma requires x > 0, got {x!r}")
     _check_pole(a)
     term = 1.0 / a

@@ -203,6 +203,7 @@ class TestConverge:
             ("nan:1:0.5", "1:2:1"),  # a non-finite bound or step would make an endless grid
             ("0:inf:0.5", "1:2:1"),
             ("0:1:inf", "1:2:1"),
+            ("0:1e12:1", "1:2:1"),  # a finite range can still make too many points
         ],
     )
     def test_malformed_ranges_exit_1(self, s_range, z_range):

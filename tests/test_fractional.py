@@ -42,6 +42,8 @@ class TestRlIntegral:
         with pytest.raises(DomainError):
             rl_integral(lambda t: 1.0, 0.5, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError):
+            rl_integral(lambda t: 1.0, math.nan, BoundarySetup(0.0, 1.0))
+        with pytest.raises(DomainError):
             BoundarySetup(2.0, 1.0)
 
     def test_endpoint_hint(self):
@@ -86,6 +88,10 @@ class TestPowerRule:
     def test_domain(self):
         with pytest.raises(DomainError):
             power_rule(0.5, -1.0, BoundarySetup(0.0, 1.0))
+        with pytest.raises(DomainError):
+            power_rule(math.nan, 1.0, BoundarySetup(0.0, 1.0))
+        with pytest.raises(DomainError):
+            power_rule(0.5, math.nan, BoundarySetup(0.0, 1.0))
 
     def test_semigroup_on_powers(self):
         # order s1 then s2 equals order s1 + s2 in one step (exact gamma identity):
@@ -129,6 +135,8 @@ class TestRlDerivative:
             rl_derivative(lambda t: t, -0.5, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError):
             rl_derivative(lambda t: t, 1.5, BoundarySetup(0.0, 1.0), n=1)
+        with pytest.raises(DomainError):
+            rl_derivative(lambda t: t, math.nan, BoundarySetup(0.0, 1.0))
 
 
 class TestExpRule:
@@ -160,6 +168,8 @@ class TestExpRule:
     def test_domain(self):
         with pytest.raises(DomainError):
             exp_rule(0.5, -1.0, 1.0)  # beta x < 0 with non-integer order
+        with pytest.raises(DomainError):
+            exp_rule(math.nan, 1.0, 1.0)
 
 
 class TestLogRule:
@@ -188,6 +198,10 @@ class TestLogRule:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_rule(0.5, -2.0)
+        with pytest.raises(DomainError):
+            log_rule(math.nan, 2.0)
+        with pytest.raises(DomainError):
+            log_rule(0.5, math.nan)
 
 
 class TestLeibniz:

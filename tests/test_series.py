@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy.special import kv
 
 from fracbessel import (
     BoundarySetup,
@@ -172,11 +173,21 @@ class TestKMcdonald:
             (k_series_m9, (2.7, 1e-200)),
             (k_series_m10, (2.7, 1e-200)),
             (general_expansion_m7, (5.0, 0.5, 1.0, 1.0, 1e-100)),
+            (k_mcdonald, (2.5, 1e200)),  # the inner sum S_2 overflows
+            (k_series_m9, (2.3, 18.0, EXPLORE)),  # the V_k power table passes ~1e300
         ],
     )
     def test_overflowing_prefactor_is_a_domain_error(self, evaluate, args):
         with pytest.raises(DomainError, match="float64 range"):
             evaluate(*args)
+
+    def test_more_terms_do_not_lose_accuracy(self):
+        # the inner sums are exact, so a longer tail can only move closer to K
+        ref = kv(1.3, 1.0)
+        errors = [
+            abs(k_mcdonald(1.3, 1.0, _capped(n)).value - ref) / ref for n in (200, 1000)
+        ]
+        assert errors[1] <= errors[0]
 
     def test_divergence_heuristic_raises_with_partial(self):
         # large z: term magnitudes climb through the initial hump, which the
@@ -247,6 +258,8 @@ class TestGeneralExpansion:
             general_expansion_m7(0.5, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             general_expansion_m7(0.5, 1.0, -1.0, -1.0, 1.0)
+        with pytest.raises(DomainError):
+            general_expansion_m7(math.nan, 1.0, -1.0, 1.0, 1.0)
 
 
 def _capped(n):

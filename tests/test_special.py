@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracbessel import (
     EULER_GAMMA,
+    DomainError,
     PoleError,
     digamma,
     gamma_log,
@@ -62,6 +63,10 @@ class TestGammaLog:
         with pytest.raises(PoleError):
             gamma_log(x)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            gamma_log(math.nan)
+
     def test_reflection(self):
         # Gamma(x) Gamma(1-x) = pi / sin(pi x) on (0, 1)
         for i in range(1, 20):
@@ -101,6 +106,10 @@ class TestPochhammer:
 
     def test_negative_integer_base_large_k(self):
         assert pochhammer(-200.0, 100) == pytest.approx(float(sc.poch(-200.0, 100)), rel=1e-10)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            pochhammer(math.nan, 3)
 
     @given(
         a=st.floats(-10, 10, allow_nan=False),
@@ -170,6 +179,10 @@ class TestDigamma:
         with pytest.raises(PoleError):
             digamma(-2.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            digamma(math.nan)
+
 
 def _lig_alternating_series(a, x):
     """Independent oracle: x^a sum_n (-x)^n / (n! (a+n)), 1e-14 term cutoff."""
@@ -215,7 +228,9 @@ class TestLowerIncompleteGamma:
     def test_domain_errors(self):
         with pytest.raises(PoleError):
             lower_incomplete_gamma(-2.0, 1.0)
-        from fracbessel import DomainError
-
         with pytest.raises(DomainError):
             lower_incomplete_gamma(0.5, -1.0)
+        with pytest.raises(DomainError):
+            lower_incomplete_gamma(math.nan, 1.0)
+        with pytest.raises(DomainError):
+            lower_incomplete_gamma(0.5, math.nan)
