@@ -149,10 +149,17 @@ def _parse_range(text: str, name: str) -> list[float]:
     return out
 
 
-def _evaluate(s: float, z: float, method: str, policy: TruncationPolicy) -> OutputRow:
-    """Evaluate one point; SeriesDiverged is folded into the row flags."""
+def _evaluate(
+    s: float, z: float, method: str, policy: TruncationPolicy, oracle: float | None = None
+) -> OutputRow:
+    """Evaluate one point; SeriesDiverged is folded into the row flags.
+
+    ``oracle``, when given, is K_s(z) from ``k_oracle``, reused for the
+    ORACLE row instead of a second quadrature.
+    """
     if method == "oracle":
-        return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=k_oracle(s, z), converged=True)
+        value = k_oracle(s, z) if oracle is None else oracle
+        return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
     s_eff = abs(s)
     try:
         if method == "rearranged":
@@ -173,12 +180,6 @@ def _evaluate(s: float, z: float, method: str, policy: TruncationPolicy) -> Outp
         value=approx.value,
         converged=approx.converged,
     )
-
-
-def _attach_oracle_err(row: OutputRow) -> OutputRow:
-    ref = k_oracle(row.s, row.z)
-    row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
-    return row
 
 
 def _rows_to_csv(rows: list[OutputRow]) -> str:
@@ -245,10 +246,11 @@ def _cmd_table(args) -> int:
         policy = TruncationPolicy(max_terms=args.max_terms)
         rows = []
         for s, z in grid.points():
+            ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
             for m in methods:
-                row = _evaluate(s, z, m, policy)
+                row = _evaluate(s, z, m, policy, ref)
                 if args.with_oracle:
-                    _attach_oracle_err(row)
+                    row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
                 rows.append(row)
     except (DomainError, PoleError) as exc:
         return _fail(str(exc), 1)

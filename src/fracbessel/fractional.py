@@ -232,6 +232,8 @@ def exp_rule(s: float, beta: float, x: float) -> float:
     classical beta^n exp(beta x); otherwise beta x > 0 is required so that
     beta^s is real and the incomplete gamma is on its domain.
     """
+    if not (math.isfinite(beta) and math.isfinite(x)):
+        raise DomainError(f"exp rule needs finite beta and x, got beta={beta!r}, x={x!r}")
     if beta == 0:
         raise DomainError("beta must be nonzero")
     n = _near_int(s)

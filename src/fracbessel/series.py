@@ -27,30 +27,17 @@ from.
 Prefactors are summed in log space and exponentiated once; one outside the
 float64 range raises ``DomainError``.  Only M7's reciprocal gamma is still
 carried per term in log space with an explicit sign.  The heavily
-cancelling inner sums are never formed in plain float64: S_k(z) is summed
-exactly in integers and rounded once, and the V_k stream runs in
-compensated (double-double) arithmetic, see :mod:`fracbessel.compensated`.
+cancelling inner sums are never formed in plain float64: S_k(z) and the
+V_k stream both carry integer coefficients, and one shared evaluator sums
+each polynomial exactly and rounds it once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
-from .compensated import (
-    _SPLIT_MAX,
-    _dd_div_f_vec,
-    _renorm_vec,
-    _two_prod_vec,
-    _two_sum_vec,
-    dd_add_vec,
-    dd_dot,
-    dd_mul_vec,
-    dd_scale_vec,
-)
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
@@ -84,43 +71,52 @@ def half_integer_offset(s: float) -> int | None:
 # --- term streams ---------------------------------------------------------
 
 def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
-    """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., in double-double.
+    """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., each correctly rounded.
 
-    The raw coefficients grow factorially; dividing by k! keeps the stored
-    arrays bounded.  On the coefficient recurrence
-    A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1} this is
+    On the coefficient recurrence A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1}
+    the scaled coefficients follow
 
         E_{k+1,j} = [ -(alpha j - k) E_{k,j} + alpha E_{k,j-1} ] / (k + 1).
 
-    The powers w^j are split into halves for the double-double products,
-    so a power past ~1e300 raises ``DomainError`` instead of turning E_k
-    into NaN.
+    With alpha = a / 2^f exactly, M_{k,j} = E_{k,j} k! 2^{fk} are integers,
+    M_{k+1,j} = (k 2^f - a j) M_{k,j} + a M_{k,j-1} with M_{0,0} = 1, so
+    each E_k is one exact polynomial value, see ``_exact_poly``.  The row
+    is kept highest degree first.  alpha and w must be finite.
     """
-    ch, cl = np.array([1.0]), np.array([0.0])
-    pwh, pwl = [1.0], [0.0]
+    a, q = alpha.as_integer_ratio()
+    f = q.bit_length() - 1
+    row, den = [1], 1
     for k in count(0):
-        yield dd_dot(ch, cl, np.array(pwh), np.array(pwl))
+        yield _exact_poly(row, den, w)
+        b = k << f
+        row = [(b - a * j) * m + a * lower
+               for j, m, lower in zip(count(k + 1, -1), [0] + row, row + [0])]
+        den = den * (k + 1) << f
 
-        j = np.arange(k + 2, dtype=float)
-        # -(alpha*j - k) in double-double: alpha*j may round for generic alpha
-        mh, me = _two_prod_vec(np.full(k + 2, alpha), j)
-        nh, ne = _two_sum_vec(mh, -float(k))
-        nh, nl = _renorm_vec(nh, ne + me)
-        nh, nl = -nh, -nl
 
-        t1h, t1l = dd_mul_vec(np.append(ch, 0.0), np.append(cl, 0.0), nh, nl)
-        t2h, t2l = dd_scale_vec(np.concatenate(([0.0], ch)), np.concatenate(([0.0], cl)), alpha)
-        ah, al = dd_add_vec(t1h, t1l, t2h, t2l)
-        ch, cl = _dd_div_f_vec(ah, al, float(k + 1))
+def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
+    """The polynomial with integer coefficients ``coeffs`` (highest degree
+    first, as in ``numpy.polyval``) at w, divided by the integer den > 0,
+    correctly rounded.
 
-        ph, pl = dd_scale_vec(pwh[-1], pwl[-1], w)
-        if not abs(ph) < _SPLIT_MAX:
-            raise DomainError(
-                f"power w^{k + 1} of w={w!r} in the V_k table is outside the float64 "
-                "range of the double-double split (~1.3e300)"
-            )
-        pwh.append(ph)
-        pwl.append(pl)
+    The alternating terms of the inner polynomials cancel heavily, so
+    nothing is rounded until the end.  With w = p / 2^e exactly, Horner's
+    scheme builds the integer sum_j c_j p^j 2^{e(n-j)}, n the degree, and
+    one correctly rounded division by den 2^{en} gives the value.
+    """
+    try:
+        p, q = w.as_integer_ratio()
+        e = q.bit_length() - 1
+        acc, shift = 0, -e
+        for c in coeffs:
+            shift += e
+            acc = acc * p + (c << shift)
+        return acc / (den << shift)
+    except OverflowError:
+        raise DomainError(
+            f"degree-{len(coeffs) - 1} polynomial at w={w!r} is outside the float64 range "
+            "(largest finite double ~1.8e308)"
+        ) from None
 
 
 def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
@@ -141,25 +137,17 @@ def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
 def _inner_binomial_sum(k: int, z: float) -> float:
     """S_k(z) = sum_{j=1}^k C(k-1, j-1) (-2z)^j / j!, summed exactly.
 
-    The alternating powers cancel heavily for large z, so nothing is rounded
-    until the end.  With -2z = p / 2^e exactly, 2^{ek} k! S_k is the integer
-    sum_j c_j p^j 2^{e(k-j)}, c_j = C(k-1, j-1) k!/j!.  Horner's scheme
-    builds it from c_k = 1 down through c_{j-1} = c_j j (j-1) / (k-j+1),
-    an exact division, and one correctly rounded division gives S_k.
+    k! S_k has the integer coefficients c_j = C(k-1, j-1) k!/j! in -2z,
+    built from c_k = 1 down through c_{j-1} = c_j j (j-1) / (k-j+1), an
+    exact division; ``_exact_poly`` sums them and rounds once.
     """
-    try:
-        p, q = (-2.0 * z).as_integer_ratio()
-        e = q.bit_length() - 1
-        c = acc = 1
-        for j in range(k, 1, -1):
-            c = c * j * (j - 1) // (k - j + 1)
-            acc = acc * p + (c << e * (k - j + 1))
-        return acc * p / (math.factorial(k) << e * k)
-    except OverflowError:
-        raise DomainError(
-            f"inner sum S_{k}({z!r}) is outside the float64 range "
-            "(largest finite double ~1.8e308)"
-        ) from None
+    c = 1
+    coeffs = [c]
+    for j in range(k, 1, -1):
+        c = c * j * (j - 1) // (k - j + 1)
+        coeffs.append(c)
+    coeffs.append(0)
+    return _exact_poly(coeffs, math.factorial(k), -2.0 * z)
 
 
 # --- validation helpers -----------------------------------------------------
@@ -219,7 +207,7 @@ def k_series_rearranged(
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _exp_prefactor((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
-    inner = chain([1.0], (_inner_binomial_sum(k, z) for k in count(1)))
+    inner = chain([1.0], map(_inner_binomial_sum, count(1), repeat(z)))
     return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
@@ -319,14 +307,22 @@ def general_expansion_m7(
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1 for the termwise power rule, got nu={nu!r}")
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
+    if not (math.isfinite(alpha) and alpha != 0):
+        raise DomainError(f"alpha must be finite and nonzero, got alpha={alpha!r}")
     if not beta > 0:
         raise DomainError(f"need beta > 0, got beta={beta!r}")
-    if not x > 0:
-        raise DomainError(f"need x > 0, got x={x!r}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"need finite x > 0, got x={x!r}")
 
-    w = beta * x ** alpha
+    try:
+        w = beta * x ** alpha
+    except OverflowError:
+        w = math.inf
+    if not math.isfinite(w):
+        raise DomainError(
+            f"w = beta x^alpha for beta={beta!r}, x={x!r}, alpha={alpha!r} is outside "
+            "the float64 range (largest finite double ~1.8e308)"
+        )
     pref = _exp_prefactor((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
 
     def gen() -> Iterator[float]:

@@ -123,6 +123,8 @@ def gen_binomial(s: float, j: int) -> float:
     """
     if j < 0:
         raise DomainError("binomial index j must be a non-negative integer")
+    if math.isnan(s):
+        raise DomainError(f"binomial top must be a number, got s={s!r}")
     if j == 0:
         return 1.0
     if j <= _PRODUCT_MAX:

@@ -146,6 +146,24 @@ class TestTable:
             else:
                 assert float(cr["rel_err_vs_oracle"]) == jr["rel_err_vs_oracle"]
 
+    def test_oracle_runs_once_per_point(self, tmp_path, monkeypatch):
+        from fracbessel import cli
+
+        calls = []
+        oracle = cli.k_oracle
+
+        def counted(s, z):
+            calls.append((s, z))
+            return oracle(s, z)
+
+        monkeypatch.setattr(cli, "k_oracle", counted)
+        grid = ["--s-list", "0.5,1.3", "--z-list", "1,2", "--out", str(tmp_path / "t.csv")]
+        assert run("table", *grid, "--methods", "rearranged,oracle", "--with-oracle")[0] == 0
+        assert sorted(calls) == [(0.5, 1.0), (0.5, 2.0), (1.3, 1.0), (1.3, 2.0)]
+        calls.clear()
+        assert run("table", *grid, "--methods", "rearranged")[0] == 0
+        assert calls == []
+
     def test_empty_grid_exits_1(self, tmp_path):
         code, _, err = run("table", "--s-list", ",", "--z-list", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1

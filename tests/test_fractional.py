@@ -170,6 +170,10 @@ class TestExpRule:
             exp_rule(0.5, -1.0, 1.0)  # beta x < 0 with non-integer order
         with pytest.raises(DomainError):
             exp_rule(math.nan, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            exp_rule(1.0, math.nan, 1.0)  # the integer-order branch
+        with pytest.raises(DomainError):
+            exp_rule(1.0, 1.0, math.nan)
 
 
 class TestLogRule:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.special import kv
 
@@ -21,6 +22,7 @@ from fracbessel import (
     power_rule,
     rl_integral,
 )
+from fracbessel.series import _inner_binomial_sum, _scaled_vk
 from fracbessel.truncation import sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
@@ -112,11 +114,52 @@ class TestRawM9:
         if approx.converged:
             assert approx.value == pytest.approx(k_oracle(0.25, 1.0), rel=1e-6)
 
+    def test_large_argument_is_summed_not_rejected(self):
+        # w = 2z = 36: w^k passes 1e300 near k = 194 and the V_k terms cancel
+        # heavily; 200 terms are not enough, 1000 reach K
+        approx = k_series_m9(2.3, 18.0, EXPLORE)
+        assert math.isfinite(approx.value)
+        assert not approx.converged and approx.terms_used == 200
+        longer = k_series_m9(2.3, 18.0, _capped(1000))
+        assert longer.value == pytest.approx(kv(2.3, 18.0), rel=1e-9)
+
     def test_half_integer_prefactor_pole(self):
         with pytest.raises(DomainError):
             k_series_m9(0.5, 1.0)
         with pytest.raises(DomainError):
             k_series_m9(3.5, 2.0)
+
+
+def _mp_scaled_vk(alpha, w, n):
+    """E_k(w) = (-1)^k V_k^{(alpha)}(w) / k! for k < n, from the unscaled
+    coefficient recurrence at 400 digits, each rounded to double."""
+    with mpmath.workdps(400):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(w)
+        coeffs = [mpmath.mpf(1)]
+        out = []
+        for k in range(n):
+            out.append(float((-1) ** k * mpmath.polyval(coeffs[::-1], x) / mpmath.factorial(k)))
+            coeffs = [
+                (a * j - k) * (coeffs[j] if j <= k else 0) - (a * coeffs[j - 1] if j else 0)
+                for j in range(k + 2)
+            ]
+    return out
+
+
+class TestVkStream:
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0 / 3.0])
+    def test_correctly_rounded(self, alpha):
+        for w in (0.74, 6.6, 35.8):
+            stream = _scaled_vk(alpha, w)
+            assert [next(stream) for _ in range(120)] == _mp_scaled_vk(alpha, w, 120), w
+
+    def test_alpha_minus_one_is_the_inner_binomial_sum(self):
+        # two independent constructions of one polynomial: E_k(2z) = S_k(z)
+        for z in (0.37, 1.0, 3.3, 8.0, 17.9, 29.5):
+            stream = _scaled_vk(-1.0, 2.0 * z)
+            assert next(stream) == 1.0
+            for k in range(1, 151):
+                assert next(stream) == _inner_binomial_sum(k, z), (z, k)
 
 
 class TestM10:
@@ -174,7 +217,7 @@ class TestKMcdonald:
             (k_series_m10, (2.7, 1e-200)),
             (general_expansion_m7, (5.0, 0.5, 1.0, 1.0, 1e-100)),
             (k_mcdonald, (2.5, 1e200)),  # the inner sum S_2 overflows
-            (k_series_m9, (2.3, 18.0, EXPLORE)),  # the V_k power table passes ~1e300
+            (general_expansion_m7, (0.5, 1.0, -1.0, 1.0, 1e-320)),  # x^alpha overflows
         ],
     )
     def test_overflowing_prefactor_is_a_domain_error(self, evaluate, args):
@@ -260,6 +303,12 @@ class TestGeneralExpansion:
             general_expansion_m7(0.5, 1.0, -1.0, -1.0, 1.0)
         with pytest.raises(DomainError):
             general_expansion_m7(math.nan, 1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            general_expansion_m7(0.5, 1.0, math.nan, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            general_expansion_m7(0.5, 1.0, math.inf, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            general_expansion_m7(0.5, 1.0, -1.0, 1.0, math.inf)
 
 
 def _capped(n):

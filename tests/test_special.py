@@ -149,6 +149,10 @@ class TestGenBinomial:
         ref = math.comb(200, 80)
         assert gen_binomial(200.0, 80) == pytest.approx(ref, rel=1e-11)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            gen_binomial(math.nan, 3)
+
 
 def _binom_gamma_form1(s, j):
     # Gamma(1+s) / (j! Gamma(1+s-j))
