@@ -24,6 +24,7 @@ from .errors import DomainError, ToleranceNotMet
 from .special import (
     EULER_GAMMA,
     POLE_TOL,
+    _guarded_exp,
     _pole_location,
     digamma,
     gamma_log,
@@ -41,14 +42,14 @@ _FD_NOISE = 1e-13
 
 @dataclass(frozen=True)
 class BoundarySetup:
-    """Boundary point a and evaluation point x of the differintegral, a < x."""
+    """Boundary point a and evaluation point x of the differintegral, finite and a < x."""
 
     a: float
     x: float
 
     def __post_init__(self):
-        if not (self.a < self.x):
-            raise DomainError(f"boundary point must satisfy a < x, got a={self.a!r}, x={self.x!r}")
+        if not -math.inf < self.a < self.x < math.inf:
+            raise DomainError(f"need finite a < x, got a={self.a!r}, x={self.x!r}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
     num = gamma_log(p + 1.0)
     den = gamma_log(q)
     base = bounds.x - bounds.a
-    return num.sign * den.sign * math.exp(num.log_abs - den.log_abs + (p - s) * math.log(base))
+    return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs + (p - s) * math.log(base))
 
 
 def _near_int(s: float) -> int | None:
@@ -238,12 +239,12 @@ def exp_rule(s: float, beta: float, x: float) -> float:
         raise DomainError("beta must be nonzero")
     n = _near_int(s)
     if n is not None and n >= 0:
-        return beta ** n * math.exp(beta * x)
+        return beta ** n * _guarded_exp(beta * x)
     if beta * x <= 0:
         raise DomainError(f"non-integer order needs beta*x > 0, got beta={beta!r}, x={x!r}")
     lig = lower_incomplete_gamma(-s, beta * x)
     lg = gamma_log(-s)
-    return beta ** s * math.exp(beta * x) * lig * lg.sign * math.exp(-lg.log_abs)
+    return beta ** s * _guarded_exp(beta * x) * lig * lg.sign * math.exp(-lg.log_abs)
 
 
 def log_rule(s: float, x: float) -> float:
@@ -253,8 +254,8 @@ def log_rule(s: float, x: float) -> float:
     (-1)^{n-1} (n-1)! / x^n; s = 0 is served explicitly as the identity
     operation (the displayed bracket's 1/s term only cancels in the limit).
     """
-    if not x > 0:
-        raise DomainError(f"log rule requires x > 0, got x={x!r}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"log rule requires finite x > 0, got x={x!r}")
     if s == 0:
         return math.log(x)
     n = _near_int(s)

@@ -24,12 +24,14 @@ prefactor, and inner_k is a polynomial in z:
 x^nu exp(-beta x^alpha) for any alpha, the expansion the K series descend
 from.
 
-Prefactors are summed in log space and exponentiated once; one outside the
-float64 range raises ``DomainError``.  Only M7's reciprocal gamma is still
-carried per term in log space with an explicit sign.  The heavily
-cancelling inner sums are never formed in plain float64: S_k(z) and the
-V_k stream both carry integer coefficients, and one shared evaluator sums
-each polynomial exactly and rounds it once.
+Prefactors are summed in log space and exponentiated once by
+``special._guarded_exp``; one outside the float64 range raises
+``DomainError``.  Only M7's reciprocal gamma is still carried per term in
+log space with an explicit sign.  The heavily cancelling inner sums are
+never formed in plain float64: the V_k stream reads its integer
+coefficient rows from ``vk._vk_rows``, S_k(z) builds its own from the
+binomial closed form, and ``vk._exact_poly`` sums either polynomial exactly
+and rounds it once.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
-from .special import _pole_location, gamma_log
+from .special import _guarded_exp, _pole_location, gamma_log
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
+from .vk import _exact_poly, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
@@ -73,50 +76,15 @@ def half_integer_offset(s: float) -> int | None:
 def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
     """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., each correctly rounded.
 
-    On the coefficient recurrence A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1}
-    the scaled coefficients follow
-
-        E_{k+1,j} = [ -(alpha j - k) E_{k,j} + alpha E_{k,j-1} ] / (k + 1).
-
-    With alpha = a / 2^f exactly, M_{k,j} = E_{k,j} k! 2^{fk} are integers,
-    M_{k+1,j} = (k 2^f - a j) M_{k,j} + a M_{k,j-1} with M_{0,0} = 1, so
-    each E_k is one exact polynomial value, see ``_exact_poly``.  The row
-    is kept highest degree first.  alpha and w must be finite.
+    With alpha = a / q exactly, row k of ``vk._vk_rows`` holds the integer
+    coefficients of E_k times k! q^k, so each E_k is one exact polynomial
+    value, see ``vk._exact_poly``.  alpha and w must be finite.
     """
-    a, q = alpha.as_integer_ratio()
-    f = q.bit_length() - 1
-    row, den = [1], 1
-    for k in count(0):
+    q = alpha.as_integer_ratio()[1]
+    den = 1
+    for k, row in enumerate(_vk_rows(alpha), 1):
         yield _exact_poly(row, den, w)
-        b = k << f
-        row = [(b - a * j) * m + a * lower
-               for j, m, lower in zip(count(k + 1, -1), [0] + row, row + [0])]
-        den = den * (k + 1) << f
-
-
-def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
-    """The polynomial with integer coefficients ``coeffs`` (highest degree
-    first, as in ``numpy.polyval``) at w, divided by the integer den > 0,
-    correctly rounded.
-
-    The alternating terms of the inner polynomials cancel heavily, so
-    nothing is rounded until the end.  With w = p / 2^e exactly, Horner's
-    scheme builds the integer sum_j c_j p^j 2^{e(n-j)}, n the degree, and
-    one correctly rounded division by den 2^{en} gives the value.
-    """
-    try:
-        p, q = w.as_integer_ratio()
-        e = q.bit_length() - 1
-        acc, shift = 0, -e
-        for c in coeffs:
-            shift += e
-            acc = acc * p + (c << shift)
-        return acc / (den << shift)
-    except OverflowError:
-        raise DomainError(
-            f"degree-{len(coeffs) - 1} polynomial at w={w!r} is outside the float64 range "
-            "(largest finite double ~1.8e308)"
-        ) from None
+        den *= k * q
 
 
 def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
@@ -173,16 +141,6 @@ def _reject_half_integer(s: float, which: str) -> None:
         )
 
 
-def _exp_prefactor(log_pref: float) -> float:
-    try:
-        return math.exp(log_pref)
-    except OverflowError:
-        raise DomainError(
-            f"series prefactor exp({log_pref:.6g}) is outside the float64 range "
-            "(largest finite double ~1.8e308)"
-        ) from None
-
-
 def _finalize(gen: Iterator[float], policy: TruncationPolicy, scale: float) -> SeriesApproximation:
     approx = sum_with_policy(gen, policy, scale=scale)
     if approx.diverging:
@@ -206,7 +164,7 @@ def k_series_rearranged(
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    pref = _exp_prefactor((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
+    pref = _guarded_exp((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
     inner = chain([1.0], map(_inner_binomial_sum, count(1), repeat(z)))
     return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
@@ -233,7 +191,7 @@ def k_series_m9(
     _require_positive_order(s)
     _require_positive_z(z)
     _reject_half_integer(s, "the raw k-sum")
-    pref = _exp_prefactor(
+    pref = _guarded_exp(
         0.5 * math.log(math.pi)
         - s * math.log(2.0 * z)
         - z
@@ -270,7 +228,7 @@ def k_series_m10(
     _require_positive_z(z)
     if not regularized:
         _reject_half_integer(s, "the printed companion expansion")
-    pref = _exp_prefactor((3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
+    pref = _guarded_exp((3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
     return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _scaled_vk(-0.5, z)), policy, pref)
 
 
@@ -323,7 +281,7 @@ def general_expansion_m7(
             f"w = beta x^alpha for beta={beta!r}, x={x!r}, alpha={alpha!r} is outside "
             "the float64 range (largest finite double ~1.8e308)"
         )
-    pref = _exp_prefactor((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
+    pref = _guarded_exp((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
 
     def gen() -> Iterator[float]:
         log_poch = 0.0

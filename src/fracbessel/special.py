@@ -5,6 +5,8 @@ sums, series prefactors) funnels its gamma arithmetic through this module.
 Ratios of gammas are never formed as quotients of raw values: callers get
 ``(log|Gamma|, sign)`` pairs and combine them in log space, which keeps k-th
 series terms finite far past the ~171 overflow point of Gamma itself.
+Exponentials that can overflow go through ``_guarded_exp``, which raises
+``DomainError`` naming the float64 range instead of ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ def _pole_location(x: float) -> float | None:
     if n <= 0 and abs(x - n) < POLE_TOL:
         return float(n)
     return None
+
+
+def _guarded_exp(x: float) -> float:
+    """exp(x), or ``DomainError`` naming the float64 range where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(
+            f"exp({x:.6g}) is outside the float64 range (largest finite double ~1.8e308)"
+        ) from None
 
 
 def _check_pole(x: float) -> None:
@@ -111,7 +123,7 @@ def pochhammer(a: float, k: int) -> float:
         return out
     num = gamma_log(a + k)
     den = gamma_log(a)
-    return num.sign * den.sign * math.exp(num.log_abs - den.log_abs)
+    return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
 
 
 def gen_binomial(s: float, j: int) -> float:
@@ -141,7 +153,7 @@ def gen_binomial(s: float, j: int) -> float:
         if f < 0:
             sign = -sign
         log_abs += math.log(abs(f))
-    return sign * math.exp(log_abs - math.lgamma(j + 1))
+    return sign * _guarded_exp(log_abs - math.lgamma(j + 1))
 
 
 def digamma(x: float) -> float:
@@ -178,5 +190,5 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
             f"(a={a!r}, x={x!r})",
             estimate=abs(term),
         )
-    return math.exp(a * math.log(x) - x) * total
+    return _guarded_exp(a * math.log(x) - x) * total
 

@@ -21,19 +21,23 @@ once and multiplying back by x^{k+1} e^{beta x^alpha} gives
 
 equivalently A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1} on the
 coefficients.
+
+All three are exact at every k (alpha = a/q exactly; ints and Fractions).
+The recurrence is written once, in integers, as ``_vk_rows``, which also
+feeds the V_k stream of the K series; ``_exact_poly``, the one evaluator of
+these polynomials and of the series' inner sums, rounds once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import factorial
+from typing import Iterator
 
 from .errors import DomainError
-
-#: Coefficient growth is factorial-like; exact rational arithmetic is used up
-#: to this k and plain floats beyond it.
-EXACT_MAX_K = 25
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,58 @@ def _simplify(c) -> object:
     return c
 
 
-def _validate_alpha_k(alpha: float, k: int) -> None:
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero (alpha = 0 degenerates to a constant)")
+def _validate_alpha_k(alpha, k: int) -> Fraction:
+    """alpha as an exact Fraction, once alpha is finite and nonzero and k >= 0."""
     if k < 0:
         raise DomainError("k must be a non-negative integer")
+    try:
+        a = Fraction(alpha)
+    except (ValueError, OverflowError):
+        raise DomainError(f"alpha must be a finite number, got alpha={alpha!r}") from None
+    if a == 0:
+        raise DomainError("alpha must be nonzero (alpha = 0 degenerates to a constant)")
+    return a
+
+
+def _vk_rows(alpha) -> Iterator[list[int]]:
+    """Yield the integer rows M_{k,j} = (-1)^k A_{k,j} q^k, k = 0, 1, ...,
+    highest degree first, with alpha = a / q exactly (finite and nonzero).
+
+    The coefficient recurrence reads M_{k+1,j} = (k q - a j) M_{k,j} + a M_{k,j-1},
+    M_{0,0} = 1; row k over k! q^k holds the coefficients of (-1)^k V_k / k!.
+    """
+    a, q = alpha.as_integer_ratio()
+    row = [1]
+    for k in count(0):
+        yield row
+        b = k * q
+        row = [(b - a * j) * m + a * lower
+               for j, m, lower in zip(count(k + 1, -1), [0] + row, row + [0])]
+
+
+def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
+    """The polynomial with integer coefficients ``coeffs`` (highest degree
+    first, as in ``numpy.polyval``) at w, divided by the integer den > 0,
+    correctly rounded.
+
+    The alternating terms of the V_k and S_k polynomials cancel heavily, so
+    nothing is rounded until the end.  With w = p / 2^e exactly, Horner's
+    scheme builds the integer sum_j c_j p^j 2^{e(n-j)}, n the degree, and
+    one correctly rounded division by den 2^{en} gives the value.
+    """
+    try:
+        p, q = w.as_integer_ratio()
+        e = q.bit_length() - 1
+        acc, shift = 0, -e
+        for c in coeffs:
+            shift += e
+            acc = acc * p + (c << shift)
+        return acc / (den << shift)
+    except OverflowError:
+        raise DomainError(
+            f"degree-{len(coeffs) - 1} polynomial at w={w!r} is outside the float64 range "
+            "(largest finite double ~1.8e308)"
+        ) from None
 
 
 def vk_coeffs_sum(alpha, k: int) -> Polynomial:
@@ -73,23 +124,14 @@ def vk_coeffs_sum(alpha, k: int) -> Polynomial:
     product so the i = 0 summand is exactly zero for k >= 1 (and 1 for
     k = 0, giving V_0 = 1 without a special case).
     """
-    _validate_alpha_k(alpha, k)
-    exact = k <= EXACT_MAX_K
-    a = Fraction(alpha) if exact else float(alpha)
+    a = _validate_alpha_k(alpha, k)
+    # (-alpha i)_k does not depend on j, so each rising product is formed once
+    rising = [math.prod((m - a * i for m in range(k)), start=Fraction(1)) for i in range(k + 1)]
     coeffs = []
     for j in range(k + 1):
-        acc = Fraction(0) if exact else 0.0
-        for i in range(j + 1):
-            rising = Fraction(1) if exact else 1.0
-            base = -a * i
-            for m in range(k):
-                rising *= base + m
-            if rising == 0:
-                continue
-            weight = Fraction((-1) ** i, factorial(i) * factorial(j - i))
-            acc += (weight if exact else float(weight)) * rising
-        acc = (-1) ** k * acc
-        coeffs.append(_simplify(acc) if exact else acc)
+        acc = sum(Fraction((-1) ** i, factorial(i) * factorial(j - i)) * rising[i]
+                  for i in range(j + 1))
+        coeffs.append(_simplify((-1) ** k * acc))
     return Polynomial(tuple(coeffs))
 
 
@@ -116,29 +158,18 @@ def vk_coeffs_closed_m1(k: int) -> Polynomial:
 def vk_coeffs_recurrence(alpha, k: int) -> Polynomial:
     """Coefficients via A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1}.
 
-    Exact rational arithmetic up to k = 25 (alpha converted exactly via
-    Fraction), floating point beyond.
+    Row k of ``_vk_rows`` divided by (-q)^k, alpha = a / q exactly.
     """
-    _validate_alpha_k(alpha, k)
-    exact = k <= EXACT_MAX_K
-    a = Fraction(alpha) if exact else float(alpha)
-    coeffs = [Fraction(1) if exact else 1.0]
-    for m in range(k):
-        nxt = []
-        for j in range(m + 2):
-            c = (a * j - m) * coeffs[j] if j <= m else 0
-            if j >= 1:
-                c -= a * coeffs[j - 1]
-            nxt.append(c)
-        coeffs = nxt
-    if exact:
-        coeffs = [_simplify(c) for c in coeffs]
-    return Polynomial(tuple(coeffs))
+    a = _validate_alpha_k(alpha, k)
+    row = next(islice(_vk_rows(a), k, None))
+    scale = (-a.denominator) ** k
+    return Polynomial(tuple(_simplify(Fraction(m, scale)) for m in reversed(row)))
 
 
 def vk_eval(p: Polynomial, z: float) -> float:
-    """Evaluate by Horner's scheme in float arithmetic."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * z + float(c)
-    return acc
+    """p at a finite z, correctly rounded: ``_exact_poly`` over the common denominator."""
+    if not math.isfinite(z):
+        raise DomainError(f"vk_eval needs a finite z, got z={z!r}")
+    coeffs = [Fraction(c) for c in reversed(p.coeffs)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _exact_poly([c.numerator * (den // c.denominator) for c in coeffs], den, z)

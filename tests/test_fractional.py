@@ -45,6 +45,9 @@ class TestRlIntegral:
             rl_integral(lambda t: 1.0, math.nan, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError):
             BoundarySetup(2.0, 1.0)
+        for a, x in [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]:
+            with pytest.raises(DomainError):
+                BoundarySetup(a, x)
 
     def test_endpoint_hint(self):
         # f carrying its own (x - t)^0.5 factor: hint removes it exactly
@@ -92,6 +95,10 @@ class TestPowerRule:
             power_rule(math.nan, 1.0, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError):
             power_rule(0.5, math.nan, BoundarySetup(0.0, 1.0))
+        with pytest.raises(DomainError):
+            power_rule(0.5, 1.0, BoundarySetup(0.0, math.inf))
+        with pytest.raises(DomainError, match="float64 range"):
+            power_rule(-0.5, 300.0, BoundarySetup(0.0, 1e10))
 
     def test_semigroup_on_powers(self):
         # order s1 then s2 equals order s1 + s2 in one step (exact gamma identity):
@@ -174,6 +181,12 @@ class TestExpRule:
             exp_rule(1.0, math.nan, 1.0)  # the integer-order branch
         with pytest.raises(DomainError):
             exp_rule(1.0, 1.0, math.nan)
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(2.0, 1000.0, 1.0)  # e^1000 overflows, integer order
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(-1.5, 800.0, 1.0)  # and non-integer order
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(-200.5, 1.0, 300.0)  # the incomplete gamma's own factor overflows
 
 
 class TestLogRule:
@@ -206,6 +219,8 @@ class TestLogRule:
             log_rule(math.nan, 2.0)
         with pytest.raises(DomainError):
             log_rule(0.5, math.nan)
+        with pytest.raises(DomainError):
+            log_rule(0.5, math.inf)
 
 
 class TestLeibniz:

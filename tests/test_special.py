@@ -111,6 +111,11 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(math.nan, 3)
 
+    def test_overflow_rejected(self):
+        # (100)_200 = Gamma(300)/Gamma(100) ~ 1e456 on the log path
+        with pytest.raises(DomainError, match="float64 range"):
+            pochhammer(100.0, 200)
+
     @given(
         a=st.floats(-10, 10, allow_nan=False),
         k=st.integers(0, 20),
@@ -152,6 +157,10 @@ class TestGenBinomial:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             gen_binomial(math.nan, 3)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(DomainError, match="float64 range"):
+            gen_binomial(3000.5, 1500)
 
 
 def _binom_gamma_form1(s, j):
@@ -238,3 +247,5 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(math.nan, 1.0)
         with pytest.raises(DomainError):
             lower_incomplete_gamma(0.5, math.nan)
+        with pytest.raises(DomainError, match="float64 range"):
+            lower_incomplete_gamma(200.5, 300.0)  # ~Gamma(200.5) ~ 1e373

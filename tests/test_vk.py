@@ -1,5 +1,5 @@
 """The V_k polynomial family: three constructions against each other and
-against the defining derivative product."""
+against the defining derivative product, and the exact evaluator."""
 
 import math
 from fractions import Fraction
@@ -55,6 +55,13 @@ class TestSmallCases:
             vk_coeffs_recurrence(-1.0, -1)
         with pytest.raises(DomainError):
             vk_coeffs_closed_m1(-2)
+        for alpha in (math.nan, math.inf, -math.inf):
+            for builder in (vk_coeffs_sum, vk_coeffs_recurrence):
+                with pytest.raises(DomainError):
+                    builder(alpha, 3)
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                vk_eval(vk_coeffs_closed_m1(3), z)
 
 
 class TestTripleAgreement:
@@ -73,14 +80,19 @@ class TestTripleAgreement:
             assert vk_coeffs_sum(alpha, k).coeffs == vk_coeffs_recurrence(alpha, k).coeffs
 
     def test_float_fallback_agrees_with_exact(self):
-        # k = 26 leaves the exact-rational window; the closed form stays exact
-        approx = vk_coeffs_recurrence(-1.0, 26).coeffs
-        ref = vk_coeffs_closed_m1(26).coeffs
-        for got, want in zip(approx, ref):
-            if want == 0:
-                assert got == 0
-            else:
-                assert float(got) == pytest.approx(float(want), rel=1e-11)
+        # every construction is exact at every k, so k = 26 agrees to the last digit
+        assert vk_coeffs_recurrence(-1.0, 26).coeffs == vk_coeffs_closed_m1(26).coeffs
+
+    @pytest.mark.parametrize("k", [26, 30, 40])
+    def test_alpha_m1_exact_past_k25(self, k):
+        a = vk_coeffs_sum(-1.0, k).coeffs
+        assert a == vk_coeffs_closed_m1(k).coeffs == vk_coeffs_recurrence(-1.0, k).coeffs
+        assert all(isinstance(x, int) for x in a)
+
+    def test_fraction_alpha_to_k10(self):
+        alpha = Fraction(1, 3)
+        for k in range(11):
+            assert vk_coeffs_recurrence(alpha, k).coeffs == vk_coeffs_sum(alpha, k).coeffs
 
 
 class TestStructure:
@@ -103,6 +115,39 @@ class TestEval:
         assert vk_eval(vk_coeffs_closed_m1(0), 17.3) == 1.0
         assert vk_eval(vk_coeffs_closed_m1(2), 2.0) == 0.0  # root of z^2 - 2z
         assert vk_eval(vk_coeffs_closed_m1(3), 1.0) == 1.0  # 1 - 6 + 6
+
+    def test_correctly_rounded_at_k40(self):
+        poly = vk_coeffs_closed_m1(40)
+        with mpmath.workdps(300):
+            exact = mpmath.polyval([mpmath.mpf(c) for c in reversed(poly.coeffs)], mpmath.mpf(6.6))
+        want = float(exact)
+        assert vk_eval(poly, 6.6) == want
+
+
+class TestWholeDomain:
+    @given(alpha=st.floats(), k=st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_builders_agree_or_both_reject(self, alpha, k):
+        try:
+            by_sum = vk_coeffs_sum(alpha, k).coeffs
+        except DomainError:
+            with pytest.raises(DomainError):
+                vk_coeffs_recurrence(alpha, k)
+            return
+        assert by_sum == vk_coeffs_recurrence(alpha, k).coeffs
+
+    @given(
+        alpha=st.sampled_from([-1.0, -0.5, 1.0 / 3.0, 2.0]),
+        k=st.integers(0, 6),
+        z=st.floats(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eval_is_finite_or_rejected(self, alpha, k, z):
+        try:
+            value = vk_eval(vk_coeffs_recurrence(alpha, k), z)
+        except DomainError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 class TestDefiningProduct:
