@@ -23,12 +23,13 @@ from .truncation import TruncationPolicy
 
 CSV_FIELDS = ["s", "z", "method", "terms", "value", "converged", "rel_err_vs_oracle"]
 
-_METHOD_LABEL = {
-    "rearranged": "REARRANGED",
-    "m9": "RAW_M9",
-    "m10": "M10_REG",
-    "oracle": "ORACLE",
+#: --method name -> (row label, series evaluator); "oracle" is served apart.
+_SERIES = {
+    "rearranged": ("REARRANGED", k_series_rearranged),
+    "m9": ("RAW_M9", k_series_m9),
+    "m10": ("M10_REG", k_series_m10),
 }
+_METHODS = sorted([*_SERIES, "oracle"])
 
 # Built-in verification grids.  Analytic anchor rows carry their own pinned
 # tolerances and are always asserted; the rest use the default (or --tol).
@@ -160,22 +161,15 @@ def _evaluate(
     if method == "oracle":
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
-    s_eff = abs(s)
+    label, series = _SERIES[method]
     try:
-        if method == "rearranged":
-            approx = k_series_rearranged(s_eff, z, policy)
-        elif method == "m9":
-            approx = k_series_m9(s_eff, z, policy)
-        elif method == "m10":
-            approx = k_series_m10(s_eff, z, policy, regularized=True)
-        else:
-            raise DomainError(f"unknown method {method!r}")
+        approx = series(abs(s), z, policy)
     except SeriesDiverged as exc:
         approx = exc.approximation
     return OutputRow(
         s=s,
         z=z,
-        method=_METHOD_LABEL[method],
+        method=label,
         terms=approx.terms_used,
         value=approx.value,
         converged=approx.converged,
@@ -241,8 +235,8 @@ def _cmd_table(args) -> int:
         if not methods:
             raise DomainError("--methods produced an empty list")
         for m in methods:
-            if m not in _METHOD_LABEL:
-                raise DomainError(f"unknown method {m!r} (choose from {sorted(_METHOD_LABEL)})")
+            if m not in _METHODS:
+                raise DomainError(f"unknown method {m!r} (choose from {_METHODS})")
         policy = TruncationPolicy(max_terms=args.max_terms)
         rows = []
         for s, z in grid.points():
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate K_s(z) by one method")
     p_eval.add_argument("--s", type=float, required=True)
     p_eval.add_argument("--z", type=float, required=True)
-    p_eval.add_argument("--method", choices=sorted(_METHOD_LABEL), default="rearranged")
+    p_eval.add_argument("--method", choices=_METHODS, default="rearranged")
     p_eval.add_argument("--max-terms", type=int, default=200)
     fmt = p_eval.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")

@@ -25,6 +25,7 @@ from .special import (
     EULER_GAMMA,
     POLE_TOL,
     _guarded_exp,
+    _in_range,
     _pole_location,
     digamma,
     gamma_log,
@@ -56,20 +57,19 @@ class BoundarySetup:
 class QuadratureSpec:
     """Tolerances and budget for the adaptive quadratures.
 
-    ``endpoint_exponent_hint`` may carry a known power-law exponent of f at
-    the upper endpoint, (x - t)^hint as t -> x; it is folded into the
-    singularity-removing substitution.
+    The checks are negated comparisons, so a NaN is rejected: a NaN
+    tolerance would silently switch off the error-estimate gate of
+    ``adaptive_quad``.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    endpoint_exponent_hint: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise DomainError("max_subdivisions must be >= 1")
 
 
@@ -121,36 +121,32 @@ def rl_integral(
 ) -> float:
     """Order-s integral (s < 0) of f over (a, x].
 
-    The kernel singularity (x - t)^{-s-1} at t = x is removed exactly by the
-    substitution u = (x - t)^p with p = -s + hint:
+    The kernel singularity (x - t)^{p-1} at t = x, p = -s, is removed
+    exactly by the substitution u = (x - t)^p:
 
-        int_a^x (x-t)^{sigma-1} f(t) dt
-            = (1/p) int_0^{(x-a)^p} u^{sigma/p - 1} f(x - u^{1/p}) du,
+        int_a^x (x-t)^{p-1} f(t) dt = (1/p) int_0^{(x-a)^p} f(x - u^{1/p}) du.
 
-    which for hint = 0 has a constant weight u^0.  Adaptive bisection alone
-    converges too slowly for s near 0-.
+    Adaptive bisection alone converges too slowly for s near 0-.  A range
+    (x - a)^p outside float64 raises ``DomainError``.
     """
     if not s < 0:
         raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
-    sigma = -s
-    hint = spec.endpoint_exponent_hint or 0.0
-    p = sigma + hint
-    if p <= 0:
-        raise DomainError(f"combined endpoint exponent {p!r} is not integrable")
+    p = -s
     a, x = bounds.a, bounds.x
-    upper = (x - a) ** p
+    try:
+        upper = (x - a) ** p
+    except OverflowError:
+        raise DomainError(
+            f"(x - a)^p = {x - a!r}^{p!r} is outside the float64 range "
+            "(largest finite double ~1.8e308)"
+        ) from None
     inv_p = 1.0 / p
-    weight_pow = sigma * inv_p - 1.0
 
-    if hint == 0.0:
-        def g(u: float) -> float:
-            return f(x - u ** inv_p)
-    else:
-        def g(u: float) -> float:
-            return u ** weight_pow * f(x - u ** inv_p)
+    def g(u: float) -> float:
+        return f(x - u ** inv_p)
 
     raw = adaptive_quad(g, 0.0, upper, spec, request_rel=_request_rel, request_abs=_request_abs)
-    lg = gamma_log(sigma)
+    lg = gamma_log(p)
     return raw / p * lg.sign * math.exp(-lg.log_abs)
 
 
@@ -231,20 +227,27 @@ def exp_rule(s: float, beta: float, x: float) -> float:
 
     Boundary point fixed at a = 0.  Integer orders n >= 0 collapse to the
     classical beta^n exp(beta x); otherwise beta x > 0 is required so that
-    beta^s is real and the incomplete gamma is on its domain.
+    the incomplete gamma is on its domain, and beta > 0 unless s is an
+    integer, so that beta^s is real.  Powers and exponentials are combined
+    in log space, and a result outside the float64 range raises
+    ``DomainError``.
     """
     if not (math.isfinite(beta) and math.isfinite(x)):
         raise DomainError(f"exp rule needs finite beta and x, got beta={beta!r}, x={x!r}")
     if beta == 0:
         raise DomainError("beta must be nonzero")
     n = _near_int(s)
+    if beta < 0 and n is None:
+        raise DomainError(f"beta^s is not real for beta={beta!r} < 0 and non-integer s={s!r}")
+    sign = -1.0 if beta < 0 and n % 2 else 1.0  # of beta^s
     if n is not None and n >= 0:
-        return beta ** n * _guarded_exp(beta * x)
+        return sign * _guarded_exp(n * math.log(abs(beta)) + beta * x)
     if beta * x <= 0:
         raise DomainError(f"non-integer order needs beta*x > 0, got beta={beta!r}, x={x!r}")
     lig = lower_incomplete_gamma(-s, beta * x)
     lg = gamma_log(-s)
-    return beta ** s * _guarded_exp(beta * x) * lig * lg.sign * math.exp(-lg.log_abs)
+    power = _guarded_exp(s * math.log(abs(beta)) + beta * x - lg.log_abs)
+    return _in_range(sign * lg.sign * lig * power)
 
 
 def log_rule(s: float, x: float) -> float:
@@ -253,6 +256,8 @@ def log_rule(s: float, x: float) -> float:
     Positive integer orders collapse to the classical
     (-1)^{n-1} (n-1)! / x^n; s = 0 is served explicitly as the identity
     operation (the displayed bracket's 1/s term only cancels in the limit).
+    Powers are formed in log space, and a result outside the float64 range
+    raises ``DomainError``.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"log rule requires finite x > 0, got x={x!r}")
@@ -260,10 +265,10 @@ def log_rule(s: float, x: float) -> float:
         return math.log(x)
     n = _near_int(s)
     if n is not None and n > 0:
-        return (-1) ** (n - 1) * math.factorial(n - 1) / x ** n
+        return (-1) ** (n - 1) * _guarded_exp(math.lgamma(n) - n * math.log(x))
     lg = gamma_log(1.0 - s)
     bracket = math.log(x) - digamma(-s) - EULER_GAMMA + 1.0 / s
-    return x ** (-s) * lg.sign * math.exp(-lg.log_abs) * bracket
+    return _in_range(lg.sign * bracket * _guarded_exp(-s * math.log(x) - lg.log_abs))
 
 
 def leibniz_series(

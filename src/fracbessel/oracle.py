@@ -27,11 +27,15 @@ from .fractional import (
     adaptive_quad,
     rl_integral,
 )
+from .special import _guarded_exp, _in_range
 
 _TINY = 1e-300
 
 #: exp underflow margin for the tail cut of the oracle integrand.
 _EXP_UNDERFLOW = 745.0
+
+#: Largest tail cut T; cosh(T) stays inside the float64 range.
+_T_MAX = 710.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,9 @@ def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> f
 
     The integrand is even in s, so negative orders come for free.  The tail
     is truncated at the first T with z cosh T - |s| T > 745 (double
-    underflow margin); |s| <= 50 keeps that cut well behaved.
+    underflow margin); |s| <= 50 keeps that cut well behaved.  A z so small
+    that the cut would pass T = 710, where cosh leaves the float64 range,
+    and an integrand or value outside that range raise ``DomainError``.
     """
     if not z > 0:
         raise DomainError(f"k_oracle requires z > 0, got z={z!r}")
@@ -96,19 +102,21 @@ def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> f
     T = 1.0
     while z * math.cosh(T) - abs(s) * T <= _EXP_UNDERFLOW:
         T += 0.5
+        if T > _T_MAX:
+            raise DomainError(f"k_oracle needs a tail cut below T = {_T_MAX}, got z={z!r}")
 
     def integrand(t: float) -> float:
         m = -z * math.cosh(t)
         a = s * t
         hi = m + abs(a)
         lo = m - abs(a)
-        return 0.5 * (math.exp(hi) + (math.exp(lo) if lo > -_EXP_UNDERFLOW else 0.0))
+        return 0.5 * (_guarded_exp(hi) + (math.exp(lo) if lo > -_EXP_UNDERFLOW else 0.0))
 
-    return adaptive_quad(integrand, 0.0, T, spec)
+    return _in_range(adaptive_quad(integrand, 0.0, T, spec))
 
 
 def _exp_or_zero(e: float) -> float:
-    return math.exp(e) if e > -_EXP_UNDERFLOW else 0.0
+    return _guarded_exp(e) if e > -_EXP_UNDERFLOW else 0.0
 
 
 def _m4_lhs(mu: float, beta: float, x: float, spec: QuadratureSpec, squared: bool) -> float:
@@ -161,13 +169,9 @@ def verify_m4a(
     """
     _require_m4(mu, beta, x)
     lhs = _m4_lhs(mu, beta, x, spec, squared=False)
-    rhs = (
-        beta ** (0.5 - mu)
-        / math.sqrt(math.pi * x)
-        * math.exp(-beta / (2.0 * x))
-        * math.gamma(mu)
-        * k_oracle(mu - 0.5, beta / (2.0 * x), spec)
-    )
+    k = k_oracle(mu - 0.5, beta / (2.0 * x), spec)
+    pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
+    rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -184,13 +188,9 @@ def verify_m4b(
     """
     _require_m4(mu, beta, x)
     lhs = _m4_lhs(mu, beta, x, spec, squared=True)
-    rhs = (
-        (1.0 / math.sqrt(math.pi))
-        * (2.0 / beta) ** (mu - 0.5)
-        * x ** (mu - 1.5)
-        * math.gamma(mu)
-        * k_oracle(mu - 0.5, beta / x, spec)
-    )
+    k = k_oracle(mu - 0.5, beta / x, spec)
+    pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
+    rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -224,12 +224,9 @@ def verify_m5a(
         return _exp_or_zero(2.0 * s * math.log(t) - beta / t)
 
     lhs = rl_integral(f, s, BoundarySetup(0.0, x), spec)
-    rhs = (
-        beta ** (s + 0.5)
-        / math.sqrt(math.pi * x)
-        * math.exp(-beta / (2.0 * x))
-        * k_oracle(s + 0.5, beta / (2.0 * x), spec)
-    )
+    k = k_oracle(s + 0.5, beta / (2.0 * x), spec)
+    pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
+    rhs = _in_range(_guarded_exp(pref) * k)
     return VerificationRecord.build("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
 
 

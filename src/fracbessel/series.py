@@ -1,43 +1,44 @@
 """Hypergeometric-like series evaluation of the McDonald function K_s(z).
 
-Three related expansions are implemented.  Each is one stream of terms
-(1/2-s)_k/(1/2+s)_k * inner_k, where the Pochhammer ratio is what remains of
-Gamma(k+1/2-s)/Gamma(k+1/2+s) once its k = 0 value is moved into the
-prefactor, and inner_k is a polynomial in z:
+Every evaluator has one shape: validate the inputs, form one prefactor in
+log space and exponentiate it once through ``special._guarded_exp`` (one
+outside the float64 range raises ``DomainError``), then sum the one term
+stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value,
+row_k(w) / (k! q^k), that ``_e_stream`` sums exactly with
+``vk._exact_poly`` and rounds once, so the heavily cancelling inner sums
+are never formed in plain float64.  The integer rows come from one of two
+independent sources: the V_k recurrence ``vk._vk_rows(alpha)`` or the
+alpha = -1 closed form ``vk._closed_m1_row``.
 
-* ``k_series_m9``   - the raw k-sum with the printed prefactor
+* ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
+  the expansion the K series descend from; its reciprocal gamma
+  1/Gamma(k+b), b = nu + 1 - s, is 1/Gamma(b) in the prefactor times
+  1/(b)_k in the ratio;
+* ``k_series_rearranged`` - the double-sum form
+  2^{s-1} Gamma(s) z^{-s} e^{-z} sum_k (1/2-s)_k/(1/2+s)_k S_k(z),
+  S_k(z) = sum_{j=1}^{k} C(k-1, j-1) (-2z)^j / j! and S_0 = 1, over the
+  closed-form rows at w = -2z;
+* ``k_series_m9`` - the raw k-sum, printed with the prefactor
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
-  (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z), summed as
-  sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2+s) times the ratio stream;
-* ``k_series_rearranged`` - the algebraically equivalent double-sum form
-  2^{s-1} Gamma(s) z^{-s} e^{-z} [1 + sum_k (1/2-s)_k/(1/2+s)_k S_k(z)],
-  S_k(z) = sum_{j=1}^{k} C(k-1, j-1) (-2z)^j / j!, which is pole-free and
-  terminates after s + 1/2 outer terms at half-integer s;
-* ``k_series_m10``  - the companion expansion in V_k^{(-1/2)}(z).  Once the
-  constant gamma ratio is folded in, its printed prefactor equals the
-  duplication-regularized 2^{3s-2} Gamma(s), so both readings share one
-  path.  Its correctness is deliberately not presumed: it feeds
+  (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z); the k = 0
+  gamma ratio folded into the prefactor leaves Gamma(2s)/Gamma(1/2+s) and
+  the ratio stream over the recurrence rows at w = 2z.  E_k(2z) = S_k(z),
+  so M9 and the rearranged form sum one polynomial built two ways;
+* ``k_series_m10`` - the companion expansion in V_k^{(-1/2)}(z), whose
+  printed prefactor becomes 2^{3s-2} Gamma(s) once the constant gamma ratio
+  is folded in.  Its correctness is deliberately not presumed: it feeds
   ``adjudicate_m10``, which measures it against the quadrature oracle and
   reports deviations.
 
-``general_expansion_m7`` evaluates the underlying order-s derivative of
-x^nu exp(-beta x^alpha) for any alpha, the expansion the K series descend
-from.
-
-Prefactors are summed in log space and exponentiated once by
-``special._guarded_exp``; one outside the float64 range raises
-``DomainError``.  Only M7's reciprocal gamma is still carried per term in
-log space with an explicit sign.  The heavily cancelling inner sums are
-never formed in plain float64: the V_k stream reads its integer
-coefficient rows from ``vk._vk_rows``, S_k(z) builds its own from the
-binomial closed form, and ``vk._exact_poly`` sums either polynomial exactly
-and rounds it once.
+No prefactor carries the printed Gamma(1/2-s) pole, so half-integer orders
+need no special case: at s = m + 1/2 the factor (1/2-s)_k vanishes from
+k = m + 1 on and each K series ends by itself after m + 1 terms.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
@@ -45,15 +46,12 @@ from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
 from .special import _guarded_exp, _pole_location, gamma_log
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
-from .vk import _exact_poly, _vk_rows
+from .vk import _closed_m1_row, _exact_poly, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
-
-#: Half-integer detection tolerance for the raw-prefactor paths.
-HALF_INTEGER_TOL = 1e-10
 
 
 class OrderArg(NamedTuple):
@@ -63,26 +61,17 @@ class OrderArg(NamedTuple):
     z: float
 
 
-def half_integer_offset(s: float) -> int | None:
-    """Return m if s is within tolerance of m + 1/2 (m >= 0), else None."""
-    m = round(s - 0.5)
-    if m >= 0 and abs(s - 0.5 - m) < HALF_INTEGER_TOL:
-        return m
-    return None
-
-
 # --- term streams ---------------------------------------------------------
 
-def _scaled_vk(alpha: float, w: float) -> Iterator[float]:
-    """Streams E_k(w) = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., each correctly rounded.
+def _e_stream(rows: Iterable[list[int]], q: int, w: float) -> Iterator[float]:
+    """Yield E_k = row_k(w) / (k! q^k), k = 0, 1, ..., each correctly rounded.
 
-    With alpha = a / q exactly, row k of ``vk._vk_rows`` holds the integer
-    coefficients of E_k times k! q^k, so each E_k is one exact polynomial
-    value, see ``vk._exact_poly``.  alpha and w must be finite.
+    ``rows`` holds integer coefficients, highest degree first, as yielded by
+    ``vk._vk_rows`` (alpha = a / q; E_k = (-1)^k V_k^{(alpha)}(w) / k!) or
+    built by ``vk._closed_m1_row`` (q = 1).  w must be finite.
     """
-    q = alpha.as_integer_ratio()[1]
     den = 1
-    for k, row in enumerate(_vk_rows(alpha), 1):
+    for k, row in enumerate(rows, 1):
         yield _exact_poly(row, den, w)
         den *= k * q
 
@@ -102,22 +91,6 @@ def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
         ratio *= (a + k) / (b + k)
 
 
-def _inner_binomial_sum(k: int, z: float) -> float:
-    """S_k(z) = sum_{j=1}^k C(k-1, j-1) (-2z)^j / j!, summed exactly.
-
-    k! S_k has the integer coefficients c_j = C(k-1, j-1) k!/j! in -2z,
-    built from c_k = 1 down through c_{j-1} = c_j j (j-1) / (k-j+1), an
-    exact division; ``_exact_poly`` sums them and rounds once.
-    """
-    c = 1
-    coeffs = [c]
-    for j in range(k, 1, -1):
-        c = c * j * (j - 1) // (k - j + 1)
-        coeffs.append(c)
-    coeffs.append(0)
-    return _exact_poly(coeffs, math.factorial(k), -2.0 * z)
-
-
 # --- validation helpers -----------------------------------------------------
 
 def _require_positive_z(z: float) -> None:
@@ -130,14 +103,6 @@ def _require_positive_order(s: float) -> None:
         raise DomainError(
             f"order s={s!r} rejected: need finite s >= {ZERO_ORDER_TOL} "
             "(Gamma(s) prefactor pole at 0)"
-        )
-
-
-def _reject_half_integer(s: float, which: str) -> None:
-    if half_integer_offset(s) is not None:
-        raise DomainError(
-            f"{which} has a Gamma(1/2-s) pole in its printed prefactor at "
-            f"half-integer s={s!r}; use the rearranged/regularized form"
         )
 
 
@@ -156,8 +121,9 @@ def k_series_rearranged(
     """Canonical evaluator: the pole-free double-sum form of K_s(z).
 
     K_s(z) = 2^{s-1} Gamma(s) z^{-s} e^{-z}
-             [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)].
+             [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)],
 
+    with k! S_k(z) the closed-form row k of ``vk._closed_m1_row`` at -2z.
     The Pochhammer ratio is built as a running product, so at half-integer
     s = m + 1/2 the factor (1/2-s+k-1) hits exact zero and the sum
     terminates after m + 1 outer terms.
@@ -165,7 +131,7 @@ def k_series_rearranged(
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _guarded_exp((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
-    inner = chain([1.0], map(_inner_binomial_sum, count(1), repeat(z)))
+    inner = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
     return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
@@ -180,17 +146,17 @@ def k_series_m9(
     prefactor, which leaves
 
         sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2+s)
-        sum_k (1/2-s)_k/(1/2+s)_k (-1)^k/k! V_k^{(-1)}(2z).
+        sum_k (1/2-s)_k/(1/2+s)_k (-1)^k/k! V_k^{(-1)}(2z),
 
-    Kept as the independent partner of the rearranged form: the two must
-    agree term by term up to rounding, and the Gamma(2s) prefactor checks
-    the duplication formula against the rearranged 2^{s-1} Gamma(s).
-    Half-integer s is rejected, as the printed prefactor sits on a
-    Gamma(1/2-s) pole there.
+    free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
+    after m + 1 terms.  Kept as the independent partner of the rearranged
+    form: its polynomials come from the V_k recurrence rather than the
+    closed form, the two must agree term by term up to rounding, and the
+    Gamma(2s) prefactor checks the duplication formula against the
+    rearranged 2^{s-1} Gamma(s).
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    _reject_half_integer(s, "the raw k-sum")
     pref = _guarded_exp(
         0.5 * math.log(math.pi)
         - s * math.log(2.0 * z)
@@ -198,15 +164,12 @@ def k_series_m9(
         + math.lgamma(2.0 * s)
         - math.lgamma(0.5 + s)
     )
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _scaled_vk(-1.0, 2.0 * z)), policy, pref)
+    inner = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
 def k_series_m10(
-    s: float,
-    z: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    *,
-    regularized: bool = False,
+    s: float, z: float, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> SeriesApproximation:
     """The companion expansion over V_k^{(-1/2)}(z).
 
@@ -219,17 +182,14 @@ def k_series_m10(
         2^{3s-2} Gamma(s) z^{-s} e^{-z}
         sum_k (-1)^k/k! (1/2-s)_k/(1/2+s)_k V_k^{(-1/2)}(z),
 
-    which is total at half-integers and terminates there.  Both readings
-    evaluate this one form; ``regularized=False`` only rejects half-integer
-    s, where the printed prefactor has a Gamma(1/2-s) pole.  The result is
+    which is total at half-integers and terminates there.  The result is
     not presumed equal to K_s(z); ``adjudicate_m10`` decides empirically.
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    if not regularized:
-        _reject_half_integer(s, "the printed companion expansion")
     pref = _guarded_exp((3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _scaled_vk(-0.5, z)), policy, pref)
+    inner = _e_stream(_vk_rows(-0.5), 2, z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
 def k_mcdonald(
@@ -258,10 +218,11 @@ def general_expansion_m7(
         sum_k (-s)_k / Gamma(k-s+nu+1) * (-1)^k/k! * V_k^{(alpha)}(beta x^alpha),
 
     with the printed Gamma(k-s)/Gamma(-s) ratio carried as the pole-safe
-    Pochhammer (-s)_k.  At non-negative integer s the Pochhammer chain hits
-    zero and the sum terminates (the classical derivative).  Terms whose
-    Gamma(k-s+nu+1) argument sits on a non-positive integer contribute the
-    reciprocal-gamma zero and the sum continues.
+    Pochhammer (-s)_k.  The constant part of the reciprocal gamma joins the
+    prefactor and the rest is a Pochhammer ratio.  Where Gamma(k-s+nu+1)
+    sits on a pole, the term is the reciprocal-gamma zero and the sum
+    continues.  At non-negative integer s the Pochhammer chain hits zero
+    and the sum terminates (the classical derivative).
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1 for the termwise power rule, got nu={nu!r}")
@@ -281,26 +242,23 @@ def general_expansion_m7(
             f"w = beta x^alpha for beta={beta!r}, x={x!r}, alpha={alpha!r} is outside "
             "the float64 range (largest finite double ~1.8e308)"
         )
-    pref = _guarded_exp((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w)
-
-    def gen() -> Iterator[float]:
-        log_poch = 0.0
-        sign_poch = 1
-        for k, e_k in enumerate(_scaled_vk(alpha, w)):
-            arg = k - s + nu + 1.0
-            if _pole_location(arg) is not None:
-                yield 0.0  # reciprocal-gamma zero for this k only
-            else:
-                lg = gamma_log(arg)
-                yield sign_poch * lg.sign * math.exp(log_poch - lg.log_abs) * e_k
-            f = -s + k
-            if f == 0.0:
-                return  # (-s)_{k+1} and beyond vanish identically
-            log_poch += math.log(abs(f))
-            if f < 0:
-                sign_poch = -sign_poch
-
-    return _finalize(gen(), policy, pref)
+    b = nu + 1.0 - s
+    pole = _pole_location(b)
+    if pole is None:
+        # (-s)_k / Gamma(k + b) = (-s)_k / (b)_k / Gamma(b)
+        zeros, top, bottom = 0, -s, b
+        lg = gamma_log(b)
+        log_head, sign = -lg.log_abs, lg.sign
+    else:
+        # b = -n: 1/Gamma(k + b) vanishes for k <= n, and past that
+        # (-s)_k / (k-n-1)! = (-s)_{n+1} (n+1-s)_j / (1)_j with j = k-n-1,
+        # where (-s)_{n+1} = (-1)^{n+1} Gamma(s+1) / Gamma(s-n)
+        zeros, top, bottom = 1 - int(pole), 1.0 - pole - s, 1.0
+        num, den = gamma_log(s + 1.0), gamma_log(s + pole)
+        log_head, sign = num.log_abs - den.log_abs, (-1) ** zeros * num.sign * den.sign
+    pref = sign * _guarded_exp((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w + log_head)
+    e = islice(_e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
+    return _finalize(chain(repeat(0.0, zeros), _ratio_terms(top, bottom, e)), policy, pref)
 
 
 def adjudicate_m10(
@@ -309,7 +267,7 @@ def adjudicate_m10(
     tol: float = 1e-9,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[VerificationRecord]:
-    """Measure the regularized companion expansion against the oracle.
+    """Measure the companion expansion against the oracle.
 
     One record per grid point, in input order.  No pass/fail claim is made
     beyond the s = 1/2 rows, whose k = 0 term is analytically forced; all
@@ -321,7 +279,7 @@ def adjudicate_m10(
         s, z = point
         params = {"s": float(s), "z": float(z)}
         try:
-            approx = k_series_m10(s, z, policy, regularized=True)
+            approx = k_series_m10(s, z, policy)
             lhs = approx.value
         except SeriesDiverged as exc:
             lhs = exc.approximation.value

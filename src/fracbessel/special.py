@@ -5,8 +5,9 @@ sums, series prefactors) funnels its gamma arithmetic through this module.
 Ratios of gammas are never formed as quotients of raw values: callers get
 ``(log|Gamma|, sign)`` pairs and combine them in log space, which keeps k-th
 series terms finite far past the ~171 overflow point of Gamma itself.
-Exponentials that can overflow go through ``_guarded_exp``, which raises
-``DomainError`` naming the float64 range instead of ``OverflowError``.
+Exponentials that can overflow go through ``_guarded_exp``, and products
+that can through ``_in_range``; both raise ``DomainError`` naming the
+float64 range instead of returning inf or raising ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ class LogGammaValue:
 def _pole_location(x: float) -> float | None:
     """Return the nearest non-positive integer if x is within POLE_TOL of it.
 
-    NaN has no place relative to the poles and raises ``DomainError``.
+    NaN and +-inf have no place relative to the poles and raise ``DomainError``.
     """
-    if math.isnan(x):
-        raise DomainError(f"gamma-family argument must be a number, got {x!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"gamma-family argument must be a finite number, got {x!r}")
     if x > 0.5:
         return None
     n = round(x)
@@ -67,6 +68,13 @@ def _guarded_exp(x: float) -> float:
         raise DomainError(
             f"exp({x:.6g}) is outside the float64 range (largest finite double ~1.8e308)"
         ) from None
+
+
+def _in_range(value: float) -> float:
+    """value, or ``DomainError`` naming the float64 range where a product left it."""
+    if not math.isfinite(value):
+        raise DomainError("result is outside the float64 range (largest finite double ~1.8e308)")
+    return value
 
 
 def _check_pole(x: float) -> None:
@@ -95,7 +103,13 @@ def gamma_log(x: float) -> LogGammaValue:
         g = None
     if g is not None and math.isfinite(g) and abs(g) > 1e-300:
         return LogGammaValue(math.log(abs(g)), 1 if g > 0 else -1)
-    return LogGammaValue(math.lgamma(x), _gamma_sign(x))
+    try:
+        log_abs = math.lgamma(x)
+    except OverflowError:
+        raise DomainError(
+            f"log|Gamma({x!r})| is outside the float64 range (largest finite double ~1.8e308)"
+        ) from None
+    return LogGammaValue(log_abs, _gamma_sign(x))
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -108,8 +122,8 @@ def pochhammer(a: float, k: int) -> float:
     """
     if k < 0:
         raise DomainError("pochhammer index k must be a non-negative integer")
-    if math.isnan(a):
-        raise DomainError(f"pochhammer base must be a number, got a={a!r}")
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer base must be a finite number, got a={a!r}")
     if k == 0:
         return 1.0
     a_int = round(a)
@@ -120,7 +134,7 @@ def pochhammer(a: float, k: int) -> float:
         out = 1.0
         for m in range(k):
             out *= a + m
-        return out
+        return _in_range(out)
     num = gamma_log(a + k)
     den = gamma_log(a)
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
@@ -135,15 +149,15 @@ def gen_binomial(s: float, j: int) -> float:
     """
     if j < 0:
         raise DomainError("binomial index j must be a non-negative integer")
-    if math.isnan(s):
-        raise DomainError(f"binomial top must be a number, got s={s!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"binomial top must be a finite number, got s={s!r}")
     if j == 0:
         return 1.0
     if j <= _PRODUCT_MAX:
         out = 1.0
         for i in range(j):
             out *= (s - i) / (i + 1)
-        return out
+        return _in_range(out)
     log_abs = 0.0
     sign = 1
     for i in range(j):

@@ -23,9 +23,11 @@ equivalently A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1} on the
 coefficients.
 
 All three are exact at every k (alpha = a/q exactly; ints and Fractions).
-The recurrence is written once, in integers, as ``_vk_rows``, which also
-feeds the V_k stream of the K series; ``_exact_poly``, the one evaluator of
-these polynomials and of the series' inner sums, rounds once.
+Two of them are also the integer row sources of the K series: the
+recurrence, written once as ``_vk_rows``, and the alpha = -1 closed form,
+written once as ``_closed_m1_row`` (whose rows are the inner sums S_k of the
+rearranged series).  ``_exact_poly``, the one evaluator of these rows,
+rounds once.
 """
 
 from __future__ import annotations
@@ -135,24 +137,35 @@ def vk_coeffs_sum(alpha, k: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+def _closed_m1_row(k: int) -> list[int]:
+    """Magnitudes c_j = C(k-1, j-1) k!/j! of the alpha = -1 row k, highest degree first.
+
+    sum_j c_j (-w)^j = (-1)^k V_k^{(-1)}(w) = k! S_k(w/2), with S_k the inner
+    binomial sum of the rearranged K series.  Built from c_k = 1 down through
+    c_{j-1} = c_j j (j-1) / (k-j+1), an exact division, with c_0 = 0 for
+    k >= 1 and row 0 = [1]; independent of the recurrence in ``_vk_rows``.
+    """
+    c = 1
+    row = [c]
+    for j in range(k, 1, -1):
+        c = c * j * (j - 1) // (k - j + 1)
+        row.append(c)
+    if k:
+        row.append(0)
+    return row
+
+
 def vk_coeffs_closed_m1(k: int) -> Polynomial:
     """Exact integer coefficients at alpha = -1.
 
     A_{k,j} = (-1)^{k+j} / (k-j)! * k! (k-1)! / (j! (j-1)!) for 1 <= j <= k,
-    with A_{k,0} = 0 for k >= 1 and V_0 = 1.  Python integers are unbounded,
-    so no overflow threshold applies.
+    with A_{k,0} = 0 for k >= 1 and V_0 = 1: the magnitudes of
+    ``_closed_m1_row`` with their signs put back.
     """
     if k < 0:
         raise DomainError("k must be a non-negative integer")
-    if k == 0:
-        return Polynomial((1,))
-    coeffs = [0]
-    kf, km1f = factorial(k), factorial(k - 1)
-    for j in range(1, k + 1):
-        num = kf * km1f
-        den = factorial(k - j) * factorial(j) * factorial(j - 1)
-        coeffs.append((-1) ** (k + j) * (num // den))
-    return Polynomial(tuple(coeffs))
+    return Polynomial(tuple(-c if (k + j) % 2 else c
+                            for j, c in enumerate(reversed(_closed_m1_row(k)))))
 
 
 def vk_coeffs_recurrence(alpha, k: int) -> Polynomial:

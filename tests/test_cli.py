@@ -61,10 +61,11 @@ class TestEval:
         assert "value=" in out  # last partial sum still reported
         assert "converge" in err
 
-    def test_half_integer_m9_rejected(self):
-        code, _, err = run("eval", "--s", "0.5", "--z", "1", "--method", "m9")
-        assert code == 1
-        assert "half-integer" in err
+    def test_half_integer_m9_terminates(self):
+        code, out, _ = run("eval", "--s", "0.5", "--z", "1", "--method", "m9")
+        assert code == 0
+        assert "terms=1" in out
+        assert "converged=true" in out
 
     def test_bad_flag_exits_1(self):
         code, _, _ = run("eval", "--s", "oops", "--z", "1")

@@ -49,18 +49,30 @@ class TestRlIntegral:
             with pytest.raises(DomainError):
                 BoundarySetup(a, x)
 
-    def test_endpoint_hint(self):
-        # f carrying its own (x - t)^0.5 factor: hint removes it exactly
-        spec = QuadratureSpec(endpoint_exponent_hint=0.5)
-        got = rl_integral(lambda t: math.sqrt(2.0 - t) * t, -0.5, BoundarySetup(0.0, 2.0), spec)
-        ref = rl_integral(lambda t: math.sqrt(2.0 - t) * t, -0.5, BoundarySetup(0.0, 2.0))
-        assert got == pytest.approx(ref, rel=1e-9)
-
     def test_budget_exhaustion(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
         with pytest.raises(ToleranceNotMet):
             rl_integral(lambda t: math.sin(40.0 * t) ** 2 / math.sqrt(t + 1e-12), -0.5,
                         BoundarySetup(0.0, 1.0), spec)
+
+    def test_spec_validation(self):
+        # a NaN tolerance would switch off the gate that test_budget_exhaustion
+        # relies on (the same call returned 1.008 with an error estimate of 0.45)
+        for kwargs in [
+            {"rel_tol": 0.0},
+            {"abs_tol": -1e-14},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.nan},
+            {"max_subdivisions": 0},
+            {"max_subdivisions": math.nan},
+        ]:
+            with pytest.raises(DomainError):
+                QuadratureSpec(**kwargs)
+
+    def test_range_overflow(self):
+        # (x - a)^200 = 1e2000: the substituted range leaves float64
+        with pytest.raises(DomainError, match="float64 range"):
+            rl_integral(lambda t: 1.0, -200.0, BoundarySetup(0.0, 1e10))
 
 
 class TestPowerRuleConsistency:
@@ -155,6 +167,8 @@ class TestExpRule:
     def test_order_minus_one_is_the_integral(self):
         # int_0^1 e^t dt = e - 1
         assert exp_rule(-1.0, 1.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+        # int_0^{-1} e^{-t} dt = 1 - e: a negative beta is fine at integer order
+        assert exp_rule(-1.0, -1.0, -1.0) == pytest.approx(1.0 - math.e, rel=1e-12)
 
     def test_against_quadrature(self):
         for s, beta, x in [(-0.5, 1.0, 1.0), (-0.25, 2.0, 0.8), (-1.7, 1.0, 2.0)]:
@@ -187,6 +201,14 @@ class TestExpRule:
             exp_rule(-1.5, 800.0, 1.0)  # and non-integer order
         with pytest.raises(DomainError, match="float64 range"):
             exp_rule(-200.5, 1.0, 300.0)  # the incomplete gamma's own factor overflows
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(400.0, 10.0, 0.1)  # beta^n overflows on its own
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(300.0, 10.0, 20.0)  # 1e300 e^20: the product overflows
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(400.5, 10.0, 0.1)  # beta^s, non-integer order
+        with pytest.raises(DomainError, match="not real"):
+            exp_rule(0.5, -1.0, -1.0)  # beta^s would be complex
 
 
 class TestLogRule:
@@ -221,6 +243,12 @@ class TestLogRule:
             log_rule(0.5, math.nan)
         with pytest.raises(DomainError):
             log_rule(0.5, math.inf)
+        with pytest.raises(DomainError, match="float64 range"):
+            log_rule(-200.5, 1e10)  # x^{-s} overflows
+        with pytest.raises(DomainError, match="float64 range"):
+            log_rule(200.0, 2.0)  # 199! / 2^200, integer order
+        with pytest.raises(DomainError, match="float64 range"):
+            log_rule(40.0, 1e-10)  # x^40 underflows to 0 in the classical form
 
 
 class TestLeibniz:

@@ -4,9 +4,12 @@ import math
 
 import pytest
 import scipy.special as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbessel import (
     DomainError,
+    FracBesselError,
     QuadratureSpec,
     VerificationRecord,
     k_oracle,
@@ -52,6 +55,19 @@ class TestKOracle:
             k_oracle(1.0, math.nan)
         with pytest.raises(DomainError):
             k_oracle(math.nan, 1.0)
+        with pytest.raises(DomainError, match="float64 range"):
+            k_oracle(50.0, 1e-5)  # K_50(1e-5) ~ 3e327; the integrand overflows
+        with pytest.raises(DomainError, match="tail cut"):
+            k_oracle(0.0, 5e-324)  # cosh would overflow before the cut
+
+    @given(s=st.floats(-50.0, 50.0), z=st.floats())
+    @settings(max_examples=40, deadline=None)
+    def test_whole_domain(self, s, z):
+        try:
+            value = k_oracle(s, z)
+        except FracBesselError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 class TestRecordArithmetic:
@@ -86,6 +102,8 @@ class TestM4A:
     def test_domain(self):
         with pytest.raises(DomainError):
             verify_m4a(-1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m4a(172.0, 1.0, 1.0)
 
 
 class TestM4B:
@@ -97,6 +115,12 @@ class TestM4B:
     @pytest.mark.parametrize("mu,beta,x", [(1.5, 1.0, 2.0), (0.7, 3.0, 1.0)])
     def test_grid(self, mu, beta, x):
         assert verify_m4b(mu, beta, x, tol=1e-7).passed
+
+    def test_domain(self):
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m4b(172.0, 1.0, 1.0)  # the lhs integrand overflows
+        with pytest.raises(DomainError):
+            verify_m4b(172.0, 1000.0, 1.0)  # finite lhs; Gamma(172) overflowed the rhs
 
 
 class TestM5A:

@@ -1,6 +1,7 @@
 """Series evaluators: termination, rearrangement equivalence, honest flags."""
 
 import math
+from itertools import count
 
 import mpmath
 import pytest
@@ -22,7 +23,8 @@ from fracbessel import (
     power_rule,
     rl_integral,
 )
-from fracbessel.series import _inner_binomial_sum, _scaled_vk
+from fracbessel.series import _e_stream
+from fracbessel.vk import _closed_m1_row, _vk_rows
 from fracbessel.truncation import sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
@@ -123,66 +125,66 @@ class TestRawM9:
         longer = k_series_m9(2.3, 18.0, _capped(1000))
         assert longer.value == pytest.approx(kv(2.3, 18.0), rel=1e-9)
 
-    def test_half_integer_prefactor_pole(self):
-        with pytest.raises(DomainError):
-            k_series_m9(0.5, 1.0)
-        with pytest.raises(DomainError):
-            k_series_m9(3.5, 2.0)
+    def test_half_integer_terminates(self):
+        # no Gamma(1/2-s) pole is left in the prefactor: (1/2-s)_k ends the sum
+        for m in range(6):
+            for z in (0.1, 1.0, 7.0, 25.0):
+                approx = k_series_m9(m + 0.5, z)
+                assert approx.converged and approx.terms_used == m + 1, (m, z)
+                assert approx.value == pytest.approx(kv(m + 0.5, z), rel=1e-14, abs=0.0), (m, z)
+
+
+def _mp_e(alpha, w, n):
+    """E_k(w) = (-1)^k V_k^{(alpha)}(w) / k! for k < n as mpmath numbers, from
+    the unscaled coefficient recurrence at the working precision."""
+    a, x = mpmath.mpf(alpha), mpmath.mpf(w)
+    coeffs = [mpmath.mpf(1)]
+    out = []
+    for k in range(n):
+        out.append((-1) ** k * mpmath.polyval(coeffs[::-1], x) / mpmath.factorial(k))
+        coeffs = [
+            (a * j - k) * (coeffs[j] if j <= k else 0) - (a * coeffs[j - 1] if j else 0)
+            for j in range(k + 2)
+        ]
+    return out
 
 
 def _mp_scaled_vk(alpha, w, n):
-    """E_k(w) = (-1)^k V_k^{(alpha)}(w) / k! for k < n, from the unscaled
-    coefficient recurrence at 400 digits, each rounded to double."""
+    """``_mp_e`` at 400 digits, each value rounded to double."""
     with mpmath.workdps(400):
-        a, x = mpmath.mpf(alpha), mpmath.mpf(w)
-        coeffs = [mpmath.mpf(1)]
-        out = []
-        for k in range(n):
-            out.append(float((-1) ** k * mpmath.polyval(coeffs[::-1], x) / mpmath.factorial(k)))
-            coeffs = [
-                (a * j - k) * (coeffs[j] if j <= k else 0) - (a * coeffs[j - 1] if j else 0)
-                for j in range(k + 2)
-            ]
-    return out
+        return [float(e_k) for e_k in _mp_e(alpha, w, n)]
 
 
 class TestVkStream:
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0 / 3.0])
     def test_correctly_rounded(self, alpha):
         for w in (0.74, 6.6, 35.8):
-            stream = _scaled_vk(alpha, w)
+            stream = _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w)
             assert [next(stream) for _ in range(120)] == _mp_scaled_vk(alpha, w, 120), w
 
     def test_alpha_minus_one_is_the_inner_binomial_sum(self):
-        # two independent constructions of one polynomial: E_k(2z) = S_k(z)
+        # two independent constructions of one polynomial: the recurrence
+        # rows are the closed-form rows with signs (-1)^j, so E_k(2z) = S_k(z)
+        for k, row in zip(range(151), _vk_rows(-1.0)):
+            closed = _closed_m1_row(k)
+            assert row == [-c if (k - i) % 2 else c for i, c in enumerate(closed)], k
         for z in (0.37, 1.0, 3.3, 8.0, 17.9, 29.5):
-            stream = _scaled_vk(-1.0, 2.0 * z)
-            assert next(stream) == 1.0
-            for k in range(1, 151):
-                assert next(stream) == _inner_binomial_sum(k, z), (z, k)
+            by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
+            by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
+            for k in range(151):
+                assert next(by_recurrence) == next(by_closed_form), (z, k)
 
 
 class TestM10:
     def test_half_integer_regularized_k0(self):
-        approx = k_series_m10(0.5, 1.0, regularized=True)
+        approx = k_series_m10(0.5, 1.0)
         assert approx.value == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-12)
         assert approx.terms_used == 1
-
-    def test_raw_path_rejects_half_integers(self):
-        with pytest.raises(DomainError):
-            k_series_m10(1.5, 2.0)
-
-    def test_raw_equals_regularized_off_poles(self):
-        # duplication-formula regularization is an algebraic identity
-        pol = TruncationPolicy(max_terms=80, divergence_window=10**6)
-        raw = k_series_m10(0.7, 1.0, pol)
-        reg = k_series_m10(0.7, 1.0, pol, regularized=True)
-        assert raw.value == pytest.approx(reg.value, rel=1e-11)
 
     def test_terminating_value_recorded_not_asserted(self):
         # s = 3/2 terminates after two outer terms; whether it matches the
         # oracle is the adjudicator's question, not this test's
-        approx = k_series_m10(1.5, 2.0, regularized=True)
+        approx = k_series_m10(1.5, 2.0)
         assert approx.converged
         assert approx.terms_used == 2
         assert math.isfinite(approx.value)
@@ -293,6 +295,21 @@ class TestGeneralExpansion:
 
         ref = rl_derivative(f, 3.5, BoundarySetup(0.0, 1.0))
         assert approx.value == pytest.approx(ref, rel=1e-3)  # n=4 stencil limited
+
+    @pytest.mark.parametrize("s,nu", [(1.5, 0.5), (2.5, 0.5), (3.25, 0.25), (4.0, 0.0)])
+    def test_reciprocal_gamma_zeros(self, s, nu):
+        # nu + 1 - s = 0, -1, -2, -3: the first terms are reciprocal-gamma
+        # zeros and 1/Gamma(nu + 1 - s) cannot go into the prefactor
+        alpha, beta, x = -1.0, 1.0, 1.3
+        approx = general_expansion_m7(s, nu, alpha, beta, x, _capped(60))
+        with mpmath.workdps(50):
+            w = mpmath.mpf(beta) * mpmath.mpf(x) ** alpha
+            terms = [
+                mpmath.rf(-s, k) * mpmath.rgamma(k - s + nu + 1) * e_k
+                for k, e_k in enumerate(_mp_e(alpha, w, approx.terms_used))
+            ]
+            ref = x ** (nu - s) * mpmath.gamma(nu + 1) * mpmath.exp(-w) * mpmath.fsum(terms)
+        assert approx.value == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

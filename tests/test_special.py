@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fracbessel import (
     EULER_GAMMA,
     DomainError,
+    FracBesselError,
     PoleError,
     digamma,
     gamma_log,
@@ -64,8 +65,9 @@ class TestGammaLog:
             gamma_log(x)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            gamma_log(math.nan)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                gamma_log(x)
 
     def test_reflection(self):
         # Gamma(x) Gamma(1-x) = pi / sin(pi x) on (0, 1)
@@ -108,13 +110,16 @@ class TestPochhammer:
         assert pochhammer(-200.0, 100) == pytest.approx(float(sc.poch(-200.0, 100)), rel=1e-10)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            pochhammer(math.nan, 3)
+        for a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                pochhammer(a, 3)
 
     def test_overflow_rejected(self):
-        # (100)_200 = Gamma(300)/Gamma(100) ~ 1e456 on the log path
-        with pytest.raises(DomainError, match="float64 range"):
-            pochhammer(100.0, 200)
+        # (100)_200 = Gamma(300)/Gamma(100) ~ 1e456 on the log path; the
+        # other two overflow the direct product
+        for a, k in [(100.0, 200), (1e10, 64), (1e200, 2)]:
+            with pytest.raises(DomainError, match="float64 range"):
+                pochhammer(a, k)
 
     @given(
         a=st.floats(-10, 10, allow_nan=False),
@@ -153,14 +158,18 @@ class TestGenBinomial:
     def test_large_index_log_path(self):
         ref = math.comb(200, 80)
         assert gen_binomial(200.0, 80) == pytest.approx(ref, rel=1e-11)
+        # finite only through the log path: the falling product passes 1e308
+        assert gen_binomial(2000.0, 1990) == pytest.approx(math.comb(2000, 10), rel=1e-10)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            gen_binomial(math.nan, 3)
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                gen_binomial(s, 3)
 
     def test_overflow_rejected(self):
-        with pytest.raises(DomainError, match="float64 range"):
-            gen_binomial(3000.5, 1500)
+        for s, j in [(3000.5, 1500), (1e10, 60)]:
+            with pytest.raises(DomainError, match="float64 range"):
+                gen_binomial(s, j)
 
 
 def _binom_gamma_form1(s, j):
@@ -193,8 +202,29 @@ class TestDigamma:
             digamma(-2.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            digamma(math.nan)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                digamma(x)
+
+
+class TestWholeDomain:
+    @given(a=st.floats(), k=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_pochhammer_is_finite_or_rejected(self, a, k):
+        try:
+            value = pochhammer(a, k)
+        except FracBesselError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
+
+    @given(s=st.floats(), j=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_gen_binomial_is_finite_or_rejected(self, s, j):
+        try:
+            value = gen_binomial(s, j)
+        except FracBesselError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 def _lig_alternating_series(a, x):
