@@ -1,9 +1,11 @@
 """Command-line front end: evaluation tables, convergence maps, identity audits.
 
+Each subcommand is a thin shell over the library: the library checks its own
+arguments, and one map in main() turns its errors into exit codes.
 Exit codes: 0 success, 1 argument/domain validation failure, 2 numerical
-failure (series divergence, tolerance not met, or an asserted identity
-check failing).  All reals are printed with 17 significant digits, which
-round-trips float64 exactly, so written tables double as test fixtures.
+failure (tolerance not met, a series that did not converge, or an asserted
+identity check failing).  All reals are printed with 17 significant digits,
+which round-trips float64 exactly, so written tables double as test fixtures.
 """
 
 from __future__ import annotations
@@ -11,17 +13,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .errors import DomainError, PoleError, SeriesDiverged, ToleranceNotMet
+from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
 from .series import OrderArg, adjudicate_m10, k_series_m9, k_series_m10, k_series_rearranged
-from .truncation import TruncationPolicy
-
-CSV_FIELDS = ["s", "z", "method", "terms", "value", "converged", "rel_err_vs_oracle"]
+from .truncation import SeriesApproximation, TruncationPolicy
 
 #: --method name -> (row label, series evaluator); "oracle" is served apart.
 _SERIES = {
@@ -45,6 +46,7 @@ _M10_GRID = [
     OrderArg(1.2, 0.5),
     OrderArg(2.5, 1.0),
 ]
+_ANCHOR = (1.0, 1.0, 1.0)  # mu = beta = x = 1, where both sides of M4A/M4B equal e^{-1}
 _ANCHOR_TOL_M4 = 1e-10
 _ANCHOR_TOL_INFO = 1e-9
 
@@ -61,28 +63,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Validated (s, z) evaluation grid: non-empty, every z positive."""
-
-    s_values: tuple[float, ...]
-    z_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.s_values or not self.z_values:
-            raise DomainError("grid must have at least one s and one z value")
-        bad = [z for z in self.z_values if z <= 0]
-        if bad:
-            raise DomainError(f"every z must be positive, got {bad!r}")
-
-    def points(self):
-        for s in self.s_values:
-            for z in self.z_values:
-                yield s, z
-
-
 @dataclass
 class OutputRow:
+    """One evaluated point; its fields, in order, are the CSV and JSON schema."""
+
     s: float
     z: float
     method: str
@@ -91,20 +75,20 @@ class OutputRow:
     converged: bool
     rel_err_vs_oracle: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "z": self.z,
-            "method": self.method,
-            "terms": self.terms,
-            "value": self.value,
-            "converged": self.converged,
-            "rel_err_vs_oracle": self.rel_err_vs_oracle,
-        }
+
+CSV_FIELDS = [f.name for f in fields(OutputRow)]
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _fmt(v)
+    return "" if v is None else str(v)
 
 
 def _fail(message: str, code: int) -> int:
@@ -136,89 +120,55 @@ def _parse_range(text: str, name: str) -> list[float]:
         raise DomainError(f"--{name} step must be positive, got {step!r}")
     if hi < lo:
         raise DomainError(f"--{name} needs lo <= hi, got {text!r}")
-    # the loop below makes floor((hi - lo) / step + 1e-9) + 1 points
-    if (hi - lo) / step + 1e-9 >= _MAX_RANGE_POINTS:
+    span = (hi - lo) / step + 1e-9  # may be inf, so it is capped before floor()
+    if span >= _MAX_RANGE_POINTS:
         raise DomainError(f"--{name} {text!r} makes more than {_MAX_RANGE_POINTS} points")
-    out = []
-    i = 0
-    while True:
-        v = lo + i * step
-        if v > hi + 1e-9 * step:
-            break
-        out.append(v)
-        i += 1
-    return out
+    return [lo + i * step for i in range(math.floor(span) + 1)]
+
+
+def _sum_series(series, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
+    """series(|s|, z, policy); a ``SeriesDiverged`` gives back its flagged partial sum."""
+    try:
+        return series(abs(s), z, policy)
+    except SeriesDiverged as exc:
+        return exc.approximation
 
 
 def _evaluate(
     s: float, z: float, method: str, policy: TruncationPolicy, oracle: float | None = None
 ) -> OutputRow:
-    """Evaluate one point; SeriesDiverged is folded into the row flags.
-
-    ``oracle``, when given, is K_s(z) from ``k_oracle``, reused for the
-    ORACLE row instead of a second quadrature.
-    """
+    """Evaluate one point; ``oracle``, when given, is K_s(z) from ``k_oracle``,
+    reused for the ORACLE row instead of a second quadrature."""
     if method == "oracle":
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
     label, series = _SERIES[method]
-    try:
-        approx = series(abs(s), z, policy)
-    except SeriesDiverged as exc:
-        approx = exc.approximation
-    return OutputRow(
-        s=s,
-        z=z,
-        method=label,
-        terms=approx.terms_used,
-        value=approx.value,
-        converged=approx.converged,
-    )
+    approx = _sum_series(series, s, z, policy)
+    return OutputRow(s, z, label, approx.terms_used, approx.value, approx.converged)
 
 
 def _rows_to_csv(rows: list[OutputRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt(r.s),
-                _fmt(r.z),
-                r.method,
-                str(r.terms),
-                _fmt(r.value),
-                "true" if r.converged else "false",
-                "" if r.rel_err_vs_oracle is None else _fmt(r.rel_err_vs_oracle),
-            ]
-        )
+    writer.writerows([_cell(v) for v in asdict(r).values()] for r in rows)
     return buf.getvalue()
 
 
 def _rows_to_json(rows: list[OutputRow]) -> str:
-    return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    try:
-        policy = TruncationPolicy(max_terms=args.max_terms)
-        row = _evaluate(args.s, args.z, args.method, policy)
-    except (DomainError, PoleError) as exc:
-        return _fail(str(exc), 1)
-    except ToleranceNotMet as exc:
-        return _fail(str(exc), 2)
+    row = _evaluate(args.s, args.z, args.method, TruncationPolicy(max_terms=args.max_terms))
     if args.json:
         sys.stdout.write(_rows_to_json([row]))
     elif args.csv:
         sys.stdout.write(_rows_to_csv([row]))
     else:
-        print(
-            f"s={_fmt(row.s)} z={_fmt(row.z)} method={row.method} "
-            f"terms={row.terms} value={_fmt(row.value)} "
-            f"converged={'true' if row.converged else 'false'}"
-        )
+        print(" ".join(f"{k}={_cell(v)}" for k, v in asdict(row).items() if v is not None))
     if not row.converged:
         print("warning: series did not converge; value is the last partial sum", file=sys.stderr)
         return 2
@@ -226,30 +176,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        grid = GridSpec(
-            tuple(_parse_float_list(args.s_list, "s-list")),
-            tuple(_parse_float_list(args.z_list, "z-list")),
-        )
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        if not methods:
-            raise DomainError("--methods produced an empty list")
+    s_values = _parse_float_list(args.s_list, "s-list")
+    z_values = _parse_float_list(args.z_list, "z-list")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise DomainError("--methods produced an empty list")
+    for m in methods:
+        if m not in _METHODS:
+            raise DomainError(f"unknown method {m!r} (choose from {_METHODS})")
+    policy = TruncationPolicy(max_terms=args.max_terms)
+    rows = []
+    for s, z in itertools.product(s_values, z_values):
+        ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
         for m in methods:
-            if m not in _METHODS:
-                raise DomainError(f"unknown method {m!r} (choose from {_METHODS})")
-        policy = TruncationPolicy(max_terms=args.max_terms)
-        rows = []
-        for s, z in grid.points():
-            ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
-            for m in methods:
-                row = _evaluate(s, z, m, policy, ref)
-                if args.with_oracle:
-                    row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
-                rows.append(row)
-    except (DomainError, PoleError) as exc:
-        return _fail(str(exc), 1)
-    except ToleranceNotMet as exc:
-        return _fail(str(exc), 2)
+            row = _evaluate(s, z, m, policy, ref)
+            if args.with_oracle:
+                row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
+            rows.append(row)
     payload = _rows_to_json(rows) if args.json else _rows_to_csv(rows)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -261,27 +204,26 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    try:
-        grid = GridSpec(
-            tuple(_parse_range(args.s_range, "s-range")),
-            tuple(_parse_range(args.z_range, "z-range")),
-        )
-        policy = TruncationPolicy(max_terms=args.max_terms)
-    except (DomainError, PoleError) as exc:
-        return _fail(str(exc), 1)
+    s_values = _parse_range(args.s_range, "s-range")
+    z_values = _parse_range(args.z_range, "z-range")
+    # per-point DomainErrors become "rejected" rows, so a z grid that is
+    # wrong as a whole is refused here
+    if z_values[0] <= 0:
+        raise DomainError(f"every z must be positive, got --z-range {args.z_range!r}")
+    policy = TruncationPolicy(max_terms=args.max_terms)
 
     statuses: dict[str, int] = {"converged": 0, "max-terms": 0, "diverging": 0, "rejected": 0}
     converged_s: set[float] = set()
-    for s, z in grid.points():
+    for s, z in itertools.product(s_values, z_values):
         try:
-            approx = k_series_rearranged(abs(s), z, policy)
-            status = "converged" if approx.converged else "max-terms"
-            terms, last = approx.terms_used, approx.last_term_abs
-        except SeriesDiverged as exc:
-            approx = exc.approximation
-            status, terms, last = "diverging", approx.terms_used, approx.last_term_abs
+            approx = _sum_series(k_series_rearranged, s, z, policy)
         except DomainError:
             status, terms, last = "rejected", 0, math.nan
+        else:
+            status = "converged" if approx.converged else "max-terms"
+            if approx.diverging:
+                status = "diverging"
+            terms, last = approx.terms_used, approx.last_term_abs
         if status == "converged":
             converged_s.add(s)
         statuses[status] += 1
@@ -302,49 +244,31 @@ def _cmd_converge(args) -> int:
 
 def _verify_records(identity: str, tol: float):
     """Yield (record, asserted) pairs for one identity's built-in grid."""
-    if identity == "m4a":
-        for mu, beta, x in _M4A_GRID:
-            anchor = (mu, beta, x) == (1.0, 1.0, 1.0)
-            rec = verify_m4a(mu, beta, x, tol=_ANCHOR_TOL_M4 if anchor else tol)
-            yield rec, True
-    elif identity == "m4b":
-        for mu, beta, x in _M4B_GRID:
-            anchor = (mu, beta, x) == (1.0, 1.0, 1.0)
-            rec = verify_m4b(mu, beta, x, tol=_ANCHOR_TOL_M4 if anchor else tol)
-            yield rec, True
-    elif identity == "m5a":
-        for s, beta, x in _M5A_GRID:
-            yield verify_m5a(s, beta, x, tol=tol), True
+    if identity in ("m4a", "m4b", "m5a"):
+        # built per call, so the module-level names are looked up at call time
+        verify, grid = {
+            "m4a": (verify_m4a, _M4A_GRID),
+            "m4b": (verify_m4b, _M4B_GRID),
+            "m5a": (verify_m5a, _M5A_GRID),
+        }[identity]
+        for point in grid:
+            yield verify(*point, tol=_ANCHOR_TOL_M4 if point == _ANCHOR else tol), True
     elif identity == "m5b":
         for s, beta, x in _M5B_GRID:
             anchor = x == 1.0  # both readings coincide there and are forced
             printed, alt = verify_m5b(s, beta, x, tol=_ANCHOR_TOL_INFO if anchor else tol)
             yield printed, anchor
             yield alt, anchor
-    elif identity == "m10":
+    else:
         for rec in adjudicate_m10(_M10_GRID, tol=_ANCHOR_TOL_INFO):
             yield rec, rec.params["s"] == 0.5  # analytically forced rows only
-    else:  # pragma: no cover - guarded by argparse choices
-        raise DomainError(f"unknown identity {identity!r}")
 
 
 def _cmd_verify(args) -> int:
     identities = ["m4a", "m4b", "m5a", "m5b", "m10"] if args.identity == "all" else [args.identity]
-    pairs = []
-    try:
-        for ident in identities:
-            pairs.extend(_verify_records(ident, args.tol))
-    except (DomainError, PoleError) as exc:
-        return _fail(str(exc), 1)
-    except ToleranceNotMet as exc:
-        return _fail(str(exc), 2)
-
+    pairs = [pair for ident in identities for pair in _verify_records(ident, args.tol)]
     if args.json:
-        out = []
-        for rec, asserted in pairs:
-            d = rec.as_dict()
-            d["asserted"] = asserted
-            out.append(d)
+        out = [{**rec.as_dict(), "asserted": asserted} for rec, asserted in pairs]
         sys.stdout.write(json.dumps(out, indent=2) + "\n")
     else:
         for rec, asserted in pairs:
@@ -415,7 +339,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as exc:
+        return _fail(str(exc), 1)
+    except ToleranceNotMet as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -168,7 +168,9 @@ def rl_derivative(
     The classical derivatives are taken by an (n+1)-point central stencil on
     F(y) = rl_integral(f, s - n, (a, y)); accuracy is O(h^2) plus quadrature
     noise amplified by h^-n, with h chosen to balance the two.  The result
-    is independent of the choice of n within that combined tolerance.
+    is independent of the choice of n within that combined tolerance.  A
+    step h that rounds to 0, or an h^-n or result outside the float64
+    range, raises ``DomainError``.
     """
     if not s >= 0:
         raise DomainError(f"rl_derivative requires s >= 0, got s={s!r} (use rl_integral)")
@@ -179,6 +181,9 @@ def rl_derivative(
     a, x = bounds.a, bounds.x
     order = s - n
     h = min(_fd_step(n, abs(x - a)), (x - a) / (2.0 * n))
+    if not h > 0:
+        raise DomainError(f"x - a = {x - a!r} is too small for an order-{n} stencil")
+    inv_scale = _guarded_exp(-n * math.log(h))  # h^-n; overflows for large n
 
     def F(y: float) -> float:
         return rl_integral(
@@ -194,7 +199,7 @@ def rl_derivative(
     for i in range(n + 1):
         y = x + (0.5 * n - i) * h
         acc += (-1) ** i * comb(n, i) * F(y)
-    return acc / h ** n
+    return _in_range(acc * inv_scale)
 
 
 def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
@@ -284,17 +289,22 @@ def leibniz_series(
     ``f_frac(order, x)`` evaluates the order-``order`` differintegral of f.
     If fewer than n_terms + 1 evaluators are supplied the sum terminates
     there (the remaining classical derivatives are taken to vanish, as for
-    polynomial g), which counts as convergence.
+    polynomial g), which counts as convergence.  A term or sum outside the
+    float64 range, NaN included, raises ``DomainError``.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be a positive integer")
     if not g_derivs:
         raise DomainError("need at least one derivative evaluator for g")
     j_stop = min(n_terms, len(g_derivs) - 1)
-    terms = []
-    for j in range(j_stop + 1):
-        terms.append(gen_binomial(s, j) * f_frac(s - j, x) * g_derivs[j](x))
-    value = math.fsum(terms)
+    terms = [
+        _in_range(gen_binomial(s, j) * f_frac(s - j, x) * g_derivs[j](x))
+        for j in range(j_stop + 1)
+    ]
+    try:
+        value = math.fsum(terms)
+    except OverflowError:  # finite terms whose exact sum leaves the float64 range
+        raise DomainError("Leibniz sum is outside the float64 range") from None
     terminated = j_stop < n_terms
     last = 0.0 if terminated else abs(terms[-1])
     converged = terminated or last <= 1e-14 * max(abs(value), 1e-300)

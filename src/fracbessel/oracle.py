@@ -60,6 +60,8 @@ class VerificationRecord:
     def build(
         cls, identity_id: str, params: dict[str, float], lhs: float, rhs: float, tol: float
     ) -> "VerificationRecord":
+        if not 0 < tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got tol={tol!r}")
         abs_dev = abs(lhs - rhs)
         rel_dev = abs_dev / max(abs(lhs), abs(rhs), _TINY)
         return cls(
@@ -96,7 +98,7 @@ def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> f
     and an integrand or value outside that range raise ``DomainError``.
     """
     if not z > 0:
-        raise DomainError(f"k_oracle requires z > 0, got z={z!r}")
+        raise DomainError(f"k_oracle requires a positive z, got z={z!r}")
     if not abs(s) <= 50:
         raise DomainError(f"k_oracle supports |s| <= 50 (tail control), got s={s!r}")
     T = 1.0

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from fracbessel import DomainError, ToleranceNotMet, cli
 from fracbessel.cli import CSV_FIELDS, main
 
 
@@ -75,6 +76,7 @@ class TestEval:
         code, out, _ = run("eval", "--s", "1.5", "--z", "2", "--csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
+        assert ",".join(rows[0]) == "s,z,method,terms,value,converged,rel_err_vs_oracle"
         assert rows[0] == CSV_FIELDS
         assert len(rows) == 2
 
@@ -170,10 +172,13 @@ class TestTable:
         assert code == 1
 
     def test_nonpositive_z_exits_1(self, tmp_path):
-        for z_list in ("1,-2", "1,nan"):
-            code, _, err = run("table", "--s-list", "0.5", "--z-list", z_list, "--out", str(tmp_path / "x.csv"))
-            assert code == 1
-            assert "positive" in err
+        out_path = tmp_path / "x.csv"
+        for methods in (("--methods", "rearranged"), ("--methods", "oracle"), ("--with-oracle",)):
+            for z_list in ("1,-2", "1,nan"):
+                code, _, err = run("table", "--s-list", "0.5", "--z-list", z_list, *methods, "--out", str(out_path))
+                assert code == 1
+                assert "positive" in err
+                assert not out_path.exists()
 
     def test_oracle_order_limit_exits_1(self, tmp_path):
         out_path = tmp_path / "x.csv"
@@ -223,6 +228,7 @@ class TestConverge:
             ("0:inf:0.5", "1:2:1"),
             ("0:1:inf", "1:2:1"),
             ("0:1e12:1", "1:2:1"),  # a finite range can still make too many points
+            ("-1e308:1e308:1", "1:2:1"),  # hi - lo overflows to inf
         ],
     )
     def test_malformed_ranges_exit_1(self, s_range, z_range):
@@ -261,6 +267,13 @@ class TestVerify:
         code, _, _ = run("verify", "--identity", "all")
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_that_is_not_positive_and_finite_exits_1(self, tol):
+        code, out, err = run("verify", "--tol", tol)
+        assert code == 1
+        assert err.startswith("error: ") and "tol" in err
+        assert out == ""
+
     def test_unknown_identity_exits_1(self):
         code, _, _ = run("verify", "--identity", "m99")
         assert code == 1
@@ -273,3 +286,30 @@ class TestVerify:
         assert len(records) == len(text_lines)
         for rec, line in zip(records, text_lines):
             assert float(line.split("lhs=")[1].split()[0]) == rec["lhs"]
+
+
+class TestExitCodeMap:
+    """``main`` maps every library DomainError to 1 and ToleranceNotMet to 2."""
+
+    @pytest.mark.parametrize("error,code", [(DomainError, 1), (ToleranceNotMet, 2)])
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("k_oracle", ("eval", "--s", "1.5", "--z", "1", "--method", "oracle")),
+            ("k_oracle", ("table", "--s-list", "1.5", "--z-list", "1", "--methods", "oracle")),
+            ("verify_m4a", ("verify", "--identity", "m4a")),
+        ],
+    )
+    def test_library_errors_map_to_exit_codes(self, tmp_path, monkeypatch, name, argv, error, code):
+        def failing(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, name, failing)
+        out_path = tmp_path / "t.csv"
+        if argv[0] == "table":
+            argv = (*argv, "--out", str(out_path))
+        got, out, err = run(*argv)
+        assert got == code
+        assert err.startswith("error: injected failure")
+        assert out == ""
+        assert not out_path.exists()

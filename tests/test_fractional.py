@@ -156,6 +156,10 @@ class TestRlDerivative:
             rl_derivative(lambda t: t, 1.5, BoundarySetup(0.0, 1.0), n=1)
         with pytest.raises(DomainError):
             rl_derivative(lambda t: t, math.nan, BoundarySetup(0.0, 1.0))
+        with pytest.raises(DomainError, match="float64 range"):
+            rl_derivative(lambda t: t, 200.5, BoundarySetup(0.0, 1.0))  # h^201 underflows
+        with pytest.raises(DomainError, match="too small"):
+            rl_derivative(lambda t: t, 0.5, BoundarySetup(0.0, 5e-324))  # the step h rounds to 0
 
 
 class TestExpRule:
@@ -285,3 +289,17 @@ class TestLeibniz:
             leibniz_series([], lambda o, x: 0.0, 0.5, 1.0, 3)
         with pytest.raises(DomainError):
             leibniz_series([lambda x: 1.0], lambda o, x: 0.0, 0.5, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "g_derivs,f_frac",
+        [
+            ([lambda x: 1e300, lambda x: 1e300], lambda o, x: 1e300),  # terms overflow
+            ([lambda x: 1e308, lambda x: -1e308], lambda o, x: 1e300),  # inf and -inf
+            ([lambda x: 1e308, lambda x: 1e308], lambda o, x: 1.5),  # finite terms, sum overflows
+            ([lambda x: math.nan, lambda x: 1.0], lambda o, x: 1.0),
+        ],
+        ids=["terms-overflow", "inf-and-minus-inf", "sum-overflows", "nan-derivative"],
+    )
+    def test_non_finite_sums_raise(self, g_derivs, f_frac):
+        with pytest.raises(DomainError, match="float64 range"):
+            leibniz_series(g_derivs, f_frac, 0.5, 1.0, 3)

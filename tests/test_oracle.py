@@ -78,6 +78,12 @@ class TestRecordArithmetic:
         assert rec.passed
         assert not VerificationRecord.build("M4A", {}, 2.0, 2.5, 0.1).passed
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_build_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        # a NaN or infinite tol would switch the verdict off instead of gating it
+        with pytest.raises(DomainError, match="tol"):
+            VerificationRecord.build("M4A", {}, 2.0, 2.0, tol)
+
     def test_as_dict_roundtrip(self):
         rec = verify_m4a(1.0, 1.0, 1.0, tol=1e-10)
         d = rec.as_dict()
