@@ -260,8 +260,10 @@ def _verify_records(identity: str, tol: float):
             yield printed, anchor
             yield alt, anchor
     else:
-        for rec in adjudicate_m10(_M10_GRID, tol=_ANCHOR_TOL_INFO):
-            yield rec, rec.params["s"] == 0.5  # analytically forced rows only
+        for point in _M10_GRID:
+            forced = point.s == 0.5  # the k = 0 term is analytically forced there
+            (rec,) = adjudicate_m10([point], tol=_ANCHOR_TOL_INFO if forced else tol)
+            yield rec, forced
 
 
 def _cmd_verify(args) -> int:

@@ -3,12 +3,22 @@
 Every evaluator has one shape: validate the inputs, form one prefactor in
 log space and exponentiate it once through ``special._guarded_exp`` (one
 outside the float64 range raises ``DomainError``), then sum the one term
-stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value,
-row_k(w) / (k! q^k), that ``_e_stream`` sums exactly with
-``vk._exact_poly`` and rounds once, so the heavily cancelling inner sums
-are never formed in plain float64.  The integer rows come from one of two
-independent sources: the V_k recurrence ``vk._vk_rows(alpha)`` or the
-alpha = -1 closed form ``vk._closed_m1_row``.
+stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value
+built exactly in integers and rounded once, so the heavily cancelling inner
+sums are never formed in plain float64.  It comes from one of three
+constructions in ``vk``:
+
+* M9 and M10 read the fixed-argument recurrences in k, ``vk._m1_values``
+  and ``vk._mhalf_values``, at a fixed number of big-integer operations
+  per term;
+* the rearranged form reads the alpha = -1 closed-form rows
+  ``vk._closed_m1_row`` through ``_e_stream``;
+* M7, at any alpha, reads the coefficient rows ``vk._vk_rows(alpha)``
+  through ``_e_stream``.
+
+``_e_stream`` evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k)
+big-integer work per term.  M9 and the rearranged form sum one polynomial
+built two independent ways.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -22,8 +32,9 @@ alpha = -1 closed form ``vk._closed_m1_row``.
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
   (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z); the k = 0
   gamma ratio folded into the prefactor leaves Gamma(2s)/Gamma(1/2+s) and
-  the ratio stream over the recurrence rows at w = 2z.  E_k(2z) = S_k(z),
-  so M9 and the rearranged form sum one polynomial built two ways;
+  the ratio stream over the alpha = -1 recurrence in k at w = 2z.
+  E_k(2z) = S_k(z), so M9 and the rearranged form sum one polynomial
+  built two ways;
 * ``k_series_m10`` - the companion expansion in V_k^{(-1/2)}(z), whose
   printed prefactor becomes 2^{3s-2} Gamma(s) once the constant gamma ratio
   is folded in.  Its correctness is deliberately not presumed: it feeds
@@ -44,9 +55,9 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
-from .special import _guarded_exp, _pole_location, gamma_log
+from .special import _guarded_exp, _guarded_lgamma, _pole_location, gamma_log
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
-from .vk import _closed_m1_row, _exact_poly, _vk_rows
+from .vk import _closed_m1_row, _exact_poly, _m1_values, _mhalf_values, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
@@ -94,8 +105,8 @@ def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
 # --- validation helpers -----------------------------------------------------
 
 def _require_positive_z(z: float) -> None:
-    if not z > 0:
-        raise DomainError(f"argument z must be positive, got z={z!r}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"argument z must be finite and positive, got z={z!r}")
 
 
 def _require_positive_order(s: float) -> None:
@@ -130,7 +141,7 @@ def k_series_rearranged(
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    pref = _guarded_exp((s - 1.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
+    pref = _guarded_exp((s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
     inner = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
     return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
@@ -150,8 +161,9 @@ def k_series_m9(
 
     free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
     after m + 1 terms.  Kept as the independent partner of the rearranged
-    form: its polynomials come from the V_k recurrence rather than the
-    closed form, the two must agree term by term up to rounding, and the
+    form: its values come from the fixed-argument recurrence in k
+    (``vk._m1_values``) rather than the closed-form rows, the two must
+    agree term by term up to rounding, and the
     Gamma(2s) prefactor checks the duplication formula against the
     rearranged 2^{s-1} Gamma(s).
     """
@@ -161,11 +173,10 @@ def k_series_m9(
         0.5 * math.log(math.pi)
         - s * math.log(2.0 * z)
         - z
-        + math.lgamma(2.0 * s)
-        - math.lgamma(0.5 + s)
+        + _guarded_lgamma(2.0 * s)
+        - _guarded_lgamma(0.5 + s)
     )
-    inner = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_values(2.0 * z)), policy, pref)
 
 
 def k_series_m10(
@@ -187,9 +198,8 @@ def k_series_m10(
     """
     _require_positive_order(s)
     _require_positive_z(z)
-    pref = _guarded_exp((3.0 * s - 2.0) * math.log(2.0) + math.lgamma(s) - s * math.log(z) - z)
-    inner = _e_stream(_vk_rows(-0.5), 2, z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+    pref = _guarded_exp((3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _mhalf_values(z)), policy, pref)
 
 
 def k_mcdonald(
@@ -256,7 +266,7 @@ def general_expansion_m7(
         zeros, top, bottom = 1 - int(pole), 1.0 - pole - s, 1.0
         num, den = gamma_log(s + 1.0), gamma_log(s + pole)
         log_head, sign = num.log_abs - den.log_abs, (-1) ** zeros * num.sign * den.sign
-    pref = sign * _guarded_exp((nu - s) * math.log(x) + math.lgamma(nu + 1.0) - w + log_head)
+    pref = sign * _guarded_exp((nu - s) * math.log(x) + _guarded_lgamma(nu + 1.0) - w + log_head)
     e = islice(_e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
     return _finalize(chain(repeat(0.0, zeros), _ratio_terms(top, bottom, e)), policy, pref)
 

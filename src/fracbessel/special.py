@@ -5,9 +5,10 @@ sums, series prefactors) funnels its gamma arithmetic through this module.
 Ratios of gammas are never formed as quotients of raw values: callers get
 ``(log|Gamma|, sign)`` pairs and combine them in log space, which keeps k-th
 series terms finite far past the ~171 overflow point of Gamma itself.
-Exponentials that can overflow go through ``_guarded_exp``, and products
-that can through ``_in_range``; both raise ``DomainError`` naming the
-float64 range instead of returning inf or raising ``OverflowError``.
+Exponentials and log-gammas that can overflow go through ``_guarded_exp``
+and ``_guarded_lgamma``, and products that can through ``_in_range``; all
+raise ``DomainError`` naming the float64 range instead of returning inf or
+raising ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -61,12 +62,26 @@ def _pole_location(x: float) -> float | None:
 
 
 def _guarded_exp(x: float) -> float:
-    """exp(x), or ``DomainError`` naming the float64 range where it overflows."""
+    """exp(x), or ``DomainError`` naming the float64 range where it overflows
+    (x = +inf or NaN included: a log-space sum that overflowed lands there)."""
     try:
-        return math.exp(x)
+        value = math.exp(x)
     except OverflowError:
+        value = math.inf
+    if not value < math.inf:
         raise DomainError(
             f"exp({x:.6g}) is outside the float64 range (largest finite double ~1.8e308)"
+        )
+    return value
+
+
+def _guarded_lgamma(x: float) -> float:
+    """log|Gamma(x)|, or ``DomainError`` naming the float64 range where it overflows."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(
+            f"log|Gamma({x!r})| is outside the float64 range (largest finite double ~1.8e308)"
         ) from None
 
 
@@ -103,13 +118,7 @@ def gamma_log(x: float) -> LogGammaValue:
         g = None
     if g is not None and math.isfinite(g) and abs(g) > 1e-300:
         return LogGammaValue(math.log(abs(g)), 1 if g > 0 else -1)
-    try:
-        log_abs = math.lgamma(x)
-    except OverflowError:
-        raise DomainError(
-            f"log|Gamma({x!r})| is outside the float64 range (largest finite double ~1.8e308)"
-        ) from None
-    return LogGammaValue(log_abs, _gamma_sign(x))
+    return LogGammaValue(_guarded_lgamma(x), _gamma_sign(x))
 
 
 def pochhammer(a: float, k: int) -> float:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError
+from .special import _in_range
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ def sum_with_policy(
 
     The iterator yields bare bracket terms; exhausting it before
     ``max_terms`` signals structural termination (a zero tail) and counts
-    as convergence.  Accumulation is exact (math.fsum over all terms).
+    as convergence.  Accumulation is exact (math.fsum over all terms).  A
+    value outside the float64 range raises ``DomainError``.
     """
     collected: list[float] = []
     running = 0.0
@@ -106,7 +108,11 @@ def sum_with_policy(
     if terminated:
         converged = True
 
-    value = scale * math.fsum(collected)
+    try:
+        total = math.fsum(collected)
+    except OverflowError:  # finite terms whose exact sum is past the float64 range
+        total = math.inf
+    value = _in_range(scale * total)
     if terminated or not collected:
         last_abs = 0.0
     else:

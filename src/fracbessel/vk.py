@@ -23,11 +23,22 @@ equivalently A_{k+1,j} = (alpha j - k) A_{k,j} - alpha A_{k,j-1} on the
 coefficients.
 
 All three are exact at every k (alpha = a/q exactly; ints and Fractions).
-Two of them are also the integer row sources of the K series: the
-recurrence, written once as ``_vk_rows``, and the alpha = -1 closed form,
-written once as ``_closed_m1_row`` (whose rows are the inner sums S_k of the
-rearranged series).  ``_exact_poly``, the one evaluator of these rows,
-rounds once.
+
+The series evaluators need the values E_k = (-1)^k V_k(w) / k! at one
+double w = p / 2^e, each correctly rounded.  Three integer constructions
+supply them, one per kind of evaluator:
+
+* ``_m1_values`` and ``_mhalf_values`` - recurrences in k at fixed w for
+  alpha = -1 and alpha = -1/2, a fixed number of big-integer operations
+  per value; the inner streams of M9 (at 2z) and M10 (at z);
+* ``_closed_m1_row`` - the alpha = -1 closed-form coefficient rows, whose
+  values are the inner sums S_k of the rearranged series (and so of
+  ``k_mcdonald``); independent of the recurrences, and acceptance
+  criterion 5 compares it with M9;
+* ``_vk_rows`` - the coefficient recurrence above, written once, for any
+  alpha; the rows of M7.
+
+``_exact_poly``, the one evaluator of coefficient rows, rounds once.
 """
 
 from __future__ import annotations
@@ -116,6 +127,69 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
             f"degree-{len(coeffs) - 1} polynomial at w={w!r} is outside the float64 range "
             "(largest finite double ~1.8e308)"
         ) from None
+
+
+def _range_error(k: int, w: float) -> DomainError:
+    return DomainError(
+        f"E_{k} at w={w!r} is outside the float64 range (largest finite double ~1.8e308)"
+    )
+
+
+def _m1_values(w: float) -> Iterator[float]:
+    """Yield E_k = (-1)^k V_k^{(-1)}(w) / k!, k = 0, 1, ..., each correctly
+    rounded, for finite w.
+
+    At fixed w = p / 2^e (exact) the integers N_k = k! 2^{ek} E_k obey
+
+        N_{k+1} = (2k 2^e - p) N_k - k (k-1) 2^{2e} N_{k-1},   N_0 = 1, N_1 = -p,
+
+    which is Leibniz's rule on x^2 y' = beta y (DLMF 18.9 for the Laguerre
+    polynomials L_{k-1}^{(1)}).  Each value costs a fixed number of
+    big-integer operations and one correctly rounded division.
+    """
+    k = 0
+    try:
+        p, q = w.as_integer_ratio()
+        e = q.bit_length() - 1
+        old, cur, den = 0, 1, 1  # N_{k-1}, N_k, k! 2^{ek}
+        for k in count(0):
+            yield cur / den
+            old, cur = cur, ((k << e + 1) - p) * cur - (k * (k - 1) << 2 * e) * old
+            den = den * (k + 1) << e
+    except OverflowError:
+        raise _range_error(k, w) from None
+
+
+def _mhalf_values(w: float) -> Iterator[float]:
+    """Yield E_k = (-1)^k V_k^{(-1/2)}(w) / k!, k = 0, 1, ..., each correctly
+    rounded, for finite w.
+
+    y = exp(-beta / sqrt(x)) solves 4 x^3 y'' + 6 x^2 y' - beta^2 y = 0;
+    Leibniz's rule on its k-th derivative gives, at fixed w = p / 2^e
+    (exact), for the integers N_k = 2^{(e+1)k} V_k(w),
+
+        N_{k+2} = -[(6k+3) 2^e N_{k+1} + (12 k^2 2^{2e} - p^2) N_k
+                    + k (k-1) (2k-1) 2^{3e+2} N_{k-1}],   N_0 = 1, N_1 = p.
+
+    Run in floats this recurrence is unstable; in integers it is exact, and
+    E_k = (-1)^k N_k / (k! 2^{(e+1)k}) is rounded once.
+    """
+    k = 0
+    try:
+        p, q = w.as_integer_ratio()
+        e = q.bit_length() - 1
+        p2 = p * p
+        older, old, cur, den = 0, 1, p, 1  # N_{k-1}, N_k, N_{k+1}, k! 2^{(e+1)k}
+        for k in count(0):
+            yield (-old if k & 1 else old) / den
+            older, old, cur = old, cur, -(
+                ((6 * k + 3) * cur << e)
+                + ((12 * k * k << 2 * e) - p2) * old
+                + (k * (k - 1) * (2 * k - 1) << 3 * e + 2) * older
+            )
+            den = den * (k + 1) << e + 1
+    except OverflowError:
+        raise _range_error(k, w) from None
 
 
 def vk_coeffs_sum(alpha, k: int) -> Polynomial:

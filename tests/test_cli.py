@@ -269,10 +269,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_tolerance_that_is_not_positive_and_finite_exits_1(self, tol):
-        code, out, err = run("verify", "--tol", tol)
-        assert code == 1
-        assert err.startswith("error: ") and "tol" in err
-        assert out == ""
+        # m10 applies --tol to its rows that are not forced, as every identity does
+        for identity in ([], ["--identity", "m10"]):
+            code, out, err = run("verify", *identity, "--tol", tol)
+            assert code == 1, identity
+            assert err.startswith("error: ") and "tol" in err
+            assert out == ""
 
     def test_unknown_identity_exits_1(self):
         code, _, _ = run("verify", "--identity", "m99")

@@ -1,15 +1,18 @@
 """Series evaluators: termination, rearrangement equivalence, honest flags."""
 
 import math
-from itertools import count
+from itertools import count, islice
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kv
 
 from fracbessel import (
     BoundarySetup,
     DomainError,
+    FracBesselError,
     OrderArg,
     SeriesDiverged,
     TruncationPolicy,
@@ -24,7 +27,7 @@ from fracbessel import (
     rl_integral,
 )
 from fracbessel.series import _e_stream
-from fracbessel.vk import _closed_m1_row, _vk_rows
+from fracbessel.vk import _closed_m1_row, _m1_values, _mhalf_values, _vk_rows
 from fracbessel.truncation import sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
@@ -155,24 +158,42 @@ def _mp_scaled_vk(alpha, w, n):
         return [float(e_k) for e_k in _mp_e(alpha, w, n)]
 
 
+#: The fixed-argument integer recurrences in k that feed M9 and M10.
+_FIXED_W = {-1.0: _m1_values, -0.5: _mhalf_values}
+
+
 class TestVkStream:
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0 / 3.0])
     def test_correctly_rounded(self, alpha):
         for w in (0.74, 6.6, 35.8):
+            want = _mp_scaled_vk(alpha, w, 120)
             stream = _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w)
-            assert [next(stream) for _ in range(120)] == _mp_scaled_vk(alpha, w, 120), w
+            assert list(islice(stream, 120)) == want, w
+            if alpha in _FIXED_W:
+                assert list(islice(_FIXED_W[alpha](w), 120)) == want, w
 
     def test_alpha_minus_one_is_the_inner_binomial_sum(self):
-        # two independent constructions of one polynomial: the recurrence
-        # rows are the closed-form rows with signs (-1)^j, so E_k(2z) = S_k(z)
+        # three constructions of one polynomial value: the recurrence rows
+        # are the closed-form rows with signs (-1)^j, so E_k(2z) = S_k(z),
+        # and the recurrence in k at fixed w = 2z gives the same doubles
         for k, row in zip(range(151), _vk_rows(-1.0)):
             closed = _closed_m1_row(k)
             assert row == [-c if (k - i) % 2 else c for i, c in enumerate(closed)], k
         for z in (0.37, 1.0, 3.3, 8.0, 17.9, 29.5):
             by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
             by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
+            by_fixed_w = _m1_values(2.0 * z)
             for k in range(151):
-                assert next(by_recurrence) == next(by_closed_form), (z, k)
+                assert next(by_recurrence) == next(by_closed_form) == next(by_fixed_w), (z, k)
+
+    @pytest.mark.parametrize("alpha,q", [(-1.0, 1), (-0.5, 2)])
+    def test_fixed_argument_stream_is_the_coefficient_rows(self, alpha, q):
+        # w with a 53-bit mantissa, a tiny w and a large one, at the
+        # arguments M9 (2z) and M10 (z) use
+        rows = list(islice(_vk_rows(alpha), 301))
+        for z in (0.123456789, 1e-5, 123.4):
+            w = 2.0 * z if alpha == -1.0 else z
+            assert list(islice(_FIXED_W[alpha](w), 301)) == list(_e_stream(rows, q, w)), z
 
 
 class TestM10:
@@ -205,10 +226,13 @@ class TestKMcdonald:
         with pytest.raises(DomainError):
             k_mcdonald(0.0, 1.0)
 
-    @pytest.mark.parametrize("s,z", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.3, math.nan)])
+    @pytest.mark.parametrize(
+        "s,z", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.3, math.nan), (1.3, math.inf)]
+    )
     def test_non_finite_input_rejected(self, s, z):
-        with pytest.raises(DomainError):
-            k_mcdonald(s, z)
+        for evaluate in (k_mcdonald, k_series_m9, k_series_m10):
+            with pytest.raises(DomainError, match=r"^(order|argument)"):
+                evaluate(s, z)
 
     @pytest.mark.parametrize(
         "evaluate,args",
@@ -220,6 +244,12 @@ class TestKMcdonald:
             (general_expansion_m7, (5.0, 0.5, 1.0, 1.0, 1e-100)),
             (k_mcdonald, (2.5, 1e200)),  # the inner sum S_2 overflows
             (general_expansion_m7, (0.5, 1.0, -1.0, 1.0, 1e-320)),  # x^alpha overflows
+            (k_series_m9, (2.5, 1e200)),  # E_2 of each fixed-w recurrence overflows
+            (k_series_m10, (2.5, 1e200)),
+            (k_series_m9, (2.5, 1e308)),  # w = 2z is inf
+            (k_mcdonald, (3e305, 1.0)),  # lgamma(s) overflows
+            (k_series_m9, (2.6e305, 1.0)),  # lgamma(2s) overflows
+            (k_series_m10, (2.552435777557833e305, 1.0)),  # the log prefactor sums to inf
         ],
     )
     def test_overflowing_prefactor_is_a_domain_error(self, evaluate, args):
@@ -402,6 +432,22 @@ class TestAdjudication:
         grid = [OrderArg(0.5, 1.0), OrderArg(1.5, 1.0), OrderArg(0.5, 2.0)]
         records = adjudicate_m10(grid)
         assert [(r.params["s"], r.params["z"]) for r in records] == [(0.5, 1.0), (1.5, 1.0), (0.5, 2.0)]
+
+
+class TestWholeDomain:
+    """Any float s and z: a finite value with truthful flags, or a FracBesselError."""
+
+    @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_m9, k_series_m10])
+    @given(s=st.floats(), z=st.floats())
+    @settings(max_examples=150, deadline=None)
+    def test_finite_value_or_rejected(self, evaluate, s, z):
+        try:
+            approx = evaluate(s, z, _capped(60))
+        except FracBesselError:
+            return
+        assert isinstance(approx.value, float) and math.isfinite(approx.value)
+        assert not (approx.converged and approx.diverging)
+        assert approx.terms_used <= 60
 
 
 class TestMetadataInvariants:
