@@ -335,10 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once at import and only read after that: ``parse_args`` keeps no
+#: state between calls.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,17 +8,18 @@ built exactly in integers and rounded once, so the heavily cancelling inner
 sums are never formed in plain float64.  It comes from one of three
 constructions in ``vk``:
 
-* M9 and M10 read the fixed-argument recurrences in k, ``vk._m1_values``
-  and ``vk._mhalf_values``, at a fixed number of big-integer operations
-  per term;
-* the rearranged form reads the alpha = -1 closed-form rows
-  ``vk._closed_m1_row`` through ``_e_stream``;
+* the rearranged form (and so ``k_mcdonald``) and M10 read the
+  fixed-argument recurrences in k, ``vk._m1_values`` and
+  ``vk._mhalf_values``, at a fixed number of big-integer operations per
+  term;
+* M9 reads the alpha = -1 closed-form rows ``vk._closed_m1_row`` through
+  ``_e_stream``;
 * M7, at any alpha, reads the coefficient rows ``vk._vk_rows(alpha)``
   through ``_e_stream``.
 
 ``_e_stream`` evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k)
-big-integer work per term.  M9 and the rearranged form sum one polynomial
-built two independent ways.
+big-integer work per term.  The rearranged form and M9 sum one polynomial
+built two independent ways; the cheaper construction serves the front door.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -27,12 +28,12 @@ built two independent ways.
 * ``k_series_rearranged`` - the double-sum form
   2^{s-1} Gamma(s) z^{-s} e^{-z} sum_k (1/2-s)_k/(1/2+s)_k S_k(z),
   S_k(z) = sum_{j=1}^{k} C(k-1, j-1) (-2z)^j / j! and S_0 = 1, over the
-  closed-form rows at w = -2z;
+  alpha = -1 recurrence in k at w = 2z;
 * ``k_series_m9`` - the raw k-sum, printed with the prefactor
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
   (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z); the k = 0
   gamma ratio folded into the prefactor leaves Gamma(2s)/Gamma(1/2+s) and
-  the ratio stream over the alpha = -1 recurrence in k at w = 2z.
+  the ratio stream over the closed-form rows at w = -2z.
   E_k(2z) = S_k(z), so M9 and the rearranged form sum one polynomial
   built two ways;
 * ``k_series_m10`` - the companion expansion in V_k^{(-1/2)}(z), whose
@@ -55,7 +56,14 @@ from typing import Iterable, Iterator, NamedTuple
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
-from .special import _guarded_exp, _guarded_lgamma, _pole_location, gamma_log
+from .special import (
+    LogGammaValue,
+    _gamma_sign,
+    _guarded_exp,
+    _guarded_lgamma,
+    _pole_location,
+    gamma_log,
+)
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
 from .vk import _closed_m1_row, _exact_poly, _m1_values, _mhalf_values, _vk_rows
 
@@ -134,16 +142,16 @@ def k_series_rearranged(
     K_s(z) = 2^{s-1} Gamma(s) z^{-s} e^{-z}
              [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)],
 
-    with k! S_k(z) the closed-form row k of ``vk._closed_m1_row`` at -2z.
-    The Pochhammer ratio is built as a running product, so at half-integer
-    s = m + 1/2 the factor (1/2-s+k-1) hits exact zero and the sum
-    terminates after m + 1 outer terms.
+    with S_k(z) = E_k(2z) from the alpha = -1 recurrence in k,
+    ``vk._m1_values``, at a fixed cost per term.  The Pochhammer ratio is
+    built as a running product, so at half-integer s = m + 1/2 the factor
+    (1/2-s+k-1) hits exact zero and the sum terminates after m + 1 outer
+    terms.
     """
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _guarded_exp((s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
-    inner = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_values(2.0 * z)), policy, pref)
 
 
 def k_series_m9(
@@ -161,11 +169,10 @@ def k_series_m9(
 
     free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
     after m + 1 terms.  Kept as the independent partner of the rearranged
-    form: its values come from the fixed-argument recurrence in k
-    (``vk._m1_values``) rather than the closed-form rows, the two must
-    agree term by term up to rounding, and the
-    Gamma(2s) prefactor checks the duplication formula against the
-    rearranged 2^{s-1} Gamma(s).
+    form: its values come from the closed-form rows (``vk._closed_m1_row``)
+    rather than the fixed-argument recurrence in k, the two must agree
+    term by term, and the Gamma(2s) prefactor checks the duplication
+    formula against the rearranged 2^{s-1} Gamma(s).
     """
     _require_positive_order(s)
     _require_positive_z(z)
@@ -176,7 +183,8 @@ def k_series_m9(
         + _guarded_lgamma(2.0 * s)
         - _guarded_lgamma(0.5 + s)
     )
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_values(2.0 * z)), policy, pref)
+    inner = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
 
 
 def k_series_m10(
@@ -230,8 +238,8 @@ def general_expansion_m7(
     with the printed Gamma(k-s)/Gamma(-s) ratio carried as the pole-safe
     Pochhammer (-s)_k.  The constant part of the reciprocal gamma joins the
     prefactor and the rest is a Pochhammer ratio.  Where Gamma(k-s+nu+1)
-    sits on a pole, the term is the reciprocal-gamma zero and the sum
-    continues.  At non-negative integer s the Pochhammer chain hits zero
+    sits exactly on a pole, the term is the reciprocal-gamma zero and the
+    sum continues; next to a pole the term is kept.  At non-negative integer s the Pochhammer chain hits zero
     and the sum terminates (the classical derivative).
     """
     if not nu > -1.0:
@@ -254,10 +262,11 @@ def general_expansion_m7(
         )
     b = nu + 1.0 - s
     pole = _pole_location(b)
-    if pole is None:
-        # (-s)_k / Gamma(k + b) = (-s)_k / (b)_k / Gamma(b)
+    if pole is None or b != pole:
+        # (-s)_k / Gamma(k + b) = (-s)_k / (b)_k / Gamma(b); within POLE_TOL
+        # of a pole gamma_log refuses b, but Gamma(b) is large and finite
         zeros, top, bottom = 0, -s, b
-        lg = gamma_log(b)
+        lg = gamma_log(b) if pole is None else LogGammaValue(_guarded_lgamma(b), _gamma_sign(b))
         log_head, sign = -lg.log_abs, lg.sign
     else:
         # b = -n: 1/Gamma(k + b) vanishes for k <= n, and past that

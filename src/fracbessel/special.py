@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from scipy.special import psi
 
@@ -28,6 +29,12 @@ POLE_TOL = 1e-12
 
 #: Largest index for which Pochhammer / binomial use the direct product form.
 _PRODUCT_MAX = 64
+
+#: Both arguments of a log-gamma ratio at least this large take the
+#: differenced Stirling series, whose coefficients B_{2k} / (2k (2k-1)) follow;
+#: the first omitted term is below 3e-17 there.
+_STIRLING_MIN = 10.0
+_STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 #: Continuation series for the lower incomplete gamma: term cutoff and cap.
 _LIG_REL_CUTOFF = 1e-16
@@ -149,12 +156,56 @@ def pochhammer(a: float, k: int) -> float:
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
 
 
+def _lgamma_ratio(x: float, d: float) -> float:
+    """log Gamma(x + d) - log Gamma(x) for x > 0 and x + d > 0.
+
+    Two large log-gammas of nearby arguments cancel: at x = 1e5 each is
+    about 1e6, so their difference keeps only ~1e-10 of absolute accuracy.
+    Once both arguments reach ``_STIRLING_MIN``, Stirling's series is
+    differenced term by term instead,
+
+        (y - 1/2) log1p(d/x) + d (log x - 1) + R(y) - R(x),   y = x + d,
+
+    whose error is a few ulps of its largest term.
+    """
+    y = x + d
+    if min(x, y) < _STIRLING_MIN:
+        return _guarded_lgamma(y) - _guarded_lgamma(x)
+    return (y - 0.5) * math.log1p(d / x) + d * (math.log(x) - 1.0) + _stirling_tail(y) - _stirling_tail(x)
+
+
+def _stirling_tail(y: float) -> float:
+    """sum_k B_{2k} / (2k (2k-1) y^{2k-1}) through k = 7, for y >= ``_STIRLING_MIN``."""
+    v = 1.0 / (y * y)
+    acc = 0.0
+    for c in reversed(_STIRLING_COEFFS):
+        acc = acc * v + c
+    return acc / y
+
+
+def _log_binom(a: float, r: float) -> float:
+    """log[Gamma(a + r + 1) / (Gamma(a + 1) Gamma(r + 1))] for a, r > -1.
+
+    The larger of a and r carries the Stirling difference, so only the
+    log-gamma of the smaller, which bounds the result, is taken alone.
+    """
+    lo, hi = sorted((a, r))
+    return _lgamma_ratio(hi + 1.0, lo) - _guarded_lgamma(lo + 1.0)
+
+
 def gen_binomial(s: float, j: int) -> float:
     """Generalized binomial coefficient C(s, j) = s(s-1)...(s-j+1) / j!.
 
     Defined by the falling product, hence total in ``s``;  reduces to the
     ordinary binomial coefficient for integer s >= j and vanishes for
-    integer 0 <= s < j.
+    integer 0 <= s < j.  Up to j = 64 the product is formed directly.  Past
+    that, C(s, j) = Gamma(s+1) / (Gamma(j+1) Gamma(s-j+1)) is taken in log
+    space at O(1) cost, in the form that touches no gamma pole: as it
+    stands for s > j - 1; through C(s, j) = (-1)^j C(j-s-1, j) for s <= -1
+    (so s = -n gives (-1)^j C(n+j-1, j)); and through the reflection
+    formula, |C(s, j)| = |sin(pi s)| / (pi j C(j-1, s)), for non-integer
+    -1 < s < j - 1, whose sign is (-1)^m over the m = j - floor(s) - 1
+    negative falling factors.
     """
     if j < 0:
         raise DomainError("binomial index j must be a non-negative integer")
@@ -167,16 +218,24 @@ def gen_binomial(s: float, j: int) -> float:
         for i in range(j):
             out *= (s - i) / (i + 1)
         return _in_range(out)
-    log_abs = 0.0
-    sign = 1
-    for i in range(j):
-        f = s - i
-        if f == 0.0:
-            return 0.0
-        if f < 0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-    return sign * _guarded_exp(log_abs - math.lgamma(j + 1))
+    try:
+        jf = float(j)
+    except OverflowError:
+        raise DomainError(
+            "binomial index j is outside the float64 range (largest finite double ~1.8e308)"
+        ) from None
+    if s > j - 1:
+        # all j falling factors positive; s - j is exact, j may exceed 2^53
+        return _guarded_exp(_log_binom(jf, float(Fraction(s) - j)))
+    if s <= -1.0:
+        return (-1.0 if j % 2 else 1.0) * _guarded_exp(_log_binom(jf, -s - 1.0))
+    fl = math.floor(s)
+    if s == fl:
+        return 0.0
+    # |sin(pi s)| from the exact distance to the nearest integer, in (0, 1/2]
+    log_sin = math.log(math.sin(math.pi * abs(s - round(s))) / math.pi)
+    sign = -1.0 if (j - fl - 1) % 2 else 1.0
+    return sign * _guarded_exp(log_sin - math.log(jf) - _log_binom(s, jf - s - 1.0))
 
 
 def digamma(x: float) -> float:

@@ -30,11 +30,12 @@ supply them, one per kind of evaluator:
 
 * ``_m1_values`` and ``_mhalf_values`` - recurrences in k at fixed w for
   alpha = -1 and alpha = -1/2, a fixed number of big-integer operations
-  per value; the inner streams of M9 (at 2z) and M10 (at z);
-* ``_closed_m1_row`` - the alpha = -1 closed-form coefficient rows, whose
-  values are the inner sums S_k of the rearranged series (and so of
-  ``k_mcdonald``); independent of the recurrences, and acceptance
-  criterion 5 compares it with M9;
+  per value; the inner streams of the rearranged series (and so of
+  ``k_mcdonald``; at 2z, its values are the inner sums S_k) and of M10
+  (at z);
+* ``_closed_m1_row`` - the alpha = -1 closed-form coefficient rows, the
+  inner stream of M9 (at -2z); independent of the recurrences, so
+  acceptance criterion 5 compares two constructions;
 * ``_vk_rows`` - the coefficient recurrence above, written once, for any
   alpha; the rows of M7.
 

@@ -315,3 +315,36 @@ class TestExitCodeMap:
         assert err.startswith("error: injected failure")
         assert out == ""
         assert not out_path.exists()
+
+
+class TestParserReuse:
+    """``main`` parses every call with the one parser built at import."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--s", "0.5", "--z", "1"),
+            ("--help",),
+            ("eval", "--s", "0.5", "--z", "1", "--bogus"),
+            ("verify", "--identity", "m5b", "--json"),
+            ("table", "--s-list", "0.5,1.3", "--z-list", "1,2.5", "--methods", "rearranged,m9",
+             "--json"),
+        ],
+        ids=["eval", "help", "bad-flag", "verify", "table"],
+    )
+    def test_two_calls_in_one_process_are_identical(self, tmp_path, argv):
+        out_path = tmp_path / "t.json"
+        if argv[0] == "table":
+            argv = (*argv, "--out", str(out_path))
+        results = []
+        for _ in range(2):
+            results.append((*run(*argv), out_path.read_bytes() if out_path.exists() else None))
+        assert results[0] == results[1]
+        code = results[0][0]
+        assert code == (1 if "--bogus" in argv else 0)
+
+    def test_build_parser_returns_a_fresh_working_parser(self):
+        parser = cli.build_parser()
+        assert parser is not cli._PARSER
+        args = parser.parse_args(["eval", "--s", "0.5", "--z", "1"])
+        assert (args.s, args.z, args.method, args.func) == (0.5, 1.0, "rearranged", cli._cmd_eval)

@@ -26,7 +26,8 @@ from fracbessel import (
     power_rule,
     rl_integral,
 )
-from fracbessel.series import _e_stream
+from fracbessel.series import _e_stream, _ratio_terms
+from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import _closed_m1_row, _m1_values, _mhalf_values, _vk_rows
 from fracbessel.truncation import sum_with_policy
 
@@ -156,6 +157,47 @@ def _mp_scaled_vk(alpha, w, n):
     """``_mp_e`` at 400 digits, each value rounded to double."""
     with mpmath.workdps(400):
         return [float(e_k) for e_k in _mp_e(alpha, w, n)]
+
+
+class _StreamRead(Exception):
+    """Raised by a stand-in inner stream that must not be read."""
+
+
+def _unreadable(*args):
+    raise _StreamRead
+
+
+class TestAlphaMinusOnePaths:
+    """The rearranged form and M9 sum one polynomial built two ways; neither
+    may quietly start reading the other's construction."""
+
+    def test_rearranged_reads_only_the_fixed_argument_recurrence(self, monkeypatch):
+        monkeypatch.setattr("fracbessel.series._closed_m1_row", _unreadable)
+        assert k_series_rearranged(2.5, 1.3).converged
+        assert k_mcdonald(-2.5, 1.3).converged
+        with pytest.raises(_StreamRead):
+            k_series_m9(2.5, 1.3)
+
+    def test_m9_reads_only_the_closed_form_rows(self, monkeypatch):
+        monkeypatch.setattr("fracbessel.series._m1_values", _unreadable)
+        assert k_series_m9(2.5, 1.3).converged
+        with pytest.raises(_StreamRead):
+            k_series_rearranged(2.5, 1.3)
+        with pytest.raises(_StreamRead):
+            k_mcdonald(2.5, 1.3)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE], ids=["default", "wide"])
+    @pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 4.9])
+    @pytest.mark.parametrize("z", [0.1, 1.0, 3.3, 20.0])
+    def test_rearranged_is_bit_identical_to_the_closed_form_rows(self, s, z, policy):
+        pref = _guarded_exp((s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
+        rows = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
+        want = sum_with_policy(_ratio_terms(0.5 - s, 0.5 + s, rows), policy, scale=pref)
+        try:
+            got = k_series_rearranged(s, z, policy)
+        except SeriesDiverged as exc:
+            got = exc.approximation
+        assert got == want
 
 
 #: The fixed-argument integer recurrences in k that feed M9 and M10.
@@ -340,6 +382,19 @@ class TestGeneralExpansion:
             ]
             ref = x ** (nu - s) * mpmath.gamma(nu + 1) * mpmath.exp(-w) * mpmath.fsum(terms)
         assert approx.value == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("s,nu", [(0.0, -1 + 1e-13), (1.0, -1 + 1e-10)])
+    def test_next_to_a_reciprocal_gamma_pole(self, s, nu):
+        # b = nu + 1 - s lies within POLE_TOL of 0 or -1 but not on it, so
+        # 1/Gamma(b) is small, not zero, and the leading term stays.  At
+        # integer s the classical derivative of x^nu e^{-w}, w = 1/x:
+        # x^nu e^{-w} at s = 0 and x^{nu-1} e^{-w} (nu + w) at s = 1
+        x = 1.3
+        w = 1.0 / x
+        approx = general_expansion_m7(s, nu, -1.0, 1.0, x)
+        ref = x ** nu * math.exp(-w) if s == 0.0 else x ** (nu - 1.0) * math.exp(-w) * (nu + w)
+        assert approx.converged
+        assert approx.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
