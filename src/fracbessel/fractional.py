@@ -25,6 +25,7 @@ from .special import (
     EULER_GAMMA,
     POLE_TOL,
     _guarded_exp,
+    _guarded_lgamma,
     _in_range,
     _pole_location,
     digamma,
@@ -221,8 +222,8 @@ def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
 
 
 def _near_int(s: float) -> int | None:
-    if math.isnan(s):
-        raise DomainError(f"order s must be a number, got s={s!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"order s must be a finite number, got s={s!r}")
     n = round(s)
     return n if abs(s - n) < POLE_TOL else None
 
@@ -270,7 +271,7 @@ def log_rule(s: float, x: float) -> float:
         return math.log(x)
     n = _near_int(s)
     if n is not None and n > 0:
-        return (-1) ** (n - 1) * _guarded_exp(math.lgamma(n) - n * math.log(x))
+        return (-1) ** (n - 1) * _guarded_exp(_guarded_lgamma(float(n)) - n * math.log(x))
     lg = gamma_log(1.0 - s)
     bracket = math.log(x) - digamma(-s) - EULER_GAMMA + 1.0 / s
     return _in_range(lg.sign * bracket * _guarded_exp(-s * math.log(x) - lg.log_abs))

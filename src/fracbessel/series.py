@@ -5,21 +5,21 @@ log space and exponentiate it once through ``special._guarded_exp`` (one
 outside the float64 range raises ``DomainError``), then sum the one term
 stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value
 built exactly in integers and rounded once, so the heavily cancelling inner
-sums are never formed in plain float64.  It comes from one of three
+sums are never formed in plain float64.  It comes from one of four
 constructions in ``vk``:
 
-* the rearranged form (and so ``k_mcdonald``) and M10 read the
-  fixed-argument recurrences in k, ``vk._m1_values`` and
-  ``vk._mhalf_values``, at a fixed number of big-integer operations per
-  term;
-* M9 reads the alpha = -1 closed-form rows ``vk._closed_m1_row`` through
-  ``_e_stream``;
+* the rearranged form (and so ``k_mcdonald``) reads the alpha = -1
+  recurrence in k, ``vk._m1_values``, at w = 2z;
+* M9 reads the partial-sum recurrence ``vk._m1_partial_sums`` (the
+  alpha = 0 Laguerre recurrence summed into L^{(1)}) at w = 2z;
+* M10 reads the alpha = -1/2 recurrence in k, ``vk._mhalf_values``, at z;
 * M7, at any alpha, reads the coefficient rows ``vk._vk_rows(alpha)``
   through ``_e_stream``.
 
-``_e_stream`` evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k)
-big-integer work per term.  The rearranged form and M9 sum one polynomial
-built two independent ways; the cheaper construction serves the front door.
+The three fixed-argument streams cost a fixed number of big-integer
+operations per term; ``_e_stream`` evaluates row_k(w) / (k! q^k) with
+``vk._exact_poly``, O(k) big-integer work per term.  The rearranged form
+and M9 sum one polynomial built by two independent recurrences.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -33,7 +33,7 @@ built two independent ways; the cheaper construction serves the front door.
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
   (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z); the k = 0
   gamma ratio folded into the prefactor leaves Gamma(2s)/Gamma(1/2+s) and
-  the ratio stream over the closed-form rows at w = -2z.
+  the ratio stream over the partial-sum recurrence at w = 2z.
   E_k(2z) = S_k(z), so M9 and the rearranged form sum one polynomial
   built two ways;
 * ``k_series_m10`` - the companion expansion in V_k^{(-1/2)}(z), whose
@@ -50,22 +50,22 @@ k = m + 1 on and each K series ends by itself after m + 1 terms.
 from __future__ import annotations
 
 import math
-from itertools import chain, count, islice, repeat
+import sys
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
 from .special import (
-    LogGammaValue,
-    _gamma_sign,
+    _gamma_log_off_pole,
     _guarded_exp,
     _guarded_lgamma,
     _pole_location,
     gamma_log,
 )
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
-from .vk import _closed_m1_row, _exact_poly, _m1_values, _mhalf_values, _vk_rows
+from .vk import _exact_poly, _m1_partial_sums, _m1_values, _mhalf_values, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
@@ -86,8 +86,8 @@ def _e_stream(rows: Iterable[list[int]], q: int, w: float) -> Iterator[float]:
     """Yield E_k = row_k(w) / (k! q^k), k = 0, 1, ..., each correctly rounded.
 
     ``rows`` holds integer coefficients, highest degree first, as yielded by
-    ``vk._vk_rows`` (alpha = a / q; E_k = (-1)^k V_k^{(alpha)}(w) / k!) or
-    built by ``vk._closed_m1_row`` (q = 1).  w must be finite.
+    ``vk._vk_rows`` (alpha = a / q; E_k = (-1)^k V_k^{(alpha)}(w) / k!).
+    w must be finite.
     """
     den = 1
     for k, row in enumerate(rows, 1):
@@ -169,10 +169,11 @@ def k_series_m9(
 
     free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
     after m + 1 terms.  Kept as the independent partner of the rearranged
-    form: its values come from the closed-form rows (``vk._closed_m1_row``)
-    rather than the fixed-argument recurrence in k, the two must agree
-    term by term, and the Gamma(2s) prefactor checks the duplication
-    formula against the rearranged 2^{s-1} Gamma(s).
+    form: its values come from the partial-sum recurrence
+    (``vk._m1_partial_sums``) rather than the rearranged form's
+    ``vk._m1_values``, the two must agree term by term, and the Gamma(2s)
+    prefactor checks the duplication formula against the rearranged
+    2^{s-1} Gamma(s).
     """
     _require_positive_order(s)
     _require_positive_z(z)
@@ -183,8 +184,7 @@ def k_series_m9(
         + _guarded_lgamma(2.0 * s)
         - _guarded_lgamma(0.5 + s)
     )
-    inner = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_partial_sums(2.0 * z)), policy, pref)
 
 
 def k_series_m10(
@@ -263,10 +263,10 @@ def general_expansion_m7(
     b = nu + 1.0 - s
     pole = _pole_location(b)
     if pole is None or b != pole:
-        # (-s)_k / Gamma(k + b) = (-s)_k / (b)_k / Gamma(b); within POLE_TOL
-        # of a pole gamma_log refuses b, but Gamma(b) is large and finite
+        # (-s)_k / Gamma(k + b) = (-s)_k / (b)_k / Gamma(b), b next to a
+        # pole included
         zeros, top, bottom = 0, -s, b
-        lg = gamma_log(b) if pole is None else LogGammaValue(_guarded_lgamma(b), _gamma_sign(b))
+        lg = _gamma_log_off_pole(b)
         log_head, sign = -lg.log_abs, lg.sign
     else:
         # b = -n: 1/Gamma(k + b) vanishes for k <= n, and past that
@@ -276,6 +276,7 @@ def general_expansion_m7(
         num, den = gamma_log(s + 1.0), gamma_log(s + pole)
         log_head, sign = num.log_abs - den.log_abs, (-1) ** zeros * num.sign * den.sign
     pref = sign * _guarded_exp((nu - s) * math.log(x) + _guarded_lgamma(nu + 1.0) - w + log_head)
+    zeros = min(zeros, sys.maxsize)  # no policy sums past sys.maxsize terms
     e = islice(_e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
     return _finalize(chain(repeat(0.0, zeros), _ratio_terms(top, bottom, e)), policy, pref)
 

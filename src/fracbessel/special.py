@@ -128,13 +128,23 @@ def gamma_log(x: float) -> LogGammaValue:
     return LogGammaValue(_guarded_lgamma(x), _gamma_sign(x))
 
 
+def _gamma_log_off_pole(x: float) -> LogGammaValue:
+    """``gamma_log(x)`` for x not a non-positive integer, also within
+    POLE_TOL of one: there ``gamma_log`` refuses x, but Gamma(x) is large
+    and finite, and log|Gamma| and its sign come from ``math.lgamma``."""
+    if _pole_location(x) is None:
+        return gamma_log(x)
+    return LogGammaValue(_guarded_lgamma(x), _gamma_sign(x))
+
+
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
 
     Total: non-positive integer ``a`` simply yields 0 once the factor chain
     crosses zero.  The direct product is used up to k = 64; larger k fall
     back to a log-space gamma ratio (product form stays in use for integer
-    ``a`` where the ratio would sit on a pole).
+    ``a`` where the ratio would sit on a pole; a base next to a pole but
+    not on it takes the ratio).
     """
     if k < 0:
         raise DomainError("pochhammer index k must be a non-negative integer")
@@ -151,8 +161,8 @@ def pochhammer(a: float, k: int) -> float:
         for m in range(k):
             out *= a + m
         return _in_range(out)
-    num = gamma_log(a + k)
-    den = gamma_log(a)
+    num = _gamma_log_off_pole(a + k)
+    den = _gamma_log_off_pole(a)
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
 
 

@@ -25,19 +25,24 @@ coefficients.
 All three are exact at every k (alpha = a/q exactly; ints and Fractions).
 
 The series evaluators need the values E_k = (-1)^k V_k(w) / k! at one
-double w = p / 2^e, each correctly rounded.  Three integer constructions
-supply them, one per kind of evaluator:
+double w = p / 2^e, each correctly rounded.  Four integer constructions
+supply them, one per evaluator:
 
 * ``_m1_values`` and ``_mhalf_values`` - recurrences in k at fixed w for
   alpha = -1 and alpha = -1/2, a fixed number of big-integer operations
   per value; the inner streams of the rearranged series (and so of
   ``k_mcdonald``; at 2z, its values are the inner sums S_k) and of M10
   (at z);
-* ``_closed_m1_row`` - the alpha = -1 closed-form coefficient rows, the
-  inner stream of M9 (at -2z); independent of the recurrences, so
-  acceptance criterion 5 compares two constructions;
+* ``_m1_partial_sums`` - the same alpha = -1 values from the alpha = 0
+  Laguerre recurrence summed into L^{(1)}, also a fixed cost per value;
+  the inner stream of M9 (at 2z).  It shares no recurrence with
+  ``_m1_values``, so acceptance criterion 5 compares two constructions;
 * ``_vk_rows`` - the coefficient recurrence above, written once, for any
   alpha; the rows of M7.
+
+``_closed_m1_row``, the alpha = -1 closed-form rows, feeds no evaluator: it
+is the third construction behind ``vk_coeffs_closed_m1`` and the check the
+two alpha = -1 streams are tested against.
 
 ``_exact_poly``, the one evaluator of coefficient rows, rounds once.
 """
@@ -157,6 +162,35 @@ def _m1_values(w: float) -> Iterator[float]:
             yield cur / den
             old, cur = cur, ((k << e + 1) - p) * cur - (k * (k - 1) << 2 * e) * old
             den = den * (k + 1) << e
+    except OverflowError:
+        raise _range_error(k, w) from None
+
+
+def _m1_partial_sums(w: float) -> Iterator[float]:
+    """Yield the same values as ``_m1_values``, E_k = -(w/k) L_{k-1}^{(1)}(w)
+    and E_0 = 1, each correctly rounded, for finite w, by another recurrence.
+
+    At fixed w = p / 2^e (exact) the integers A_m = m! 2^{em} L_m^{(0)}(w)
+    follow the alpha = 0 Laguerre recurrence (DLMF 18.9)
+
+        A_{m+1} = ((2m+1) 2^e - p) A_m - m^2 2^{2e} A_{m-1},   A_0 = 1, A_{-1} = 0,
+
+    and L_n^{(1)} = sum_{m<=n} L_m^{(0)} (DLMF 18.18 at y = 0) gives
+    C_m = m! 2^{em} L_m^{(1)}(w) as C_m = m 2^e C_{m-1} + A_m, C_0 = 1.
+    Then E_k = -p C_{k-1} / (k! 2^{ek}): a fixed number of big-integer
+    operations and one correctly rounded division per value.
+    """
+    k = 0
+    try:
+        p, q = w.as_integer_ratio()
+        e = q.bit_length() - 1
+        yield 1.0
+        old, cur, acc, den = 0, 1, 1, 1  # A_{k-2}, A_{k-1}, C_{k-1}, (k-1)! 2^{e(k-1)}
+        for k in count(1):
+            den = den * k << e
+            yield -p * acc / den
+            old, cur = cur, (((2 * k - 1) << e) - p) * cur - ((k - 1) ** 2 << 2 * e) * old
+            acc = (acc * k << e) + cur
     except OverflowError:
         raise _range_error(k, w) from None
 

@@ -4,10 +4,13 @@ against their classical limits."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbessel import (
     BoundarySetup,
     DomainError,
+    FracBesselError,
     QuadratureSpec,
     ToleranceNotMet,
     exp_rule,
@@ -213,6 +216,9 @@ class TestExpRule:
             exp_rule(400.5, 10.0, 0.1)  # beta^s, non-integer order
         with pytest.raises(DomainError, match="not real"):
             exp_rule(0.5, -1.0, -1.0)  # beta^s would be complex
+        for s in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                exp_rule(s, 1.0, 1.0)
 
 
 class TestLogRule:
@@ -253,6 +259,11 @@ class TestLogRule:
             log_rule(200.0, 2.0)  # 199! / 2^200, integer order
         with pytest.raises(DomainError, match="float64 range"):
             log_rule(40.0, 1e-10)  # x^40 underflows to 0 in the classical form
+        with pytest.raises(DomainError, match="float64 range"):
+            log_rule(1.7976931348623157e308, 2.0)  # log (n-1)! overflows
+        for s in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                log_rule(s, 2.0)
 
 
 class TestLeibniz:
@@ -303,3 +314,30 @@ class TestLeibniz:
     def test_non_finite_sums_raise(self, g_derivs, f_frac):
         with pytest.raises(DomainError, match="float64 range"):
             leibniz_series(g_derivs, f_frac, 0.5, 1.0, 3)
+
+
+class TestWholeDomain:
+    """Any float inputs: a finite value, or a FracBesselError."""
+
+    @staticmethod
+    def _finite_or_rejected(rule, *args):
+        try:
+            value = rule(*args)
+        except FracBesselError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
+
+    @given(s=st.floats(), beta=st.floats(), x=st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_exp_rule(self, s, beta, x):
+        self._finite_or_rejected(exp_rule, s, beta, x)
+
+    @given(s=st.floats(), x=st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_log_rule(self, s, x):
+        self._finite_or_rejected(log_rule, s, x)
+
+    @given(s=st.floats(), p=st.floats(), a=st.floats(), x=st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_power_rule(self, s, p, a, x):
+        self._finite_or_rejected(lambda: power_rule(s, p, BoundarySetup(a, x)))

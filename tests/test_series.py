@@ -26,9 +26,17 @@ from fracbessel import (
     power_rule,
     rl_integral,
 )
+from fracbessel import series as series_module
 from fracbessel.series import _e_stream, _ratio_terms
 from fracbessel.special import _guarded_exp, _guarded_lgamma
-from fracbessel.vk import _closed_m1_row, _m1_values, _mhalf_values, _vk_rows
+from fracbessel.vk import (
+    _closed_m1_row,
+    _exact_poly,
+    _m1_partial_sums,
+    _m1_values,
+    _mhalf_values,
+    _vk_rows,
+)
 from fracbessel.truncation import sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
@@ -167,18 +175,32 @@ def _unreadable(*args):
     raise _StreamRead
 
 
+def _assert_sums_the_closed_form_rows(evaluate, pref, s, z, policy):
+    """``evaluate(s, z, policy)`` equals, bit for bit, the sum over the
+    alpha = -1 closed-form rows at -2z under the prefactor ``pref``."""
+    rows = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
+    want = sum_with_policy(_ratio_terms(0.5 - s, 0.5 + s, rows), policy, scale=pref)
+    try:
+        got = evaluate(s, z, policy)
+    except SeriesDiverged as exc:
+        got = exc.approximation
+    assert got == want
+
+
 class TestAlphaMinusOnePaths:
-    """The rearranged form and M9 sum one polynomial built two ways; neither
-    may quietly start reading the other's construction."""
+    """The rearranged form and M9 sum one polynomial built by two independent
+    recurrences; neither may quietly start reading the other's, and neither
+    reads the closed-form rows they are both checked against."""
 
     def test_rearranged_reads_only_the_fixed_argument_recurrence(self, monkeypatch):
-        monkeypatch.setattr("fracbessel.series._closed_m1_row", _unreadable)
+        monkeypatch.setattr("fracbessel.series._m1_partial_sums", _unreadable)
         assert k_series_rearranged(2.5, 1.3).converged
         assert k_mcdonald(-2.5, 1.3).converged
         with pytest.raises(_StreamRead):
             k_series_m9(2.5, 1.3)
 
     def test_m9_reads_only_the_closed_form_rows(self, monkeypatch):
+        # M9 reads the partial-sum recurrence; the name predates it
         monkeypatch.setattr("fracbessel.series._m1_values", _unreadable)
         assert k_series_m9(2.5, 1.3).converged
         with pytest.raises(_StreamRead):
@@ -186,22 +208,34 @@ class TestAlphaMinusOnePaths:
         with pytest.raises(_StreamRead):
             k_mcdonald(2.5, 1.3)
 
+    def test_neither_reads_the_closed_form_rows(self, monkeypatch):
+        assert not hasattr(series_module, "_closed_m1_row")
+        monkeypatch.setattr("fracbessel.vk._closed_m1_row", _unreadable)
+        assert k_series_rearranged(2.5, 1.3).converged
+        assert k_mcdonald(2.5, 1.3).converged
+        assert k_series_m9(2.5, 1.3).converged
+
     @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE], ids=["default", "wide"])
     @pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 4.9])
     @pytest.mark.parametrize("z", [0.1, 1.0, 3.3, 20.0])
     def test_rearranged_is_bit_identical_to_the_closed_form_rows(self, s, z, policy):
         pref = _guarded_exp((s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
-        rows = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-        want = sum_with_policy(_ratio_terms(0.5 - s, 0.5 + s, rows), policy, scale=pref)
-        try:
-            got = k_series_rearranged(s, z, policy)
-        except SeriesDiverged as exc:
-            got = exc.approximation
-        assert got == want
+        _assert_sums_the_closed_form_rows(k_series_rearranged, pref, s, z, policy)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE], ids=["default", "wide"])
+    @pytest.mark.parametrize("s", [0.3, 1.3, 2.5, 4.9])
+    @pytest.mark.parametrize("z", [0.1, 1.0, 3.3, 20.0])
+    def test_m9_is_bit_identical_to_the_closed_form_rows(self, s, z, policy):
+        pref = _guarded_exp(
+            0.5 * math.log(math.pi) - s * math.log(2.0 * z) - z
+            + _guarded_lgamma(2.0 * s) - _guarded_lgamma(0.5 + s)
+        )
+        _assert_sums_the_closed_form_rows(k_series_m9, pref, s, z, policy)
 
 
-#: The fixed-argument integer recurrences in k that feed M9 and M10.
-_FIXED_W = {-1.0: _m1_values, -0.5: _mhalf_values}
+#: The fixed-argument integer recurrences in k that feed the rearranged
+#: form and M9 (alpha = -1) and M10 (alpha = -1/2).
+_FIXED_W = {-1.0: (_m1_values, _m1_partial_sums), -0.5: (_mhalf_values,)}
 
 
 class TestVkStream:
@@ -211,8 +245,8 @@ class TestVkStream:
             want = _mp_scaled_vk(alpha, w, 120)
             stream = _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w)
             assert list(islice(stream, 120)) == want, w
-            if alpha in _FIXED_W:
-                assert list(islice(_FIXED_W[alpha](w), 120)) == want, w
+            for fixed_w in _FIXED_W.get(alpha, ()):
+                assert list(islice(fixed_w(w), 120)) == want, (fixed_w.__name__, w)
 
     def test_alpha_minus_one_is_the_inner_binomial_sum(self):
         # three constructions of one polynomial value: the recurrence rows
@@ -225,17 +259,34 @@ class TestVkStream:
             by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
             by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
             by_fixed_w = _m1_values(2.0 * z)
+            by_partial_sums = _m1_partial_sums(2.0 * z)
             for k in range(151):
-                assert next(by_recurrence) == next(by_closed_form) == next(by_fixed_w), (z, k)
+                assert (
+                    next(by_recurrence) == next(by_closed_form)
+                    == next(by_fixed_w) == next(by_partial_sums)
+                ), (z, k)
 
     @pytest.mark.parametrize("alpha,q", [(-1.0, 1), (-0.5, 2)])
     def test_fixed_argument_stream_is_the_coefficient_rows(self, alpha, q):
         # w with a 53-bit mantissa, a tiny w and a large one, at the
-        # arguments M9 (2z) and M10 (z) use
+        # arguments the alpha = -1 streams (2z) and M10 (z) use
         rows = list(islice(_vk_rows(alpha), 301))
         for z in (0.123456789, 1e-5, 123.4):
             w = 2.0 * z if alpha == -1.0 else z
-            assert list(islice(_FIXED_W[alpha](w), 301)) == list(_e_stream(rows, q, w)), z
+            want = list(_e_stream(rows, q, w))
+            if alpha == -1.0:
+                closed = _e_stream(map(_closed_m1_row, count()), 1, -w)
+                assert list(islice(closed, 301)) == want, z
+            for fixed_w in _FIXED_W[alpha]:
+                assert list(islice(fixed_w(w), 301)) == want, (fixed_w.__name__, z)
+
+    @pytest.mark.parametrize("z", [3.3, 20.0])
+    def test_alpha_minus_one_streams_at_large_k(self, z):
+        # k = 1000, far past the rows checked above: the largest term of the
+        # inner sum is ~1e66 (z = 3.3) and ~1e155 (z = 20) times the value
+        want = _exact_poly(_closed_m1_row(1000), math.factorial(1000), -2.0 * z)
+        for fixed_w in _FIXED_W[-1.0]:
+            assert next(islice(fixed_w(2.0 * z), 1000, None)) == want, fixed_w.__name__
 
 
 class TestM10:
@@ -396,6 +447,14 @@ class TestGeneralExpansion:
         assert approx.converged
         assert approx.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    def test_more_reciprocal_gamma_zeros_than_any_budget(self):
+        # b = nu + 1 - s = -(2^63 + ...): more leading zeros than sys.maxsize,
+        # all of them inside any term budget
+        approx = general_expansion_m7(9.223372036856873e18, 2097151.0, 1.0, 1.0, 1.4e19, _capped(60))
+        assert approx.value == 0.0
+        assert approx.terms_used == 60
+        assert not approx.converged and not approx.diverging
+
     def test_validation(self):
         with pytest.raises(DomainError):
             general_expansion_m7(0.5, -1.0, -1.0, 1.0, 1.0)
@@ -498,6 +557,19 @@ class TestWholeDomain:
     def test_finite_value_or_rejected(self, evaluate, s, z):
         try:
             approx = evaluate(s, z, _capped(60))
+        except FracBesselError:
+            return
+        assert isinstance(approx.value, float) and math.isfinite(approx.value)
+        assert not (approx.converged and approx.diverging)
+        assert approx.terms_used <= 60
+
+    @given(
+        s=st.floats(), nu=st.floats(), alpha=st.floats(), beta=st.floats(), x=st.floats()
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_general_expansion_finite_value_or_rejected(self, s, nu, alpha, beta, x):
+        try:
+            approx = general_expansion_m7(s, nu, alpha, beta, x, _capped(60))
         except FracBesselError:
             return
         assert isinstance(approx.value, float) and math.isfinite(approx.value)

@@ -111,6 +111,16 @@ class TestPochhammer:
     def test_negative_integer_base_large_k(self):
         assert pochhammer(-200.0, 100) == pytest.approx(float(sc.poch(-200.0, 100)), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "a,k", [(-3 + 1e-13, 100), (-3 - 1e-13, 100), (-100 + 1e-13, 80), (-1e-13, 70)]
+    )
+    def test_large_k_next_to_a_pole(self, a, k):
+        # a within POLE_TOL of a pole but not on it: the value is finite, and
+        # for a = -100 + 1e-13, k = 80 the top a + k sits next to a pole too
+        with mpmath.workdps(50):
+            want = float(mpmath.rf(mpmath.mpf(a), k))
+        assert pochhammer(a, k) == pytest.approx(want, rel=1e-12)
+
     def test_nan_rejected(self):
         for a in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
