@@ -10,9 +10,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .fractional import (
-    DEFAULT_QUADRATURE,
     BoundarySetup,
-    QuadratureSpec,
     exp_rule,
     leibniz_series,
     log_rule,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySetup",
     "DEFAULT_POLICY",
-    "DEFAULT_QUADRATURE",
     "DomainError",
     "EULER_GAMMA",
     "FracBesselError",
@@ -68,7 +65,6 @@ __all__ = [
     "OrderArg",
     "PoleError",
     "Polynomial",
-    "QuadratureSpec",
     "SeriesApproximation",
     "SeriesDiverged",
     "ToleranceNotMet",

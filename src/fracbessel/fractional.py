@@ -33,13 +33,18 @@ from .special import (
     gen_binomial,
     lower_incomplete_gamma,
 )
-from .truncation import SeriesApproximation
+from .truncation import STOP_RATIO, SeriesApproximation
 
 RealFunction = Callable[[float], float]
 
 #: Assumed noise floor of the inner quadrature, used to balance the
 #: finite-difference step of the composition derivative.
 _FD_NOISE = 1e-13
+
+#: Tolerances and subdivision budget of every adaptive quadrature.
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-14
+QUAD_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -54,41 +59,20 @@ class BoundarySetup:
             raise DomainError(f"need finite a < x, got a={self.a!r}, x={self.x!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for the adaptive quadratures.
-
-    The checks are negated comparisons, so a NaN is rejected: a NaN
-    tolerance would silently switch off the error-estimate gate of
-    ``adaptive_quad``.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if not self.max_subdivisions >= 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 def adaptive_quad(
     fn: RealFunction,
     lo: float,
     hi: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     request_rel: float | None = None,
     request_abs: float | None = None,
 ) -> float:
-    """scipy quad with the spec's budget; ToleranceNotMet if the estimate misses.
+    """scipy quad within ``QUAD_MAX_SUBDIVISIONS``; ToleranceNotMet if the
+    error estimate misses ``QUAD_REL_TOL`` / ``QUAD_ABS_TOL``, and
+    ``DomainError`` if the value is not finite (an integrand near the top
+    of the float64 range can overflow the quadrature's sums to NaN).
 
     ``request_*`` let callers ask the integrator for more accuracy than the
-    spec enforces (used by finite-difference stencils, which amplify noise).
+    gate enforces (used by finite-difference stencils, which amplify noise).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -96,27 +80,26 @@ def adaptive_quad(
             fn,
             lo,
             hi,
-            epsabs=request_abs if request_abs is not None else spec.abs_tol,
-            epsrel=request_rel if request_rel is not None else spec.rel_tol,
-            limit=spec.max_subdivisions,
+            epsabs=request_abs if request_abs is not None else QUAD_ABS_TOL,
+            epsrel=request_rel if request_rel is not None else QUAD_REL_TOL,
+            limit=QUAD_MAX_SUBDIVISIONS,
             full_output=1,
         )
     value, abserr = out[0], out[1]
     trouble = len(out) > 3
-    if trouble and abserr > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
+    if trouble and abserr > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
         raise ToleranceNotMet(
             f"quadrature error estimate {abserr:.3e} exceeds requested tolerance "
-            f"(abs={spec.abs_tol:.1e}, rel={spec.rel_tol:.1e}): {out[3]}",
+            f"(abs={QUAD_ABS_TOL:.1e}, rel={QUAD_REL_TOL:.1e}): {out[3]}",
             estimate=abserr,
         )
-    return value
+    return _in_range(value)
 
 
 def rl_integral(
     f: RealFunction,
     s: float,
     bounds: BoundarySetup,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     _request_rel: float | None = None,
     _request_abs: float | None = None,
 ) -> float:
@@ -128,7 +111,7 @@ def rl_integral(
         int_a^x (x-t)^{p-1} f(t) dt = (1/p) int_0^{(x-a)^p} f(x - u^{1/p}) du.
 
     Adaptive bisection alone converges too slowly for s near 0-.  A range
-    (x - a)^p outside float64 raises ``DomainError``.
+    (x - a)^p or a result outside float64 raises ``DomainError``.
     """
     if not s < 0:
         raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
@@ -146,9 +129,9 @@ def rl_integral(
     def g(u: float) -> float:
         return f(x - u ** inv_p)
 
-    raw = adaptive_quad(g, 0.0, upper, spec, request_rel=_request_rel, request_abs=_request_abs)
+    raw = adaptive_quad(g, 0.0, upper, request_rel=_request_rel, request_abs=_request_abs)
     lg = gamma_log(p)
-    return raw / p * lg.sign * math.exp(-lg.log_abs)
+    return _in_range(raw / p * lg.sign * math.exp(-lg.log_abs))
 
 
 def _fd_step(n: int, scale: float) -> float:
@@ -160,7 +143,6 @@ def rl_derivative(
     f: RealFunction,
     s: float,
     bounds: BoundarySetup,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     n: int | None = None,
 ) -> float:
     """Order-s derivative (s >= 0) via n classical derivatives of an order
@@ -187,14 +169,7 @@ def rl_derivative(
     inv_scale = _guarded_exp(-n * math.log(h))  # h^-n; overflows for large n
 
     def F(y: float) -> float:
-        return rl_integral(
-            f,
-            order,
-            BoundarySetup(a, y),
-            spec,
-            _request_rel=min(spec.rel_tol, 1e-13),
-            _request_abs=min(spec.abs_tol, 1e-15),
-        )
+        return rl_integral(f, order, BoundarySetup(a, y), _request_rel=1e-13, _request_abs=1e-15)
 
     acc = 0.0
     for i in range(n + 1):
@@ -308,7 +283,7 @@ def leibniz_series(
         raise DomainError("Leibniz sum is outside the float64 range") from None
     terminated = j_stop < n_terms
     last = 0.0 if terminated else abs(terms[-1])
-    converged = terminated or last <= 1e-14 * max(abs(value), 1e-300)
+    converged = terminated or last <= STOP_RATIO * max(abs(value), 1e-300)
     return SeriesApproximation(
         value=value,
         terms_used=j_stop + 1,

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fractional import (
-    DEFAULT_QUADRATURE,
-    BoundarySetup,
-    QuadratureSpec,
-    adaptive_quad,
-    rl_integral,
-)
+from .fractional import BoundarySetup, adaptive_quad, rl_integral
 from .special import _guarded_exp, _in_range
 
 _TINY = 1e-300
@@ -88,7 +82,7 @@ class VerificationRecord:
         }
 
 
-def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def k_oracle(s: float, z: float) -> float:
     """K_s(z) by quadrature of the cosh integral representation.
 
     The integrand is even in s, so negative orders come for free.  The tail
@@ -114,22 +108,30 @@ def k_oracle(s: float, z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> f
         lo = m - abs(a)
         return 0.5 * (_guarded_exp(hi) + (math.exp(lo) if lo > -_EXP_UNDERFLOW else 0.0))
 
-    return _in_range(adaptive_quad(integrand, 0.0, T, spec))
+    return adaptive_quad(integrand, 0.0, T)
 
 
 def _exp_or_zero(e: float) -> float:
     return _guarded_exp(e) if e > -_EXP_UNDERFLOW else 0.0
 
 
-def _m4_lhs(mu: float, beta: float, x: float, spec: QuadratureSpec, squared: bool) -> float:
+def _range_error(what: str) -> DomainError:
+    return DomainError(f"{what} is outside the float64 range (largest finite double ~1.8e308)")
+
+
+def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
     """int_0^x t^{-2 mu} (x - t)^{mu-1} e^{-beta/t} dt, or the (x^2 - t^2) variant.
 
     Two substitutions, split at t = x/2: u = 1/t maps the essential decay at
     t -> 0 onto plain exponential decay, and u = (x - t)^mu removes the
     endpoint singularity at t = x exactly.  Adaptive bisection alone stalls
-    on both features.
+    on both features.  A power, x^2 or the result outside the float64 range
+    raises ``DomainError``.
     """
     if squared:
+        if not 0.0 < x * x < math.inf:
+            raise _range_error(f"x^2 at x={x!r}")
+
         def near_zero(u: float) -> float:
             return _exp_or_zero(
                 (2.0 * mu - 2.0) * math.log(u)
@@ -139,7 +141,10 @@ def _m4_lhs(mu: float, beta: float, x: float, spec: QuadratureSpec, squared: boo
 
         def near_x(u: float) -> float:
             t = x - u ** (1.0 / mu)
-            return t ** (-2.0 * mu) * (x + t) ** (mu - 1.0) * _exp_or_zero(-beta / t)
+            try:
+                return t ** (-2.0 * mu) * (x + t) ** (mu - 1.0) * _exp_or_zero(-beta / t)
+            except OverflowError:
+                raise _range_error(f"t^(-2 mu) (x + t)^(mu - 1) at t={t!r}, mu={mu!r}") from None
     else:
         def near_zero(u: float) -> float:
             return _exp_or_zero(
@@ -150,18 +155,24 @@ def _m4_lhs(mu: float, beta: float, x: float, spec: QuadratureSpec, squared: boo
 
         def near_x(u: float) -> float:
             t = x - u ** (1.0 / mu)
-            return t ** (-2.0 * mu) * _exp_or_zero(-beta / t)
+            try:
+                return t ** (-2.0 * mu) * _exp_or_zero(-beta / t)
+            except OverflowError:
+                raise _range_error(f"t^(-2 mu) at t={t!r}, mu={mu!r}") from None
 
-    i_zero = adaptive_quad(near_zero, 2.0 / x, np.inf, spec)
-    i_x = adaptive_quad(near_x, 0.0, (0.5 * x) ** mu, spec)
-    return i_zero + i_x / mu
+    try:
+        upper = (0.5 * x) ** mu
+    except OverflowError:
+        raise _range_error(f"(x/2)^mu = {0.5 * x!r}^{mu!r}") from None
+    i_zero = adaptive_quad(near_zero, 2.0 / x, np.inf)
+    i_x = adaptive_quad(near_x, 0.0, upper)
+    return _in_range(i_zero + i_x / mu)
 
 
 def verify_m4a(
     mu: float,
     beta: float,
     x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-7,
 ) -> VerificationRecord:
     """Check int_0^x t^{-2mu}(x-t)^{mu-1} e^{-beta/t} dt against its K form.
@@ -169,9 +180,9 @@ def verify_m4a(
     RHS: beta^{1/2-mu}/sqrt(pi x) e^{-beta/(2x)} Gamma(mu) K_{mu-1/2}(beta/(2x)),
     valid for mu > 0, beta > 0, x > 0.
     """
-    _require_m4(mu, beta, x)
-    lhs = _m4_lhs(mu, beta, x, spec, squared=False)
-    k = k_oracle(mu - 0.5, beta / (2.0 * x), spec)
+    _require_positive(mu=mu, beta=beta, x=x)
+    lhs = _m4_lhs(mu, beta, x, squared=False)
+    k = k_oracle(mu - 0.5, beta / (2.0 * x))
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -181,31 +192,30 @@ def verify_m4b(
     mu: float,
     beta: float,
     x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-7,
 ) -> VerificationRecord:
     """Check int_0^x t^{-2mu}(x^2-t^2)^{mu-1} e^{-beta/t} dt against its K form.
 
     RHS: (1/sqrt(pi)) (2/beta)^{mu-1/2} x^{mu-3/2} Gamma(mu) K_{mu-1/2}(beta/x).
     """
-    _require_m4(mu, beta, x)
-    lhs = _m4_lhs(mu, beta, x, spec, squared=True)
-    k = k_oracle(mu - 0.5, beta / x, spec)
+    _require_positive(mu=mu, beta=beta, x=x)
+    lhs = _m4_lhs(mu, beta, x, squared=True)
+    k = k_oracle(mu - 0.5, beta / x)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
     rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
-def _require_m4(mu: float, beta: float, x: float) -> None:
-    if mu <= 0 or beta <= 0 or x <= 0:
-        raise DomainError(f"identity domain is mu > 0, beta > 0, x > 0; got {(mu, beta, x)!r}")
+def _require_positive(**params: float) -> None:
+    """Each of ``params`` finite and positive (NaN rejected), else ``DomainError``."""
+    if not all(0 < v < math.inf for v in params.values()):
+        raise DomainError(f"identity domain is finite {', '.join(params)} > 0; got {params!r}")
 
 
 def verify_m5a(
     s: float,
     beta: float,
     x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-7,
 ) -> VerificationRecord:
     """Fractional-derivative reading of the first integral identity.
@@ -217,16 +227,15 @@ def verify_m5a(
     """
     if s >= 0:
         raise DomainError(f"verify_m5a requires s < 0, got s={s!r}")
-    if beta <= 0 or x <= 0:
-        raise DomainError(f"need beta > 0 and x > 0, got {(beta, x)!r}")
+    _require_positive(beta=beta, x=x)
 
     def f(t: float) -> float:
         if t <= 0.0:
             return 0.0
         return _exp_or_zero(2.0 * s * math.log(t) - beta / t)
 
-    lhs = rl_integral(f, s, BoundarySetup(0.0, x), spec)
-    k = k_oracle(s + 0.5, beta / (2.0 * x), spec)
+    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
+    k = k_oracle(s + 0.5, beta / (2.0 * x))
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _in_range(_guarded_exp(pref) * k)
     return VerificationRecord.build("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -236,7 +245,6 @@ def verify_m5b(
     s: float,
     beta: float,
     x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-7,
 ) -> tuple[VerificationRecord, VerificationRecord]:
     """Second fractional-derivative identity, measured under both readings.
@@ -249,19 +257,18 @@ def verify_m5b(
     """
     if not (-0.5 < s < 0.0):
         raise DomainError(f"verify_m5b requires s in (-1/2, 0), got s={s!r}")
-    if beta <= 0 or x <= 0:
-        raise DomainError(f"need beta > 0 and x > 0, got {(beta, x)!r}")
+    _require_positive(beta=beta, x=x)
 
     def f(t: float) -> float:
         if t <= 0.0:
             return 0.0
         return _exp_or_zero((s - 0.5) * math.log(t) - beta / math.sqrt(t))
 
-    lhs = rl_integral(f, s, BoundarySetup(0.0, x), spec)
+    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
     readings = []
     for k_arg in (beta / x, beta / math.sqrt(x)):
-        rhs = pref * k_oracle(s + 0.5, k_arg, spec)
+        rhs = _in_range(pref * k_oracle(s + 0.5, k_arg))
         readings.append(
             VerificationRecord.build(
                 "M5B",

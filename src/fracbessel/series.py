@@ -55,7 +55,6 @@ from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
-from .fractional import DEFAULT_QUADRATURE, QuadratureSpec
 from .oracle import VerificationRecord, k_oracle
 from .special import (
     _gamma_log_off_pole,
@@ -283,9 +282,7 @@ def general_expansion_m7(
 
 def adjudicate_m10(
     grid: list[OrderArg] | list[tuple[float, float]],
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tol: float = 1e-9,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[VerificationRecord]:
     """Measure the companion expansion against the oracle.
 
@@ -299,14 +296,13 @@ def adjudicate_m10(
         s, z = point
         params = {"s": float(s), "z": float(z)}
         try:
-            approx = k_series_m10(s, z, policy)
-            lhs = approx.value
+            lhs = k_series_m10(s, z).value
         except SeriesDiverged as exc:
             lhs = exc.approximation.value
         except DomainError:
             lhs = math.nan
         try:
-            rhs = k_oracle(s, z, quadrature)
+            rhs = k_oracle(s, z)
         except (DomainError, ToleranceNotMet):
             rhs = math.nan
         records.append(VerificationRecord.build("M10_ADJ", params, lhs, rhs, tol))

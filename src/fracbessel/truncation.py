@@ -9,29 +9,31 @@ from typing import Iterator
 from .errors import DomainError
 from .special import _in_range
 
+#: Convergence test of every sum: ``STOP_RUN`` successive terms with
+#: |term| <= STOP_RATIO * |partial sum|.
+STOP_RATIO = 1e-14
+STOP_RUN = 3
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """When to stop summing a series.
 
-    Convergence is declared after ``consecutive`` successive terms with
-    |term| <= rel_stop * |partial sum|; divergence after ``divergence_window``
-    successive strict increases of |term|.  ``max_terms`` bounds the work
-    either way.  Divergence here is a heuristic label, not a theorem: series
-    whose term magnitudes ride a slowly drifting oscillation can trip it
-    while still summing to the right value.  Callers probing such tails
-    should pass a wider window.
+    Convergence is fixed (``STOP_RATIO`` over ``STOP_RUN`` terms, 1e-14
+    over 3); divergence is declared after ``divergence_window`` successive
+    strict increases of |term|.  ``max_terms`` bounds the work either way.
+    Divergence here is a heuristic label, not a theorem: series whose term
+    magnitudes ride a slowly drifting oscillation can trip it while still
+    summing to the right value.  Callers probing such tails should pass a
+    wider window.
     """
 
-    rel_stop: float = 1e-14
-    consecutive: int = 3
     max_terms: int = 200
     divergence_window: int = 5
 
     def __post_init__(self):
-        if not self.rel_stop > 0 or self.consecutive <= 0:
-            raise DomainError("rel_stop and consecutive must be positive")
-        if self.max_terms <= 0 or self.divergence_window <= 0:
+        # negated, so a NaN, which would switch the budget off, is rejected
+        if not (self.max_terms > 0 and self.divergence_window > 0):
             raise DomainError("max_terms and divergence_window must be positive")
 
 
@@ -45,7 +47,7 @@ class SeriesApproximation:
     ``last_term_abs`` is reported in the same scale as ``value``.  When the
     series terminated structurally (every remaining term identically zero)
     it is 0.0, so the convergence invariant
-    ``converged => last_term_abs <= rel_stop * |value|`` holds there too.
+    ``converged => last_term_abs <= STOP_RATIO * |value|`` holds there too.
     ``converged`` and ``diverging`` are mutually exclusive; both False means
     the term budget ran out without a verdict.
     """
@@ -87,7 +89,7 @@ def sum_with_policy(
             # no scale to compare against (e.g. a run of structurally zero
             # leading terms): neither evidence for nor against convergence
             pass
-        elif mag <= policy.rel_stop * abs(running):
+        elif mag <= STOP_RATIO * abs(running):
             small_streak += 1
         else:
             small_streak = 0
@@ -96,7 +98,7 @@ def sum_with_policy(
         else:
             grow_streak = 0
         prev_abs = mag
-        if small_streak >= policy.consecutive:
+        if small_streak >= STOP_RUN:
             converged = True
             break
         if grow_streak >= policy.divergence_window:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fracbessel import (
     DomainError,
     FracBesselError,
-    QuadratureSpec,
     VerificationRecord,
     k_oracle,
     verify_m4a,
@@ -111,6 +110,27 @@ class TestM4A:
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4a(172.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "mu,beta,x",
+        [
+            (162.0, 163.0, 160.0),  # the upper limit (x/2)^mu
+            (96.11562459018143, 3.159080858019146, 0.007024004158693277),  # t^(-2 mu)
+        ],
+    )
+    def test_power_overflow_is_a_domain_error(self, mu, beta, x):
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m4a(mu, beta, x)
+
+    @pytest.mark.parametrize("verify", [verify_m4a, verify_m4b])
+    @pytest.mark.parametrize(
+        "mu,beta,x",
+        [(1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf), (math.nan, 1.0, 1.0)],
+    )
+    def test_non_finite_rejected(self, verify, mu, beta, x):
+        # verify_m4a(1, inf, 1) returned a passed record with lhs = rhs = 0
+        with pytest.raises(DomainError, match="identity domain"):
+            verify(mu, beta, x)
+
 
 class TestM4B:
     def test_analytic_anchor(self):
@@ -127,6 +147,10 @@ class TestM4B:
             verify_m4b(172.0, 1.0, 1.0)  # the lhs integrand overflows
         with pytest.raises(DomainError):
             verify_m4b(172.0, 1000.0, 1.0)  # finite lhs; Gamma(172) overflowed the rhs
+
+    def test_power_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m4b(463.5412579163402, 299.1327523582113, 0.4301187237146097)
 
 
 class TestM5A:
@@ -169,9 +193,23 @@ class TestM5B:
             verify_m5b(-0.7, 1.0, 1.0)
         with pytest.raises(DomainError):
             verify_m5b(0.1, 1.0, 1.0)
+        with pytest.raises(DomainError, match="identity domain"):
+            verify_m5b(-0.15, math.inf, 1.0)
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m5b(-0.25, 1e308, 1e308)  # the prefactor overflows
 
 
-class TestSharedQuadratureSpec:
-    def test_custom_spec_still_passes(self):
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=500)
-        assert verify_m4a(1.5, 0.5, 2.0, spec=spec, tol=1e-6).passed
+class TestWholeDomain:
+    """Any float triple: a record whose two sides are finite, or a FracBesselError."""
+
+    @pytest.mark.parametrize("verify", [verify_m4a, verify_m4b, verify_m5a, verify_m5b])
+    @given(a=st.floats(), b=st.floats(), c=st.floats())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_record_or_rejected(self, verify, a, b, c):
+        try:
+            out = verify(a, b, c)
+        except FracBesselError:
+            return
+        for rec in out if isinstance(out, tuple) else (out,):
+            assert math.isfinite(rec.lhs) and math.isfinite(rec.rhs)
+

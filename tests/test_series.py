@@ -37,7 +37,7 @@ from fracbessel.vk import (
     _mhalf_values,
     _vk_rows,
 )
-from fracbessel.truncation import sum_with_policy
+from fracbessel.truncation import STOP_RATIO, sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
 #: default divergence heuristic (the policy is a public knob).
@@ -119,7 +119,7 @@ class TestRawM9:
         raw = k_series_m9(s, z, EXPLORE)
         re = k_series_rearranged(s, z, EXPLORE)
         # early convergence stops may differ by a term or two right at the
-        # rel_stop threshold; the values must agree regardless
+        # STOP_RATIO threshold; the values must agree regardless
         assert abs(raw.terms_used - re.terms_used) <= 2
         assert raw.value == pytest.approx(re.value, rel=1e-11)
 
@@ -479,14 +479,14 @@ def _capped(n):
 class TestTruncationEngine:
     def test_convergence_needs_consecutive_small_terms(self):
         terms = iter([1.0, 0.5, 1e-20, 0.5, 1e-20, 1e-20, 1e-20, 0.4])
-        approx = sum_with_policy(terms, TruncationPolicy(consecutive=3, max_terms=50))
+        approx = sum_with_policy(terms, TruncationPolicy(max_terms=50))
         assert approx.converged
         assert approx.terms_used == 7  # stops inside the zero run
 
     def test_zero_partial_sum_is_neutral(self):
         # structurally zero leading terms carry no convergence evidence
         terms = iter([0.0, 0.0, 0.0, 0.0, 5.0, 1.0, 0.2])
-        approx = sum_with_policy(terms, TruncationPolicy(consecutive=3, max_terms=7))
+        approx = sum_with_policy(terms, TruncationPolicy(max_terms=7))
         assert not approx.converged
         assert approx.value == pytest.approx(6.2)
 
@@ -514,11 +514,12 @@ class TestTruncationEngine:
 
     def test_policy_validation(self):
         with pytest.raises(DomainError):
-            TruncationPolicy(rel_stop=0.0)
-        with pytest.raises(DomainError):
-            TruncationPolicy(rel_stop=math.nan)
-        with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
+        # a NaN cap never trips: 10^6 growing terms came back flagged converged
+        with pytest.raises(DomainError):
+            TruncationPolicy(max_terms=math.nan)
+        with pytest.raises(DomainError):
+            TruncationPolicy(divergence_window=math.nan)
 
 
 class TestAdjudication:
@@ -585,4 +586,4 @@ class TestMetadataInvariants:
         assert approx.terms_used <= pol.max_terms
         assert not (approx.converged and approx.diverging)
         if approx.converged and approx.last_term_abs > 0.0:
-            assert approx.last_term_abs <= pol.rel_stop * abs(approx.value)
+            assert approx.last_term_abs <= STOP_RATIO * abs(approx.value)
