@@ -13,12 +13,11 @@ as an independent cross-check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence
 
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import DomainError, ToleranceNotMet
 from .special import (
@@ -28,6 +27,7 @@ from .special import (
     _guarded_lgamma,
     _in_range,
     _pole_location,
+    _range_error,
     digamma,
     gamma_log,
     gen_binomial,
@@ -45,6 +45,10 @@ _FD_NOISE = 1e-13
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-14
 QUAD_MAX_SUBDIVISIONS = 2000
+
+#: Largest stencil order n of ``rl_derivative`` whose weights C(n, i) are
+#: all doubles: C(1029, 514) ~ 1.4e308, C(1030, 515) overflows.
+_STENCIL_MAX_N = 1029
 
 
 @dataclass(frozen=True)
@@ -73,18 +77,18 @@ def adaptive_quad(
 
     ``request_*`` let callers ask the integrator for more accuracy than the
     gate enforces (used by finite-difference stencils, which amplify noise).
+    With ``full_output=1`` scipy returns its message as a fourth output
+    instead of warning, so no warning filter is needed.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            fn,
-            lo,
-            hi,
-            epsabs=request_abs if request_abs is not None else QUAD_ABS_TOL,
-            epsrel=request_rel if request_rel is not None else QUAD_REL_TOL,
-            limit=QUAD_MAX_SUBDIVISIONS,
-            full_output=1,
-        )
+    out = quad(
+        fn,
+        lo,
+        hi,
+        epsabs=request_abs if request_abs is not None else QUAD_ABS_TOL,
+        epsrel=request_rel if request_rel is not None else QUAD_REL_TOL,
+        limit=QUAD_MAX_SUBDIVISIONS,
+        full_output=1,
+    )
     value, abserr = out[0], out[1]
     trouble = len(out) > 3
     if trouble and abserr > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
@@ -110,8 +114,10 @@ def rl_integral(
 
         int_a^x (x-t)^{p-1} f(t) dt = (1/p) int_0^{(x-a)^p} f(x - u^{1/p}) du.
 
-    Adaptive bisection alone converges too slowly for s near 0-.  A range
-    (x - a)^p or a result outside float64 raises ``DomainError``.
+    Adaptive bisection alone converges too slowly for s near 0-.  f is only
+    evaluated on [a, x]: near u = (x-a)^p the rounded u^{1/p} can pass
+    x - a, and t is clamped to a there.  A range (x - a)^p or a result
+    outside float64 raises ``DomainError``.
     """
     if not s < 0:
         raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
@@ -120,14 +126,12 @@ def rl_integral(
     try:
         upper = (x - a) ** p
     except OverflowError:
-        raise DomainError(
-            f"(x - a)^p = {x - a!r}^{p!r} is outside the float64 range "
-            "(largest finite double ~1.8e308)"
-        ) from None
+        raise _range_error(f"(x - a)^p = {x - a!r}^{p!r}") from None
     inv_p = 1.0 / p
 
     def g(u: float) -> float:
-        return f(x - u ** inv_p)
+        t = x - u ** inv_p
+        return f(t if t > a else a)  # a conditional costs less than max() per node
 
     raw = adaptive_quad(g, 0.0, upper, request_rel=_request_rel, request_abs=_request_abs)
     lg = gamma_log(p)
@@ -151,16 +155,19 @@ def rl_derivative(
     The classical derivatives are taken by an (n+1)-point central stencil on
     F(y) = rl_integral(f, s - n, (a, y)); accuracy is O(h^2) plus quadrature
     noise amplified by h^-n, with h chosen to balance the two.  The result
-    is independent of the choice of n within that combined tolerance.  A
-    step h that rounds to 0, or an h^-n or result outside the float64
-    range, raises ``DomainError``.
+    is independent of the choice of n within that combined tolerance.  The
+    stencil reaches past x, so f is evaluated on (a, x + n h / 2].  A
+    non-finite s, a step h that rounds to 0, or a stencil weight C(n, i),
+    h^-n or result outside the float64 range raises ``DomainError``.
     """
-    if not s >= 0:
-        raise DomainError(f"rl_derivative requires s >= 0, got s={s!r} (use rl_integral)")
+    if not 0 <= s < math.inf:
+        raise DomainError(f"rl_derivative requires finite s >= 0, got s={s!r} (use rl_integral)")
     if n is None:
         n = math.floor(s) + 1
     if n <= s:
         raise DomainError(f"need n > s for the composition, got n={n!r}, s={s!r}")
+    if n > _STENCIL_MAX_N:
+        raise _range_error(f"stencil weight C({n}, {n // 2})")
     a, x = bounds.a, bounds.x
     order = s - n
     h = min(_fd_step(n, abs(x - a)), (x - a) / (2.0 * n))
@@ -280,7 +287,7 @@ def leibniz_series(
     try:
         value = math.fsum(terms)
     except OverflowError:  # finite terms whose exact sum leaves the float64 range
-        raise DomainError("Leibniz sum is outside the float64 range") from None
+        raise _range_error("Leibniz sum") from None
     terminated = j_stop < n_terms
     last = 0.0 if terminated else abs(terms[-1])
     converged = terminated or last <= STOP_RATIO * max(abs(value), 1e-300)

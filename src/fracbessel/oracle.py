@@ -9,7 +9,9 @@ code or algebra with the series evaluators, so a bug cannot validate
 itself.  The verify_* operations quadrature both sides of the library's
 catalogued integral identities (IDs M4A, M4B, M5A, M5B) and return
 structured deviation records; M5B is measured under both plausible readings
-of its K argument rather than assuming either.
+of its K argument rather than assuming either.  Each evaluates K first, so
+an order the oracle refuses raises before any left-hand-side quadrature
+runs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .fractional import BoundarySetup, adaptive_quad, rl_integral
-from .special import _guarded_exp, _in_range
+from .special import _guarded_exp, _in_range, _range_error
 
 _TINY = 1e-300
 
@@ -106,17 +106,9 @@ def k_oracle(s: float, z: float) -> float:
         a = s * t
         hi = m + abs(a)
         lo = m - abs(a)
-        return 0.5 * (_guarded_exp(hi) + (math.exp(lo) if lo > -_EXP_UNDERFLOW else 0.0))
+        return 0.5 * (_guarded_exp(hi) + math.exp(lo))  # lo <= hi: no overflow
 
     return adaptive_quad(integrand, 0.0, T)
-
-
-def _exp_or_zero(e: float) -> float:
-    return _guarded_exp(e) if e > -_EXP_UNDERFLOW else 0.0
-
-
-def _range_error(what: str) -> DomainError:
-    return DomainError(f"{what} is outside the float64 range (largest finite double ~1.8e308)")
 
 
 def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
@@ -128,43 +120,27 @@ def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
     on both features.  A power, x^2 or the result outside the float64 range
     raises ``DomainError``.
     """
-    if squared:
-        if not 0.0 < x * x < math.inf:
-            raise _range_error(f"x^2 at x={x!r}")
+    if squared and not 0.0 < x * x < math.inf:
+        raise _range_error(f"x^2 at x={x!r}")
+    power = "t^(-2 mu) (x + t)^(mu - 1)" if squared else "t^(-2 mu)"
 
-        def near_zero(u: float) -> float:
-            return _exp_or_zero(
-                (2.0 * mu - 2.0) * math.log(u)
-                + (mu - 1.0) * math.log(x * x - 1.0 / (u * u))
-                - beta * u
-            )
+    def near_zero(u: float) -> float:
+        base = x * x - 1.0 / (u * u) if squared else x - 1.0 / u
+        return _guarded_exp((2.0 * mu - 2.0) * math.log(u) + (mu - 1.0) * math.log(base) - beta * u)
 
-        def near_x(u: float) -> float:
-            t = x - u ** (1.0 / mu)
-            try:
-                return t ** (-2.0 * mu) * (x + t) ** (mu - 1.0) * _exp_or_zero(-beta / t)
-            except OverflowError:
-                raise _range_error(f"t^(-2 mu) (x + t)^(mu - 1) at t={t!r}, mu={mu!r}") from None
-    else:
-        def near_zero(u: float) -> float:
-            return _exp_or_zero(
-                (2.0 * mu - 2.0) * math.log(u)
-                + (mu - 1.0) * math.log(x - 1.0 / u)
-                - beta * u
-            )
-
-        def near_x(u: float) -> float:
-            t = x - u ** (1.0 / mu)
-            try:
-                return t ** (-2.0 * mu) * _exp_or_zero(-beta / t)
-            except OverflowError:
-                raise _range_error(f"t^(-2 mu) at t={t!r}, mu={mu!r}") from None
+    def near_x(u: float) -> float:
+        t = x - u ** (1.0 / mu)
+        try:
+            kernel = (x + t) ** (mu - 1.0) if squared else 1.0
+            return t ** (-2.0 * mu) * kernel * _guarded_exp(-beta / t)
+        except OverflowError:
+            raise _range_error(f"{power} at t={t!r}, mu={mu!r}") from None
 
     try:
         upper = (0.5 * x) ** mu
     except OverflowError:
         raise _range_error(f"(x/2)^mu = {0.5 * x!r}^{mu!r}") from None
-    i_zero = adaptive_quad(near_zero, 2.0 / x, np.inf)
+    i_zero = adaptive_quad(near_zero, 2.0 / x, math.inf)
     i_x = adaptive_quad(near_x, 0.0, upper)
     return _in_range(i_zero + i_x / mu)
 
@@ -181,8 +157,8 @@ def verify_m4a(
     valid for mu > 0, beta > 0, x > 0.
     """
     _require_positive(mu=mu, beta=beta, x=x)
-    lhs = _m4_lhs(mu, beta, x, squared=False)
     k = k_oracle(mu - 0.5, beta / (2.0 * x))
+    lhs = _m4_lhs(mu, beta, x, squared=False)
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -199,8 +175,8 @@ def verify_m4b(
     RHS: (1/sqrt(pi)) (2/beta)^{mu-1/2} x^{mu-3/2} Gamma(mu) K_{mu-1/2}(beta/x).
     """
     _require_positive(mu=mu, beta=beta, x=x)
-    lhs = _m4_lhs(mu, beta, x, squared=True)
     k = k_oracle(mu - 0.5, beta / x)
+    lhs = _m4_lhs(mu, beta, x, squared=True)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
     rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
     return VerificationRecord.build("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -232,10 +208,10 @@ def verify_m5a(
     def f(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return _exp_or_zero(2.0 * s * math.log(t) - beta / t)
+        return _guarded_exp(2.0 * s * math.log(t) - beta / t)
 
-    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
     k = k_oracle(s + 0.5, beta / (2.0 * x))
+    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _in_range(_guarded_exp(pref) * k)
     return VerificationRecord.build("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -262,20 +238,19 @@ def verify_m5b(
     def f(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return _exp_or_zero((s - 0.5) * math.log(t) - beta / math.sqrt(t))
+        return _guarded_exp((s - 0.5) * math.log(t) - beta / math.sqrt(t))
 
+    ks = [(k_arg, k_oracle(s + 0.5, k_arg)) for k_arg in (beta / x, beta / math.sqrt(x))]
     lhs = rl_integral(f, s, BoundarySetup(0.0, x))
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
-    readings = []
-    for k_arg in (beta / x, beta / math.sqrt(x)):
-        rhs = _in_range(pref * k_oracle(s + 0.5, k_arg))
-        readings.append(
-            VerificationRecord.build(
-                "M5B",
-                {"s": s, "beta": beta, "x": x, "k_arg": k_arg},
-                lhs,
-                rhs,
-                tol,
-            )
+    printed, alt = (
+        VerificationRecord.build(
+            "M5B",
+            {"s": s, "beta": beta, "x": x, "k_arg": k_arg},
+            lhs,
+            _in_range(pref * k),
+            tol,
         )
-    return readings[0], readings[1]
+        for k_arg, k in ks
+    )
+    return printed, alt

@@ -61,6 +61,7 @@ from .special import (
     _guarded_exp,
     _guarded_lgamma,
     _pole_location,
+    _range_error,
     gamma_log,
 )
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
@@ -255,10 +256,7 @@ def general_expansion_m7(
     except OverflowError:
         w = math.inf
     if not math.isfinite(w):
-        raise DomainError(
-            f"w = beta x^alpha for beta={beta!r}, x={x!r}, alpha={alpha!r} is outside "
-            "the float64 range (largest finite double ~1.8e308)"
-        )
+        raise _range_error(f"w = beta x^alpha for beta={beta!r}, x={x!r}, alpha={alpha!r}")
     b = nu + 1.0 - s
     pole = _pole_location(b)
     if pole is None or b != pole:

@@ -8,7 +8,9 @@ series terms finite far past the ~171 overflow point of Gamma itself.
 Exponentials and log-gammas that can overflow go through ``_guarded_exp``
 and ``_guarded_lgamma``, and products that can through ``_in_range``; all
 raise ``DomainError`` naming the float64 range instead of returning inf or
-raising ``OverflowError``.
+raising ``OverflowError``.  ``_range_error`` is the one range error: the
+only place its message is written, and what every module raises for a
+value past float64.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ def _pole_location(x: float) -> float | None:
     return None
 
 
+def _range_error(what: str) -> DomainError:
+    """The ``DomainError`` for a value past float64; ``what`` names the value."""
+    return DomainError(f"{what} is outside the float64 range (largest finite double ~1.8e308)")
+
+
 def _guarded_exp(x: float) -> float:
     """exp(x), or ``DomainError`` naming the float64 range where it overflows
     (x = +inf or NaN included: a log-space sum that overflowed lands there)."""
@@ -76,9 +83,7 @@ def _guarded_exp(x: float) -> float:
     except OverflowError:
         value = math.inf
     if not value < math.inf:
-        raise DomainError(
-            f"exp({x:.6g}) is outside the float64 range (largest finite double ~1.8e308)"
-        )
+        raise _range_error(f"exp({x:.6g})")
     return value
 
 
@@ -87,15 +92,13 @@ def _guarded_lgamma(x: float) -> float:
     try:
         return math.lgamma(x)
     except OverflowError:
-        raise DomainError(
-            f"log|Gamma({x!r})| is outside the float64 range (largest finite double ~1.8e308)"
-        ) from None
+        raise _range_error(f"log|Gamma({x!r})|") from None
 
 
 def _in_range(value: float) -> float:
     """value, or ``DomainError`` naming the float64 range where a product left it."""
     if not math.isfinite(value):
-        raise DomainError("result is outside the float64 range (largest finite double ~1.8e308)")
+        raise _range_error("result")
     return value
 
 
@@ -121,9 +124,9 @@ def gamma_log(x: float) -> LogGammaValue:
     _check_pole(x)
     try:
         g = math.gamma(x)
-    except (OverflowError, ValueError):
-        g = None
-    if g is not None and math.isfinite(g) and abs(g) > 1e-300:
+    except OverflowError:  # |Gamma(x)| past float64: take the log-space branch
+        g = 0.0
+    if abs(g) > 1e-300:
         return LogGammaValue(math.log(abs(g)), 1 if g > 0 else -1)
     return LogGammaValue(_guarded_lgamma(x), _gamma_sign(x))
 
@@ -231,9 +234,7 @@ def gen_binomial(s: float, j: int) -> float:
     try:
         jf = float(j)
     except OverflowError:
-        raise DomainError(
-            "binomial index j is outside the float64 range (largest finite double ~1.8e308)"
-        ) from None
+        raise _range_error("binomial index j") from None
     if s > j - 1:
         # all j falling factors positive; s - j is exact, j may exceed 2^53
         return _guarded_exp(_log_binom(jf, float(Fraction(s) - j)))
@@ -264,7 +265,8 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     which agrees with ``int_0^x t^{a-1} e^{-t} dt`` for a > 0 and with the
     analytic continuation ``x^a sum (-x)^n / (n! (a+n))`` for negative
     non-integer a.  Terms stop once |term| < 1e-16 * |partial sum|; a hard
-    cap of 500 terms guards pathological inputs.
+    cap of 500 terms guards pathological inputs.  A partial sum or result
+    outside the float64 range raises ``DomainError``.
     """
     if not x > 0:
         raise DomainError(f"lower_incomplete_gamma requires x > 0, got {x!r}")
@@ -282,5 +284,7 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
             f"(a={a!r}, x={x!r})",
             estimate=abs(term),
         )
-    return _guarded_exp(a * math.log(x) - x) * total
+    if not math.isfinite(total):  # the cutoff test passes against an infinite sum
+        raise _range_error(f"incomplete-gamma partial sum at a={a!r}, x={x!r}")
+    return _in_range(_guarded_exp(a * math.log(x) - x) * total)
 

@@ -57,6 +57,7 @@ from math import factorial
 from typing import Iterator
 
 from .errors import DomainError
+from .special import _range_error
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,7 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
             acc = acc * p + (c << shift)
         return acc / (den << shift)
     except OverflowError:
-        raise DomainError(
-            f"degree-{len(coeffs) - 1} polynomial at w={w!r} is outside the float64 range "
-            "(largest finite double ~1.8e308)"
-        ) from None
-
-
-def _range_error(k: int, w: float) -> DomainError:
-    return DomainError(
-        f"E_{k} at w={w!r} is outside the float64 range (largest finite double ~1.8e308)"
-    )
+        raise _range_error(f"degree-{len(coeffs) - 1} polynomial at w={w!r}") from None
 
 
 def _m1_values(w: float) -> Iterator[float]:
@@ -163,7 +155,7 @@ def _m1_values(w: float) -> Iterator[float]:
             old, cur = cur, ((k << e + 1) - p) * cur - (k * (k - 1) << 2 * e) * old
             den = den * (k + 1) << e
     except OverflowError:
-        raise _range_error(k, w) from None
+        raise _range_error(f"E_{k} at w={w!r}") from None
 
 
 def _m1_partial_sums(w: float) -> Iterator[float]:
@@ -192,7 +184,7 @@ def _m1_partial_sums(w: float) -> Iterator[float]:
             old, cur = cur, (((2 * k - 1) << e) - p) * cur - ((k - 1) ** 2 << 2 * e) * old
             acc = (acc * k << e) + cur
     except OverflowError:
-        raise _range_error(k, w) from None
+        raise _range_error(f"E_{k} at w={w!r}") from None
 
 
 def _mhalf_values(w: float) -> Iterator[float]:
@@ -224,7 +216,7 @@ def _mhalf_values(w: float) -> Iterator[float]:
             )
             den = den * (k + 1) << e + 1
     except OverflowError:
-        raise _range_error(k, w) from None
+        raise _range_error(f"E_{k} at w={w!r}") from None
 
 
 def vk_coeffs_sum(alpha, k: int) -> Polynomial:

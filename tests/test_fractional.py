@@ -24,6 +24,23 @@ from fracbessel import fractional
 
 SQRT_PI = math.sqrt(math.pi)
 
+#: Any float, with extra weight on moderate magnitudes, where the sums and
+#: quadratures do their work; ``st.floats()`` alone rarely draws them.
+REALS = st.floats() | st.floats(-1e3, 1e3)
+
+
+def power_on(p, top):
+    """t^p on [0, top], inf where it overflows; a call outside fails the test."""
+
+    def f(t):
+        assert 0.0 <= t <= top, f"f called at t={t!r}, outside [0, {top!r}]"
+        try:
+            return t ** p
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    return f
+
 
 class TestRlIntegral:
     def test_constant(self):
@@ -57,6 +74,11 @@ class TestRlIntegral:
         with pytest.raises(ToleranceNotMet):
             rl_integral(lambda t: math.sin(40.0 * t) ** 2 / math.sqrt(t + 1e-12), -0.5,
                         BoundarySetup(0.0, 1.0))
+
+    def test_f_is_only_evaluated_on_the_interval(self):
+        # the rounded u^(1/p) passed x - a, so f was called at t = -4.4e-16
+        with pytest.raises(FracBesselError):
+            rl_integral(power_on(-1.0, 2.0), -0.5, BoundarySetup(0.0, 2.0))
 
     def test_range_overflow(self):
         # (x - a)^200 = 1e2000: the substituted range leaves float64
@@ -149,6 +171,13 @@ class TestRlDerivative:
             rl_derivative(lambda t: t, 200.5, BoundarySetup(0.0, 1.0))  # h^201 underflows
         with pytest.raises(DomainError, match="too small"):
             rl_derivative(lambda t: t, 0.5, BoundarySetup(0.0, 5e-324))  # the step h rounds to 0
+        with pytest.raises(DomainError, match="finite s"):
+            rl_derivative(lambda t: t, math.inf, BoundarySetup(0.0, 1.0))  # math.floor(inf) raised
+
+    def test_stencil_weight_overflow(self):
+        # C(1030, 515) is past float64: comb(n, i) * F(y) raised a raw OverflowError
+        with pytest.raises(DomainError, match="stencil weight C"):
+            rl_derivative(lambda t: 1.0, 1029.0, BoundarySetup(0.0, 1035.0))
 
 
 class TestExpRule:
@@ -327,3 +356,42 @@ class TestWholeDomain:
     @settings(max_examples=200, deadline=None)
     def test_power_rule(self, s, p, a, x):
         self._finite_or_rejected(lambda: power_rule(s, p, BoundarySetup(a, x)))
+
+    @given(p=REALS, s=REALS, x=REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_rl_integral(self, p, s, x):
+        self._finite_or_rejected(lambda: rl_integral(power_on(p, x), s, BoundarySetup(0.0, x)))
+
+    @given(p=REALS, s=REALS, x=REALS)
+    @settings(max_examples=60, deadline=None)
+    def test_rl_derivative(self, p, s, x):
+        # the central stencil evaluates f past x
+        self._finite_or_rejected(
+            lambda: rl_derivative(power_on(p, math.inf), s, BoundarySetup(0.0, x))
+        )
+
+    @given(
+        c=st.lists(REALS, min_size=1, max_size=4),
+        p=REALS,
+        s=REALS,
+        x=REALS,
+        n_terms=st.integers(-2, 10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_leibniz_series(self, c, p, s, x, n_terms):
+        # g = sum_i c_i y^i with its classical derivatives; f = t^p by the power rule
+        def derivative(j):
+            def g(y):
+                try:
+                    return sum(ci * math.perm(i, j) * y ** (i - j) for i, ci in enumerate(c) if i >= j)
+                except OverflowError:
+                    return math.inf
+
+            return g
+
+        g_derivs = [derivative(j) for j in range(len(c))]
+
+        def f_frac(order, y):
+            return power_rule(order, p, BoundarySetup(0.0, y))
+
+        self._finite_or_rejected(lambda: leibniz_series(g_derivs, f_frac, s, x, n_terms).value)

@@ -17,6 +17,7 @@ from fracbessel import (
     verify_m5a,
     verify_m5b,
 )
+from fracbessel import oracle
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -108,18 +109,28 @@ class TestM4A:
         with pytest.raises(DomainError):
             verify_m4a(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError, match="float64 range"):
-            verify_m4a(172.0, 1.0, 1.0)
+            verify_m4a(50.0, 0.01, 1.0)  # the lhs integrand's exponential overflows
 
     @pytest.mark.parametrize(
         "mu,beta,x",
         [
-            (162.0, 163.0, 160.0),  # the upper limit (x/2)^mu
-            (96.11562459018143, 3.159080858019146, 0.007024004158693277),  # t^(-2 mu)
+            (50.0, 8e7, 1e7),  # the upper limit (x/2)^mu
+            (50.0, 1.0, 0.001),  # t^(-2 mu)
         ],
     )
     def test_power_overflow_is_a_domain_error(self, mu, beta, x):
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4a(mu, beta, x)
+
+    def test_order_past_the_oracle_raises_before_any_quadrature(self, monkeypatch):
+        # K is evaluated first: mu - 1/2 = 161.5 is past the oracle's |s| <= 50
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the order check")
+
+        monkeypatch.setattr(oracle, "adaptive_quad", no_quadrature)
+        monkeypatch.setattr(oracle, "rl_integral", no_quadrature)
+        with pytest.raises(DomainError, match="k_oracle supports"):
+            verify_m4a(162.0, 163.0, 160.0)
 
     @pytest.mark.parametrize("verify", [verify_m4a, verify_m4b])
     @pytest.mark.parametrize(
@@ -144,13 +155,13 @@ class TestM4B:
 
     def test_domain(self):
         with pytest.raises(DomainError, match="float64 range"):
-            verify_m4b(172.0, 1.0, 1.0)  # the lhs integrand overflows
+            verify_m4b(50.0, 0.01, 1.0)  # the lhs integrand overflows
         with pytest.raises(DomainError):
-            verify_m4b(172.0, 1000.0, 1.0)  # finite lhs; Gamma(172) overflowed the rhs
+            verify_m4b(172.0, 1000.0, 1.0)  # the order 171.5 is past the oracle's |s| <= 50
 
     def test_power_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="float64 range"):
-            verify_m4b(463.5412579163402, 299.1327523582113, 0.4301187237146097)
+            verify_m4b(50.0, 1.0, 0.001)
 
 
 class TestM5A:

@@ -43,6 +43,10 @@ from fracbessel.truncation import STOP_RATIO, sum_with_policy
 #: default divergence heuristic (the policy is a public knob).
 EXPLORE = TruncationPolicy(max_terms=200, divergence_window=10**6)
 
+#: Any float, with extra weight on moderate magnitudes, where the series and
+#: the oracle do their work; ``st.floats()`` alone rarely draws them.
+REALS = st.floats() | st.floats(-1e3, 1e3)
+
 
 def k_half_integer_closed_form(m: int, z: float) -> float:
     """K_{m+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_{i<=m} (m+i)!/(i!(m-i)!(2z)^i).
@@ -576,6 +580,16 @@ class TestWholeDomain:
         assert isinstance(approx.value, float) and math.isfinite(approx.value)
         assert not (approx.converged and approx.diverging)
         assert approx.terms_used <= 60
+
+    @given(s=REALS, z=REALS)
+    @settings(max_examples=60, deadline=None)
+    def test_adjudicate_m10_one_record_or_rejected(self, s, z):
+        # per-point failures are recorded as NaN sides, so each point gives one record
+        try:
+            records = adjudicate_m10([OrderArg(s, z)])
+        except FracBesselError:
+            return
+        assert len(records) == 1 and records[0].identity_id == "M10_ADJ"
 
 
 class TestMetadataInvariants:

@@ -242,7 +242,39 @@ class TestDigamma:
                 digamma(x)
 
 
+#: Any float, with extra weight on moderate magnitudes, where the series do
+#: their work; ``st.floats()`` alone rarely draws them.
+REALS = st.floats() | st.floats(-1e3, 1e3)
+
+
 class TestWholeDomain:
+    @staticmethod
+    def _finite_or_rejected(fn, *args):
+        try:
+            value = fn(*args)
+        except FracBesselError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
+
+    @given(a=REALS, x=REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_lower_incomplete_gamma(self, a, x):
+        self._finite_or_rejected(lower_incomplete_gamma, a, x)
+
+    @given(x=REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_digamma(self, x):
+        self._finite_or_rejected(digamma, x)
+
+    @given(x=REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_gamma_log(self, x):
+        try:
+            lg = gamma_log(x)
+        except FracBesselError:
+            return
+        assert math.isfinite(lg.log_abs) and lg.sign in (1, -1)
+
     @given(a=st.floats(), k=st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
     def test_pochhammer_is_finite_or_rejected(self, a, k):
@@ -314,3 +346,15 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(0.5, math.nan)
         with pytest.raises(DomainError, match="float64 range"):
             lower_incomplete_gamma(200.5, 300.0)  # ~Gamma(200.5) ~ 1e373
+
+    @pytest.mark.parametrize(
+        "a,x",
+        [
+            (3.0, 800.0),  # the partial sum overflowed, the cutoff passed against inf: NaN
+            (-0.5, 900.0),
+            (172.0, 300.0),  # finite factors whose product overflowed: inf
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, a, x):
+        with pytest.raises(DomainError, match="float64 range"):
+            lower_incomplete_gamma(a, x)
