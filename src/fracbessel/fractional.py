@@ -33,7 +33,7 @@ from .special import (
     gen_binomial,
     lower_incomplete_gamma,
 )
-from .truncation import STOP_RATIO, SeriesApproximation
+from .truncation import SeriesApproximation, TruncationPolicy, _term_count, sum_with_policy
 
 RealFunction = Callable[[float], float]
 
@@ -270,31 +270,19 @@ def leibniz_series(
 
     ``g_derivs[j]`` evaluates the j-th classical derivative of g;
     ``f_frac(order, x)`` evaluates the order-``order`` differintegral of f.
-    If fewer than n_terms + 1 evaluators are supplied the sum terminates
-    there (the remaining classical derivatives are taken to vanish, as for
-    polynomial g), which counts as convergence.  A term or sum outside the
-    float64 range, NaN included, raises ``DomainError``.
+    Terms are evaluated lazily and stop like every sum (``sum_with_policy``):
+    at ``STOP_RUN`` negligible terms in a row (converged), or at j = n_terms
+    (budget; never diverging).  Fewer evaluators end the sum early (the
+    remaining derivatives vanish, as for polynomial g), which counts as
+    convergence.  A term or sum outside float64, NaN included, or an
+    ``n_terms`` that is not an integer >= 1 raises ``DomainError``.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be a positive integer")
+    n_terms = _term_count(n_terms, "n_terms")
     if not g_derivs:
         raise DomainError("need at least one derivative evaluator for g")
-    j_stop = min(n_terms, len(g_derivs) - 1)
-    terms = [
+    terms = (
         _in_range(gen_binomial(s, j) * f_frac(s - j, x) * g_derivs[j](x))
-        for j in range(j_stop + 1)
-    ]
-    try:
-        value = math.fsum(terms)
-    except OverflowError:  # finite terms whose exact sum leaves the float64 range
-        raise _range_error("Leibniz sum") from None
-    terminated = j_stop < n_terms
-    last = 0.0 if terminated else abs(terms[-1])
-    converged = terminated or last <= STOP_RATIO * max(abs(value), 1e-300)
-    return SeriesApproximation(
-        value=value,
-        terms_used=j_stop + 1,
-        last_term_abs=last,
-        converged=converged,
-        diverging=False,
+        for j in range(min(n_terms, len(g_derivs) - 1) + 1)
     )
+    # n_terms + 1 terms hold at most n_terms increases: the window never trips
+    return sum_with_policy(terms, TruncationPolicy(n_terms + 1, n_terms + 1))

@@ -38,7 +38,7 @@ _PRODUCT_MAX = 64
 _STIRLING_MIN = 10.0
 _STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
-#: Continuation series for the lower incomplete gamma: term cutoff and cap.
+#: Lower incomplete gamma, series and continued fraction alike: cutoff and cap.
 _LIG_REL_CUTOFF = 1e-16
 _LIG_MAX_TERMS = 500
 
@@ -258,19 +258,28 @@ def digamma(x: float) -> float:
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """gamma(a, x), continued to negative non-integer a.
 
-    Evaluated through the cancellation-free series
+    For x <= max(a, 0) + 1, evaluated through the cancellation-free series
 
         gamma(a, x) = x^a e^{-x} sum_{n>=0} x^n / (a (a+1) ... (a+n)),
 
     which agrees with ``int_0^x t^{a-1} e^{-t} dt`` for a > 0 and with the
     analytic continuation ``x^a sum (-x)^n / (n! (a+n))`` for negative
-    non-integer a.  Terms stop once |term| < 1e-16 * |partial sum|; a hard
-    cap of 500 terms guards pathological inputs.  A partial sum or result
-    outside the float64 range raises ``DomainError``.
+    non-integer a.  Past that the series needs about x terms, so there
+    gamma(a, x) = Gamma(a) - Gamma(a, x), with the continued fraction of
+    DLMF 8.9.2
+
+        Gamma(a, x) = e^{-x} x^a / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)).
+
+    Either stops once a step changes the result by less than 1e-16 of it,
+    and raises ``ToleranceNotMet`` after 500 steps.  A result outside the
+    float64 range, Gamma(a) included, raises ``DomainError``.
     """
     if not x > 0:
         raise DomainError(f"lower_incomplete_gamma requires x > 0, got {x!r}")
     _check_pole(a)
+    if x > max(a, 0.0) + 1.0:
+        lg = gamma_log(a)
+        return _in_range(lg.sign * _guarded_exp(lg.log_abs) - _upper_incomplete_gamma_cf(a, x))
     term = 1.0 / a
     total = term
     for n in range(1, _LIG_MAX_TERMS):
@@ -279,12 +288,26 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
         if abs(term) < _LIG_REL_CUTOFF * abs(total):
             break
     else:
-        raise ToleranceNotMet(
-            f"incomplete-gamma series did not settle within {_LIG_MAX_TERMS} terms "
-            f"(a={a!r}, x={x!r})",
-            estimate=abs(term),
-        )
-    if not math.isfinite(total):  # the cutoff test passes against an infinite sum
-        raise _range_error(f"incomplete-gamma partial sum at a={a!r}, x={x!r}")
+        raise ToleranceNotMet(f"incomplete-gamma series did not settle within {_LIG_MAX_TERMS} "
+                              f"terms (a={a!r}, x={x!r})", estimate=abs(term))
     return _in_range(_guarded_exp(a * math.log(x) - x) * total)
 
+
+def _upper_incomplete_gamma_cf(a: float, x: float) -> float:
+    """Gamma(a, x) for x > max(a, 0) + 1, by modified Lentz on DLMF 8.9.2."""
+    tiny = 1e-300  # stands in for a zero denominator
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for n in range(1, _LIG_MAX_TERMS):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= c * d
+        if abs(c * d - 1.0) < _LIG_REL_CUTOFF:
+            return _guarded_exp(a * math.log(x) - x) * h
+    raise ToleranceNotMet(f"incomplete-gamma continued fraction did not settle within "
+                          f"{_LIG_MAX_TERMS} steps (a={a!r}, x={x!r})", estimate=abs(c * d - 1.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -15,14 +16,22 @@ STOP_RATIO = 1e-14
 STOP_RUN = 3
 
 
+def _term_count(value: int, name: str) -> int:
+    """``value`` if it is an integer >= 1, else ``DomainError``; a float (inf, NaN) never is."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """When to stop summing a series.
+    """The two adjustable stops of ``sum_with_policy``, integers >= 1.
 
-    Convergence is fixed (``STOP_RATIO`` over ``STOP_RUN`` terms, 1e-14
-    over 3); divergence is declared after ``divergence_window`` successive
-    strict increases of |term|.  ``max_terms`` bounds the work either way.
-    Divergence here is a heuristic label, not a theorem: series whose term
+    Divergence is a heuristic label, not a theorem: series whose term
     magnitudes ride a slowly drifting oscillation can trip it while still
     summing to the right value.  Callers probing such tails should pass a
     wider window.
@@ -32,9 +41,8 @@ class TruncationPolicy:
     divergence_window: int = 5
 
     def __post_init__(self):
-        # negated, so a NaN, which would switch the budget off, is rejected
-        if not (self.max_terms > 0 and self.divergence_window > 0):
-            raise DomainError("max_terms and divergence_window must be positive")
+        _term_count(self.max_terms, "max_terms")
+        _term_count(self.divergence_window, "divergence_window")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -66,63 +74,43 @@ def sum_with_policy(
 ) -> SeriesApproximation:
     """Accumulate ``terms`` under ``policy`` and return value = scale * sum.
 
-    The iterator yields bare bracket terms; exhausting it before
-    ``max_terms`` signals structural termination (a zero tail) and counts
-    as convergence.  Accumulation is exact (math.fsum over all terms).  A
-    value outside the float64 range raises ``DomainError``.
+    The sum stops at the first of: ``STOP_RUN`` terms in a row with
+    |term| <= STOP_RATIO * |partial sum| (converged; fixed),
+    ``divergence_window`` strict increases of |term| in a row (diverging),
+    or ``max_terms`` terms (budget, neither flag).  A stream that runs out
+    inside the budget has terminated (a zero tail), which counts as
+    convergence; no term past the budget is evaluated, so a stream that
+    ends exactly at ``max_terms`` reads as budget.  Accumulation is exact
+    (math.fsum).  A value outside the float64 range raises ``DomainError``.
     """
     collected: list[float] = []
     running = 0.0
-    small_streak = 0
-    grow_streak = 0
-    prev_abs: float | None = None
-    converged = False
-    diverging = False
-    terminated = True
-
+    small = grow = 0
+    prev = math.inf  # so the first term is never an increase
+    terminated = False
     for t in terms:
-        terminated = False
         collected.append(t)
         running += t
         mag = abs(t)
-        if running == 0.0:
-            # no scale to compare against (e.g. a run of structurally zero
-            # leading terms): neither evidence for nor against convergence
-            pass
-        elif mag <= STOP_RATIO * abs(running):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if prev_abs is not None and mag > prev_abs:
-            grow_streak += 1
-        else:
-            grow_streak = 0
-        prev_abs = mag
-        if small_streak >= STOP_RUN:
-            converged = True
+        if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
+            small = small + 1 if mag <= STOP_RATIO * abs(running) else 0
+        grow = grow + 1 if mag > prev else 0
+        prev = mag
+        if small >= STOP_RUN or grow >= policy.divergence_window or len(collected) >= policy.max_terms:
             break
-        if grow_streak >= policy.divergence_window:
-            diverging = True
-            break
-        if len(collected) >= policy.max_terms:
-            break
+    else:
         terminated = True
-    if terminated:
-        converged = True
+    converged = terminated or small >= STOP_RUN
+    diverging = not converged and grow >= policy.divergence_window
 
     try:
         total = math.fsum(collected)
     except OverflowError:  # finite terms whose exact sum is past the float64 range
         total = math.inf
-    value = _in_range(scale * total)
-    if terminated or not collected:
-        last_abs = 0.0
-    else:
-        last_abs = abs(scale) * abs(collected[-1])
     return SeriesApproximation(
-        value=value,
+        value=_in_range(scale * total),
         terms_used=len(collected),
-        last_term_abs=last_abs,
+        last_term_abs=0.0 if terminated else abs(scale) * abs(collected[-1]),
         converged=converged,
         diverging=diverging,
     )

@@ -7,6 +7,8 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbessel import DomainError, ToleranceNotMet, cli
 from fracbessel.cli import CSV_FIELDS, main
@@ -348,3 +350,55 @@ class TestParserReuse:
         assert parser is not cli._PARSER
         args = parser.parse_args(["eval", "--s", "0.5", "--z", "1"])
         assert (args.s, args.z, args.method, args.func) == (0.5, 1.0, "rearranged", cli._cmd_eval)
+
+
+#: Any float, nan, +-inf, subnormals and huge values included, with extra
+#: weight on the moderate positive values where points are evaluated.
+FLOATS = st.floats() | st.floats(0.0, 10.0)
+NUMBER = FLOATS.map(repr)
+NUMBER_LIST = st.lists(NUMBER, min_size=1, max_size=2).map(",".join)
+MAX_TERMS = st.integers(-2, 300).map(str)
+
+
+def _flag(name):
+    return st.booleans().map(lambda on: [name] if on else [])
+
+
+@st.composite
+def _range(draw):
+    """lo:hi:step making at most a handful of points when it is well formed."""
+    lo, step = draw(FLOATS), draw(FLOATS)
+    hi = lo + draw(st.integers(-1, 2)) * step
+    return f"{lo!r}:{hi!r}:{step!r}"
+
+
+#: argv of the four commands; ``table`` still needs its ``--out``.
+ARGV = (
+    st.tuples(NUMBER, NUMBER, st.sampled_from(cli._METHODS), MAX_TERMS,
+              st.sampled_from([[], ["--json"], ["--csv"]])).map(
+        lambda a: ["eval", f"--s={a[0]}", f"--z={a[1]}", f"--method={a[2]}", f"--max-terms={a[3]}", *a[4]])
+    | st.tuples(NUMBER_LIST, NUMBER_LIST, st.lists(st.sampled_from(cli._METHODS), min_size=1, max_size=2),
+                MAX_TERMS, _flag("--with-oracle"), _flag("--json")).map(
+        lambda a: ["table", f"--s-list={a[0]}", f"--z-list={a[1]}", f"--methods={','.join(a[2])}",
+                   f"--max-terms={a[3]}", *a[4], *a[5]])
+    | st.tuples(_range(), _range(), MAX_TERMS).map(
+        lambda a: ["converge", f"--s-range={a[0]}", f"--z-range={a[1]}", f"--max-terms={a[2]}"])
+    | st.tuples(st.sampled_from(["m4a", "m4b", "m5a", "m5b", "m10", "all"]), NUMBER, _flag("--json")).map(
+        lambda a: ["verify", f"--identity={a[0]}", f"--tol={a[1]}", *a[2]])
+)
+
+
+class TestWholeDomain:
+    """Any argv of the four commands: an exit code of the contract, never a raw error."""
+
+    @pytest.fixture(scope="class")
+    def out_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli") / "table.out"
+
+    @given(argv=ARGV)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_of_the_contract(self, out_path, argv):
+        if argv[0] == "table":
+            argv = [*argv, f"--out={out_path}"]
+        code, _, _ = run(*argv)
+        assert code in (0, 1, 2)

@@ -208,6 +208,17 @@ class TestExpRule:
         )
         assert exp_rule(s, beta, x) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "s,beta,x,expected",
+        [
+            (-2.0, 1.0, 400.0, 5.221469689764144e173),  # mpmath
+            (0.5, 1.0, 450.0, 2.7071782767869983e195),
+        ],
+    )
+    def test_large_argument(self, s, beta, x, expected):
+        # the incomplete gamma at beta x = 400, 450 comes from its continued fraction
+        assert exp_rule(s, beta, x) == pytest.approx(expected, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             exp_rule(0.5, -1.0, 1.0)  # beta x < 0 with non-integer order
@@ -315,6 +326,34 @@ class TestLeibniz:
             leibniz_series([], lambda o, x: 0.0, 0.5, 1.0, 3)
         with pytest.raises(DomainError):
             leibniz_series([lambda x: 1.0], lambda o, x: 0.0, 0.5, 1.0, 0)
+        g_derivs = [lambda x: 1.0] * 10
+        for bad in (math.inf, 2.5):
+            with pytest.raises(DomainError, match="integer"):
+                leibniz_series(g_derivs, lambda o, x: 0.0, 0.5, 1.0, bad)
+
+    def test_stops_once_converged(self):
+        # f = t^0.5, g = e^t: every g-derivative is available, and the sum
+        # stops on STOP_RUN negligible terms instead of running to j = 60
+        s, x = -0.4, 1.2
+        calls = []
+
+        def f_frac(order, y):
+            calls.append(order)
+            return power_rule(order, 0.5, BoundarySetup(0.0, y))
+
+        approx = leibniz_series([math.exp] * 61, f_frac, s, x, 60)
+        ref = rl_integral(lambda t: math.sqrt(t) * math.exp(t), s, BoundarySetup(0.0, x))
+        assert approx.value == pytest.approx(ref, rel=1e-12)
+        assert approx.converged and not approx.diverging
+        assert len(calls) == approx.terms_used < 61
+
+    def test_cut_at_n_terms_is_budget(self):
+        # g = e^{2y}, d^j g = 2^j e^{2y}: at j = 4 the terms are still large
+        g_derivs = [lambda y, j=j: 2.0 ** j * math.exp(2.0 * y) for j in range(10)]
+        f_frac = lambda order, y: power_rule(order, 0.5, BoundarySetup(0.0, y))
+        approx = leibniz_series(g_derivs, f_frac, 0.7, 3.0, 4)
+        assert approx.terms_used == 5
+        assert not approx.converged and not approx.diverging
 
     @pytest.mark.parametrize(
         "g_derivs,f_frac",

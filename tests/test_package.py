@@ -1,6 +1,9 @@
-"""The package's export list matches what ``fracbessel/__init__.py`` binds."""
+"""The package's export list matches what ``fracbessel/__init__.py`` binds, and
+the package carries no unused import and no private definition nothing names."""
 
+import ast
 import types
+from pathlib import Path
 
 import fracbessel
 
@@ -18,3 +21,54 @@ def test_every_public_name_is_listed():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert public == set(fracbessel.__all__)
+
+
+# --- dead code: the checks a linter would make, on the ast alone ---------------
+
+SRC = Path(fracbessel.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree):
+    """Every name the module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_import_is_read():
+    for module, tree in _trees().items():
+        if module == "__init__.py":  # its imports are the package's exports
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in read, f"{module}:{node.lineno} imports {bound} and never reads it"
+
+
+def test_every_private_definition_is_named_elsewhere():
+    trees = _trees()
+    named = set().union(*(_read_names(tree) for tree in trees.values()))
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name in named, f"{module}:{node.lineno} defines {name} and nothing names it"

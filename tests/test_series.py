@@ -524,6 +524,21 @@ class TestTruncationEngine:
             TruncationPolicy(max_terms=math.nan)
         with pytest.raises(DomainError):
             TruncationPolicy(divergence_window=math.nan)
+        # an infinite budget never stops a convergent-looking slow sum
+        for bad in (math.inf, 2.5):
+            with pytest.raises(DomainError, match="integer"):
+                TruncationPolicy(max_terms=bad)
+            with pytest.raises(DomainError, match="integer"):
+                TruncationPolicy(divergence_window=bad)
+
+    def test_stream_ending_at_the_budget_reads_as_budget(self):
+        # no term past max_terms is evaluated, so the end of the stream is not seen
+        approx = sum_with_policy(iter([1.0, 2.0, 3.0]), TruncationPolicy(max_terms=3))
+        assert not approx.converged and not approx.diverging
+        assert approx.last_term_abs == 3.0
+        approx = k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=3))
+        assert approx.terms_used == 3 and not approx.converged
+        assert k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=4)).converged
 
 
 class TestAdjudication:

@@ -350,11 +350,30 @@ class TestLowerIncompleteGamma:
     @pytest.mark.parametrize(
         "a,x",
         [
-            (3.0, 800.0),  # the partial sum overflowed, the cutoff passed against inf: NaN
-            (-0.5, 900.0),
-            (172.0, 300.0),  # finite factors whose product overflowed: inf
+            (172.0, 300.0),  # Gamma(172) ~ 1.2e309 overflows
         ],
     )
     def test_overflow_is_a_domain_error(self, a, x):
         with pytest.raises(DomainError, match="float64 range"):
             lower_incomplete_gamma(a, x)
+
+    @pytest.mark.parametrize(
+        "a,x,expected",
+        [
+            (0.5, 720.0, SQRT_PI),  # the series would need more than 500 terms
+            (3.0, 800.0, 2.0),  # the series' partial sums pass 1e308
+            (0.5, 1000.0, SQRT_PI),
+            (-0.5, 900.0, -2.0 * SQRT_PI),
+        ],
+    )
+    def test_large_x_saturates_to_gamma(self, a, x, expected):
+        assert lower_incomplete_gamma(a, x) == pytest.approx(expected, rel=1e-14)
+
+    def test_continued_fraction_against_mpmath(self):
+        # x > max(a, 0) + 1 takes Gamma(a) - Gamma(a, x); the first x of
+        # each row sits just past the switch, where the two cancel most
+        for a in (-5.5, -2.5, -0.5, 0.3, 2.0, 7.5, 20.0, 50.0):
+            for x in (max(a, 0.0) + 1.0 + 1e-9, max(a, 0.0) + 3.0, 2.0 * abs(a) + 10.0, 400.0):
+                with mpmath.workdps(50):
+                    ref = float(mpmath.gamma(a) - mpmath.gammainc(a, x))
+                assert lower_incomplete_gamma(a, x) == pytest.approx(ref, rel=2e-14), (a, x)
