@@ -4,7 +4,7 @@ The order-s differintegral of f with boundary point a is, for s < 0,
 
     d^s f(x) = (1/Gamma(-s)) int_a^x (x - t)^{-s-1} f(t) dt,
 
-extended to s >= 0 by composing n classical derivatives with an order
+extended to 0 <= s < 4 by composing n classical derivatives with an order
 (s - n) integral, n = floor(s) + 1.  Closed forms for power, exponential
 and logarithm act as the fast path; the quadrature route stays available
 as an independent cross-check.
@@ -37,18 +37,16 @@ from .truncation import SeriesApproximation, TruncationPolicy, _term_count, sum_
 
 RealFunction = Callable[[float], float]
 
-#: Assumed noise floor of the inner quadrature, used to balance the
-#: finite-difference step of the composition derivative.
-_FD_NOISE = 1e-13
-
 #: Tolerances and subdivision budget of every adaptive quadrature.
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-14
 QUAD_MAX_SUBDIVISIONS = 2000
 
-#: Largest stencil order n of ``rl_derivative`` whose weights C(n, i) are
-#: all doubles: C(1029, 514) ~ 1.4e308, C(1030, 515) overflows.
-_STENCIL_MAX_N = 1029
+#: Tolerances the inner integrals of ``rl_derivative`` are asked for, tighter
+#: than the defaults because its stencil amplifies their noise by h^-n; the
+#: step h balances that noise against the stencil's O(h^2) truncation.
+_STENCIL_REL_TOL = 1e-13
+_STENCIL_ABS_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,16 @@ def adaptive_quad(
     request_rel: float | None = None,
     request_abs: float | None = None,
 ) -> float:
-    """scipy quad within ``QUAD_MAX_SUBDIVISIONS``; ToleranceNotMet if the
-    error estimate misses ``QUAD_REL_TOL`` / ``QUAD_ABS_TOL``, and
+    """scipy quad within ``QUAD_MAX_SUBDIVISIONS`` at ``QUAD_REL_TOL`` /
+    ``QUAD_ABS_TOL``; ``ToleranceNotMet`` whenever QUADPACK reports trouble
+    (budget spent, roundoff, a probably divergent integral), and
     ``DomainError`` if the value is not finite (an integrand near the top
     of the float64 range can overflow the quadrature's sums to NaN).
 
     ``request_*`` let callers ask the integrator for more accuracy than the
-    gate enforces (used by finite-difference stencils, which amplify noise).
-    With ``full_output=1`` scipy returns its message as a fourth output
-    instead of warning, so no warning filter is needed.
+    defaults (used by finite-difference stencils, which amplify noise).
+    With ``full_output=1`` scipy returns QUADPACK's message as a fourth
+    output instead of warning, so no warning filter is needed.
     """
     out = quad(
         fn,
@@ -89,15 +88,12 @@ def adaptive_quad(
         limit=QUAD_MAX_SUBDIVISIONS,
         full_output=1,
     )
-    value, abserr = out[0], out[1]
-    trouble = len(out) > 3
-    if trouble and abserr > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
+    if len(out) > 3:
         raise ToleranceNotMet(
-            f"quadrature error estimate {abserr:.3e} exceeds requested tolerance "
-            f"(abs={QUAD_ABS_TOL:.1e}, rel={QUAD_REL_TOL:.1e}): {out[3]}",
-            estimate=abserr,
+            f"quadrature reported trouble (error estimate {out[1]:.3e}): {out[3]}",
+            estimate=out[1],
         )
-    return _in_range(value)
+    return _in_range(out[0])
 
 
 def rl_integral(
@@ -138,45 +134,34 @@ def rl_integral(
     return _in_range(raw / p * lg.sign * math.exp(-lg.log_abs))
 
 
-def _fd_step(n: int, scale: float) -> float:
-    # balances O(h^2) truncation against quadrature noise amplified by h^-n
-    return _FD_NOISE ** (1.0 / (n + 2)) * max(1.0, scale)
-
-
-def rl_derivative(
-    f: RealFunction,
-    s: float,
-    bounds: BoundarySetup,
-    n: int | None = None,
-) -> float:
-    """Order-s derivative (s >= 0) via n classical derivatives of an order
-    (s - n) integral, n = floor(s) + 1 by default.
+def rl_derivative(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
+    """Order-s derivative, 0 <= s < 4, via n = floor(s) + 1 classical
+    derivatives of an order (s - n) integral.
 
     The classical derivatives are taken by an (n+1)-point central stencil on
     F(y) = rl_integral(f, s - n, (a, y)); accuracy is O(h^2) plus quadrature
-    noise amplified by h^-n, with h chosen to balance the two.  The result
-    is independent of the choice of n within that combined tolerance.  The
-    stencil reaches past x, so f is evaluated on (a, x + n h / 2].  A
-    non-finite s, a step h that rounds to 0, or a stencil weight C(n, i),
-    h^-n or result outside the float64 range raises ``DomainError``.
+    noise amplified by h^-n, with h chosen to balance the two.  The noise
+    grows with n, so orders s >= 4 are refused: past n = 4 the error for
+    f = t on [0, 1] is 6.4e-4 at s = 4.5 and 1.4e-2 at s = 6.5.  Below that
+    it is about 1e-4 at s = 3.5 on [0, 1], but up to 4e-3 on short
+    intervals such as [0, 0.2].  The stencil reaches past x, so f is
+    evaluated on (a, x + n h / 2].  An order outside [0, 4), a step h that
+    rounds to 0, or h^-n or a result outside the float64 range raises
+    ``DomainError``.
     """
-    if not 0 <= s < math.inf:
-        raise DomainError(f"rl_derivative requires finite s >= 0, got s={s!r} (use rl_integral)")
-    if n is None:
-        n = math.floor(s) + 1
-    if n <= s:
-        raise DomainError(f"need n > s for the composition, got n={n!r}, s={s!r}")
-    if n > _STENCIL_MAX_N:
-        raise _range_error(f"stencil weight C({n}, {n // 2})")
+    if not 0 <= s < 4:
+        raise DomainError(f"rl_derivative requires 0 <= s < 4, got s={s!r} (use rl_integral for s < 0)")
+    n = math.floor(s) + 1
     a, x = bounds.a, bounds.x
     order = s - n
-    h = min(_fd_step(n, abs(x - a)), (x - a) / (2.0 * n))
+    h = min(_STENCIL_REL_TOL ** (1.0 / (n + 2)) * max(1.0, x - a), (x - a) / (2.0 * n))
     if not h > 0:
         raise DomainError(f"x - a = {x - a!r} is too small for an order-{n} stencil")
-    inv_scale = _guarded_exp(-n * math.log(h))  # h^-n; overflows for large n
+    inv_scale = _guarded_exp(-n * math.log(h))  # h^-n; overflows on tiny intervals
 
     def F(y: float) -> float:
-        return rl_integral(f, order, BoundarySetup(a, y), _request_rel=1e-13, _request_abs=1e-15)
+        return rl_integral(f, order, BoundarySetup(a, y),
+                           _request_rel=_STENCIL_REL_TOL, _request_abs=_STENCIL_ABS_TOL)
 
     acc = 0.0
     for i in range(n + 1):

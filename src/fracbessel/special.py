@@ -272,7 +272,8 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
 
     Either stops once a step changes the result by less than 1e-16 of it,
     and raises ``ToleranceNotMet`` after 500 steps.  A result outside the
-    float64 range, Gamma(a) included, raises ``DomainError``.
+    float64 range, Gamma(a) included, raises ``DomainError``; for a > 0 the
+    series' first term is a lower bound, so that is decided before summing.
     """
     if not x > 0:
         raise DomainError(f"lower_incomplete_gamma requires x > 0, got {x!r}")
@@ -280,6 +281,11 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     if x > max(a, 0.0) + 1.0:
         lg = gamma_log(a)
         return _in_range(lg.sign * _guarded_exp(lg.log_abs) - _upper_incomplete_gamma_cf(a, x))
+    log_prefactor = a * math.log(x) - x
+    if a > 0:
+        # every term is positive, so the first, x^a e^{-x} / a, bounds the sum
+        # from below: past float64 it raises here, not at the term cap
+        _guarded_exp(log_prefactor - math.log(a))
     term = 1.0 / a
     total = term
     for n in range(1, _LIG_MAX_TERMS):
@@ -290,7 +296,7 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     else:
         raise ToleranceNotMet(f"incomplete-gamma series did not settle within {_LIG_MAX_TERMS} "
                               f"terms (a={a!r}, x={x!r})", estimate=abs(term))
-    return _in_range(_guarded_exp(a * math.log(x) - x) * total)
+    return _in_range(_guarded_exp(log_prefactor) * total)
 
 
 def _upper_incomplete_gamma_cf(a: float, x: float) -> float:

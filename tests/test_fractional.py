@@ -75,6 +75,12 @@ class TestRlIntegral:
             rl_integral(lambda t: math.sin(40.0 * t) ** 2 / math.sqrt(t + 1e-12), -0.5,
                         BoundarySetup(0.0, 1.0))
 
+    def test_divergent_integral_raises(self):
+        # int_0^1 (1-t)^{-1/2} t^{-1.2} dt diverges at t = 0; QUADPACK says
+        # "probably divergent" although its error estimate (1.4e-9) is small
+        with pytest.raises(ToleranceNotMet, match="divergent"):
+            rl_integral(lambda t: t ** -1.2, -0.5, BoundarySetup(0.0, 1.0))
+
     def test_f_is_only_evaluated_on_the_interval(self):
         # the rounded u^(1/p) passed x - a, so f was called at t = -4.4e-16
         with pytest.raises(FracBesselError):
@@ -149,35 +155,46 @@ class TestRlDerivative:
         got = rl_derivative(math.exp, 0.5, BoundarySetup(0.0, 1.0))
         assert got == pytest.approx(exp_rule(0.5, 1.0, 1.0), rel=1e-7)
 
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.5, 3.5, 3.9])
+    @pytest.mark.parametrize("top", [1.0, 2.5])
+    def test_accuracy_over_the_accepted_orders(self, s, top):
+        # one stencil order per integer part of s, up to n = 4: worst measured 9e-5
+        bounds = BoundarySetup(0.0, top)
+        for f, exact in [
+            (lambda t: t, power_rule(s, 1.0, bounds)),
+            (lambda t: t ** 2.7, power_rule(s, 2.7, bounds)),
+            (math.exp, exp_rule(s, 1.0, top)),
+        ]:
+            assert rl_derivative(f, s, bounds) == pytest.approx(exact, rel=1e-4)
+
     @pytest.mark.parametrize("s", [0.3, 0.7, 1.4])
     def test_composition_independence(self, s):
-        # the result must not depend on how far the order is lifted
+        # D^{s+1}[t^3/3] = D^s[t^2]: the same value through stencils of
+        # orders n and n + 1
         bounds = BoundarySetup(0.0, 1.5)
-        n0 = math.floor(s) + 1
-        a = rl_derivative(lambda t: t * t, s, bounds, n=n0)
-        b = rl_derivative(lambda t: t * t, s, bounds, n=n0 + 1)
-        assert a == pytest.approx(b, rel=1e-4)
-        # and the default-n value agrees with the power rule
-        assert a == pytest.approx(power_rule(s, 2.0, bounds), rel=1e-5)
+        lifted = rl_derivative(lambda t: t ** 3 / 3.0, s + 1.0, bounds)
+        direct = rl_derivative(lambda t: t * t, s, bounds)
+        assert lifted == pytest.approx(direct, rel=1e-6)
+        assert direct == pytest.approx(power_rule(s, 2.0, bounds), rel=1e-5)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             rl_derivative(lambda t: t, -0.5, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError):
-            rl_derivative(lambda t: t, 1.5, BoundarySetup(0.0, 1.0), n=1)
-        with pytest.raises(DomainError):
             rl_derivative(lambda t: t, math.nan, BoundarySetup(0.0, 1.0))
         with pytest.raises(DomainError, match="float64 range"):
-            rl_derivative(lambda t: t, 200.5, BoundarySetup(0.0, 1.0))  # h^201 underflows
+            rl_derivative(lambda t: t, 3.5, BoundarySetup(0.0, 1e-100))  # h^-4 overflows
         with pytest.raises(DomainError, match="too small"):
             rl_derivative(lambda t: t, 0.5, BoundarySetup(0.0, 5e-324))  # the step h rounds to 0
-        with pytest.raises(DomainError, match="finite s"):
+        with pytest.raises(DomainError, match="s < 4"):
             rl_derivative(lambda t: t, math.inf, BoundarySetup(0.0, 1.0))  # math.floor(inf) raised
 
-    def test_stencil_weight_overflow(self):
-        # C(1030, 515) is past float64: comb(n, i) * F(y) raised a raw OverflowError
-        with pytest.raises(DomainError, match="stencil weight C"):
-            rl_derivative(lambda t: 1.0, 1029.0, BoundarySetup(0.0, 1035.0))
+    @pytest.mark.parametrize("s", [4.0, 4.5, 200.5, 1029.0])
+    def test_refuses_orders_from_four(self, s):
+        # past n = 4 the amplified quadrature noise dominates (1.4e-2 at s = 6.5
+        # for f = t); at 200.5 and 1029, h^-n or the weights C(n, i) would leave float64
+        with pytest.raises(DomainError, match=r"0 <= s < 4"):
+            rl_derivative(lambda t: t, s, BoundarySetup(0.0, 1.0))
 
 
 class TestExpRule:

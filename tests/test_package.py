@@ -1,9 +1,14 @@
-"""The package's export list matches what ``fracbessel/__init__.py`` binds, and
-the package carries no unused import and no private definition nothing names."""
+"""The package's export list matches what ``fracbessel/__init__.py`` binds,
+the package carries no unused import and no private definition nothing names,
+and its declared dependencies are exactly the third-party packages it imports."""
 
 import ast
+import re
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import fracbessel
 
@@ -72,3 +77,19 @@ def test_every_private_definition_is_named_elsewhere():
             for name in defined:
                 if name.startswith("_") and not name.startswith("__"):
                     assert name in named, f"{module}:{node.lineno} defines {name} and nothing names it"
+
+
+def test_declared_dependencies_match_the_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
+    imported = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert declared == third_party, f"declared {sorted(declared)}, imported {sorted(third_party)}"

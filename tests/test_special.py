@@ -15,6 +15,7 @@ from fracbessel import (
     FracBesselError,
     PoleError,
     digamma,
+    exp_rule,
     gamma_log,
     gen_binomial,
     lower_incomplete_gamma,
@@ -356,6 +357,14 @@ class TestLowerIncompleteGamma:
     def test_overflow_is_a_domain_error(self, a, x):
         with pytest.raises(DomainError, match="float64 range"):
             lower_incomplete_gamma(a, x)
+
+    def test_series_past_float64_is_refused_before_summing(self):
+        # about Gamma(1e4)/2: the series needs ~sqrt(74 a) terms here and
+        # raised ToleranceNotMet at its 500-term cap instead
+        with pytest.raises(DomainError, match="float64 range"):
+            lower_incomplete_gamma(1e4, 1e4)
+        with pytest.raises(DomainError, match="float64 range"):
+            exp_rule(-1e4, 1.0, 1e4)
 
     @pytest.mark.parametrize(
         "a,x,expected",
