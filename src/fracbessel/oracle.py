@@ -4,14 +4,16 @@ The oracle is the cosh-kernel integral representation
 
     K_s(z) = int_0^inf exp(-z cosh t) cosh(s t) dt,   z > 0,
 
-evaluated by adaptive quadrature with an explicit tail cut.  It shares no
-code or algebra with the series evaluators, so a bug cannot validate
-itself.  The verify_* operations quadrature both sides of the library's
-catalogued integral identities (IDs M4A, M4B, M5A, M5B) and return
-structured deviation records; M5B is measured under both plausible readings
-of its K argument rather than assuming either.  Each evaluates K first, so
-an order the oracle refuses raises before any left-hand-side quadrature
-runs.
+evaluated by the trapezoidal rule on the integrand scaled by its peak, with
+an explicit tail cut.  The integrand decays double-exponentially, so the
+rule converges exponentially in the number of nodes (Trefethen & Weideman,
+SIAM Rev. 56, 2014).  It shares no code or algebra with the series
+evaluators, so a bug cannot validate itself.  The verify_* operations
+quadrature both sides of the library's catalogued integral identities (IDs
+M4A, M4B, M5A, M5B) and return structured deviation records; M5B is
+measured under both plausible readings of its K argument rather than
+assuming either.  Each evaluates K first, so an order the oracle refuses
+raises before any left-hand-side quadrature runs.
 """
 
 from __future__ import annotations
@@ -19,17 +21,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, ToleranceNotMet
 from .fractional import BoundarySetup, adaptive_quad, rl_integral
 from .special import _guarded_exp, _in_range, _range_error
 
 _TINY = 1e-300
 
-#: exp underflow margin for the tail cut of the oracle integrand.
-_EXP_UNDERFLOW = 745.0
-
-#: Largest tail cut T; cosh(T) stays inside the float64 range.
+#: Largest tail cut T; sinh(T) stays inside the float64 range.
 _T_MAX = 710.0
+
+#: The tail is cut where the scaled integrand e^G has fallen below e^-40.
+_TAIL_DECAY = 40.0
+
+#: Trapezoid nodes per width of the integrand's peak.
+_NODES_PER_WIDTH = 4
+
+#: The trapezoid is accepted once halving its step moves it by at most this
+#: (relative); its own error is then about the square of that.
+_TRAPEZOID_REL_TOL = 1e-10
+
+#: Halvings of the step before the trapezoid gives up.
+_MAX_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -83,32 +97,92 @@ class VerificationRecord:
 
 
 def k_oracle(s: float, z: float) -> float:
-    """K_s(z) by quadrature of the cosh integral representation.
+    """K_s(z) by the trapezoidal rule on the cosh integral representation.
 
-    The integrand is even in s, so negative orders come for free.  The tail
-    is truncated at the first T with z cosh T - |s| T > 745 (double
-    underflow margin); |s| <= 50 keeps that cut well behaved.  A z so small
-    that the cut would pass T = 710, where cosh leaves the float64 range,
-    and an integrand or value outside that range raise ``DomainError``.
+    The integrand is even in s, so negative orders come for free; |s| <= 50
+    keeps the tail cut well behaved.  A z so small that the cut would pass
+    T = 710, where sinh leaves the float64 range, and a value outside that
+    range raise ``DomainError``; a rule that does not settle within
+    ``_MAX_HALVINGS`` halvings of its step raises ``ToleranceNotMet``.
     """
-    if not z > 0:
-        raise DomainError(f"k_oracle requires a positive z, got z={z!r}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"k_oracle requires a finite positive z, got z={z!r}")
     if not abs(s) <= 50:
         raise DomainError(f"k_oracle supports |s| <= 50 (tail control), got s={s!r}")
-    T = 1.0
-    while z * math.cosh(T) - abs(s) * T <= _EXP_UNDERFLOW:
-        T += 0.5
-        if T > _T_MAX:
-            raise DomainError(f"k_oracle needs a tail cut below T = {_T_MAX}, got z={z!r}")
+    return _trapezoid(abs(s), z)[0]
 
-    def integrand(t: float) -> float:
-        m = -z * math.cosh(t)
-        a = s * t
-        hi = m + abs(a)
-        lo = m - abs(a)
-        return 0.5 * (_guarded_exp(hi) + math.exp(lo))  # lo <= hi: no overflow
 
-    return adaptive_quad(integrand, 0.0, T)
+def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
+    """(K_a(z), nodes evaluated, estimated absolute error) for a >= 0, z > 0.
+
+    With g(t) = -z cosh t + a t, peaked at t* = asinh(a / z), the integrand
+    e^{-z cosh t} cosh(a t) is e^{g(t*)} f(t) / 2, where
+
+        f(t) = e^{G(t)} (1 + e^{-2 a t}),
+        G(t) = g(t) - g(t*) = -2 z sinh((t + t*)/2) sinh((t - t*)/2) + a (t - t*),
+
+    a form of G that does not cancel at large z.  Past the peak
+    G(t) <= -c (cosh(t - t*) - 1) = -2 c sinh^2((t - t*)/2), with
+    c = z cosh t* = hypot(z, a), which places the cut T where
+    G < -``_TAIL_DECAY``.  f is even, so the trapezoid on [0, T] with half
+    weight at 0 is the rule on the whole line.  The step starts at
+    ``_NODES_PER_WIDTH`` nodes per peak width 1 / sqrt(c), the width capped
+    at 1.  The even nodes give the rule at twice the step for free; the step
+    is halved, reusing every node, until the two agree to
+    ``_TRAPEZOID_REL_TOL``, and their difference is the error estimate.
+
+    The value is e^{g(t*) + log(T_h / 2)}.  That exponent reaches |s| t* ~ 500
+    at small z and z ~ 700 at large z, where rounding it as one float would
+    cost ~1e-13, so it is summed exactly and its integer part exponentiated
+    apart: a = a_hi + a_lo makes a t* two exact products, and
+    z cosh t* = z + 2 z sinh^2(t*/2) keeps z exact.
+    """
+    peak = math.asinh(a / z)
+    c = math.hypot(z, a)
+    cut = peak + 2.0 * math.asinh(math.sqrt(0.5 * _TAIL_DECAY / c))
+    if not cut <= _T_MAX:
+        raise DomainError(f"k_oracle needs a tail cut below T = {_T_MAX}, got z={z!r}")
+    peak = _top_bits(peak)  # any t* near the peak will do; this one makes a t* exact
+
+    def f(t: np.ndarray) -> np.ndarray:
+        d = t - peak
+        # z times each sinh first: -2 z overflows at z near the top of the float64 range
+        G = a * d - 2.0 * (z * np.sinh(0.5 * (t + peak)) * np.sinh(0.5 * d))
+        return np.exp(G) * (1.0 + np.exp(-2.0 * a * t))
+
+    h = min(1.0, 1.0 / math.sqrt(c)) / _NODES_PER_WIDTH
+    n = math.ceil(cut / h)
+    values = f(h * np.arange(n + 1))
+    values[0] *= 0.5
+    fine, coarse = float(values.sum()), float(values[::2].sum())  # T_h / h and T_2h / (2h)
+    nodes = n + 1
+    for halvings in range(_MAX_HALVINGS + 1):
+        change = abs(fine - 2.0 * coarse) / fine
+        if change <= _TRAPEZOID_REL_TOL or halvings == _MAX_HALVINGS:
+            break
+        h *= 0.5
+        coarse, fine = fine, fine + float(f(h * np.arange(1, 2 * n, 2)).sum())
+        nodes += n
+        n *= 2
+    a_hi = _top_bits(a)
+    exponent = [a_hi * peak, (a - a_hi) * peak, -z, -z * (2.0 * math.sinh(0.5 * peak) ** 2),
+                math.log(0.5 * h * fine)]
+    whole = round(math.fsum(exponent))
+    # in halves, so that no factor overflows before the product does
+    value = _in_range(_guarded_exp(math.fsum(exponent + [-whole]))
+                      * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
+    if not change <= _TRAPEZOID_REL_TOL:
+        raise ToleranceNotMet(
+            f"k_oracle's trapezoid moved by {change:.3e} (relative) at its last halving",
+            estimate=change * value,
+        )
+    return value, nodes, change * value
+
+
+def _top_bits(x: float) -> float:
+    """x rounded to 26 significant bits: the product of two such floats is exact."""
+    m, e = math.frexp(x)
+    return math.ldexp(round(math.ldexp(m, 26)), e - 26)
 
 
 def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:

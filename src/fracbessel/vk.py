@@ -8,7 +8,8 @@ which, despite appearances, is a degree-k polynomial in z = beta x^alpha.
 Three independent constructions are provided and cross-checked by the test
 suite:
 
-* ``vk_coeffs_sum`` - the explicit double-sum coefficient formula,
+* ``vk_coeffs_sum`` - the explicit double-sum coefficient formula, summed
+  in integers,
 * ``vk_coeffs_closed_m1`` - the integer closed form at alpha = -1,
 * ``vk_coeffs_recurrence`` - a first-order recurrence obtained from the
   definition by a single differentiation step.
@@ -53,7 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
 from .errors import DomainError
@@ -226,15 +227,23 @@ def vk_coeffs_sum(alpha, k: int) -> Polynomial:
     the gamma ratio Gamma(k - alpha i)/Gamma(-alpha i) written as a rising
     product so the i = 0 summand is exactly zero for k >= 1 (and 1 for
     k = 0, giving V_0 = 1 without a special case).
+
+    The sum is formed in integers: with alpha = n / q exactly,
+    (-alpha i)_k = R_i / q^k with R_i = prod_{m<k} (m q - n i), and
+    1 / (i! (j-i)!) = C(j, i) / j!, so
+
+        A_{k,j} = (-1)^k sum_i (-1)^i C(j, i) R_i / (j! q^k),
+
+    one exact division per coefficient.
     """
     a = _validate_alpha_k(alpha, k)
-    # (-alpha i)_k does not depend on j, so each rising product is formed once
-    rising = [math.prod((m - a * i for m in range(k)), start=Fraction(1)) for i in range(k + 1)]
+    n, q = a.numerator, a.denominator
+    # R_i does not depend on j, so each rising product is formed once
+    rising = [math.prod(m * q - n * i for m in range(k)) for i in range(k + 1)]
     coeffs = []
     for j in range(k + 1):
-        acc = sum(Fraction((-1) ** i, factorial(i) * factorial(j - i)) * rising[i]
-                  for i in range(j + 1))
-        coeffs.append(_simplify((-1) ** k * acc))
+        acc = sum((-1) ** i * comb(j, i) * rising[i] for i in range(j + 1))
+        coeffs.append(_simplify(Fraction((-1) ** k * acc, factorial(j) * q ** k)))
     return Polynomial(tuple(coeffs))
 
 

@@ -1,7 +1,10 @@
 """The quadrature oracle and the definite-integral identity audit."""
 
+import ast
 import math
+import sys
 
+import mpmath
 import pytest
 import scipy.special as sc
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from fracbessel import (
     DomainError,
     FracBesselError,
+    ToleranceNotMet,
     VerificationRecord,
     k_oracle,
     verify_m4a,
@@ -18,8 +22,39 @@ from fracbessel import (
     verify_m5b,
 )
 from fracbessel import oracle
+from fracbessel.fractional import adaptive_quad
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: The reference grid: s in [0, 50] by z in [1e-3, 700], z geometric.
+GRID_S = (0.0, 0.3, 1.7, 4.5, 8.8, 13.1, 21.4, 33.3, 50.0)
+GRID_Z = tuple(1e-3 * 7e5 ** (i / 14) for i in range(15))
+
+
+def _mp_k(s: float, z: float) -> float:
+    """K_s(z) from mpmath at 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        return float(mpmath.besselk(s, z))
+
+
+def _tol(z: float) -> float:
+    # the oracle's accuracy target; scipy's kv is within 5e-14 on the grid
+    return 1e-13 if z < 100 else 3e-13
+
+
+def _adaptive_cosh_kernel(s: float, z: float) -> float:
+    """K_s(z) by adaptive quadrature of the same cosh integral, cut where the
+    integrand underflows: the oracle's former method, asked for a relative
+    tolerance only, since an absolute floor swamps K once z is large."""
+    cut = 1.0
+    while z * math.cosh(cut) - abs(s) * cut <= 745.0:
+        cut += 0.5
+
+    def integrand(t: float) -> float:
+        m = -z * math.cosh(t)
+        return 0.5 * (math.exp(m + abs(s * t)) + math.exp(m - abs(s * t)))
+
+    return adaptive_quad(integrand, 0.0, cut, request_rel=1e-13, request_abs=0.0)
 
 
 class TestKOracle:
@@ -68,6 +103,76 @@ class TestKOracle:
         except FracBesselError:
             return
         assert isinstance(value, float) and math.isfinite(value)
+
+
+class TestOracleAccuracy:
+    """k_oracle against two independent references: 40-digit mpmath and scipy's kv."""
+
+    @pytest.mark.parametrize("s", GRID_S)
+    def test_grid_against_mpmath_and_kv(self, s):
+        for z in GRID_Z:
+            ref = _mp_k(s, z)
+            if not sys.float_info.min < ref < sys.float_info.max:
+                continue
+            value = k_oracle(s, z)
+            assert abs(value - ref) <= _tol(z) * ref, (s, z, value, ref)
+            kv = float(sc.kv(s, z))
+            if kv:  # kv underflows to 0 near z = 700, where K is still ~1e-305
+                assert abs(value - kv) <= _tol(z) * kv, (s, z, value, kv)
+
+    @pytest.mark.parametrize("s,z", [(0.0, 30.0), (2.5, 50.0), (0.0, 100.0), (8.8, 683.0)])
+    def test_large_z(self, s, z):
+        # an absolute quadrature floor of 1e-14 once left these 1e-8 ... 2e-6 off
+        ref = _mp_k(s, z)
+        assert abs(k_oracle(s, z) - ref) <= _tol(z) * ref
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.6, 7.5, 15.0])
+    @pytest.mark.parametrize("z", [0.01, 0.5, 2.0, 8.0, 20.0])
+    def test_against_adaptive_quadrature(self, s, z):
+        assert k_oracle(s, z) == pytest.approx(_adaptive_cosh_kernel(s, z), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.7, 4.5, 8.8])
+    def test_error_estimate_bounds_the_error(self, s):
+        # at the default settings the rule's own error is below rounding, which
+        # the 4e-15 (about 20 ulp) allows for
+        for z in (0.01, 0.1, 1.0, 5.0, 20.0, 50.0):
+            value, nodes, estimate = oracle._trapezoid(s, z)
+            ref = _mp_k(s, z)
+            assert abs(value - ref) <= estimate + 4e-15 * ref, (s, z)
+            assert estimate <= oracle._TRAPEZOID_REL_TOL * value
+            assert nodes > 0
+
+    @pytest.mark.parametrize("s", [0.0, 1.7, 8.8, 20.0])
+    def test_error_estimate_bounds_a_coarse_rule(self, s, monkeypatch):
+        # one node per peak width, accepted at once: the truncation error shows,
+        # and the estimate (the change from the rule at twice the step) covers it
+        monkeypatch.setattr(oracle, "_NODES_PER_WIDTH", 1)
+        monkeypatch.setattr(oracle, "_TRAPEZOID_REL_TOL", 1.0)
+        for z in (0.01, 0.1, 1.0, 5.0, 20.0, 50.0):
+            value, _, estimate = oracle._trapezoid(s, z)
+            assert abs(value - _mp_k(s, z)) <= estimate, (s, z)
+
+    def test_unsettled_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_NODES_PER_WIDTH", 1)
+        monkeypatch.setattr(oracle, "_MAX_HALVINGS", 0)
+        with pytest.raises(ToleranceNotMet, match="trapezoid") as info:
+            k_oracle(0.3, 1.0)
+        assert info.value.estimate > 0
+
+
+def test_oracle_imports_no_series_code():
+    # the oracle is the ground truth the series are measured against, so it
+    # must not share their algebra
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert not {"series", "vk", "truncation"} & set(name.split(".")), name
 
 
 class TestRecordArithmetic:

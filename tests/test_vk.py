@@ -79,9 +79,19 @@ class TestTripleAgreement:
         for k in range(16):
             assert vk_coeffs_sum(alpha, k).coeffs == vk_coeffs_recurrence(alpha, k).coeffs
 
-    def test_float_fallback_agrees_with_exact(self):
+    def test_recurrence_matches_closed_form_at_k26(self):
         # every construction is exact at every k, so k = 26 agrees to the last digit
         assert vk_coeffs_recurrence(-1.0, 26).coeffs == vk_coeffs_closed_m1(26).coeffs
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), 0.7, Fraction(2, 3), 3, -7])
+    def test_sum_matches_recurrence_exactly_to_k30(self, alpha):
+        # the integer double sum and the recurrence give the same ints and
+        # Fractions: equal values and equal types
+        for k in range(31):
+            by_sum = vk_coeffs_sum(alpha, k).coeffs
+            by_rec = vk_coeffs_recurrence(alpha, k).coeffs
+            assert by_sum == by_rec, f"k={k}"
+            assert [type(c) for c in by_sum] == [type(c) for c in by_rec], f"k={k}"
 
     @pytest.mark.parametrize("k", [26, 30, 40])
     def test_alpha_m1_exact_past_k25(self, k):
