@@ -13,7 +13,10 @@ quadrature both sides of the library's catalogued integral identities (IDs
 M4A, M4B, M5A, M5B) and return structured deviation records; M5B is
 measured under both plausible readings of its K argument rather than
 assuming either.  Each evaluates K first, so an order the oracle refuses
-raises before any left-hand-side quadrature runs.
+raises before any left-hand-side quadrature runs.  The left-hand sides are
+taken by the package's one double-exponential rule, ``fractional._de_quad``
+(directly for M4, through the array form of ``rl_integral`` for M5), on
+integrands that map a numpy array of nodes at once.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
-from .fractional import BoundarySetup, adaptive_quad, rl_integral
-from .special import _guarded_exp, _in_range, _range_error
+from .fractional import BoundarySetup, _de_quad, _rl_integral_array
+from .special import _guarded_exp, _guarded_exp_array, _in_range, _range_error
 
 _TINY = 1e-300
 
@@ -189,33 +192,32 @@ def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
     """int_0^x t^{-2 mu} (x - t)^{mu-1} e^{-beta/t} dt, or the (x^2 - t^2) variant.
 
     Two substitutions, split at t = x/2: u = 1/t maps the essential decay at
-    t -> 0 onto plain exponential decay, and u = (x - t)^mu removes the
-    endpoint singularity at t = x exactly.  Adaptive bisection alone stalls
-    on both features.  A power, x^2 or the result outside the float64 range
-    raises ``DomainError``.
+    t -> 0 onto plain exponential decay on [2/x, inf), and u = (x - t)^mu
+    removes the endpoint singularity at t = x exactly.  A power, x^2 or the
+    result outside the float64 range raises ``DomainError``.
     """
     if squared and not 0.0 < x * x < math.inf:
         raise _range_error(f"x^2 at x={x!r}")
     power = "t^(-2 mu) (x + t)^(mu - 1)" if squared else "t^(-2 mu)"
 
-    def near_zero(u: float) -> float:
+    def near_zero(u: np.ndarray, _) -> np.ndarray:
         base = x * x - 1.0 / (u * u) if squared else x - 1.0 / u
-        return _guarded_exp((2.0 * mu - 2.0) * math.log(u) + (mu - 1.0) * math.log(base) - beta * u)
+        return _guarded_exp_array((2.0 * mu - 2.0) * np.log(u) + (mu - 1.0) * np.log(base) - beta * u)
 
-    def near_x(u: float) -> float:
+    def near_x(u: np.ndarray, _) -> np.ndarray:
         t = x - u ** (1.0 / mu)
-        try:
-            kernel = (x + t) ** (mu - 1.0) if squared else 1.0
-            return t ** (-2.0 * mu) * kernel * _guarded_exp(-beta / t)
-        except OverflowError:
-            raise _range_error(f"{power} at t={t!r}, mu={mu!r}") from None
+        powers = t ** (-2.0 * mu) * ((x + t) ** (mu - 1.0) if squared else 1.0)
+        bad = ~(powers < math.inf)
+        if bad.any():
+            raise _range_error(f"{power} at t={t[bad][0]!r}, mu={mu!r}")
+        return powers * _guarded_exp_array(-beta / t)
 
     try:
         upper = (0.5 * x) ** mu
     except OverflowError:
         raise _range_error(f"(x/2)^mu = {0.5 * x!r}^{mu!r}") from None
-    i_zero = adaptive_quad(near_zero, 2.0 / x, math.inf)
-    i_x = adaptive_quad(near_x, 0.0, upper)
+    i_zero = _de_quad(near_zero, 2.0 / x, math.inf)[0]
+    i_x = _de_quad(near_x, 0.0, upper)[0]
     return _in_range(i_zero + i_x / mu)
 
 
@@ -279,13 +281,11 @@ def verify_m5a(
         raise DomainError(f"verify_m5a requires s < 0, got s={s!r}")
     _require_positive(beta=beta, x=x)
 
-    def f(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return _guarded_exp(2.0 * s * math.log(t) - beta / t)
+    def f(t: np.ndarray) -> np.ndarray:
+        return _guarded_exp_array(2.0 * s * np.log(t) - beta / t)
 
     k = k_oracle(s + 0.5, beta / (2.0 * x))
-    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
+    lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _in_range(_guarded_exp(pref) * k)
     return VerificationRecord.build("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -309,13 +309,11 @@ def verify_m5b(
         raise DomainError(f"verify_m5b requires s in (-1/2, 0), got s={s!r}")
     _require_positive(beta=beta, x=x)
 
-    def f(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return _guarded_exp((s - 0.5) * math.log(t) - beta / math.sqrt(t))
+    def f(t: np.ndarray) -> np.ndarray:
+        return _guarded_exp_array((s - 0.5) * np.log(t) - beta / np.sqrt(t))
 
     ks = [(k_arg, k_oracle(s + 0.5, k_arg)) for k_arg in (beta / x, beta / math.sqrt(x))]
-    lhs = rl_integral(f, s, BoundarySetup(0.0, x))
+    lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
     printed, alt = (
         VerificationRecord.build(

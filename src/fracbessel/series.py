@@ -13,8 +13,9 @@ constructions in ``vk``:
 * M9 reads the partial-sum recurrence ``vk._m1_partial_sums`` (the
   alpha = 0 Laguerre recurrence summed into L^{(1)}) at w = 2z;
 * M10 reads the alpha = -1/2 recurrence in k, ``vk._mhalf_values``, at z;
-* M7, at any alpha, reads the coefficient rows ``vk._vk_rows(alpha)``
-  through ``_e_stream``.
+* M7 reads ``vk._m1_values`` at alpha = -1 and ``vk._mhalf_values`` at
+  alpha = -1/2, and at any other alpha the coefficient rows
+  ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
 The three fixed-argument streams cost a fixed number of big-integer
 operations per term; ``_e_stream`` evaluates row_k(w) / (k! q^k) with
@@ -71,6 +72,10 @@ from .vk import _exact_poly, _m1_partial_sums, _m1_values, _mhalf_values, _vk_ro
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
+
+#: The alphas whose E_k M7 reads from a fixed-argument recurrence in k, bit
+#: for bit the values of the coefficient rows at a fixed cost per term.
+_FIXED_W_STREAMS = {-1.0: _m1_values, -0.5: _mhalf_values}
 
 
 class OrderArg(NamedTuple):
@@ -274,7 +279,8 @@ def general_expansion_m7(
         log_head, sign = num.log_abs - den.log_abs, (-1) ** zeros * num.sign * den.sign
     pref = sign * _guarded_exp((nu - s) * math.log(x) + _guarded_lgamma(nu + 1.0) - w + log_head)
     zeros = min(zeros, sys.maxsize)  # no policy sums past sys.maxsize terms
-    e = islice(_e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
+    e = islice(_FIXED_W_STREAMS[alpha](w) if alpha in _FIXED_W_STREAMS
+               else _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
     return _finalize(chain(repeat(0.0, zeros), _ratio_terms(top, bottom, e)), policy, pref)
 
 

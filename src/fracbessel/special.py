@@ -6,9 +6,9 @@ Ratios of gammas are never formed as quotients of raw values: callers get
 ``(log|Gamma|, sign)`` pairs and combine them in log space, which keeps k-th
 series terms finite far past the ~171 overflow point of Gamma itself.
 Exponentials and log-gammas that can overflow go through ``_guarded_exp``
-and ``_guarded_lgamma``, and products that can through ``_in_range``; all
-raise ``DomainError`` naming the float64 range instead of returning inf or
-raising ``OverflowError``.  ``_range_error`` is the one range error: the
+(``_guarded_exp_array`` for numpy arrays) and ``_guarded_lgamma``, and
+products that can through ``_in_range``; all raise ``DomainError`` naming
+the float64 range instead of returning inf or raising ``OverflowError``.  ``_range_error`` is the one range error: the
 only place its message is written, and what every module raises for a
 value past float64.
 """
@@ -16,15 +16,19 @@ value past float64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.special import psi
+import numpy as np
 
 from .errors import DomainError, PoleError, ToleranceNotMet
 
 #: Euler-Mascheroni constant C.
 EULER_GAMMA = 0.5772156649015329
+
+#: exp(x) is finite in float64 for every x up to this.
+_EXP_MAX = math.log(sys.float_info.max)
 
 #: Arguments closer than this to a non-positive integer are treated as poles.
 POLE_TOL = 1e-12
@@ -37,6 +41,12 @@ _PRODUCT_MAX = 64
 #: the first omitted term is below 3e-17 there.
 _STIRLING_MIN = 10.0
 _STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+#: digamma lifts its argument to at least this before the asymptotic series of
+#: DLMF 5.11.2, whose coefficients B_{2k} / (2k) follow; the first omitted term
+#: is below 5e-17 there.
+_DIGAMMA_ASYMPTOTIC_MIN = 10.0
+_DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
 #: Lower incomplete gamma, series and continued fraction alike: cutoff and cap.
 _LIG_REL_CUTOFF = 1e-16
@@ -85,6 +95,16 @@ def _guarded_exp(x: float) -> float:
     if not value < math.inf:
         raise _range_error(f"exp({x:.6g})")
     return value
+
+
+def _guarded_exp_array(x: np.ndarray) -> np.ndarray:
+    """``_guarded_exp`` elementwise: exp(x), or ``DomainError`` naming the
+    float64 range where any element overflows or is NaN.  The largest
+    argument is tested before exponentiating, so numpy never warns."""
+    top = x.max(initial=-math.inf)
+    if not top <= _EXP_MAX:
+        raise _range_error(f"exp({top:.6g})")
+    return np.exp(x)
 
 
 def _guarded_lgamma(x: float) -> float:
@@ -250,9 +270,35 @@ def gen_binomial(s: float, j: int) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x), the logarithmic derivative of Gamma; PoleError at 0, -1, -2, ..."""
+    """psi(x), the logarithmic derivative of Gamma; PoleError at 0, -1, -2, ...
+
+    For x >= 1/2 the recurrence psi(x) = psi(x + n) - sum_{k<n} 1/(x + k)
+    lifts the argument to x + n >= ``_DIGAMMA_ASYMPTOTIC_MIN``, where the
+    asymptotic series of DLMF 5.11.2,
+
+        psi(y) ~ ln y - 1/(2y) - sum_k B_{2k} / (2k y^{2k}),
+
+    takes over; every part is summed exactly and rounded once.  Below 1/2
+    the reflection psi(x) = psi(1 - x) - pi cot(pi x) of DLMF 5.5.4 applies,
+    with cot(pi x) taken from the exact distance of x to the nearest integer,
+    so that pi x is never rounded next to a pole.
+    """
     _check_pole(x)
-    return float(psi(x))
+    if x < 0.5:
+        d = x - round(x)  # exact, in [-1/2, 1/2]
+        return math.fsum(_digamma_parts(1.0 - x) + [-math.pi * math.cos(math.pi * d) / math.sin(math.pi * d)])
+    return math.fsum(_digamma_parts(x))
+
+
+def _digamma_parts(x: float) -> list[float]:
+    """Terms whose exact sum is psi(x) to within 5e-17 relative, for x >= 1/2."""
+    n = max(0, math.ceil(_DIGAMMA_ASYMPTOTIC_MIN - x))
+    y = x + n
+    v = 1.0 / (y * y)
+    acc = 0.0
+    for c in reversed(_DIGAMMA_COEFFS):
+        acc = acc * v + c
+    return [math.log(y), -0.5 / y, -acc * v] + [-1.0 / (x + k) for k in range(n)]
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:

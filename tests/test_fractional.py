@@ -70,16 +70,37 @@ class TestRlIntegral:
                 BoundarySetup(a, x)
 
     def test_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(fractional, "QUAD_MAX_SUBDIVISIONS", 1)
-        with pytest.raises(ToleranceNotMet):
+        # capped at its first accepted level, the rule cannot resolve 40 turns
+        monkeypatch.setattr(fractional, "_DE_MAX_LEVEL", fractional._DE_MIN_LEVEL)
+        with pytest.raises(ToleranceNotMet) as info:
             rl_integral(lambda t: math.sin(40.0 * t) ** 2 / math.sqrt(t + 1e-12), -0.5,
                         BoundarySetup(0.0, 1.0))
+        assert info.value.estimate > 0
 
     def test_divergent_integral_raises(self):
         # int_0^1 (1-t)^{-1/2} t^{-1.2} dt diverges at t = 0; QUADPACK says
         # "probably divergent" although its error estimate (1.4e-9) is small
         with pytest.raises(ToleranceNotMet, match="divergent"):
             rl_integral(lambda t: t ** -1.2, -0.5, BoundarySetup(0.0, 1.0))
+
+    @pytest.mark.parametrize("s", [-0.5, -0.05, -1.7, -6.0])
+    def test_log_is_never_evaluated_at_the_boundary_point(self, s):
+        # math.log(0.0) raises; the gap t - a is formed without cancellation
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.log(t)
+
+        got = rl_integral(f, s, BoundarySetup(0.0, 1.3))
+        assert min(seen) > 0.0 and max(seen) <= 1.3
+        assert got == pytest.approx(log_rule(s, 1.3), rel=1e-12)
+
+    def test_f_overflowing_next_to_the_boundary_point_is_a_domain_error(self):
+        # the rule's nodes come within ~1e-102 of a, where t ** -3.5 raises
+        # OverflowError; the integral diverges anyway
+        with pytest.raises(DomainError, match="float64 range"):
+            rl_integral(lambda t: t ** -3.5, -0.5, BoundarySetup(0.0, 1.0))
 
     def test_f_is_only_evaluated_on_the_interval(self):
         # the rounded u^(1/p) passed x - a, so f was called at t = -4.4e-16

@@ -9,6 +9,7 @@ import pytest
 import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fracbessel import (
     DomainError,
@@ -22,7 +23,6 @@ from fracbessel import (
     verify_m5b,
 )
 from fracbessel import oracle
-from fracbessel.fractional import adaptive_quad
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -43,9 +43,10 @@ def _tol(z: float) -> float:
 
 
 def _adaptive_cosh_kernel(s: float, z: float) -> float:
-    """K_s(z) by adaptive quadrature of the same cosh integral, cut where the
-    integrand underflows: the oracle's former method, asked for a relative
-    tolerance only, since an absolute floor swamps K once z is large."""
+    """K_s(z) by QUADPACK's adaptive quadrature of the same cosh integral,
+    cut where the integrand underflows: the oracle's former method, asked
+    for a relative tolerance only, since an absolute floor swamps K once z
+    is large.  scipy is a test dependency; the package itself imports none."""
     cut = 1.0
     while z * math.cosh(cut) - abs(s) * cut <= 745.0:
         cut += 0.5
@@ -54,7 +55,8 @@ def _adaptive_cosh_kernel(s: float, z: float) -> float:
         m = -z * math.cosh(t)
         return 0.5 * (math.exp(m + abs(s * t)) + math.exp(m - abs(s * t)))
 
-    return adaptive_quad(integrand, 0.0, cut, request_rel=1e-13, request_abs=0.0)
+    value, _ = quad(integrand, 0.0, cut, epsabs=0.0, epsrel=1e-13, limit=2000)
+    return value
 
 
 class TestKOracle:
@@ -210,6 +212,13 @@ class TestM4A:
         rec = verify_m4a(mu, beta, x, tol=1e-7)
         assert rec.passed, rec
 
+    @pytest.mark.parametrize("mu,beta,x", [(2.0, 100.0, 1.0), (1.5, 80.0, 1.0)])
+    def test_tiny_integral_keeps_its_relative_accuracy(self, mu, beta, x):
+        # lhs ~ 3.5e-48 and 2.2e-38: an absolute quadrature floor of 1e-14
+        # once read rel_dev 8.8e-2 and 2.9e-3 here
+        rec = verify_m4a(mu, beta, x, tol=1e-7)
+        assert rec.passed, rec
+
     def test_domain(self):
         with pytest.raises(DomainError):
             verify_m4a(-1.0, 1.0, 1.0)
@@ -232,8 +241,8 @@ class TestM4A:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran before the order check")
 
-        monkeypatch.setattr(oracle, "adaptive_quad", no_quadrature)
-        monkeypatch.setattr(oracle, "rl_integral", no_quadrature)
+        monkeypatch.setattr(oracle, "_de_quad", no_quadrature)
+        monkeypatch.setattr(oracle, "_rl_integral_array", no_quadrature)
         with pytest.raises(DomainError, match="k_oracle supports"):
             verify_m4a(162.0, 163.0, 160.0)
 

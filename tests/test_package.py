@@ -1,9 +1,11 @@
 """The package's export list matches what ``fracbessel/__init__.py`` binds,
 the package carries no unused import and no private definition nothing names,
-and its declared dependencies are exactly the third-party packages it imports."""
+its declared dependencies are exactly the third-party packages it imports,
+and importing it loads no scipy."""
 
 import ast
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -93,3 +95,12 @@ def test_declared_dependencies_match_the_imports():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names)
     assert declared == third_party, f"declared {sorted(declared)}, imported {sorted(third_party)}"
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # scipy is a test dependency only: importing it cost every CLI call ~0.7 s
+    code = ("import sys, fracbessel, fracbessel.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=SRC.parent, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -1,6 +1,7 @@
 """Gamma-family primitives: examples, poles, and the classical identities."""
 
 import math
+import random
 import time
 
 import mpmath
@@ -241,6 +242,21 @@ class TestDigamma:
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 digamma(x)
+
+    def test_against_mpmath(self):
+        # 50-digit reference on [-20, 200], next to every pole there and just
+        # above 0.  Each zero of psi (one near 1.4616 and one between each pair
+        # of negative poles) cancels the recurrence or the reflection to an
+        # absolute error of a few ulp of the parts, so below |psi| = 1/2 the
+        # bound is absolute (1e-15); everywhere else it is relative
+        rng = random.Random(5)
+        xs = [rng.uniform(-20.0, 200.0) for _ in range(1500)]
+        xs += [n + side * 10.0 ** rng.uniform(-11.5, -6.0) for n in range(-20, 1) for side in (-1, 1)]
+        xs += [10.0 ** rng.uniform(-11.5, -8.0) for _ in range(20)]
+        with mpmath.workdps(50):
+            for x in xs:
+                ref = float(mpmath.digamma(x))
+                assert abs(digamma(x) - ref) <= 2e-15 * max(abs(ref), 0.5), x
 
 
 #: Any float, with extra weight on moderate magnitudes, where the series do
