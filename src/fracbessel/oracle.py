@@ -302,8 +302,8 @@ def verify_m5b(
     LHS: d^s [x^{s-1/2} e^{-beta/sqrt(x)}], s in (-1/2, 0) for integrability.
     The catalogued RHS is (2/sqrt(pi)) (beta/2)^{s+1/2} x^{3/4-s/2} K_{s+1/2}(A)
     with A printed as beta/x; the alternative reading A = beta/sqrt(x) is
-    measured as well (at x = 1 the two coincide).  Two records are returned,
-    printed reading first; neither is assumed correct.
+    measured as well (at x = 1 the two coincide, and K is taken once).  Two
+    records are returned, printed reading first; neither is assumed correct.
     """
     if not (-0.5 < s < 0.0):
         raise DomainError(f"verify_m5b requires s in (-1/2, 0), got s={s!r}")
@@ -312,7 +312,10 @@ def verify_m5b(
     def f(t: np.ndarray) -> np.ndarray:
         return _guarded_exp_array((s - 0.5) * np.log(t) - beta / np.sqrt(t))
 
-    ks = [(k_arg, k_oracle(s + 0.5, k_arg)) for k_arg in (beta / x, beta / math.sqrt(x))]
+    printed_arg, alt_arg = beta / x, beta / math.sqrt(x)
+    k_printed = k_oracle(s + 0.5, printed_arg)
+    k_alt = k_printed if alt_arg == printed_arg else k_oracle(s + 0.5, alt_arg)
+    ks = [(printed_arg, k_printed), (alt_arg, k_alt)]
     lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
     printed, alt = (

@@ -3,6 +3,7 @@ against their classical limits."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,125 @@ class TestRlIntegral:
         # (x - a)^200 = 1e2000: the substituted range leaves float64
         with pytest.raises(DomainError, match="float64 range"):
             rl_integral(lambda t: 1.0, -200.0, BoundarySetup(0.0, 1e10))
+
+
+def _level_by_level(fn, lo, hi):
+    """The double-exponential rule with one integrand call per level: level 0
+    on all of |tau| <= 5 sets the range, each finer level is evaluated only
+    inside it, and each level's terms are added one by one in tau order.
+    Returns (value, estimate, the number of nodes of each level)."""
+    infinite = hi == math.inf
+    scale = 1.0 if infinite else hi - lo
+    ends = (-math.inf, math.inf)
+    total, previous, sizes = 0.0, math.nan, []
+    for m in range(fractional._DE_MAX_LEVEL + 1):
+        step = 0.5 ** m
+        tau = np.arange(-5.0, 6.0) if m == 0 else np.arange(-(5 << m) + 1, 5 << m, 2) * step
+        tau = tau[(ends[0] <= tau) & (tau < ends[1])]
+        if infinite:
+            v = np.exp(0.5 * np.pi * np.sinh(tau))
+            d_lo, d_hi, w = v, np.full_like(v, math.inf), 0.5 * np.pi * np.cosh(tau) * v
+        else:
+            y = np.pi * np.sinh(np.abs(tau))
+            near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
+            d_lo, d_hi = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
+            w = np.pi * np.cosh(tau) * near * far
+        with np.errstate(all="ignore"):
+            terms = w * fn(lo + scale * d_lo, scale * d_hi)
+        sizes.append(tau.size)
+        part = 0.0
+        for term in terms:
+            part += term
+        total += float(part)
+        value = scale * total * step
+        change = abs(value - previous)
+        if m >= fractional._DE_MIN_LEVEL and change <= fractional._DE_REL_TOL * abs(value):
+            return value, change, sizes
+        previous = value
+        if m == 0:
+            size = np.abs(terms)
+            significant = tau[size > fractional._DE_TAIL * size.sum()]
+            ends = (significant[0] - 1.0, significant[-1] + 1.0)
+    raise AssertionError("the reference rule did not settle")
+
+
+def _counted(fn):
+    """fn, recording the size of each node array it is handed."""
+    sizes = []
+
+    def g(u, r):
+        sizes.append(u.size)
+        return fn(u, r)
+
+    return g, sizes
+
+
+#: (integrand, lo, hi): smooth, and singular at both ends, on [0, 1]; decaying
+#: on [lo, inf); then two that need levels past the first call, one on [0, 1]
+#: and one on [0, inf).
+DE_CASES = [
+    (lambda u, r: np.exp(-u) * np.cos(3.0 * u), 0.0, 1.0),
+    (lambda u, r: u ** -0.5 * r ** -0.5, 0.0, 1.0),
+    (lambda u, r: np.exp(-u) * np.sqrt(u), 0.5, math.inf),
+    (lambda u, r: np.sin(40.0 * u) ** 2 / np.sqrt(u), 0.0, 1.0),
+    (lambda u, r: np.exp(-u) * np.cos(3.0 * u), 0.0, math.inf),
+]
+
+#: Nodes of the first call: levels 0 to ``_DE_FIRST_TOP`` over |tau| <= 5.
+FIRST_CALL = 10 * 2 ** fractional._DE_FIRST_TOP + 1
+
+
+class TestDoubleExponentialRule:
+    @pytest.mark.parametrize("fn, lo, hi", DE_CASES)
+    def test_matches_the_rule_one_level_per_call(self, fn, lo, hi):
+        value, estimate, levels = _level_by_level(fn, lo, hi)
+        g, sizes = _counted(fn)
+        got, _, got_estimate = fractional._de_quad(g, lo, hi)
+        assert (got, got_estimate) == (value, estimate)
+        # the first call is all of |tau| <= 5; each later one, that level's range
+        assert sizes == [FIRST_CALL] + levels[fractional._DE_FIRST_TOP + 1:]
+
+    def test_cases_cut_the_range_and_reach_past_the_first_call(self):
+        levels = [_level_by_level(fn, lo, hi)[2] for fn, lo, hi in DE_CASES]
+        # level 1 has 10 nodes on |tau| < 5; the cut leaves fewer
+        assert all(sizes[1] < 10 for sizes in levels)
+        assert [len(sizes) - 1 for sizes in levels] == [4, 3, 5, 6, 7]
+
+    @pytest.mark.parametrize("fn, lo, hi", DE_CASES)
+    def test_nodes_are_those_handed_to_the_integrand(self, fn, lo, hi):
+        g, sizes = _counted(fn)
+        assert fractional._de_quad(g, lo, hi)[1] == sum(sizes)
+
+    def test_smooth_integrand_takes_one_call(self):
+        g, sizes = _counted(lambda u, r: np.exp(-u) * np.cos(3.0 * u))
+        value = fractional._de_quad(g, 0.0, 1.0)[0]
+        assert len(sizes) == 1
+        assert value == pytest.approx((1.0 - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0))) / 10.0,
+                                      rel=1e-14)
+
+    @pytest.mark.parametrize("top", [1, fractional._DE_MIN_LEVEL])
+    def test_levels_stop_at_the_maximum_inside_the_first_call(self, top, monkeypatch):
+        monkeypatch.setattr(fractional, "_DE_MAX_LEVEL", top)
+        g, sizes = _counted(DE_CASES[3][0])
+        with pytest.raises(ToleranceNotMet) as info:
+            fractional._de_quad(g, 0.0, 1.0)
+        assert sizes == [10 * 2 ** top + 1]
+        assert info.value.estimate > 0
+
+    def test_numpy_error_state_is_restored(self):
+        def raising(u, r):
+            raise DomainError("refused by the integrand")
+
+        with np.errstate(all="raise", under="warn"):
+            before = np.geterr()
+            fractional._de_quad(lambda u, r: np.log(u) / u ** 0.5, 0.0, 1.0)
+            assert np.geterr() == before
+            with pytest.raises(ToleranceNotMet):
+                fractional._de_quad(lambda u, r: 1.0 / u ** 1.2, 0.0, 1.0)
+            assert np.geterr() == before
+            with pytest.raises(DomainError, match="refused"):
+                fractional._de_quad(raising, 0.0, 1.0)
+            assert np.geterr() == before
 
 
 class TestPowerRuleConsistency:

@@ -313,6 +313,20 @@ class TestM5B:
         assert not alt.passed
         assert printed.rel_dev > 1e-2 and alt.rel_dev > 1e-2
 
+    @pytest.mark.parametrize("x, calls", [(1.0, 1), (4.0, 2), (0.3, 2)])
+    def test_oracle_runs_once_per_distinct_reading(self, x, calls, monkeypatch):
+        # at x = 1 both readings take K at the same argument, so one value serves
+        expected = verify_m5b(-0.25, 1.3, x)
+        seen = []
+
+        def counted(s, z):
+            seen.append(z)
+            return k_oracle(s, z)
+
+        monkeypatch.setattr(oracle, "k_oracle", counted)
+        assert verify_m5b(-0.25, 1.3, x) == expected
+        assert len(seen) == calls
+
     def test_domain(self):
         with pytest.raises(DomainError):
             verify_m5b(-0.7, 1.0, 1.0)
