@@ -92,9 +92,9 @@ def _taus(level: int) -> np.ndarray:
 
 
 @cache
-def _stage(infinite: bool, first: int, top: int) -> tuple[np.ndarray, ...]:
+def _stage(infinite: bool, first: int, last: int) -> tuple[np.ndarray, ...]:
     """(tau, level - ``first``, distance to lo, distance to hi, weight / h)
-    of the nodes that levels ``first`` to ``top`` add, ascending in tau.
+    of the nodes that levels ``first`` to ``last`` add, ascending in tau.
 
     Tanh-sinh (``infinite`` false) puts a node at (1 + tanh(pi/2 sinh tau)) / 2
     on [0, 1]: its distance to the nearer end, q = 1 / (1 + e^{pi sinh |tau|}),
@@ -102,7 +102,7 @@ def _stage(infinite: bool, first: int, top: int) -> tuple[np.ndarray, ...]:
     Exp-sinh puts one at e^{pi/2 sinh tau} on [0, inf), weighted by
     pi/2 cosh(tau) e^{pi/2 sinh tau}, at distance inf from the upper end.
     """
-    levels = range(first, top + 1)
+    levels = range(first, last + 1)
     tau = np.concatenate([_taus(m) for m in levels])
     level = np.concatenate([np.full(len(_taus(m)), m - first) for m in levels])
     order = np.argsort(tau)
@@ -152,7 +152,7 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: 
         with np.errstate(all="ignore"):
             terms = w[i:j] * fn(lo + scale * d_lo[i:j], scale * d_hi[i:j])
         nodes += int(j - i)
-        level = level[i:j]
+        tau, level = tau[i:j], level[i:j]
         if first == 0:
             coarse = level == 0
             size = np.abs(terms[coarse])

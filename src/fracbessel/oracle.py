@@ -135,8 +135,8 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
     G < -``_TAIL_DECAY``.  f is even, so the trapezoid on [0, T] with half
     weight at 0 is the rule on the whole line.  The step starts at
     ``_NODES_PER_WIDTH`` nodes per peak width 1 / sqrt(c), the width capped
-    at ``_WIDTH_CAP``.  The even nodes give the rule at twice the step for free; the step
-    is halved, reusing every node, until the two agree to
+    at ``_WIDTH_CAP``.  The even nodes give the rule at twice the step for
+    free; the step is halved, reusing every node, until the two agree to
     ``_TRAPEZOID_REL_TOL``, and their difference is the error estimate.
 
     The value is e^{g(t*) + log(T_h / 2)}.  That exponent reaches |s| t* ~ 500
@@ -317,10 +317,8 @@ def verify_m5b(
     def f(t: np.ndarray) -> np.ndarray:
         return _guarded_exp_array((s - 0.5) * np.log(t) - beta / np.sqrt(t))
 
-    printed_arg, alt_arg = beta / x, beta / math.sqrt(x)
-    k_printed = k_oracle(s + 0.5, printed_arg)
-    k_alt = k_printed if alt_arg == printed_arg else k_oracle(s + 0.5, alt_arg)
-    ks = [(printed_arg, k_printed), (alt_arg, k_alt)]
+    k_args = (beta / x, beta / math.sqrt(x))
+    ks = {k_arg: k_oracle(s + 0.5, k_arg) for k_arg in dict.fromkeys(k_args)}  # once at x = 1
     lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
     printed, alt = (
@@ -328,9 +326,9 @@ def verify_m5b(
             "M5B",
             {"s": s, "beta": beta, "x": x, "k_arg": k_arg},
             lhs,
-            _in_range(pref * k),
+            _in_range(pref * ks[k_arg]),
             tol,
         )
-        for k_arg, k in ks
+        for k_arg in k_args
     )
     return printed, alt
