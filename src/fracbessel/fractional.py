@@ -15,6 +15,10 @@ the trapezoidal rule after a change of variable that makes the integrand
 decay double-exponentially, tanh-sinh on a finite interval and exp-sinh on
 [lo, inf).  The integrand receives its nodes as numpy arrays, the first six
 levels in one array, which settles nearly every integral in one call.
+
+numpy is imported inside the functions that build arrays, not with the
+module: the closed-form rules and the K series never load it, and the first
+quadrature of a process pays for the import.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ToleranceNotMet
 from .special import (
@@ -43,8 +45,11 @@ from .special import (
 )
 from .truncation import SeriesApproximation, TruncationPolicy, _term_count, sum_with_policy
 
+if TYPE_CHECKING:
+    import numpy as np
+
 RealFunction = Callable[[float], float]
-ArrayFunction = Callable[[np.ndarray], np.ndarray]
+ArrayFunction = Callable[["np.ndarray"], "np.ndarray"]
 
 #: The double-exponential rule: the step h in tau halves from 1 at each
 #: level, and the rule is accepted once two levels agree to ``_DE_REL_TOL``
@@ -85,6 +90,8 @@ class BoundarySetup:
 def _taus(level: int) -> np.ndarray:
     """The nodes in tau that ``level`` adds: all multiples of h = 1 at level
     0, the odd multiples of h = 2^-level after."""
+    import numpy as np
+
     if level == 0:
         return np.arange(-_DE_TAU_MAX, _DE_TAU_MAX + 1.0)
     half = np.arange(1, _DE_TAU_MAX << level, 2) * 0.5 ** level
@@ -102,6 +109,8 @@ def _stage(infinite: bool, first: int, last: int) -> tuple[np.ndarray, ...]:
     Exp-sinh puts one at e^{pi/2 sinh tau} on [0, inf), weighted by
     pi/2 cosh(tau) e^{pi/2 sinh tau}, at distance inf from the upper end.
     """
+    import numpy as np
+
     levels = range(first, last + 1)
     tau = np.concatenate([_taus(m) for m in levels])
     level = np.concatenate([np.full(len(_taus(m)), m - first) for m in levels])
@@ -141,6 +150,8 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: 
     ``_DE_MAX_LEVEL`` raises ``ToleranceNotMet``: the integral may be
     divergent, or its integrand too rough for the rule.
     """
+    import numpy as np
+
     infinite = hi == math.inf
     scale = 1.0 if infinite else hi - lo
     ends = (-math.inf, math.inf)
@@ -181,14 +192,28 @@ def rl_integral(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
     f takes and returns a float; it is adapted once to the array form that
     ``_rl_integral_array`` documents, and evaluated only on (a, x].  An
     ``OverflowError`` from f, as Python raises for t ** -3.5 next to t = 0,
-    is a value past float64 and raises ``DomainError``.
+    is a value past float64, and a complex value, as t ** 0.5 gives at
+    t < 0, is not real: both raise ``DomainError``.  Any other exception of
+    f propagates as it is.
     """
 
     def f_array(t: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        nodes = t.tolist()
         try:
-            return np.fromiter(map(f, t.tolist()), float, t.size)
+            return np.fromiter(map(f, nodes), float, len(nodes))
         except OverflowError:
             raise _range_error("a value of f") from None
+        except TypeError as error:
+            if error.__traceback__.tb_next is not None:  # raised inside f: its own
+                raise
+            # numpy could not convert a value of f; only on this path does f run again, to name it
+            for node in nodes:
+                value = f(node)
+                if isinstance(value, complex):
+                    raise DomainError(f"f({node!r}) = {value!r} is not a real number") from None
+            raise
 
     return _rl_integral_array(f_array, s, bounds)
 
@@ -209,6 +234,8 @@ def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> flo
     (x - a)^p / Gamma(p + 1) or a result outside float64 raises
     ``DomainError``.
     """
+    import numpy as np
+
     if not s < 0:
         raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
     p = -s

@@ -16,21 +16,29 @@ assuming either.  Each evaluates K first, so an order the oracle refuses
 raises before any left-hand-side quadrature runs.  The left-hand sides are
 taken by the package's one double-exponential rule, ``fractional._de_quad``
 (directly for M4, through the array form of ``rl_integral`` for M5), on
-integrands that map a numpy array of nodes at once.
+integrands that map a numpy array of nodes at once.  As in ``fractional``,
+numpy is imported by the functions that build arrays, so importing the
+module, or ``VerificationRecord`` alone, does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ToleranceNotMet
 from .fractional import BoundarySetup, _de_quad, _rl_integral_array
-from .special import _guarded_exp, _guarded_exp_array, _in_range, _range_error
+from .special import _guarded_exp, _in_range, _range_error
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TINY = 1e-300
+
+#: exp(x) is finite in float64 for every x up to this.
+_EXP_MAX = math.log(sys.float_info.max)
 
 #: Largest tail cut T; sinh(T) stays inside the float64 range.
 _T_MAX = 710.0
@@ -145,6 +153,8 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
     apart: a = a_hi + a_lo makes a t* two exact products, and
     z cosh t* = z + 2 z sinh^2(t*/2) keeps z exact.
     """
+    import numpy as np
+
     peak = math.asinh(a / z)
     c = math.hypot(z, a)
     cut = peak + 2.0 * math.asinh(math.sqrt(0.5 * _TAIL_DECAY / c))
@@ -187,6 +197,18 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
     return value, nodes, change * value
 
 
+def _guarded_exp_array(x: np.ndarray) -> np.ndarray:
+    """``_guarded_exp`` elementwise: exp(x), or ``DomainError`` naming the
+    float64 range where any element overflows or is NaN.  The largest
+    argument is tested before exponentiating, so numpy never warns."""
+    import numpy as np
+
+    top = x.max(initial=-math.inf)
+    if not top <= _EXP_MAX:
+        raise _range_error(f"exp({top:.6g})")
+    return np.exp(x)
+
+
 def _top_bits(x: float) -> float:
     """x rounded to 26 significant bits: the product of two such floats is exact."""
     m, e = math.frexp(x)
@@ -201,6 +223,8 @@ def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
     removes the endpoint singularity at t = x exactly.  A power, x^2 or the
     result outside the float64 range raises ``DomainError``.
     """
+    import numpy as np
+
     if squared and not 0.0 < x * x < math.inf:
         raise _range_error(f"x^2 at x={x!r}")
     power = "t^(-2 mu) (x + t)^(mu - 1)" if squared else "t^(-2 mu)"
@@ -282,6 +306,8 @@ def verify_m5a(
     RHS: beta^{s+1/2}/sqrt(pi x) e^{-beta/(2x)} K_{s+1/2}(beta/(2x)).
     The order s + 1/2 may have either sign; the oracle is even in it.
     """
+    import numpy as np
+
     if s >= 0:
         raise DomainError(f"verify_m5a requires s < 0, got s={s!r}")
     _require_positive(beta=beta, x=x)
@@ -310,6 +336,8 @@ def verify_m5b(
     measured as well (at x = 1 the two coincide, and K is taken once).  Two
     records are returned, printed reading first; neither is assumed correct.
     """
+    import numpy as np
+
     if not (-0.5 < s < 0.0):
         raise DomainError(f"verify_m5b requires s in (-1/2, 0), got s={s!r}")
     _require_positive(beta=beta, x=x)

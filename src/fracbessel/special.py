@@ -6,29 +6,24 @@ Ratios of gammas are never formed as quotients of raw values: callers get
 ``(log|Gamma|, sign)`` pairs and combine them in log space, which keeps k-th
 series terms finite far past the ~171 overflow point of Gamma itself.
 Exponentials and log-gammas that can overflow go through ``_guarded_exp``
-(``_guarded_exp_array`` for numpy arrays) and ``_guarded_lgamma``, and
-products that can through ``_in_range``; all raise ``DomainError`` naming
-the float64 range instead of returning inf or raising ``OverflowError``.  ``_range_error`` is the one range error: the
+and ``_guarded_lgamma``, and products that can through ``_in_range``; all
+raise ``DomainError`` naming the float64 range instead of returning inf or
+raising ``OverflowError``.  ``_range_error`` is the one range error: the
 only place its message is written, and what every module raises for a
-value past float64.
+value past float64.  The module uses ``math`` alone: numpy is imported only
+where a quadrature builds arrays, in ``fractional`` and ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, PoleError, ToleranceNotMet
 
 #: Euler-Mascheroni constant C.
 EULER_GAMMA = 0.5772156649015329
-
-#: exp(x) is finite in float64 for every x up to this.
-_EXP_MAX = math.log(sys.float_info.max)
 
 #: Arguments closer than this to a non-positive integer are treated as poles.
 POLE_TOL = 1e-12
@@ -95,16 +90,6 @@ def _guarded_exp(x: float) -> float:
     if not value < math.inf:
         raise _range_error(f"exp({x:.6g})")
     return value
-
-
-def _guarded_exp_array(x: np.ndarray) -> np.ndarray:
-    """``_guarded_exp`` elementwise: exp(x), or ``DomainError`` naming the
-    float64 range where any element overflows or is NaN.  The largest
-    argument is tested before exponentiating, so numpy never warns."""
-    top = x.max(initial=-math.inf)
-    if not top <= _EXP_MAX:
-        raise _range_error(f"exp({top:.6g})")
-    return np.exp(x)
 
 
 def _guarded_lgamma(x: float) -> float:

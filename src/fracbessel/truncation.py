@@ -105,7 +105,7 @@ def sum_with_policy(
 
     try:
         total = math.fsum(collected)
-    except OverflowError:  # finite terms whose exact sum is past the float64 range
+    except (OverflowError, ValueError):  # an exact sum past float64, or inf and -inf among the terms
         total = math.inf
     return SeriesApproximation(
         value=_in_range(scale * total),

@@ -30,11 +30,14 @@ SQRT_PI = math.sqrt(math.pi)
 REALS = st.floats() | st.floats(-1e3, 1e3)
 
 
-def power_on(p, top):
-    """t^p on [0, top], inf where it overflows; a call outside fails the test."""
+def power_on(p, top, bottom=0.0):
+    """t^p on [bottom, top], inf where it overflows; a call outside fails the test.
+
+    Below t = 0 a non-integer p makes t^p complex, which the library refuses.
+    """
 
     def f(t):
-        assert 0.0 <= t <= top, f"f called at t={t!r}, outside [0, {top!r}]"
+        assert bottom <= t <= top, f"f called at t={t!r}, outside [{bottom!r}, {top!r}]"
         try:
             return t ** p
         except (OverflowError, ZeroDivisionError):
@@ -102,6 +105,24 @@ class TestRlIntegral:
         # OverflowError; the integral diverges anyway
         with pytest.raises(DomainError, match="float64 range"):
             rl_integral(lambda t: t ** -3.5, -0.5, BoundarySetup(0.0, 1.0))
+
+    @pytest.mark.parametrize("rule,s", [(rl_integral, -0.5), (rl_derivative, 0.5)])
+    def test_complex_value_of_f_is_a_domain_error(self, rule, s):
+        # t ** 0.5 is complex below t = 0; it raised a raw TypeError from the adapter
+        with pytest.raises(DomainError, match=r"f\(-[0-9.e-]+\) = \(.*j\) is not a real number"):
+            rule(lambda t: t ** 0.5, s, BoundarySetup(-1.0, 1.0))
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_exceptions_of_f_propagate_as_they_are(self, error):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            raise error("raised by f")
+
+        with pytest.raises(error, match="raised by f"):
+            rl_integral(f, -0.5, BoundarySetup(0.0, 1.0))
+        assert len(calls) == 1  # not run again to look for a complex value
 
     def test_f_is_only_evaluated_on_the_interval(self):
         # the rounded u^(1/p) passed x - a, so f was called at t = -4.4e-16
@@ -565,6 +586,18 @@ class TestWholeDomain:
         # the central stencil evaluates f past x
         self._finite_or_rejected(
             lambda: rl_derivative(power_on(p, math.inf), s, BoundarySetup(0.0, x))
+        )
+
+    @given(p=REALS, s=REALS, a=REALS, x=REALS)
+    @settings(max_examples=100, deadline=None)
+    def test_rl_integral_any_boundary(self, p, s, a, x):
+        self._finite_or_rejected(lambda: rl_integral(power_on(p, x, a), s, BoundarySetup(a, x)))
+
+    @given(p=REALS, s=REALS, a=REALS, x=REALS)
+    @settings(max_examples=60, deadline=None)
+    def test_rl_derivative_any_boundary(self, p, s, a, x):
+        self._finite_or_rejected(
+            lambda: rl_derivative(power_on(p, math.inf, a), s, BoundarySetup(a, x))
         )
 
     @given(

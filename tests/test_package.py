@@ -1,7 +1,8 @@
 """The package's export list matches what ``fracbessel/__init__.py`` binds,
 the package carries no unused import and no private definition nothing names,
 its declared dependencies are exactly the third-party packages it imports,
-and importing it loads no scipy."""
+importing it loads no scipy, and the series path, from import through the
+CLI's series commands, loads no numpy: only a quadrature does."""
 
 import ast
 import re
@@ -104,3 +105,34 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=SRC.parent, timeout=120)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+SERIES_PATH = """
+import contextlib, io, sys, tempfile
+from pathlib import Path
+import fracbessel, fracbessel.cli
+from fracbessel import general_expansion_m7, k_mcdonald, k_oracle, k_series_m9, k_series_m10
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+
+k_mcdonald(0.5, 1.0), k_series_m9(0.5, 1.0), k_series_m10(0.5, 1.0)
+general_expansion_m7(1.0, 2.0, 1.0, 1.0, 1.0)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        fracbessel.cli.main(["eval", "--s", "0.5", "--z", "1"]),
+        fracbessel.cli.main(["converge", "--s-range", "0.1:0.5:0.2", "--z-range", "0.5:1.5:0.5"]),
+        fracbessel.cli.main(["table", "--s-list", "0.5,1.3", "--z-list", "1,2",
+                             "--methods", "rearranged,m9,m10", "--out", str(Path(tmp) / "t.csv")]),
+    ]
+print(codes, loaded())
+k_oracle(0.5, 1.0)
+print("numpy" in loaded())
+"""
+
+
+def test_the_series_path_loads_no_numpy():
+    # numpy's import was about two thirds of every cold start; the K series never needs it
+    out = subprocess.run([sys.executable, "-c", SERIES_PATH], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent, timeout=120)
+    assert out.stdout.splitlines() == ["[0, 0, 0] []", "True"], out.stdout

@@ -531,6 +531,14 @@ class TestTruncationEngine:
             with pytest.raises(DomainError, match="integer"):
                 TruncationPolicy(divergence_window=bad)
 
+    def test_opposite_infinities_raise(self):
+        # math.fsum raises a raw ValueError on inf + -inf
+        with pytest.raises(DomainError, match="float64 range"):
+            sum_with_policy(iter([math.inf, -math.inf]), TruncationPolicy(max_terms=5))
+        with pytest.raises(DomainError, match="float64 range"):
+            general_expansion_m7(9007199254740632.0, 9007199254740631.0, 1.1125369292536007e-308,
+                                 3.218884834580098e+17, 1.0, _capped(60))
+
     def test_stream_ending_at_the_budget_reads_as_budget(self):
         # no term past max_terms is evaluated, so the end of the stream is not seen
         approx = sum_with_policy(iter([1.0, 2.0, 3.0]), TruncationPolicy(max_terms=3))
