@@ -13,22 +13,24 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
+from copy import copy
 from dataclasses import asdict, dataclass, fields
+from itertools import tee
+from typing import Iterator
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
-from .series import OrderArg, adjudicate_m10, k_series_m9, k_series_m10, k_series_rearranged
+from .series import _M9, _M10, _REARRANGED, OrderArg, _KForm, _sum_k_series, adjudicate_m10
 from .truncation import SeriesApproximation, TruncationPolicy
 
-#: --method name -> (row label, series evaluator); "oracle" is served apart.
+#: --method name -> (row label, K series of ``series``); "oracle" is served apart.
 _SERIES = {
-    "rearranged": ("REARRANGED", k_series_rearranged),
-    "m9": ("RAW_M9", k_series_m9),
-    "m10": ("M10_REG", k_series_m10),
+    "rearranged": ("REARRANGED", _REARRANGED),
+    "m9": ("RAW_M9", _M9),
+    "m10": ("M10_REG", _M10),
 }
 _METHODS = sorted([*_SERIES, "oracle"])
 
@@ -126,24 +128,68 @@ def _parse_range(text: str, name: str) -> list[float]:
     return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
-def _sum_series(series, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
-    """series(|s|, z, policy); a ``SeriesDiverged`` gives back its flagged partial sum."""
+class _Kept:
+    """Iterator over ``source`` that, once ``source`` has raised, raises that
+    exception again on every later pull.
+
+    ``itertools.tee`` asks its source again for a value the source raised
+    on, and a generator that has raised answers ``StopIteration``: a later
+    reader would take that for the end of a terminating series and report
+    its partial sum as converged.
+    """
+
+    def __init__(self, source: Iterator[float]):
+        self._source, self._error = source, None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> float:
+        if self._error is not None:
+            raise self._error.with_traceback(None)
+        try:
+            return next(self._source)
+        except Exception as exc:
+            self._error = exc
+            raise
+
+
+def _shared_streams(form: _KForm, z_values: list[float]) -> list[Iterator[float]]:
+    """The inner stream of ``form`` at each z, built once for a grid command.
+
+    A ``copy`` of an entry reads that stream from its first value, and each
+    value is computed only for the first reader that gets to it.
+    """
+    return [tee(_Kept(form.inner(z)), 1)[0] for z in z_values]
+
+
+def _sum_series(
+    form: _KForm, s: float, z: float, policy: TruncationPolicy, inner: Iterator[float] | None = None
+) -> SeriesApproximation:
+    """``form`` at (|s|, z), over ``inner`` when given; a ``SeriesDiverged``
+    gives back its flagged partial sum."""
     try:
-        return series(abs(s), z, policy)
+        return _sum_k_series(form, abs(s), z, policy, inner)
     except SeriesDiverged as exc:
         return exc.approximation
 
 
 def _evaluate(
-    s: float, z: float, method: str, policy: TruncationPolicy, oracle: float | None = None
+    s: float,
+    z: float,
+    method: str,
+    policy: TruncationPolicy,
+    oracle: float | None = None,
+    inner: Iterator[float] | None = None,
 ) -> OutputRow:
     """Evaluate one point; ``oracle``, when given, is K_s(z) from ``k_oracle``,
-    reused for the ORACLE row instead of a second quadrature."""
+    reused for the ORACLE row instead of a second quadrature, and ``inner``,
+    when given, the series' inner stream at z."""
     if method == "oracle":
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
-    label, series = _SERIES[method]
-    approx = _sum_series(series, s, z, policy)
+    label, form = _SERIES[method]
+    approx = _sum_series(form, s, z, policy, inner)
     return OutputRow(s, z, label, approx.terms_used, approx.value, approx.converged)
 
 
@@ -185,14 +231,16 @@ def _cmd_table(args) -> int:
         if m not in _METHODS:
             raise DomainError(f"unknown method {m!r} (choose from {_METHODS})")
     policy = TruncationPolicy(max_terms=args.max_terms)
+    shared = {m: _shared_streams(_SERIES[m][1], z_values) for m in _SERIES.keys() & methods}
     rows = []
-    for s, z in itertools.product(s_values, z_values):
-        ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
-        for m in methods:
-            row = _evaluate(s, z, m, policy, ref)
-            if args.with_oracle:
-                row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
-            rows.append(row)
+    for s in s_values:
+        for j, z in enumerate(z_values):
+            ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
+            for m in methods:
+                row = _evaluate(s, z, m, policy, ref, copy(shared[m][j]) if m in shared else None)
+                if args.with_oracle:
+                    row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
+                rows.append(row)
     payload = _rows_to_json(rows) if args.json else _rows_to_csv(rows)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -212,22 +260,26 @@ def _cmd_converge(args) -> int:
         raise DomainError(f"every z must be positive, got --z-range {args.z_range!r}")
     policy = TruncationPolicy(max_terms=args.max_terms)
 
+    _, form = _SERIES["rearranged"]
+    shared = _shared_streams(form, z_values)
+
     statuses: dict[str, int] = {"converged": 0, "max-terms": 0, "diverging": 0, "rejected": 0}
     converged_s: set[float] = set()
-    for s, z in itertools.product(s_values, z_values):
-        try:
-            approx = _sum_series(k_series_rearranged, s, z, policy)
-        except DomainError:
-            status, terms, last = "rejected", 0, math.nan
-        else:
-            status = "converged" if approx.converged else "max-terms"
-            if approx.diverging:
-                status = "diverging"
-            terms, last = approx.terms_used, approx.last_term_abs
-        if status == "converged":
-            converged_s.add(s)
-        statuses[status] += 1
-        print(f"s={_fmt(s)} z={_fmt(z)} status={status} terms={terms} last_term={last:.3e}")
+    for s in s_values:
+        for z, stream in zip(z_values, shared):
+            try:
+                approx = _sum_series(form, s, z, policy, copy(stream))
+            except DomainError:
+                status, terms, last = "rejected", 0, math.nan
+            else:
+                status = "converged" if approx.converged else "max-terms"
+                if approx.diverging:
+                    status = "diverging"
+                terms, last = approx.terms_used, approx.last_term_abs
+            if status == "converged":
+                converged_s.add(s)
+            statuses[status] += 1
+            print(f"s={_fmt(s)} z={_fmt(z)} status={status} terms={terms} last_term={last:.3e}")
     total = sum(statuses.values())
     print(
         f"summary: {total} points | converged {statuses['converged']} | "
@@ -303,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_table = sub.add_parser("table", help="evaluate a full (s, z, method) grid")
-    p_table.add_argument("--s-list", required=True, help="comma-separated orders")
+    p_table.add_argument(
+        "--s-list", required=True,
+        help="comma-separated orders; write --s-list=-1.5,2 when the first is negative",
+    )
     p_table.add_argument("--z-list", required=True, help="comma-separated positive arguments")
     p_table.add_argument("--methods", default="rearranged", help="comma-separated methods")
     p_table.add_argument("--with-oracle", action="store_true", help="add rel_err_vs_oracle column")
@@ -313,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_conv = sub.add_parser("converge", help="map empirical convergence over a grid")
-    p_conv.add_argument("--s-range", required=True, help="lo:hi:step")
+    p_conv.add_argument(
+        "--s-range", required=True, help="lo:hi:step; write --s-range=-1:1:0.5 when lo is negative"
+    )
     p_conv.add_argument("--z-range", required=True, help="lo:hi:step (positive)")
     p_conv.add_argument("--max-terms", type=int, default=200)
     p_conv.set_defaults(func=_cmd_converge)

@@ -193,27 +193,25 @@ def rl_integral(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
     ``_rl_integral_array`` documents, and evaluated only on (a, x].  An
     ``OverflowError`` from f, as Python raises for t ** -3.5 next to t = 0,
     is a value past float64, and a complex value, as t ** 0.5 gives at
-    t < 0, is not real: both raise ``DomainError``.  Any other exception of
-    f propagates as it is.
+    t < 0 or a numpy complex scalar anywhere, is not real: both raise
+    ``DomainError``.  Any other exception of f propagates as it is.
     """
 
     def f_array(t: np.ndarray) -> np.ndarray:
         import numpy as np
 
         nodes = t.tolist()
+        complex_types = (complex, np.complexfloating)
         try:
-            return np.fromiter(map(f, nodes), float, len(nodes))
-        except OverflowError:
+            values = list(map(f, nodes))
+            # one complex value makes the sum complex; numpy would cast a
+            # numpy complex value to float with only a warning
+            if isinstance(sum(values), complex_types):
+                node, value = next((n, v) for n, v in zip(nodes, values) if isinstance(v, complex_types))
+                raise DomainError(f"f({node!r}) = {value!r} is not a real number")
+            return np.fromiter(values, float, len(values))
+        except OverflowError:  # from f, or an int value past float64
             raise _range_error("a value of f") from None
-        except TypeError as error:
-            if error.__traceback__.tb_next is not None:  # raised inside f: its own
-                raise
-            # numpy could not convert a value of f; only on this path does f run again, to name it
-            for node in nodes:
-                value = f(node)
-                if isinstance(value, complex):
-                    raise DomainError(f"f({node!r}) = {value!r} is not a real number") from None
-            raise
 
     return _rl_integral_array(f_array, s, bounds)
 

@@ -18,9 +18,18 @@ constructions in ``vk``:
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
 The three fixed-argument streams cost a fixed number of big-integer
-operations per term; ``_e_stream`` evaluates row_k(w) / (k! q^k) with
-``vk._exact_poly``, O(k) big-integer work per term.  The rearranged form
-and M9 sum one polynomial built by two independent recurrences.
+operations per term, but the integers grow: at w = p / 2^e the k-th term
+works on integers of about k (e + log2 k) bits, and e is about 50 for a
+generic double, so N terms cost O(N^2 e) bit operations.  ``_e_stream``
+evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k) big-integer
+work per term.  The rearranged form and M9 sum one polynomial built by two
+independent recurrences.
+
+The three K series share one shape, ``_KForm``: a prefactor in (s, z) and
+the sum of (1/2-s)_k/(1/2+s)_k over an inner stream that depends on z
+alone.  The public evaluators build that stream for their one order; a
+caller evaluating many orders at one z (the CLI's ``table`` and
+``converge``) builds it once and hands each order a replay of it.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -53,7 +62,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import VerificationRecord, k_oracle
@@ -137,6 +146,57 @@ def _finalize(gen: Iterator[float], policy: TruncationPolicy, scale: float) -> S
     return approx
 
 
+# --- the three K series --------------------------------------------------------
+
+class _KForm(NamedTuple):
+    """One K series: the log of its prefactor at (s, z), and the inner stream
+    it sums, which depends on z alone."""
+
+    log_prefactor: Callable[[float, float], float]
+    inner: Callable[[float], Iterator[float]]
+
+
+# each ``inner`` names its ``vk`` stream when called, not when defined, so a
+# stream replaced on this module (as the tests that pin which recurrence a
+# form reads do) is the one that runs
+_REARRANGED = _KForm(
+    lambda s, z: (s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
+    lambda z: _m1_values(2.0 * z),
+)
+_M9 = _KForm(
+    lambda s, z: (
+        0.5 * math.log(math.pi)
+        - s * math.log(2.0 * z)
+        - z
+        + _guarded_lgamma(2.0 * s)
+        - _guarded_lgamma(0.5 + s)
+    ),
+    lambda z: _m1_partial_sums(2.0 * z),
+)
+_M10 = _KForm(
+    lambda s, z: (3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
+    lambda z: _mhalf_values(z),
+)
+
+
+def _sum_k_series(
+    form: _KForm,
+    s: float,
+    z: float,
+    policy: TruncationPolicy,
+    inner: Iterator[float] | None = None,
+) -> SeriesApproximation:
+    """``form`` at order s and argument z: the prefactor times the sum of
+    (1/2-s)_k/(1/2+s)_k * inner_k, where ``inner`` is the form's stream at z,
+    built here when not given."""
+    _require_positive_order(s)
+    _require_positive_z(z)
+    pref = _guarded_exp(form.log_prefactor(s, z))
+    if inner is None:
+        inner = form.inner(z)
+    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+
+
 # --- public evaluators -------------------------------------------------------
 
 def k_series_rearranged(
@@ -153,10 +213,7 @@ def k_series_rearranged(
     (1/2-s+k-1) hits exact zero and the sum terminates after m + 1 outer
     terms.
     """
-    _require_positive_order(s)
-    _require_positive_z(z)
-    pref = _guarded_exp((s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_values(2.0 * z)), policy, pref)
+    return _sum_k_series(_REARRANGED, s, z, policy)
 
 
 def k_series_m9(
@@ -180,16 +237,7 @@ def k_series_m9(
     prefactor checks the duplication formula against the rearranged
     2^{s-1} Gamma(s).
     """
-    _require_positive_order(s)
-    _require_positive_z(z)
-    pref = _guarded_exp(
-        0.5 * math.log(math.pi)
-        - s * math.log(2.0 * z)
-        - z
-        + _guarded_lgamma(2.0 * s)
-        - _guarded_lgamma(0.5 + s)
-    )
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _m1_partial_sums(2.0 * z)), policy, pref)
+    return _sum_k_series(_M9, s, z, policy)
 
 
 def k_series_m10(
@@ -209,10 +257,7 @@ def k_series_m10(
     which is total at half-integers and terminates there.  The result is
     not presumed equal to K_s(z); ``adjudicate_m10`` decides empirically.
     """
-    _require_positive_order(s)
-    _require_positive_z(z)
-    pref = _guarded_exp((3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, _mhalf_values(z)), policy, pref)
+    return _sum_k_series(_M10, s, z, policy)
 
 
 def k_mcdonald(
@@ -224,7 +269,7 @@ def k_mcdonald(
     the rearranged form, which terminates at half-integers and truncates
     adaptively elsewhere.  Orders within 1e-10 of zero are rejected.
     """
-    return k_series_rearranged(abs(s), z, policy)
+    return _sum_k_series(_REARRANGED, abs(s), z, policy)
 
 
 def general_expansion_m7(

@@ -10,8 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbessel import DomainError, ToleranceNotMet, cli
-from fracbessel.cli import CSV_FIELDS, main
+from fracbessel import (
+    DomainError,
+    SeriesDiverged,
+    ToleranceNotMet,
+    TruncationPolicy,
+    cli,
+    k_oracle,
+    k_series_m9,
+    k_series_m10,
+    k_series_rearranged,
+)
+from fracbessel.cli import CSV_FIELDS, OutputRow, main
 
 
 def run(*argv):
@@ -236,6 +246,218 @@ class TestConverge:
     def test_malformed_ranges_exit_1(self, s_range, z_range):
         code, _, _ = run("converge", "--s-range", s_range, "--z-range", z_range)
         assert code == 1
+
+
+#: --method -> (row label, the public one-point evaluator)
+PUBLIC = {
+    "rearranged": ("REARRANGED", k_series_rearranged),
+    "m9": ("RAW_M9", k_series_m9),
+    "m10": ("M10_REG", k_series_m10),
+}
+
+
+def one_point(method, s, z, max_terms):
+    """The public evaluator at (|s|, z); a diverging sum gives its partial sum."""
+    try:
+        return PUBLIC[method][1](abs(s), z, TruncationPolicy(max_terms=max_terms))
+    except SeriesDiverged as exc:
+        return exc.approximation
+
+
+def expected_table(s_list, z_list, methods, max_terms, with_oracle):
+    """(exit code, rows or error line) of ``table``, one public call per point."""
+    rows = []
+    try:
+        for s in s_list:
+            for z in z_list:
+                ref = k_oracle(s, z) if with_oracle or "oracle" in methods else None
+                for m in methods:
+                    if m == "oracle":
+                        row = OutputRow(s, z, "ORACLE", 0, ref, True)
+                    else:
+                        approx = one_point(m, s, z, max_terms)
+                        row = OutputRow(s, z, PUBLIC[m][0], approx.terms_used, approx.value, approx.converged)
+                    if with_oracle:
+                        row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
+                    rows.append(row)
+    except DomainError as exc:
+        return 1, f"error: {exc}\n"
+    except ToleranceNotMet as exc:
+        return 2, f"error: {exc}\n"
+    return 0, rows
+
+
+def expected_converge_line(s, z, max_terms):
+    try:
+        approx = one_point("rearranged", s, z, max_terms)
+    except DomainError:
+        return f"s={s:.17g} z={z:.17g} status=rejected terms=0 last_term=nan"
+    status = "diverging" if approx.diverging else "converged" if approx.converged else "max-terms"
+    return f"s={s:.17g} z={z:.17g} status={status} terms={approx.terms_used} last_term={approx.last_term_abs:.3e}"
+
+
+def patch_stream(monkeypatch, method, make):
+    """Replace ``method``'s inner stream, a function of z, by ``make(original)``."""
+    label, form = cli._SERIES[method]
+    monkeypatch.setitem(cli._SERIES, method, (label, form._replace(inner=make(form.inner))))
+
+
+#: Orders drawn for the grid commands: duplicates, negatives, zero, an order
+#: below the zero-order cut, half-integers and generic orders.
+ORDERS = st.sampled_from([-1.5, -0.7, 0.0, 1e-12, 0.5, 1.5, 2.5, 0.7, 1.3]) | st.floats(-3.0, 3.0)
+ARGUMENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 6.0)
+
+
+class TestSharedStreams:
+    """``table`` and ``converge`` build one inner stream per (method, z) and
+    replay it to every order; each row is still the one-point evaluation."""
+
+    @given(
+        s_list=st.lists(ORDERS, min_size=1, max_size=3),
+        z_list=st.lists(ARGUMENTS, min_size=1, max_size=2),
+        methods=st.lists(st.sampled_from(cli._METHODS), min_size=1, max_size=3),
+        max_terms=st.sampled_from([1, 2, 5, 60, 200]),
+        with_oracle=st.booleans(),
+        as_json=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_table_row_is_the_one_point_value(
+        self, tmp_path_factory, s_list, z_list, methods, max_terms, with_oracle, as_json
+    ):
+        out_path = tmp_path_factory.mktemp("table") / "t.out"
+        argv = ["table", f"--s-list={','.join(map(repr, s_list))}", f"--z-list={','.join(map(repr, z_list))}",
+                f"--methods={','.join(methods)}", f"--max-terms={max_terms}", f"--out={out_path}"]
+        code, out, err = run(*argv, *(["--with-oracle"] if with_oracle else []), *(["--json"] if as_json else []))
+        want_code, want = expected_table(s_list, z_list, methods, max_terms, with_oracle)
+        assert code == want_code
+        if code:
+            assert (out, err) == ("", want)
+            assert not out_path.exists()
+        else:
+            encode = cli._rows_to_json if as_json else cli._rows_to_csv
+            assert out_path.read_text() == encode(want)
+
+    @given(
+        s_lo=ORDERS,
+        s_step=st.sampled_from([0.25, 0.5, 0.7]),
+        n_s=st.integers(0, 3),
+        z_lo=st.floats(0.1, 4.0),
+        z_step=st.sampled_from([0.5, 1.0]),
+        n_z=st.integers(0, 2),
+        max_terms=st.sampled_from([1, 3, 60, 200]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_converge_line_is_the_one_point_value(self, s_lo, s_step, n_s, z_lo, z_step, n_z, max_terms):
+        s_range = f"{s_lo!r}:{s_lo + n_s * s_step!r}:{s_step!r}"
+        z_range = f"{z_lo!r}:{z_lo + n_z * z_step!r}:{z_step!r}"
+        code, out, _ = run("converge", f"--s-range={s_range}", f"--z-range={z_range}", f"--max-terms={max_terms}")
+        assert code == 0
+        s_values, z_values = cli._parse_range(s_range, "s-range"), cli._parse_range(z_range, "z-range")
+        lines = [ln for ln in out.splitlines() if ln.startswith("s=")]
+        assert lines == [expected_converge_line(s, z, max_terms) for s in s_values for z in z_values]
+
+    def test_converge_builds_one_stream_per_argument(self, monkeypatch):
+        built = []
+
+        def counting(inner):
+            def make(z):
+                built.append(z)
+                return inner(z)
+
+            return make
+
+        patch_stream(monkeypatch, "rearranged", counting)
+        code, out, _ = run("converge", "--s-range", "0.7:1.7:0.5", "--z-range", "1:2:1")
+        assert code == 0 and out.count("status=") == 6
+        assert built == [1.0, 2.0]
+
+    def test_table_builds_one_stream_per_method_and_argument(self, tmp_path, monkeypatch):
+        built = {m: [] for m in PUBLIC}
+        for m in PUBLIC:
+            def counting(inner, m=m):
+                def make(z):
+                    built[m].append(z)
+                    return inner(z)
+
+                return make
+
+            patch_stream(monkeypatch, m, counting)
+        code, _, _ = run("table", "--s-list", "0.7,1.3", "--z-list", "1,2", "--methods", "rearranged,m9,m10",
+                         "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert built == {m: [1.0, 2.0] for m in PUBLIC}
+
+    @staticmethod
+    def failing_at(index):
+        """A stream factory wrapper whose stream raises at ``index``."""
+
+        def wrap(inner):
+            def make(z):
+                for k, value in enumerate(inner(z)):
+                    if k == index:
+                        raise DomainError(f"injected at E_{k}, z={z!r}")
+                    yield value
+
+            return make
+
+        return wrap
+
+    def test_a_stream_error_reaches_every_order_that_gets_that_far(self, monkeypatch):
+        # s = 1/2, 3/2 and 5/2 end after 1, 2 and 3 terms, before index 3;
+        # a replay that lost the error would end the later generic orders
+        # there and report them converged
+        patch_stream(monkeypatch, "rearranged", self.failing_at(3))
+        code, out, _ = run("converge", "--s-range", "0.5:2.5:0.5", "--z-range", "1:2:1")
+        assert code == 0
+        status = {ln.split(" status=")[0]: ln.split("status=")[1].split()[0]
+                  for ln in out.splitlines() if ln.startswith("s=")}
+        assert status == {
+            f"s={s} z={z}": ("rejected" if s in ("1", "2") else "converged")
+            for s in ("0.5", "1", "1.5", "2", "2.5") for z in ("1", "2")
+        }
+
+    @pytest.mark.parametrize("method", sorted(PUBLIC))
+    def test_a_stream_error_fails_the_table_at_its_point(self, tmp_path, monkeypatch, method):
+        patch_stream(monkeypatch, method, self.failing_at(3))
+        out_path = tmp_path / "t.csv"
+        grid = ("--z-list", "1,2", "--methods", method, "--out", str(out_path))
+        code, _, _ = run("table", "--s-list", "0.5,1.5,2.5", *grid)
+        assert code == 0
+        with out_path.open() as fh:
+            assert [row["converged"] for row in csv.DictReader(fh)] == ["true"] * 6
+        out_path.unlink()
+        code, out, err = run("table", "--s-list", "0.5,1.5,1.3,2.5", *grid)
+        assert (code, out, err) == (1, "", "error: injected at E_3, z=1.0\n")
+        assert not out_path.exists()
+
+
+class TestNegativeLeadingValues:
+    """argparse reads a value that starts with '-' as an option; the '=' form passes it."""
+
+    def test_s_list_with_a_negative_first_order(self, tmp_path):
+        rows = {}
+        for s_list in ("-1.5,2", "1.5,2"):
+            out_path = tmp_path / f"{s_list}.json"
+            code, _, _ = run("table", f"--s-list={s_list}", "--z-list", "1,2.5", "--methods", "rearranged,m9",
+                             "--json", "--out", str(out_path))
+            assert code == 0
+            rows[s_list] = json.loads(out_path.read_text())
+        assert [r["s"] for r in rows["-1.5,2"]] == [-1.5] * 4 + [2.0] * 4
+        for neg, pos in zip(rows["-1.5,2"], rows["1.5,2"]):
+            assert {**neg, "s": abs(neg["s"])} == pos
+
+    def test_s_range_with_a_negative_start(self):
+        code, out, _ = run("converge", "--s-range=-1:1:0.5", "--z-range", "1:1:1")
+        assert code == 0
+        assert [ln.split()[0] for ln in out.splitlines() if ln.startswith("s=")] == [
+            "s=-1", "s=-0.5", "s=0", "s=0.5", "s=1"]
+        assert "s=0 z=1 status=rejected" in out
+
+    @pytest.mark.parametrize("command,flag", [("table", "--s-list"), ("converge", "--s-range")])
+    def test_help_names_the_equals_form(self, command, flag):
+        code, out, _ = run(command, "--help")
+        assert code == 0
+        assert f"{flag}=-" in "".join(out.split())  # help may wrap at any hyphen
 
 
 class TestVerify:

@@ -112,6 +112,14 @@ class TestRlIntegral:
         with pytest.raises(DomainError, match=r"f\(-[0-9.e-]+\) = \(.*j\) is not a real number"):
             rule(lambda t: t ** 0.5, s, BoundarySetup(-1.0, 1.0))
 
+    @pytest.mark.parametrize("rule,s", [(rl_integral, -0.5), (rl_derivative, 0.5)])
+    @pytest.mark.parametrize("cls", [np.complex128, np.complex64])
+    def test_numpy_complex_value_of_f_is_a_domain_error(self, rule, s, cls):
+        # numpy cast the value to float and kept t ** 2, 0.7446922567493411
+        # for rl_integral, with only a ComplexWarning
+        with pytest.raises(DomainError, match=r"f\([0-9.e-]+\) = .*j\) is not a real number"):
+            rule(lambda t: cls(t) ** 2 + 1j, s, BoundarySetup(-1.0, 1.0))
+
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_exceptions_of_f_propagate_as_they_are(self, error):
         calls = []
