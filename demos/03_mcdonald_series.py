@@ -31,13 +31,11 @@ print("(its divergence heuristic trips on the slowly oscillating tail):")
 for s, z in ((0.7, 1.0), (2.6, 1.0)):
     try:
         approx = k_mcdonald(s, z)
-        status = "converged" if approx.converged else "max-terms"
     except SeriesDiverged as exc:
         approx = exc.approximation
-        status = "flagged diverging"
     ref = k_oracle(s, z)
     print(
-        f"  s={s} z={z}: {status} after {approx.terms_used} terms, "
+        f"  s={s} z={z}: {approx.stop_reason} after {approx.terms_used} terms, "
         f"partial sum off by {abs(approx.value - ref) / ref:.1e}"
     )
 
@@ -47,7 +45,7 @@ for s, z in ((0.7, 1.0), (2.6, 1.0)):
     approx = k_mcdonald(s, z, wide)
     ref = k_oracle(s, z)
     print(
-        f"  s={s} z={z}: converged={approx.converged} terms={approx.terms_used} "
+        f"  s={s} z={z}: {approx.stop_reason} after {approx.terms_used} terms, "
         f"rel = {abs(approx.value - ref) / ref:.1e}"
     )
 

@@ -52,6 +52,9 @@ _ANCHOR = (1.0, 1.0, 1.0)  # mu = beta = x = 1, where both sides of M4A/M4B equa
 _ANCHOR_TOL_M4 = 1e-10
 _ANCHOR_TOL_INFO = 1e-9
 
+#: ``converge``'s status for each ``SeriesApproximation.stop_reason``.
+_STATUS = {"terminated": "converged", "converged": "converged", "budget": "max-terms", "diverging": "diverging"}
+
 #: Most points one lo:hi:step range may expand to.
 _MAX_RANGE_POINTS = 100_000
 
@@ -272,10 +275,7 @@ def _cmd_converge(args) -> int:
             except DomainError:
                 status, terms, last = "rejected", 0, math.nan
             else:
-                status = "converged" if approx.converged else "max-terms"
-                if approx.diverging:
-                    status = "diverging"
-                terms, last = approx.terms_used, approx.last_term_abs
+                status, terms, last = _STATUS[approx.stop_reason], approx.terms_used, approx.last_term_abs
             if status == "converged":
                 converged_s.add(s)
             statuses[status] += 1

@@ -36,6 +36,7 @@ from .special import (
     _guarded_exp,
     _guarded_lgamma,
     _in_range,
+    _integer_at_least,
     _pole_location,
     _range_error,
     digamma,
@@ -43,7 +44,7 @@ from .special import (
     gen_binomial,
     lower_incomplete_gamma,
 )
-from .truncation import SeriesApproximation, TruncationPolicy, _term_count, sum_with_policy
+from .truncation import SeriesApproximation, TruncationPolicy, sum_with_policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -373,13 +374,14 @@ def leibniz_series(
     ``g_derivs[j]`` evaluates the j-th classical derivative of g;
     ``f_frac(order, x)`` evaluates the order-``order`` differintegral of f.
     Terms are evaluated lazily and stop like every sum (``sum_with_policy``):
-    at ``STOP_RUN`` negligible terms in a row (converged), or at j = n_terms
-    (budget; never diverging).  Fewer evaluators end the sum early (the
-    remaining derivatives vanish, as for polynomial g), which counts as
-    convergence.  A term or sum outside float64, NaN included, or an
-    ``n_terms`` that is not an integer >= 1 raises ``DomainError``.
+    at ``STOP_RUN`` negligible terms in a row (``"converged"``), or at
+    j = n_terms (``"budget"``; never diverging).  Fewer evaluators end the
+    sum early (the remaining derivatives vanish, as for polynomial g):
+    ``"terminated"``, which counts as convergence.  A term or sum outside
+    float64, NaN included, or an ``n_terms`` that is not an integer >= 1
+    raises ``DomainError``.
     """
-    n_terms = _term_count(n_terms, "n_terms")
+    n_terms = _integer_at_least(n_terms, 1, "n_terms")
     if not g_derivs:
         raise DomainError("need at least one derivative evaluator for g")
     terms = (

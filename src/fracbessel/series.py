@@ -141,7 +141,7 @@ def _require_positive_order(s: float) -> None:
 
 def _finalize(gen: Iterator[float], policy: TruncationPolicy, scale: float) -> SeriesApproximation:
     approx = sum_with_policy(gen, policy, scale=scale)
-    if approx.diverging:
+    if approx.stop_reason == "diverging":
         raise SeriesDiverged(approx)
     return approx
 

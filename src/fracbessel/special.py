@@ -17,6 +17,7 @@ where a quadrature builds arrays, in ``fractional`` and ``oracle``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,6 +108,18 @@ def _in_range(value: float) -> float:
     return value
 
 
+def _integer_at_least(value: int, low: int, name: str) -> int:
+    """``value`` as an int if it is an integer >= ``low``, else ``DomainError``;
+    a float (inf, NaN, 2.0) never is.  The one check of every integer argument."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = low - 1
+    if n < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return n
+
+
 def _check_pole(x: float) -> None:
     loc = _pole_location(x)
     if loc is not None:
@@ -154,8 +167,7 @@ def pochhammer(a: float, k: int) -> float:
     ``a`` where the ratio would sit on a pole; a base next to a pole but
     not on it takes the ratio).
     """
-    if k < 0:
-        raise DomainError("pochhammer index k must be a non-negative integer")
+    k = _integer_at_least(k, 0, "pochhammer index k")
     if not math.isfinite(a):
         raise DomainError(f"pochhammer base must be a finite number, got a={a!r}")
     if k == 0:
@@ -225,8 +237,7 @@ def gen_binomial(s: float, j: int) -> float:
     -1 < s < j - 1, whose sign is (-1)^m over the m = j - floor(s) - 1
     negative falling factors.
     """
-    if j < 0:
-        raise DomainError("binomial index j must be a non-negative integer")
+    j = _integer_at_least(j, 0, "binomial index j")
     if not math.isfinite(s):
         raise DomainError(f"binomial top must be a finite number, got s={s!r}")
     if j == 0:

@@ -3,28 +3,15 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError
-from .special import _in_range
+from .special import _in_range, _integer_at_least
 
 #: Convergence test of every sum: ``STOP_RUN`` successive terms with
 #: |term| <= STOP_RATIO * |partial sum|.
 STOP_RATIO = 1e-14
 STOP_RUN = 3
-
-
-def _term_count(value: int, name: str) -> int:
-    """``value`` if it is an integer >= 1, else ``DomainError``; a float (inf, NaN) never is."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -41,8 +28,8 @@ class TruncationPolicy:
     divergence_window: int = 5
 
     def __post_init__(self):
-        _term_count(self.max_terms, "max_terms")
-        _term_count(self.divergence_window, "divergence_window")
+        _integer_at_least(self.max_terms, 1, "max_terms")
+        _integer_at_least(self.divergence_window, 1, "divergence_window")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -52,19 +39,32 @@ DEFAULT_POLICY = TruncationPolicy()
 class SeriesApproximation:
     """Value of a truncated series plus how the truncation went.
 
-    ``last_term_abs`` is reported in the same scale as ``value``.  When the
-    series terminated structurally (every remaining term identically zero)
-    it is 0.0, so the convergence invariant
+    ``stop_reason`` says why the sum stopped, one of four strings:
+
+    * ``"terminated"`` - the term stream ran out inside the budget: every
+      remaining term is identically zero;
+    * ``"converged"`` - ``STOP_RUN`` terms in a row were negligible;
+    * ``"budget"`` - ``max_terms`` terms were summed without a verdict;
+    * ``"diverging"`` - |term| grew ``divergence_window`` times in a row.
+
+    ``converged`` (terminated or converged) and ``diverging`` read it.
+    ``last_term_abs`` is reported in the same scale as ``value``.  For a
+    terminated sum it is 0.0, so the convergence invariant
     ``converged => last_term_abs <= STOP_RATIO * |value|`` holds there too.
-    ``converged`` and ``diverging`` are mutually exclusive; both False means
-    the term budget ran out without a verdict.
     """
 
     value: float
     terms_used: int
     last_term_abs: float
-    converged: bool
-    diverging: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("terminated", "converged")
+
+    @property
+    def diverging(self) -> bool:
+        return self.stop_reason == "diverging"
 
 
 def sum_with_policy(
@@ -74,20 +74,19 @@ def sum_with_policy(
 ) -> SeriesApproximation:
     """Accumulate ``terms`` under ``policy`` and return value = scale * sum.
 
-    The sum stops at the first of: ``STOP_RUN`` terms in a row with
-    |term| <= STOP_RATIO * |partial sum| (converged; fixed),
-    ``divergence_window`` strict increases of |term| in a row (diverging),
-    or ``max_terms`` terms (budget, neither flag).  A stream that runs out
-    inside the budget has terminated (a zero tail), which counts as
-    convergence; no term past the budget is evaluated, so a stream that
-    ends exactly at ``max_terms`` reads as budget.  Accumulation is exact
-    (math.fsum).  A value outside the float64 range raises ``DomainError``.
+    The sum stops at the first term that meets, in this precedence,
+    ``STOP_RUN`` terms in a row with |term| <= STOP_RATIO * |partial sum|
+    (``"converged"``; fixed), ``divergence_window`` strict increases of |term|
+    in a row (``"diverging"``), or ``max_terms`` terms (``"budget"``).  A
+    stream that runs out inside the budget is ``"terminated"`` (a zero tail);
+    no term past the budget is evaluated, so a stream that ends exactly at
+    ``max_terms`` reads as budget.  Accumulation is exact (math.fsum).  A
+    value outside the float64 range raises ``DomainError``.
     """
     collected: list[float] = []
     running = 0.0
     small = grow = 0
     prev = math.inf  # so the first term is never an increase
-    terminated = False
     for t in terms:
         collected.append(t)
         running += t
@@ -97,11 +96,12 @@ def sum_with_policy(
         grow = grow + 1 if mag > prev else 0
         prev = mag
         if small >= STOP_RUN or grow >= policy.divergence_window or len(collected) >= policy.max_terms:
+            # named only here, in precedence order: a term costs just the test
+            stop = ("converged" if small >= STOP_RUN else "diverging" if grow >= policy.divergence_window
+                    else "budget")
             break
     else:
-        terminated = True
-    converged = terminated or small >= STOP_RUN
-    diverging = not converged and grow >= policy.divergence_window
+        stop = "terminated"
 
     try:
         total = math.fsum(collected)
@@ -110,7 +110,6 @@ def sum_with_policy(
     return SeriesApproximation(
         value=_in_range(scale * total),
         terms_used=len(collected),
-        last_term_abs=0.0 if terminated else abs(scale) * abs(collected[-1]),
-        converged=converged,
-        diverging=diverging,
+        last_term_abs=0.0 if stop == "terminated" else abs(scale) * abs(collected[-1]),
+        stop_reason=stop,
     )

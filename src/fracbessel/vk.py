@@ -58,7 +58,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .errors import DomainError
-from .special import _range_error
+from .special import _integer_at_least, _range_error
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,17 @@ def _simplify(c) -> object:
     return c
 
 
-def _validate_alpha_k(alpha, k: int) -> Fraction:
-    """alpha as an exact Fraction, once alpha is finite and nonzero and k >= 0."""
-    if k < 0:
-        raise DomainError("k must be a non-negative integer")
+def _validate_alpha_k(alpha, k: int) -> tuple[Fraction, int]:
+    """(alpha as an exact Fraction, k as an int), once k is an integer >= 0
+    and alpha is finite and nonzero."""
+    k = _integer_at_least(k, 0, "k")
     try:
         a = Fraction(alpha)
     except (ValueError, OverflowError):
         raise DomainError(f"alpha must be a finite number, got alpha={alpha!r}") from None
     if a == 0:
         raise DomainError("alpha must be nonzero (alpha = 0 degenerates to a constant)")
-    return a
+    return a, k
 
 
 def _vk_rows(alpha) -> Iterator[list[int]]:
@@ -236,7 +236,7 @@ def vk_coeffs_sum(alpha, k: int) -> Polynomial:
 
     one exact division per coefficient.
     """
-    a = _validate_alpha_k(alpha, k)
+    a, k = _validate_alpha_k(alpha, k)
     n, q = a.numerator, a.denominator
     # R_i does not depend on j, so each rising product is formed once
     rising = [math.prod(m * q - n * i for m in range(k)) for i in range(k + 1)]
@@ -272,8 +272,7 @@ def vk_coeffs_closed_m1(k: int) -> Polynomial:
     with A_{k,0} = 0 for k >= 1 and V_0 = 1: the magnitudes of
     ``_closed_m1_row`` with their signs put back.
     """
-    if k < 0:
-        raise DomainError("k must be a non-negative integer")
+    k = _integer_at_least(k, 0, "k")
     return Polynomial(tuple(-c if (k + j) % 2 else c
                             for j, c in enumerate(reversed(_closed_m1_row(k)))))
 
@@ -283,16 +282,25 @@ def vk_coeffs_recurrence(alpha, k: int) -> Polynomial:
 
     Row k of ``_vk_rows`` divided by (-q)^k, alpha = a / q exactly.
     """
-    a = _validate_alpha_k(alpha, k)
+    a, k = _validate_alpha_k(alpha, k)
     row = next(islice(_vk_rows(a), k, None))
     scale = (-a.denominator) ** k
     return Polynomial(tuple(_simplify(Fraction(m, scale)) for m in reversed(row)))
 
 
 def vk_eval(p: Polynomial, z: float) -> float:
-    """p at a finite z, correctly rounded: ``_exact_poly`` over the common denominator."""
+    """p at a finite z, correctly rounded: ``_exact_poly`` over the common
+    denominator.  Every coefficient must be a finite number; the empty
+    (zero) polynomial is 0.0."""
     if not math.isfinite(z):
         raise DomainError(f"vk_eval needs a finite z, got z={z!r}")
-    coeffs = [Fraction(c) for c in reversed(p.coeffs)]
+    coeffs = []
+    for j, c in enumerate(p.coeffs):
+        try:
+            coeffs.append(Fraction(c))
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"vk_eval needs finite coefficients, got coeffs[{j}]={c!r}") from None
+    if not coeffs:
+        return 0.0
     den = math.lcm(*(c.denominator for c in coeffs))
-    return _exact_poly([c.numerator * (den // c.denominator) for c in coeffs], den, z)
+    return _exact_poly([c.numerator * (den // c.denominator) for c in reversed(coeffs)], den, z)

@@ -216,6 +216,24 @@ class TestConverge:
         assert "terms=" in out
         assert "summary:" in out
 
+    @pytest.mark.parametrize(
+        "s,z,max_terms,reason,line",
+        [
+            ("0.5", "1", 200, "terminated", "s=0.5 z=1 status=converged terms=1 last_term=0.000e+00"),
+            ("3.3", "0.1", 200, "converged",
+             "s=3.2999999999999998 z=0.10000000000000001 status=converged terms=64 last_term=2.018e-10"),
+            ("0.7", "1", 1, "budget", "s=0.69999999999999996 z=1 status=max-terms terms=1 last_term=3.879e-01"),
+            ("0.7", "30", 200, "diverging",
+             "s=0.69999999999999996 z=30 status=diverging terms=6 last_term=6.862e-10"),
+        ],
+    )
+    def test_one_status_line_per_stop_reason(self, s, z, max_terms, reason, line):
+        # terminated and converged both print "converged"; budget prints "max-terms"
+        assert one_point("rearranged", float(s), float(z), max_terms).stop_reason == reason
+        code, out, _ = run("converge", f"--s-range={s}:{s}:1", f"--z-range={z}:{z}:1", f"--max-terms={max_terms}")
+        assert code == 0
+        assert out.splitlines()[0] == line
+
     def test_zero_order_is_rejected_per_point(self):
         code, out, _ = run("converge", "--s-range", "0:0.5:0.5", "--z-range", "1:1:1")
         assert code == 0

@@ -534,6 +534,20 @@ class TestLeibniz:
         assert approx.converged and not approx.diverging
         assert len(calls) == approx.terms_used < 61
 
+    def test_a_zero_tail_stops_by_the_run_or_by_the_end_of_the_stream(self):
+        # g = 2y + 1, so every derivative past g' is zero.  Given as functions,
+        # the zero terms make a run of three negligible terms; left out, the
+        # stream of terms ends
+        f_frac = lambda order, y: power_rule(order, 0.5, BoundarySetup(0.0, y))
+        g_derivs = [lambda y: 2.0 * y + 1.0, lambda y: 2.0]
+        zero = lambda y: 0.0
+        by_run = leibniz_series(g_derivs + [zero] * 8, f_frac, 0.3, 1.2, 10)
+        by_end = leibniz_series(g_derivs + [zero], f_frac, 0.3, 1.2, 10)
+        assert (by_run.stop_reason, by_run.terms_used) == ("converged", 5)
+        assert (by_end.stop_reason, by_end.terms_used) == ("terminated", 3)
+        assert by_run.value == by_end.value
+        assert by_run.last_term_abs == by_end.last_term_abs == 0.0
+
     def test_cut_at_n_terms_is_budget(self):
         # g = e^{2y}, d^j g = 2^j e^{2y}: at j = 4 the terms are still large
         g_derivs = [lambda y, j=j: 2.0 ** j * math.exp(2.0 * y) for j in range(10)]

@@ -1,11 +1,12 @@
 """Series evaluators: termination, rearrangement equivalence, honest flags."""
 
 import math
-from itertools import count, islice
+from dataclasses import fields
+from itertools import accumulate, count, islice
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
@@ -14,6 +15,7 @@ from fracbessel import (
     DomainError,
     FracBesselError,
     OrderArg,
+    SeriesApproximation,
     SeriesDiverged,
     TruncationPolicy,
     adjudicate_m10,
@@ -37,7 +39,7 @@ from fracbessel.vk import (
     _mhalf_values,
     _vk_rows,
 )
-from fracbessel.truncation import STOP_RATIO, sum_with_policy
+from fracbessel.truncation import STOP_RATIO, STOP_RUN, sum_with_policy
 
 #: Wide-window policy for probing truncation behaviour past the conservative
 #: default divergence heuristic (the policy is a public knob).
@@ -480,6 +482,30 @@ def _capped(n):
     return TruncationPolicy(max_terms=n, divergence_window=10**6)
 
 
+def _reference_stop(terms, max_terms, window):
+    """(stop_reason, terms_used) of the documented stop rule, decided afresh
+    on each prefix of ``terms`` instead of from running counters."""
+    sums = list(accumulate(terms, initial=0.0))[1:]
+    mags = [abs(t) for t in terms]
+    for n in range(1, len(terms) + 1):
+        # a term whose partial sum is zero is no evidence either way
+        evidence = [mags[i] <= STOP_RATIO * abs(sums[i]) for i in range(n) if sums[i] != 0.0]
+        if len(evidence) >= STOP_RUN and all(evidence[-STOP_RUN:]):
+            return "converged", n
+        if n > window and all(mags[i] > mags[i - 1] for i in range(n - window, n)):
+            return "diverging", n
+        if n >= max_terms:
+            return "budget", n
+    return "terminated", len(terms)
+
+
+#: Finite terms that make every stop likely: zeros and negligible terms for
+#: a convergence run, doublings for a divergence streak.
+TERM_LISTS = st.lists(
+    st.sampled_from([0.0, 1e-20, -1e-20, 1.0, -1.0, 2.0, 4.0, 8.0]) | st.floats(-1e3, 1e3), max_size=20
+)
+
+
 class TestTruncationEngine:
     def test_convergence_needs_consecutive_small_terms(self):
         terms = iter([1.0, 0.5, 1e-20, 0.5, 1e-20, 1e-20, 1e-20, 0.4])
@@ -542,11 +568,34 @@ class TestTruncationEngine:
     def test_stream_ending_at_the_budget_reads_as_budget(self):
         # no term past max_terms is evaluated, so the end of the stream is not seen
         approx = sum_with_policy(iter([1.0, 2.0, 3.0]), TruncationPolicy(max_terms=3))
+        assert approx.stop_reason == "budget"
         assert not approx.converged and not approx.diverging
         assert approx.last_term_abs == 3.0
         approx = k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=3))
         assert approx.terms_used == 3 and not approx.converged
         assert k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=4)).converged
+
+    def test_the_result_stores_one_stop_reason(self):
+        # converged and diverging are read from it, not stored beside it
+        assert [f.name for f in fields(SeriesApproximation)] == [
+            "value", "terms_used", "last_term_abs", "stop_reason"]
+
+    @given(terms=TERM_LISTS, max_terms=st.integers(1, 25), window=st.integers(1, 8),
+           scale=st.floats(-1e3, 1e3))
+    @example(terms=[1.0, 2.0, 0.5], max_terms=5, window=5, scale=2.0)  # terminated
+    @example(terms=[], max_terms=5, window=5, scale=2.0)  # terminated, empty
+    @example(terms=[1.0, 1e-20, 0.0, -1e-20, 3.0], max_terms=9, window=5, scale=-1.0)  # converged
+    @example(terms=[1.0, 2.0, 4.0, 8.0, 1e-20], max_terms=4, window=3, scale=1.0)  # diverging at the budget
+    @example(terms=[0.9 ** k for k in range(12)], max_terms=6, window=2, scale=0.5)  # budget
+    @settings(max_examples=300, deadline=None)
+    def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale):
+        approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale)
+        reason, n = _reference_stop(terms, max_terms, window)
+        assert (approx.stop_reason, approx.terms_used) == (reason, n)
+        assert approx.last_term_abs == (0.0 if reason == "terminated" else abs(scale) * abs(terms[n - 1]))
+        assert approx.value == scale * math.fsum(terms[:n])
+        assert approx.converged == (reason in ("terminated", "converged"))
+        assert approx.diverging == (reason == "diverging")
 
 
 class TestAdjudication:

@@ -7,7 +7,7 @@ import time
 import mpmath
 import pytest
 import scipy.special as sc
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbessel import (
@@ -15,12 +15,17 @@ from fracbessel import (
     DomainError,
     FracBesselError,
     PoleError,
+    TruncationPolicy,
     digamma,
     exp_rule,
     gamma_log,
     gen_binomial,
+    leibniz_series,
     lower_incomplete_gamma,
     pochhammer,
+    vk_coeffs_closed_m1,
+    vk_coeffs_recurrence,
+    vk_coeffs_sum,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -309,6 +314,45 @@ class TestWholeDomain:
         except FracBesselError:
             return
         assert isinstance(value, float) and math.isfinite(value)
+
+
+#: Whatever may arrive as an integer argument: any float, NaN and inf
+#: included, and integers around the lower bounds.
+INDEXES = st.floats() | st.integers(-3, 8)
+
+
+class TestIntegerArguments:
+    """Every integer argument has one check, ``special._integer_at_least``:
+    an int at or above its lower bound passes it, and anything else, a
+    float such as 2.0 included, raises ``DomainError``."""
+
+    CALLS = {
+        "pochhammer": (0, lambda k: pochhammer(1.5, k)),
+        "gen_binomial": (0, lambda j: gen_binomial(1.5, j)),
+        "vk_coeffs_sum": (0, lambda k: vk_coeffs_sum(-0.5, k)),
+        "vk_coeffs_recurrence": (0, lambda k: vk_coeffs_recurrence(-0.5, k)),
+        "vk_coeffs_closed_m1": (0, vk_coeffs_closed_m1),
+        "max_terms": (1, lambda n: TruncationPolicy(max_terms=n)),
+        "divergence_window": (1, lambda n: TruncationPolicy(divergence_window=n)),
+        "leibniz_series": (1, lambda n: leibniz_series([lambda x: 1.0], lambda o, x: 1.0, 0.5, 1.0, n)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @given(value=INDEXES)
+    # each answered a value, or raised a raw TypeError or ValueError, for
+    # some of the functions before the check was shared
+    @example(value=100.0)
+    @example(value=2.0)
+    @example(value=2.5)
+    @example(value=math.nan)
+    @settings(max_examples=60, deadline=None)
+    def test_an_integer_at_the_bound_or_a_domain_error(self, name, value):
+        low, call = self.CALLS[name]
+        if isinstance(value, int) and value >= low:
+            call(value)
+        else:
+            with pytest.raises(DomainError, match=f"must be an integer >= {low}, got "):
+                call(value)
 
 
 def _lig_alternating_series(a, x):

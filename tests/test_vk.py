@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbessel import (
     DomainError,
+    Polynomial,
     vk_coeffs_closed_m1,
     vk_coeffs_recurrence,
     vk_coeffs_sum,
@@ -158,6 +159,31 @@ class TestWholeDomain:
         except DomainError:
             return
         assert isinstance(value, float) and math.isfinite(value)
+
+    @given(coeffs=st.lists(st.floats() | st.integers(-10**30, 10**30), max_size=6), z=st.floats())
+    @example(coeffs=[math.nan], z=1.0)
+    @example(coeffs=[math.inf, 1.0], z=1.0)
+    @example(coeffs=[], z=0.5)
+    @example(coeffs=[], z=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_any_coefficients_are_evaluated_or_refused(self, coeffs, z):
+        # a non-finite coefficient is named; the empty (zero) polynomial is 0.0
+        bad = [j for j, c in enumerate(coeffs) if isinstance(c, float) and not math.isfinite(c)]
+        if not math.isfinite(z):
+            with pytest.raises(DomainError, match="finite z"):
+                vk_eval(Polynomial(tuple(coeffs)), z)
+        elif bad:
+            with pytest.raises(DomainError, match=rf"coeffs\[{bad[0]}\]={coeffs[bad[0]]!r}"):
+                vk_eval(Polynomial(tuple(coeffs)), z)
+        elif not coeffs:
+            assert vk_eval(Polynomial(()), z) == 0.0
+        else:
+            try:
+                value = vk_eval(Polynomial(tuple(coeffs)), z)
+            except DomainError as exc:
+                assert "float64 range" in str(exc)
+                return
+            assert isinstance(value, float) and math.isfinite(value)
 
 
 class TestDefiningProduct:
