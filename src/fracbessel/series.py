@@ -17,13 +17,15 @@ constructions in ``vk``:
   alpha = -1/2, and at any other alpha the coefficient rows
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
-The three fixed-argument streams cost a fixed number of big-integer
-operations per term, but the integers grow: at w = p / 2^e the k-th term
-works on integers of about k (e + log2 k) bits, and e is about 50 for a
-generic double, so N terms cost O(N^2 e) bit operations.  ``_e_stream``
-evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k) big-integer
-work per term.  The rearranged form and M9 sum one polynomial built by two
-independent recurrences.
+The two alpha = -1 streams take exact integers for their first few terms
+only, and past them run on integers of a fixed size per window, which
+grows by about 1.6 bits a term and not with w; each value is still the
+correctly rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
+exact: at w = p / 2^e its k-th term works on integers of about
+k (e + log2 k) bits, and e is about 50 for a generic double, so N terms
+cost O(N^2 e) bit operations.  ``_e_stream`` evaluates row_k(w) / (k! q^k)
+with ``vk._exact_poly``, O(k) big-integer work per term.  The rearranged
+form and M9 sum one polynomial built by two independent recurrences.
 
 The three K series share one shape, ``_KForm``: a prefactor in (s, z) and
 the sum of (1/2-s)_k/(1/2+s)_k over an inner stream that depends on z
@@ -208,7 +210,7 @@ def k_series_rearranged(
              [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)],
 
     with S_k(z) = E_k(2z) from the alpha = -1 recurrence in k,
-    ``vk._m1_values``, at a fixed cost per term.  The Pochhammer ratio is
+    ``vk._m1_values``, on integers of a bounded size.  The Pochhammer ratio is
     built as a running product, so at half-integer s = m + 1/2 the factor
     (1/2-s+k-1) hits exact zero and the sum terminates after m + 1 outer
     terms.

@@ -108,15 +108,18 @@ def _in_range(value: float) -> float:
     return value
 
 
-def _integer_at_least(value: int, low: int, name: str) -> int:
-    """``value`` as an int if it is an integer >= ``low``, else ``DomainError``;
-    a float (inf, NaN, 2.0) never is.  The one check of every integer argument."""
+def _integer_at_least(value: int, low: int, name: str, high: int | None = None) -> int:
+    """``value`` as an int if it is an integer >= ``low`` (and <= ``high``,
+    when given), else ``DomainError``; a float (inf, NaN, 2.0) never is.  The
+    one check of every integer argument."""
     try:
         n = operator.index(value)
     except TypeError:
         n = low - 1
     if n < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and n > high:
+        raise DomainError(f"{name} must be an integer <= {high}, got {value!r}")
     return n
 
 
@@ -165,7 +168,8 @@ def pochhammer(a: float, k: int) -> float:
     crosses zero.  The direct product is used up to k = 64; larger k fall
     back to a log-space gamma ratio (product form stays in use for integer
     ``a`` where the ratio would sit on a pole; a base next to a pole but
-    not on it takes the ratio).
+    not on it takes the ratio).  A k past float64 raises the float64-range
+    ``DomainError``, as the value is past it too.
     """
     k = _integer_at_least(k, 0, "pochhammer index k")
     if not math.isfinite(a):
@@ -181,7 +185,11 @@ def pochhammer(a: float, k: int) -> float:
         for m in range(k):
             out *= a + m
         return _in_range(out)
-    num = _gamma_log_off_pole(a + k)
+    try:
+        top = a + k
+    except OverflowError:  # k past float64, and so (a)_k
+        raise _range_error("pochhammer index k") from None
+    num = _gamma_log_off_pole(top)
     den = _gamma_log_off_pole(a)
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
 

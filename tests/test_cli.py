@@ -405,6 +405,19 @@ class TestSharedStreams:
         assert code == 0
         assert built == {m: [1.0, 2.0] for m in PUBLIC}
 
+    def test_a_shared_stream_read_past_a_window_restart(self, tmp_path):
+        # the s = 3.7 sums read 231 terms at z = 16 and 322 at z = 20, past
+        # the first bounded window; s = 2.2 reads less of each stream first,
+        # and the second s = 3.7 replays all of it
+        s_list, z_list, methods = [2.2, 3.7, 3.7], [16.0, 20.0], ["rearranged", "m9"]
+        out_path = tmp_path / "t.csv"
+        code, _, _ = run("table", "--s-list=2.2,3.7,3.7", "--z-list=16,20", "--methods=rearranged,m9",
+                         "--max-terms=1000", f"--out={out_path}")
+        assert code == 0
+        want_code, want = expected_table(s_list, z_list, methods, 1000, False)
+        assert out_path.read_text() == cli._rows_to_csv(want)
+        assert sorted(row.terms for row in want if row.s == 3.7) == [231] * 4 + [322] * 4
+
     @staticmethod
     def failing_at(index):
         """A stream factory wrapper whose stream raises at ``index``."""

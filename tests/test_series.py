@@ -239,6 +239,21 @@ class TestAlphaMinusOnePaths:
         _assert_sums_the_closed_form_rows(k_series_m9, pref, s, z, policy)
 
 
+class TestBoundedStreamsInTheSeries:
+    @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_partial_sums)])
+    @pytest.mark.parametrize("z,k", [(1e6, 63), (1e12, 28)])
+    def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, stream, z, k):
+        # E_63 overflows in a bounded window, E_28 in the exact head
+        w = 2.0 * z
+        with pytest.raises(DomainError) as want:
+            list(stream(w, exact=True))
+        message = f"E_{k} at w={w!r} is outside the float64 range (largest finite double ~1.8e308)"
+        assert str(want.value) == message
+        with pytest.raises(DomainError) as got:
+            evaluate(1.3, z, EXPLORE)
+        assert str(got.value) == message
+
+
 #: The fixed-argument integer recurrences in k that feed the rearranged
 #: form and M9 (alpha = -1) and M10 (alpha = -1/2).
 _FIXED_W = {-1.0: (_m1_values, _m1_partial_sums), -0.5: (_mhalf_values,)}

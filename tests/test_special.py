@@ -355,6 +355,12 @@ class TestIntegerArguments:
                 call(value)
 
 
+    @pytest.mark.parametrize("call", [pochhammer, gen_binomial], ids=["pochhammer", "gen_binomial"])
+    def test_an_index_past_float64_is_a_range_error(self, call):
+        with pytest.raises(DomainError, match="index [kj] is outside the float64 range"):
+            call(0.5, 10 ** 400)
+
+
 def _lig_alternating_series(a, x):
     """Independent oracle: x^a sum_n (-x)^n / (n! (a+n)), 1e-14 term cutoff."""
     total = 0.0

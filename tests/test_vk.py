@@ -2,7 +2,9 @@
 against the defining derivative product, and the exact evaluator."""
 
 import math
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -16,6 +18,16 @@ from fracbessel import (
     vk_coeffs_recurrence,
     vk_coeffs_sum,
     vk_eval,
+)
+from fracbessel import vk
+from fracbessel.vk import (
+    _EXACT_HEAD,
+    _FIRST_STOP,
+    _m1_partial_sums,
+    _m1_values,
+    _m1_window,
+    _partial_window,
+    _window_precision,
 )
 
 
@@ -198,3 +210,97 @@ class TestDefiningProduct:
         direct = float(x ** k * math.exp(beta * x ** alpha) * float(deriv))
         z = beta * x ** alpha
         assert direct == pytest.approx(vk_eval(vk_coeffs_recurrence(alpha, k), z), rel=1e-5)
+
+
+#: Each bounded alpha = -1 stream and its window.
+BOUNDED = {"m1": (_m1_values, _m1_window), "partial_sums": (_m1_partial_sums, _partial_window)}
+
+
+class TestBoundedStreams:
+    """Past an exact head, the alpha = -1 streams run on integers of a fixed
+    size per window; every value must still be the exact integers' value."""
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @given(w=st.floats(2.0 ** -30, 80.0), n=st.integers(1, 600))
+    # reads that end just past the first window and the second, and a long one
+    @example(w=6.6, n=_FIRST_STOP + 1)
+    @example(w=0.2, n=2 * _FIRST_STOP + 1)
+    @example(w=79.99, n=600)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_for_bit_the_exact_values(self, name, w, n):
+        bounded, _ = BOUNDED[name]
+        assert list(islice(bounded(w), n)) == list(islice(bounded(w, exact=True), n))
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100])
+    def test_tiny_arguments(self, name, w):
+        # values about w in size are below a window's allowance, so these
+        # streams read the exact integers (e > 300 bits a value) past the head
+        bounded, _ = BOUNDED[name]
+        assert list(islice(bounded(w), 250)) == list(islice(bounded(w, exact=True), 250))
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("guard,w", [(0, 0.2), (0, 6.6), (-40, 0.2), (-40, 6.6), (-40, 40.0)])
+    def test_a_value_left_in_doubt_comes_from_the_exact_integers(self, monkeypatch, name, guard, w):
+        # with no guard bits the check leaves a value in doubt in the first
+        # window at these w, and with -40 every value; the stream then starts
+        # its exact form once
+        bounded, _ = BOUNDED[name]
+        monkeypatch.setattr(vk, "_GUARD_BITS", guard)
+        restarts = []
+
+        def counting(w, exact=False):
+            restarts.append(exact)
+            return bounded(w, exact)
+
+        monkeypatch.setattr(vk, bounded.__name__, counting)
+        assert list(islice(bounded(w), 300)) == list(islice(bounded(w, exact=True), 300))
+        assert restarts == [True]
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("doubt", [_EXACT_HEAD + 5, _FIRST_STOP, 2 * _FIRST_STOP + 7])
+    def test_doubt_inside_a_later_window(self, monkeypatch, name, doubt):
+        # a window that reports doubt at a chosen value: in the first window,
+        # at the first value of the second, and inside the third
+        bounded, window = BOUNDED[name]
+
+        def doubting(p, e, head, first, stop, scale, bits):
+            end = min(stop, doubt)
+            yield from islice(window(p, e, head, first, stop, scale, bits), end - first)
+            return end
+
+        monkeypatch.setattr(vk, window.__name__, doubting)
+        w = 6.6
+        assert list(islice(bounded(w), 3 * _FIRST_STOP)) == list(islice(bounded(w, exact=True), 3 * _FIRST_STOP))
+
+    def test_precision_stays_bounded(self):
+        # a 400-value window at a w with a full 53-bit mantissa keeps under
+        # 1000 bits, where the exact N_400 has about 22 500
+        w = 6.6
+        scale, bits = _window_precision(w, 400)
+        assert bits < scale < 1000
+        # N_400 = 400! 2^{400e} E_400 at w = p / 2^e, and |E_400| < 1 here
+        e = w.as_integer_ratio()[1].bit_length() - 1
+        assert math.log2(math.factorial(400)) + 400 * e > 20 * scale
+        # and grows linearly with the window
+        assert _window_precision(w, 800)[0] < 2 * scale
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("w", [2e6, 2e12, math.inf])
+    def test_values_past_float64_raise_the_exact_range_error(self, name, w):
+        bounded, _ = BOUNDED[name]
+        with pytest.raises(DomainError) as want:
+            list(islice(bounded(w, exact=True), 100))
+        with pytest.raises(DomainError) as got:
+            list(islice(bounded(w), 100))
+        assert str(got.value) == str(want.value)
+        assert "outside the float64 range" in str(got.value)
+
+
+class TestIndexBound:
+    @pytest.mark.parametrize("k", [sys.maxsize + 1, 10 ** 400])
+    def test_k_past_the_largest_index_is_refused(self, k):
+        for call in (lambda: vk_coeffs_recurrence(-1.0, k), lambda: vk_coeffs_sum(-1.0, k),
+                     lambda: vk_coeffs_closed_m1(k)):
+            with pytest.raises(DomainError, match=f"k must be an integer <= {sys.maxsize}, got {k}"):
+                call()
