@@ -17,10 +17,11 @@ constructions in ``vk``:
   alpha = -1/2, and at any other alpha the coefficient rows
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
-The two alpha = -1 streams take exact integers for their first few terms
-only, and past them run on integers of a fixed size per window, which
-grows by about 1.6 bits a term and not with w; each value is still the
-correctly rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
+The two alpha = -1 streams take exact integers only until those reach
+about 900 bits, about 15 terms at a w with a full 53-bit mantissa, and
+past them run on integers of a fixed size per window, which grows by
+about 1.6 bits a term and not with w; each value is still the correctly
+rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
 exact: at w = p / 2^e its k-th term works on integers of about
 k (e + log2 k) bits, and e is about 50 for a generic double, so N terms
 cost O(N^2 e) bit operations.  ``_e_stream`` evaluates row_k(w) / (k! q^k)

@@ -44,17 +44,19 @@ supply them, one per evaluator:
 Exact, a fixed-w recurrence works on integers of about k (e + log2 k) bits
 at its k-th value, so N values cost O(N^2 e) bit operations; e is about
 50 for a generic double.  The two alpha = -1 streams keep exact integers
-for their first ``_EXACT_HEAD`` values only.  Past them they run the same
-recurrence on integers scaled by 2^F, with a floor division a step, in
-windows whose F grows by log2 3 bits a value and not with e
-(``_window_precision``).  They yield a value only when its proved error
-allowance leaves one correctly rounded double, and otherwise go back to
-the exact integers, so their values are bit for bit those of
-``exact=True``, which keeps exact integers throughout.  On a 2-core Intel
-Xeon host with CPython 3.11, 400 values at w = 6.6 take 0.5 ms from
-``_m1_values`` and 2.7 ms exact.  ``_mhalf_values`` stays exact: in floats
-its recurrence is unstable, and bounded integers would need a far larger F
-to follow it.
+only until they reach about 900 bits (``_EXACT_HEADS``): about 15 values at
+a w with a full 53-bit mantissa.  Past them they run the same recurrence
+on integers scaled by 2^F, with a floor division a step, in windows whose
+F grows by log2 3 bits a value and not with e (``_window_precision``).
+They yield a value only when its proved error allowance leaves one
+correctly rounded double, a check made with two integer-to-float
+conversions and no division, and otherwise go back to the exact integers,
+so their values are bit for bit those of ``exact=True``, which keeps
+exact integers throughout.  On a 2-core Intel Xeon host with CPython 3.11,
+running at about half its top speed, 400 values at w = 6.6 take 0.76 ms
+from ``_m1_values`` and 4.8 ms exact.  ``_mhalf_values`` stays exact: in
+floats its recurrence is unstable, and bounded integers would need a far
+larger F to follow it.
 
 ``_closed_m1_row``, the alpha = -1 closed-form rows, feeds no evaluator: it
 is the third construction behind ``vk_coeffs_closed_m1`` and the check the
@@ -70,8 +72,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial
-from typing import Callable, Iterator
+from math import comb, factorial, ldexp
+from typing import Iterator
 
 from .errors import DomainError
 from .special import _integer_at_least, _range_error
@@ -150,11 +152,15 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
         raise _range_error(f"degree-{len(coeffs) - 1} polynomial at w={w!r}") from None
 
 
-#: The alpha = -1 streams read their first values from exact integers and
-#: the rest from bounded-precision windows.  Up to here the exact integers
-#: cost less than starting a window: a sum that ends by 42 terms, such as
-#: every K series at a half-integer order up to 41.5, never starts one.
-_EXACT_HEAD = 42
+#: H, the number of values the alpha = -1 streams read from exact integers
+#: before their bounded-precision windows, indexed by e at w = p / 2^e, p odd
+#: or zero (e is at most 1074 for a double).  The exact N_H has about
+#: H (e + log2 H) bits, so H = max(2, 900 // (e + 8)) ends the head once the
+#: exact integers reach about 900 bits, over twice the F of the first
+#: window: 15 values at a w with a full 53-bit mantissa, and up to 112 at an
+#: integer w.  At 600 bits (10 values) sums that end a few values past the
+#: head ran slower, and at 1500 (25) long sums kept a third less of the gain.
+_EXACT_HEADS = tuple(max(2, 900 // (e + 8)) for e in range(1075))
 
 #: The first bounded window ends before this value, the default budget of a
 #: sum (``TruncationPolicy.max_terms``); each later one ends twice as far.
@@ -165,18 +171,18 @@ _FIRST_STOP = 200
 _GUARD_BITS = 40
 
 
-def _window_precision(w: float, stop: int) -> tuple[int, int]:
+def _window_precision(w: float, stop: int, head: int) -> tuple[int, int]:
     """(F, b): the scale 2^F and the error allowance 2^b of the bounded window
-    that ends before value ``stop``, for either alpha = -1 stream.
+    that starts at value ``head`` and ends before value ``stop``, for either
+    alpha = -1 stream.
 
     2^b bounds B = (stop - H)^2 prod_{H <= j < stop} 3 max(1, w / (3j)), H =
-    ``_EXACT_HEAD``, the allowance ``_m1_values`` and ``_m1_partial_sums``
-    prove: 1.585 > log2 3 bits a factor, and a bit past log2 for the rest.
-    F keeps 53 + ``_GUARD_BITS`` bits past b.  So F is about
-    1.6 (stop - H) + 100 bits, where the exact integers reach about
-    stop (e + log2 stop) bits at w = p / 2^e.
+    ``head``, the allowance ``_m1_values`` and ``_m1_partial_sums`` prove:
+    1.585 > log2 3 bits a factor, and a bit past log2 for the rest.  F keeps
+    53 + ``_GUARD_BITS`` bits past b.  So F is about 1.6 (stop - H) + 100
+    bits, where the exact integers reach about stop (e + log2 stop) bits at
+    w = p / 2^e.
     """
-    head = _EXACT_HEAD
     n = stop - head
     bits = (1585 * n + 999) // 1000 + 2 * n.bit_length() + 1
     if w > 3 * head:  # the factors w / j past 3
@@ -185,52 +191,6 @@ def _window_precision(w: float, stop: int) -> tuple[int, int]:
         log2_factorials = (math.lgamma(top + 1) - math.lgamma(head)) / math.log(2.0)
         bits += math.ceil((top - head + 1) * math.log2(w / 3.0) - log2_factorials) + 1
     return bits + 53 + _GUARD_BITS, bits
-
-
-def _windows(
-    w: float, p: int, e: int, head: tuple, window: Callable, stream: Callable
-) -> Iterator[float]:
-    """Yield the values k >= ``_EXACT_HEAD`` of ``stream(w, exact=True)``,
-    w = p / 2^e, bit for bit, from ``window`` and the exact state ``head``.
-
-    The windows end before ``_FIRST_STOP``, then twice, four times, ... as
-    far; each begins again from ``head``, with the precision of
-    ``_window_precision``.  From the first value a window leaves in doubt
-    on, every value comes from the exact stream.
-    """
-    k, stop = _EXACT_HEAD, _FIRST_STOP
-    while True:
-        k = yield from window(p, e, head, k, stop, *_window_precision(w, stop))
-        if k < stop:
-            yield from islice(stream(w, exact=True), k, None)
-            return
-        stop *= 2
-
-
-def _m1_window(p: int, e: int, head: tuple, first: int, stop: int, scale: int, bits: int):
-    """Yield E_k for first <= k < stop from X_k ~ 2^F E_k, F = ``scale``,
-    begun at the exact state ``head`` (N_{H-1}, N_H, H! 2^{eH}), H =
-    ``_EXACT_HEAD``; return the k it stopped at, ``stop`` or the first value
-    the allowance 2^``bits`` leaves in doubt."""
-    n_old, n, den = head
-    k = _EXACT_HEAD
-    shift = e * k
-    factorial = den >> shift  # den = H! 2^{eH}
-    x_old, x = (n_old * k << scale + e >> shift) // factorial, (n << scale >> shift) // factorial
-    one = 1 << scale - bits
-    for k in range(k, stop):
-        if k >= first:
-            top = x >> bits
-            try:
-                value = (top - 1) / one
-                settled = value == (top + 2) / one != 0.0
-            except OverflowError:
-                settled = False
-            if not settled:
-                return k
-            yield value
-        x_old, x = x, ((((k << e + 1) - p) * x >> e) - (k - 1) * x_old) // (k + 1)
-    return stop
 
 
 def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
@@ -245,74 +205,76 @@ def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
         N_{k+1} = (2k 2^e - p) N_k - k (k-1) 2^{2e} N_{k-1},   N_0 = 1, N_1 = -p,
 
     which is exact but grows by about e + log2 k bits a step.  So only the
-    first ``_EXACT_HEAD`` values come from N_k, and all of them when
+    first H = ``_EXACT_HEADS[e]`` values come from N_k, and all of them when
     ``exact``.  Past them, X_k ~ 2^F E_k run the recurrence with one floor
     division a step,
 
         X_{k+1} = floor(((2k - w) X_k - (k-1) X_{k-1}) / (k+1)),
 
-    from X_k = floor(2^F E_k) at the head H, on integers of about F bits.
+    from X_k = floor(2^F E_k) at k = H - 2 and H - 1, on integers of about F
+    bits, in windows that end before ``_FIRST_STOP``, then twice, four
+    times, ... as far.  Each window begins again from that exact state, with
+    the F of ``_window_precision``, and yields the values past the last.
 
-    The allowance.  Let d_k = X_k - 2^F E_k and D_k = max_{H-1 <= j <= k} |d_j|,
-    so D_H < 1.  A step carries the errors by the recurrence and adds a floor
-    in [0, 1): |d_{k+1}| <= r_k D_k + 1 with r_k = (|2k - w| + k - 1)/(k+1),
+    The allowance.  Let d_k = X_k - 2^F E_k and D_k = max_{H-2 <= j <= k} |d_j|,
+    so D_{H-1} < 1.  A step carries the errors by the recurrence and adds a
+    floor in [0, 1): |d_{k+1}| <= r_k D_k + 1 with r_k = (|2k - w| + k - 1)/(k+1),
     which is (3k - 1 - w)/(k+1) < 3 when 2k >= w and (w - k - 1)/(k+1) < w/(k+1)
     otherwise, so r_k <= rho_{k+1} with rho_j = 3 max(1, w / (3j)).  Then
     D_{k+1} <= rho_{k+1} D_k + 1, and by induction, as rho_j >= 1,
 
-        D_n <= (n - H + 1) prod_{H < j <= n} rho_j,
+        D_n <= (n - H + 2) prod_{H <= j <= n} rho_j,
 
-    so every value k < stop of a window is within B of 2^F E_k, for the B of
+    so every value k < stop of a window is within (stop - H + 1)
+    prod_{H <= j < stop} rho_j <= B of 2^F E_k, for the B of
     ``_window_precision``, and B <= 2^b.  With t = floor(X_k / 2^b), 2^F E_k
-    lies in [(t - 1) 2^b, (t + 2) 2^b].  A value is yielded only when both
-    ends of that interval, over 2^F, round to the same nonzero double, which
-    rounding, being monotone, makes the correctly rounded E_k.  Where they
-    do not, or an end is past float64, every value from that k on comes from
-    N_k: an E_k past float64 raises the range error of the exact stream, and
-    a zero, whose sign the interval cannot tell, is the exact one.  B grows
-    by log2 3 bits a value, so a window of n values works on integers of
-    about 1.6 n + 100 bits, where N_k has about k (e + log2 k).
+    lies in [(t - 1) 2^b, (t + 2) 2^b].  A value is yielded only when t - 1
+    and t + 2 round to the same double, which rounding, being monotone, makes
+    the correctly rounded 2^{F-b} E_k.  That asks |t| > 2^53, so the double
+    times 2^{b-F} = 2^{-53-G}, G = ``_GUARD_BITS``, is at least 2^{-G} in
+    size and needs no second rounding.  Where they do not round alike, or t
+    is past float64, every value from that k on comes from N_k: an E_k past
+    float64 raises the range error of the exact stream, and a zero, whose
+    sign the interval cannot tell, is the exact one.  B grows by
+    log2 3 bits a value, so a window of n values works on integers of about
+    1.6 n + 100 bits, where N_k has about k (e + log2 k).
     """
     k = 0
     try:
         p, q = w.as_integer_ratio()
         e = q.bit_length() - 1
-        old, cur, den = 0, 1, 1  # N_{k-1}, N_k, k! 2^{ek}
-        for k in count() if exact else range(_EXACT_HEAD):
+        head = _EXACT_HEADS[e]
+        yield 1.0
+        old, cur, den = 0, 1, 1  # N_{k-2}, N_{k-1}, (k-1)! 2^{e(k-1)}
+        for k in count(1) if exact else range(1, head):
+            old, cur = cur, ((k - 1 << e + 1) - p) * cur - ((k - 1) * (k - 2) << 2 * e) * old
+            den = den * k << e
             yield cur / den
-            old, cur = cur, ((k << e + 1) - p) * cur - (k * (k - 1) << 2 * e) * old
-            den = den * (k + 1) << e
     except OverflowError:
         raise _range_error(f"E_{k} at w={w!r}") from None
-    yield from _windows(w, p, e, (old, cur, den), _m1_window, _m1_values)
-
-
-def _partial_window(p: int, e: int, head: tuple, first: int, stop: int, scale: int, bits: int):
-    """Yield E_k for first <= k < stop from Y_m ~ 2^F L_m^{(0)}(w) and their
-    running sum S ~ 2^F L_{k-1}^{(1)}(w), F = ``scale``, begun at the exact
-    state ``head`` (A_{H-2}, A_{H-1}, C_{H-1}, (H-1)! 2^{e(H-1)}), H =
-    ``_EXACT_HEAD``; return the k it stopped at, as ``_m1_window`` does."""
-    a_old, a, c, den = head
-    k = _EXACT_HEAD
-    shift = e * (k - 1)
-    factorial = den >> shift  # den = (H-1)! 2^{e(H-1)}
-    y_old = (a_old * (k - 1) << scale + e >> shift) // factorial
-    y, s = (a << scale >> shift) // factorial, (c << scale >> shift) // factorial
-    shift = e + scale - bits
-    for k in range(k, stop):
-        if k >= first:
-            top = s >> bits
-            try:
-                value = -p * (top - 1) / (k << shift)
-                settled = value == -p * (top + 2) / (k << shift) != 0.0
-            except OverflowError:
-                settled = False
-            if not settled:
-                return k
-            yield value
-        y_old, y = y, ((((2 * k - 1 << e) - p) * y >> e) - (k - 1) * y_old) // k
-        s += y
-    return stop
+    shift = e * (head - 1)
+    factorial, step = den >> shift, 2 << e  # den = (H-1)! 2^{e(H-1)}
+    first, stop = head, _FIRST_STOP
+    while True:
+        scale, bits = _window_precision(w, stop, head)
+        x_old = (old * (head - 1) << scale + e >> shift) // factorial
+        x = (cur << scale >> shift) // factorial
+        c = (head - 1 << e + 1) - p  # 2(k-1) 2^e - p
+        for k in range(head, stop):
+            x_old, x = x, ((c * x >> e) - (k - 2) * x_old) // k
+            c += step
+            if k >= first:
+                t = x >> bits
+                try:
+                    low = float(t - 1)
+                    settled = low == float(t + 2)
+                except OverflowError:
+                    settled = False
+                if not settled:
+                    yield from islice(_m1_values(w, exact=True), k, None)
+                    return
+                yield ldexp(low, bits - scale)
+        first, stop = stop, 2 * stop
 
 
 def _m1_partial_sums(w: float, exact: bool = False) -> Iterator[float]:
@@ -329,10 +291,11 @@ def _m1_partial_sums(w: float, exact: bool = False) -> Iterator[float]:
         A_{m+1} = ((2m+1) 2^e - p) A_m - m^2 2^{2e} A_{m-1},   A_0 = 1, A_{-1} = 0,
 
     and C_m = m! 2^{em} L_m^{(1)}(w) = m 2^e C_{m-1} + A_m, C_0 = 1, so that
-    E_k = -p C_{k-1} / (k! 2^{ek}) for the first ``_EXACT_HEAD`` values, and
-    for all of them when ``exact``.  Past them, Y_m ~ 2^F L_m^{(0)} run the
-    Laguerre recurrence with one floor division a step, from floor(2^F L_m)
-    at the head, and S, their running sum, carries 2^F L_{k-1}^{(1)}.
+    E_k = -p C_{k-1} / (k! 2^{ek}) for the first H = ``_EXACT_HEADS[e]``
+    values, and for all of them when ``exact``.  Past them, Y_m ~ 2^F L_m^{(0)}
+    run the Laguerre recurrence with one floor division a step, from
+    floor(2^F L_m) at the head, and S, their running sum, carries
+    2^F L_{k-1}^{(1)}, in the windows of ``_m1_values``.
 
     The allowance.  The step from m to m + 1 carries the errors by
     r_m = (|2m + 1 - w| + m)/(m+1), which is < 3 when 2m + 1 >= w and
@@ -342,25 +305,57 @@ def _m1_partial_sums(w: float, exact: bool = False) -> Iterator[float]:
     prod_{H <= j <= n} rho_j for m <= n.  S at value k < stop sums the
     converted S (within 1) and the Y_m for H <= m <= k - 1 <= stop - 2, so it
     is within 1 + (stop - H - 1)(stop - H) prod_j rho_j <= (stop - H)^2
-    prod_{H <= j < stop} rho_j, the B of ``_window_precision``.  E_k =
-    -(w/k) S / 2^F is yielded only when the ends of the interval S lies in,
-    as in ``_m1_values``, give the same nonzero double, and otherwise every
-    value from that k on comes from A_m and C_m.
+    prod_{H <= j < stop} rho_j, the B of ``_window_precision``.  With
+    t = floor(S / 2^b), 2^{F+e-b} E_k lies between -p (t - 1) / k and
+    -p (t + 2) / k, and so between the floor of the lower and the ceiling of
+    the upper, two integers.  E_k is yielded only when they round to the
+    same double and that double times 2^{b-F-e} is normal, so exact;
+    otherwise every value from that k on comes from A_m and C_m, as in
+    ``_m1_values``.
     """
     k = 0
     try:
         p, q = w.as_integer_ratio()
         e = q.bit_length() - 1
+        head = _EXACT_HEADS[e]
         yield 1.0
         old, cur, acc, den = 0, 1, 1, 1  # A_{k-2}, A_{k-1}, C_{k-1}, (k-1)! 2^{e(k-1)}
-        for k in count(1) if exact else range(1, _EXACT_HEAD):
+        for k in count(1) if exact else range(1, head):
             den = den * k << e
             yield -p * acc / den
             old, cur = cur, (((2 * k - 1) << e) - p) * cur - ((k - 1) ** 2 << 2 * e) * old
             acc = (acc * k << e) + cur
     except OverflowError:
         raise _range_error(f"E_{k} at w={w!r}") from None
-    yield from _windows(w, p, e, (old, cur, acc, den), _partial_window, _m1_partial_sums)
+    shift = e * (head - 1)
+    factorial, step = den >> shift, 2 << e  # den = (H-1)! 2^{e(H-1)}
+    # the ends -p (t - 1) and -p (t + 2) of the interval, as -p t + low_end and
+    # -p t + high_end, low_end < high_end
+    low_end, high_end = sorted((p, -2 * p))
+    first, stop = head, _FIRST_STOP
+    while True:
+        scale, bits = _window_precision(w, stop, head)
+        # |low| at or past this makes low 2^{b-F-e} normal
+        least = ldexp(sys.float_info.min, scale - bits + e)
+        y_old = (old * (head - 1) << scale + e >> shift) // factorial
+        y, s = (cur << scale >> shift) // factorial, (acc << scale >> shift) // factorial
+        c = (2 * head - 1 << e) - p  # (2m + 1) 2^e - p at m = k - 1
+        for k in range(head, stop):
+            if k >= first:
+                u = -p * (s >> bits)
+                try:
+                    low = float((u + low_end) // k)
+                    settled = low == float(-((-u - high_end) // k)) and abs(low) >= least
+                except OverflowError:
+                    settled = False
+                if not settled:
+                    yield from islice(_m1_partial_sums(w, exact=True), k, None)
+                    return
+                yield ldexp(low, bits - scale - e)
+            y_old, y = y, ((c * y >> e) - (k - 1) * y_old) // k
+            s += y
+            c += step
+        first, stop = stop, 2 * stop
 
 
 def _mhalf_values(w: float) -> Iterator[float]:

@@ -21,12 +21,10 @@ from fracbessel import (
 )
 from fracbessel import vk
 from fracbessel.vk import (
-    _EXACT_HEAD,
+    _EXACT_HEADS,
     _FIRST_STOP,
     _m1_partial_sums,
     _m1_values,
-    _m1_window,
-    _partial_window,
     _window_precision,
 )
 
@@ -212,8 +210,48 @@ class TestDefiningProduct:
         assert direct == pytest.approx(vk_eval(vk_coeffs_recurrence(alpha, k), z), rel=1e-5)
 
 
-#: Each bounded alpha = -1 stream and its window.
-BOUNDED = {"m1": (_m1_values, _m1_window), "partial_sums": (_m1_partial_sums, _partial_window)}
+#: The bounded alpha = -1 streams.
+BOUNDED = {"m1": _m1_values, "partial_sums": _m1_partial_sums}
+
+
+def _exponent(w: float) -> int:
+    """e of w = p / 2^e, p odd or zero."""
+    return w.as_integer_ratio()[1].bit_length() - 1
+
+
+def _count_restarts(monkeypatch, bounded) -> list:
+    """Route the stream's own fallback through a wrapper that records each
+    call; ``bounded`` itself, called directly, is not recorded."""
+    restarts = []
+
+    def counting(w, exact=False):
+        restarts.append(exact)
+        return bounded(w, exact)
+
+    monkeypatch.setattr(vk, bounded.__name__, counting)
+    return restarts
+
+
+def _doubt_at(monkeypatch, doubt: int) -> list:
+    """Make the rounding check of a window leave value ``doubt`` in doubt, as
+    an end of its interval past float64 would, and record each time it does.
+
+    The check converts the ends of a value's interval with ``float``; a
+    conversion the window makes at k = ``doubt`` raises OverflowError."""
+    doubted = []
+
+    def checking(x):
+        if sys._getframe(1).f_locals.get("k") == doubt:
+            doubted.append(doubt)
+            raise OverflowError("int too large to convert to float")
+        return float(x)
+
+    monkeypatch.setattr(vk, "float", checking, raising=False)
+    return doubted
+
+
+#: The head the rule picks at 6.6, a w with a full 53-bit mantissa.
+HEAD_AT_6_6 = _EXACT_HEADS[_exponent(6.6)]
 
 
 class TestBoundedStreams:
@@ -228,16 +266,8 @@ class TestBoundedStreams:
     @example(w=79.99, n=600)
     @settings(max_examples=60, deadline=None)
     def test_bit_for_bit_the_exact_values(self, name, w, n):
-        bounded, _ = BOUNDED[name]
+        bounded = BOUNDED[name]
         assert list(islice(bounded(w), n)) == list(islice(bounded(w, exact=True), n))
-
-    @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100])
-    def test_tiny_arguments(self, name, w):
-        # values about w in size are below a window's allowance, so these
-        # streams read the exact integers (e > 300 bits a value) past the head
-        bounded, _ = BOUNDED[name]
-        assert list(islice(bounded(w), 250)) == list(islice(bounded(w, exact=True), 250))
 
     @pytest.mark.parametrize("name", BOUNDED)
     @pytest.mark.parametrize("guard,w", [(0, 0.2), (0, 6.6), (-40, 0.2), (-40, 6.6), (-40, 40.0)])
@@ -245,56 +275,143 @@ class TestBoundedStreams:
         # with no guard bits the check leaves a value in doubt in the first
         # window at these w, and with -40 every value; the stream then starts
         # its exact form once
-        bounded, _ = BOUNDED[name]
+        bounded = BOUNDED[name]
         monkeypatch.setattr(vk, "_GUARD_BITS", guard)
-        restarts = []
-
-        def counting(w, exact=False):
-            restarts.append(exact)
-            return bounded(w, exact)
-
-        monkeypatch.setattr(vk, bounded.__name__, counting)
+        restarts = _count_restarts(monkeypatch, bounded)
         assert list(islice(bounded(w), 300)) == list(islice(bounded(w, exact=True), 300))
         assert restarts == [True]
 
     @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("doubt", [_EXACT_HEAD + 5, _FIRST_STOP, 2 * _FIRST_STOP + 7])
+    @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
     def test_doubt_inside_a_later_window(self, monkeypatch, name, doubt):
-        # a window that reports doubt at a chosen value: in the first window,
-        # at the first value of the second, and inside the third
-        bounded, window = BOUNDED[name]
+        # doubt at the first value past the head, inside the first window, at
+        # the first value of the second, and inside the third; the stream
+        # restarts its exact form once
+        bounded = BOUNDED[name]
+        w, n = 6.6, 3 * _FIRST_STOP
+        want = list(islice(bounded(w, exact=True), n))
+        doubted = _doubt_at(monkeypatch, doubt)
+        restarts = _count_restarts(monkeypatch, bounded)
+        assert list(islice(bounded(w), n)) == want
+        assert doubted == [doubt]
+        assert restarts == [True]
 
-        def doubting(p, e, head, first, stop, scale, bits):
-            end = min(stop, doubt)
-            yield from islice(window(p, e, head, first, stop, scale, bits), end - first)
-            return end
-
-        monkeypatch.setattr(vk, window.__name__, doubting)
-        w = 6.6
-        assert list(islice(bounded(w), 3 * _FIRST_STOP)) == list(islice(bounded(w, exact=True), 3 * _FIRST_STOP))
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100, 2.0 ** -30])
+    def test_tiny_arguments(self, monkeypatch, name, w):
+        # heads of 2 to 23 values; past them a value may fall below the
+        # window's allowance or be subnormal, and then comes from the exact
+        # integers (e > 300 bits a value)
+        bounded = BOUNDED[name]
+        want = list(islice(bounded(w, exact=True), 250))
+        restarts = _count_restarts(monkeypatch, bounded)
+        assert list(islice(bounded(w), 250)) == want
+        if w == 5e-324:  # every E_k past E_0 is -5e-324, a subnormal
+            assert restarts == [True]
 
     def test_precision_stays_bounded(self):
         # a 400-value window at a w with a full 53-bit mantissa keeps under
         # 1000 bits, where the exact N_400 has about 22 500
         w = 6.6
-        scale, bits = _window_precision(w, 400)
+        scale, bits = _window_precision(w, 400, HEAD_AT_6_6)
         assert bits < scale < 1000
         # N_400 = 400! 2^{400e} E_400 at w = p / 2^e, and |E_400| < 1 here
-        e = w.as_integer_ratio()[1].bit_length() - 1
-        assert math.log2(math.factorial(400)) + 400 * e > 20 * scale
+        assert math.log2(math.factorial(400)) + 400 * _exponent(w) > 20 * scale
         # and grows linearly with the window
-        assert _window_precision(w, 800)[0] < 2 * scale
+        assert _window_precision(w, 800, HEAD_AT_6_6)[0] < 2 * scale
 
     @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("w", [2e6, 2e12, math.inf])
+    # 2000000.1 has a 22-value head, so its E_63 overflows inside a window
+    @pytest.mark.parametrize("w", [2e6, 2000000.1, 2e12, math.inf])
     def test_values_past_float64_raise_the_exact_range_error(self, name, w):
-        bounded, _ = BOUNDED[name]
+        bounded = BOUNDED[name]
         with pytest.raises(DomainError) as want:
             list(islice(bounded(w, exact=True), 100))
         with pytest.raises(DomainError) as got:
             list(islice(bounded(w), 100))
         assert str(got.value) == str(want.value)
         assert "outside the float64 range" in str(got.value)
+
+
+class TestHeadRule:
+    """The exact head ends once the exact integers outgrow a window: after
+    about 15 values at a full 53-bit mantissa, later at a short one."""
+
+    def test_heads(self):
+        assert HEAD_AT_6_6 == 15
+        assert _EXACT_HEADS[_exponent(0.5)] == 100
+        # the longest head, at an integer w, still ends before the first stop
+        assert _EXACT_HEADS[0] == 112 < _FIRST_STOP
+        assert _EXACT_HEADS[_exponent(5e-324)] == 2
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("w", [0.5, 40.0])
+    def test_short_mantissas_read_windows_after_a_long_head(self, monkeypatch, name, w):
+        bounded = BOUNDED[name]
+        n = 2 * _FIRST_STOP + 1
+        want = list(islice(bounded(w, exact=True), n))
+        restarts = _count_restarts(monkeypatch, bounded)
+        assert list(islice(bounded(w), n)) == want
+        assert restarts == []  # every value past the head came from a window
+
+
+def _m1_window_errors(w: float, stop: int) -> tuple[int, int]:
+    """(max_k |X_k - 2^F E_k|, rounded up, and b) over the window of
+    ``_m1_values`` at w that ends before ``stop``, replayed from its
+    docstring's recurrence against the exact N_k = k! 2^{ek} E_k."""
+    p, e = w.as_integer_ratio()[0], _exponent(w)
+    head = _EXACT_HEADS[e]
+    scale, bits = _window_precision(w, stop, head)
+    exact, den = [1, -p], [1, 1 << e]
+    for k in range(1, stop):
+        exact.append(((2 * k << e) - p) * exact[k] - (k * (k - 1) << 2 * e) * exact[k - 1])
+        den.append(den[k] * (k + 1) << e)
+    x_old, x = ((exact[j] << scale) // den[j] for j in (head - 2, head - 1))
+    worst = 0
+    for k in range(head, stop):
+        # X_k = floor(((2(k-1) - w) X_{k-1} - (k-2) X_{k-2}) / k), one floor
+        x_old, x = x, ((((2 * k - 2 << e) - p) * x - ((k - 2) * x_old << e)) // (k << e))
+        worst = max(worst, -(-abs((x * den[k]) - (exact[k] << scale)) // den[k]))
+    return worst, bits
+
+
+def _partial_window_errors(w: float, stop: int) -> tuple[int, int]:
+    """The same for S ~ 2^F L_{k-1}^{(1)}(w) of ``_m1_partial_sums``,
+    against the exact C_m = m! 2^{em} L_m^{(1)}(w)."""
+    p, e = w.as_integer_ratio()[0], _exponent(w)
+    head = _EXACT_HEADS[e]
+    scale, bits = _window_precision(w, stop, head)
+    lag, acc, den = [0, 1], [1], [1]  # A_{m-1} at index m, C_m, m! 2^{em}
+    for m in range(stop):
+        lag.append((((2 * m + 1) << e) - p) * lag[m + 1] - (m * m << 2 * e) * lag[m])
+        den.append(den[m] * (m + 1) << e)
+        acc.append((acc[m] * (m + 1) << e) + lag[m + 2])
+    y_old, y, s = ((n << scale) // den[m] for n, m in
+                   ((lag[head - 1], head - 2), (lag[head], head - 1), (acc[head - 1], head - 1)))
+    worst = 0
+    for k in range(head, stop):
+        worst = max(worst, -(-abs((s * den[k - 1]) - (acc[k - 1] << scale)) // den[k - 1]))
+        # Y_k = floor(((2m + 1 - w) Y_m - m Y_{m-1}) / (m+1)) at m = k - 1
+        m = k - 1
+        y_old, y = y, ((((2 * m + 1) << e) - p) * y - (m * y_old << e)) // ((m + 1) << e)
+        s += y
+    return worst, bits
+
+
+class TestWindowAllowance:
+    """The proved allowance 2^b of ``_window_precision`` bounds the real error
+    of a window's integers against the exact values."""
+
+    # Measured over both windows: the largest error is at w = 0.2, 1133
+    # units for X_k and 192 818 (under 2^18) for the running sum S, against
+    # allowances from 2^155 (w = 40, after its 112-value head) to 2^633, so
+    # the proof leaves at least 137 bits of margin
+    @pytest.mark.parametrize("replay", [_m1_window_errors, _partial_window_errors])
+    @pytest.mark.parametrize("w", [0.2, 6.6, 40.0, 79.9])
+    def test_the_real_error_stays_inside_the_allowance(self, replay, w):
+        for stop in (_FIRST_STOP, 2 * _FIRST_STOP):
+            worst, bits = replay(w, stop)
+            assert 0 < worst < 2 ** bits
 
 
 class TestIndexBound:
