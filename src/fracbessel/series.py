@@ -5,28 +5,25 @@ log space and exponentiate it once through ``special._guarded_exp`` (one
 outside the float64 range raises ``DomainError``), then sum the one term
 stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value
 built exactly in integers and rounded once, so the heavily cancelling inner
-sums are never formed in plain float64.  It comes from one of four
+sums are never formed in plain float64.  It comes from one of three
 constructions in ``vk``:
 
-* the rearranged form (and so ``k_mcdonald``) reads the alpha = -1
+* the rearranged form (and so ``k_mcdonald``) and M9 read the alpha = -1
   recurrence in k, ``vk._m1_values``, at w = 2z;
-* M9 reads the partial-sum recurrence ``vk._m1_partial_sums`` (the
-  alpha = 0 Laguerre recurrence summed into L^{(1)}) at w = 2z;
 * M10 reads the alpha = -1/2 recurrence in k, ``vk._mhalf_values``, at z;
 * M7 reads ``vk._m1_values`` at alpha = -1 and ``vk._mhalf_values`` at
   alpha = -1/2, and at any other alpha the coefficient rows
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
-The two alpha = -1 streams take exact integers only until those reach
-about 900 bits, about 15 terms at a w with a full 53-bit mantissa, and
-past them run on integers of a fixed size per window, which grows by
-about 1.6 bits a term and not with w; each value is still the correctly
+The alpha = -1 stream takes exact integers only until those reach about
+900 bits, about 15 terms at a w with a full 53-bit mantissa, and past
+them runs on integers of a fixed size per window, which grows by about
+1.6 bits a term and not with w; each value is still the correctly
 rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
 exact: at w = p / 2^e its k-th term works on integers of about
 k (e + log2 k) bits, and e is about 50 for a generic double, so N terms
 cost O(N^2 e) bit operations.  ``_e_stream`` evaluates row_k(w) / (k! q^k)
-with ``vk._exact_poly``, O(k) big-integer work per term.  The rearranged
-form and M9 sum one polynomial built by two independent recurrences.
+with ``vk._exact_poly``, O(k) big-integer work per term.
 
 The three K series share one shape, ``_KForm``: a prefactor in (s, z) and
 the sum of (1/2-s)_k/(1/2+s)_k over an inner stream that depends on z
@@ -46,9 +43,9 @@ caller evaluating many orders at one z (the CLI's ``table`` and
   sqrt(pi) (2z)^{-s} e^{-z} Gamma(2s)/Gamma(1/2-s) and terms
   (-1)^k/k! * Gamma(k+1/2-s)/Gamma(k+1/2+s) * V_k^{(-1)}(2z); the k = 0
   gamma ratio folded into the prefactor leaves Gamma(2s)/Gamma(1/2+s) and
-  the ratio stream over the partial-sum recurrence at w = 2z.
-  E_k(2z) = S_k(z), so M9 and the rearranged form sum one polynomial
-  built two ways;
+  the ratio stream over the alpha = -1 recurrence at w = 2z.
+  E_k(2z) = S_k(z), so M9 and the rearranged form sum one inner stream
+  and differ only in their prefactors;
 * ``k_series_m10`` - the companion expansion in V_k^{(-1/2)}(z), whose
   printed prefactor becomes 2^{3s-2} Gamma(s) once the constant gamma ratio
   is folded in.  Its correctness is deliberately not presumed: it feeds
@@ -78,7 +75,7 @@ from .special import (
     gamma_log,
 )
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
-from .vk import _exact_poly, _m1_partial_sums, _m1_values, _mhalf_values, _vk_rows
+from .vk import _exact_poly, _m1_values, _mhalf_values, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
@@ -160,8 +157,8 @@ class _KForm(NamedTuple):
 
 
 # each ``inner`` names its ``vk`` stream when called, not when defined, so a
-# stream replaced on this module (as the tests that pin which recurrence a
-# form reads do) is the one that runs
+# stream replaced on this module (as the tests that pin which stream a form
+# reads do) is the one that runs
 _REARRANGED = _KForm(
     lambda s, z: (s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
     lambda z: _m1_values(2.0 * z),
@@ -174,7 +171,7 @@ _M9 = _KForm(
         + _guarded_lgamma(2.0 * s)
         - _guarded_lgamma(0.5 + s)
     ),
-    lambda z: _m1_partial_sums(2.0 * z),
+    lambda z: _m1_values(2.0 * z),
 )
 _M10 = _KForm(
     lambda s, z: (3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
@@ -233,12 +230,10 @@ def k_series_m9(
         sum_k (1/2-s)_k/(1/2+s)_k (-1)^k/k! V_k^{(-1)}(2z),
 
     free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
-    after m + 1 terms.  Kept as the independent partner of the rearranged
-    form: its values come from the partial-sum recurrence
-    (``vk._m1_partial_sums``) rather than the rearranged form's
-    ``vk._m1_values``, the two must agree term by term, and the Gamma(2s)
-    prefactor checks the duplication formula against the rearranged
-    2^{s-1} Gamma(s).
+    after m + 1 terms.  (-1)^k V_k^{(-1)}(2z) / k! = S_k(z), so its inner
+    stream is the rearranged form's, ``vk._m1_values`` at 2z, and the two
+    differ only in the prefactor: the Gamma(2s) here checks the
+    duplication formula against the rearranged 2^{s-1} Gamma(s).
     """
     return _sum_k_series(_M9, s, z, policy)
 

@@ -27,32 +27,30 @@ All three are exact at every k (alpha = a/q exactly; ints and Fractions),
 for k up to ``sys.maxsize``.
 
 The series evaluators need the values E_k = (-1)^k V_k(w) / k! at one
-double w = p / 2^e, each correctly rounded.  Four integer constructions
-supply them, one per evaluator:
+double w = p / 2^e, each correctly rounded.  Three integer constructions
+supply them:
 
-* ``_m1_values`` and ``_mhalf_values`` - recurrences in k at fixed w for
-  alpha = -1 and alpha = -1/2; the inner streams of the rearranged series
-  (and so of ``k_mcdonald``; at 2z, its values are the inner sums S_k) and
-  of M10 (at z);
-* ``_m1_partial_sums`` - the same alpha = -1 values from the alpha = 0
-  Laguerre recurrence summed into L^{(1)}; the inner stream of M9 (at 2z).
-  It shares no recurrence with ``_m1_values``, so acceptance criterion 5
-  compares two constructions;
+* ``_m1_values`` - the recurrence in k at fixed w for alpha = -1; the inner
+  stream of the rearranged series (and so of ``k_mcdonald``) and of M9,
+  both at 2z, where its values are the inner sums S_k(z), and of M7 at
+  alpha = -1;
+* ``_mhalf_values`` - the recurrence in k at fixed w for alpha = -1/2; the
+  inner stream of M10 (at z) and of M7 at alpha = -1/2;
 * ``_vk_rows`` - the coefficient recurrence above, written once, for any
-  alpha; the rows of M7.
+  alpha; the rows of M7 at any other alpha.
 
 Exact, a fixed-w recurrence works on integers of about k (e + log2 k) bits
 at its k-th value, so N values cost O(N^2 e) bit operations; e is about
-50 for a generic double.  The two alpha = -1 streams keep exact integers
-only until they reach about 900 bits (``_EXACT_HEADS``): about 15 values at
-a w with a full 53-bit mantissa.  Past them they run the same recurrence
-on integers scaled by 2^F, with a floor division a step, in windows whose
-F grows by log2 3 bits a value and not with e (``_window_precision``).
-They yield a value only when its proved error allowance leaves one
-correctly rounded double, a check made with two integer-to-float
-conversions and no division, and otherwise go back to the exact integers,
-so their values are bit for bit those of ``exact=True``, which keeps
-exact integers throughout.  On a 2-core Intel Xeon host with CPython 3.11,
+50 for a generic double.  ``_m1_values`` keeps exact integers only until
+they reach about 900 bits (``_EXACT_HEADS``): about 15 values at a w with
+a full 53-bit mantissa.  Past them it runs the same recurrence on
+integers scaled by 2^F, with a floor division a step, in windows whose F
+grows by log2 3 bits a value and not with e (``_window_precision``).  It
+yields a value only when its proved error allowance leaves one correctly
+rounded double, a check made with two integer-to-float conversions and
+no division, and otherwise goes back to the exact integers, so its values
+are bit for bit those of ``exact=True``, which keeps exact integers
+throughout.  On a 2-core Intel Xeon host with CPython 3.11,
 running at about half its top speed, 400 values at w = 6.6 take 0.76 ms
 from ``_m1_values`` and 4.8 ms exact.  ``_mhalf_values`` stays exact: in
 floats its recurrence is unstable, and bounded integers would need a far
@@ -60,7 +58,7 @@ larger F to follow it.
 
 ``_closed_m1_row``, the alpha = -1 closed-form rows, feeds no evaluator: it
 is the third construction behind ``vk_coeffs_closed_m1`` and the check the
-two alpha = -1 streams are tested against.
+alpha = -1 stream is tested against.
 
 ``_exact_poly``, the one evaluator of coefficient rows, rounds once.
 """
@@ -152,8 +150,8 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
         raise _range_error(f"degree-{len(coeffs) - 1} polynomial at w={w!r}") from None
 
 
-#: H, the number of values the alpha = -1 streams read from exact integers
-#: before their bounded-precision windows, indexed by e at w = p / 2^e, p odd
+#: H, the number of values ``_m1_values`` reads from exact integers before
+#: its bounded-precision windows, indexed by e at w = p / 2^e, p odd
 #: or zero (e is at most 1074 for a double).  The exact N_H has about
 #: H (e + log2 H) bits, so H = max(2, 900 // (e + 8)) ends the head once the
 #: exact integers reach about 900 bits, over twice the F of the first
@@ -173,18 +171,17 @@ _GUARD_BITS = 40
 
 def _window_precision(w: float, stop: int, head: int) -> tuple[int, int]:
     """(F, b): the scale 2^F and the error allowance 2^b of the bounded window
-    that starts at value ``head`` and ends before value ``stop``, for either
-    alpha = -1 stream.
+    of ``_m1_values`` that starts at value ``head`` and ends before value
+    ``stop``.
 
-    2^b bounds B = (stop - H)^2 prod_{H <= j < stop} 3 max(1, w / (3j)), H =
-    ``head``, the allowance ``_m1_values`` and ``_m1_partial_sums`` prove:
-    1.585 > log2 3 bits a factor, and a bit past log2 for the rest.  F keeps
-    53 + ``_GUARD_BITS`` bits past b.  So F is about 1.6 (stop - H) + 100
-    bits, where the exact integers reach about stop (e + log2 stop) bits at
-    w = p / 2^e.
+    2^b bounds B = (n + 1) prod_{H <= j < stop} 3 max(1, w / (3j)), with
+    H = ``head`` and n = stop - H, the allowance ``_m1_values`` proves:
+    1.585 > log2 3 bits a factor, and n.bit_length() bits for n + 1.  F keeps
+    53 + ``_GUARD_BITS`` bits past b.  So F is about 1.6 n + 100 bits, where
+    the exact integers reach about stop (e + log2 stop) bits at w = p / 2^e.
     """
     n = stop - head
-    bits = (1585 * n + 999) // 1000 + 2 * n.bit_length() + 1
+    bits = (1585 * n + 999) // 1000 + n.bit_length()
     if w > 3 * head:  # the factors w / j past 3
         top = min(stop - 1, math.ceil(w / 3.0) - 1)  # the last j with 3j < w
         # log2 prod_{head <= j <= top} w / (3j), one bit added for its rounding
@@ -274,87 +271,6 @@ def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
                     yield from islice(_m1_values(w, exact=True), k, None)
                     return
                 yield ldexp(low, bits - scale)
-        first, stop = stop, 2 * stop
-
-
-def _m1_partial_sums(w: float, exact: bool = False) -> Iterator[float]:
-    """Yield the same values as ``_m1_values``, E_k = -(w/k) L_{k-1}^{(1)}(w)
-    and E_0 = 1, each correctly rounded, for finite w, by another recurrence.
-
-    The alpha = 0 Laguerre recurrence (DLMF 18.9)
-
-        L_{m+1} = ((2m + 1 - w) L_m - m L_{m-1}) / (m+1),   L_0 = 1, L_{-1} = 0,
-
-    and L_n^{(1)} = sum_{m<=n} L_m^{(0)} (DLMF 18.18 at y = 0).  At
-    w = p / 2^e (exact) the integers A_m = m! 2^{em} L_m^{(0)}(w) obey
-
-        A_{m+1} = ((2m+1) 2^e - p) A_m - m^2 2^{2e} A_{m-1},   A_0 = 1, A_{-1} = 0,
-
-    and C_m = m! 2^{em} L_m^{(1)}(w) = m 2^e C_{m-1} + A_m, C_0 = 1, so that
-    E_k = -p C_{k-1} / (k! 2^{ek}) for the first H = ``_EXACT_HEADS[e]``
-    values, and for all of them when ``exact``.  Past them, Y_m ~ 2^F L_m^{(0)}
-    run the Laguerre recurrence with one floor division a step, from
-    floor(2^F L_m) at the head, and S, their running sum, carries
-    2^F L_{k-1}^{(1)}, in the windows of ``_m1_values``.
-
-    The allowance.  The step from m to m + 1 carries the errors by
-    r_m = (|2m + 1 - w| + m)/(m+1), which is < 3 when 2m + 1 >= w and
-    < w/(m+1) otherwise, so r_m <= rho_{m+1} as in ``_m1_values``.  With
-    the Y_j from H - 2 on within D < 1 at the head H and steps m = H - 1, ...,
-    n - 1, the argument there gives |Y_m - 2^F L_m| <= (n - H + 2)
-    prod_{H <= j <= n} rho_j for m <= n.  S at value k < stop sums the
-    converted S (within 1) and the Y_m for H <= m <= k - 1 <= stop - 2, so it
-    is within 1 + (stop - H - 1)(stop - H) prod_j rho_j <= (stop - H)^2
-    prod_{H <= j < stop} rho_j, the B of ``_window_precision``.  With
-    t = floor(S / 2^b), 2^{F+e-b} E_k lies between -p (t - 1) / k and
-    -p (t + 2) / k, and so between the floor of the lower and the ceiling of
-    the upper, two integers.  E_k is yielded only when they round to the
-    same double and that double times 2^{b-F-e} is normal, so exact;
-    otherwise every value from that k on comes from A_m and C_m, as in
-    ``_m1_values``.
-    """
-    k = 0
-    try:
-        p, q = w.as_integer_ratio()
-        e = q.bit_length() - 1
-        head = _EXACT_HEADS[e]
-        yield 1.0
-        old, cur, acc, den = 0, 1, 1, 1  # A_{k-2}, A_{k-1}, C_{k-1}, (k-1)! 2^{e(k-1)}
-        for k in count(1) if exact else range(1, head):
-            den = den * k << e
-            yield -p * acc / den
-            old, cur = cur, (((2 * k - 1) << e) - p) * cur - ((k - 1) ** 2 << 2 * e) * old
-            acc = (acc * k << e) + cur
-    except OverflowError:
-        raise _range_error(f"E_{k} at w={w!r}") from None
-    shift = e * (head - 1)
-    factorial, step = den >> shift, 2 << e  # den = (H-1)! 2^{e(H-1)}
-    # the ends -p (t - 1) and -p (t + 2) of the interval, as -p t + low_end and
-    # -p t + high_end, low_end < high_end
-    low_end, high_end = sorted((p, -2 * p))
-    first, stop = head, _FIRST_STOP
-    while True:
-        scale, bits = _window_precision(w, stop, head)
-        # |low| at or past this makes low 2^{b-F-e} normal
-        least = ldexp(sys.float_info.min, scale - bits + e)
-        y_old = (old * (head - 1) << scale + e >> shift) // factorial
-        y, s = (cur << scale >> shift) // factorial, (acc << scale >> shift) // factorial
-        c = (2 * head - 1 << e) - p  # (2m + 1) 2^e - p at m = k - 1
-        for k in range(head, stop):
-            if k >= first:
-                u = -p * (s >> bits)
-                try:
-                    low = float((u + low_end) // k)
-                    settled = low == float(-((-u - high_end) // k)) and abs(low) >= least
-                except OverflowError:
-                    settled = False
-                if not settled:
-                    yield from islice(_m1_partial_sums(w, exact=True), k, None)
-                    return
-                yield ldexp(low, bits - scale - e)
-            y_old, y = y, ((c * y >> e) - (k - 1) * y_old) // k
-            s += y
-            c += step
         first, stop = stop, 2 * stop
 
 

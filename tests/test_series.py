@@ -34,7 +34,6 @@ from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import (
     _closed_m1_row,
     _exact_poly,
-    _m1_partial_sums,
     _m1_values,
     _mhalf_values,
     _vk_rows,
@@ -194,25 +193,15 @@ def _assert_sums_the_closed_form_rows(evaluate, pref, s, z, policy):
 
 
 class TestAlphaMinusOnePaths:
-    """The rearranged form and M9 sum one polynomial built by two independent
-    recurrences; neither may quietly start reading the other's, and neither
-    reads the closed-form rows they are both checked against."""
+    """The rearranged form and M9 sum one inner stream, the alpha = -1
+    recurrence in k at 2z, and neither reads the closed-form rows they are
+    both checked against."""
 
-    def test_rearranged_reads_only_the_fixed_argument_recurrence(self, monkeypatch):
-        monkeypatch.setattr("fracbessel.series._m1_partial_sums", _unreadable)
-        assert k_series_rearranged(2.5, 1.3).converged
-        assert k_mcdonald(-2.5, 1.3).converged
-        with pytest.raises(_StreamRead):
-            k_series_m9(2.5, 1.3)
-
-    def test_m9_reads_only_the_closed_form_rows(self, monkeypatch):
-        # M9 reads the partial-sum recurrence; the name predates it
+    def test_all_three_read_the_fixed_argument_recurrence(self, monkeypatch):
         monkeypatch.setattr("fracbessel.series._m1_values", _unreadable)
-        assert k_series_m9(2.5, 1.3).converged
-        with pytest.raises(_StreamRead):
-            k_series_rearranged(2.5, 1.3)
-        with pytest.raises(_StreamRead):
-            k_mcdonald(2.5, 1.3)
+        for evaluate in (k_series_rearranged, k_mcdonald, k_series_m9):
+            with pytest.raises(_StreamRead):
+                evaluate(2.5, 1.3)
 
     def test_neither_reads_the_closed_form_rows(self, monkeypatch):
         assert not hasattr(series_module, "_closed_m1_row")
@@ -240,7 +229,7 @@ class TestAlphaMinusOnePaths:
 
 
 class TestBoundedStreamsInTheSeries:
-    @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_partial_sums)])
+    @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_values)])
     @pytest.mark.parametrize("z,k", [(1e6, 63), (1e12, 28)])
     def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, stream, z, k):
         # E_63 overflows in a bounded window, E_28 in the exact head
@@ -256,7 +245,7 @@ class TestBoundedStreamsInTheSeries:
 
 #: The fixed-argument integer recurrences in k that feed the rearranged
 #: form and M9 (alpha = -1) and M10 (alpha = -1/2).
-_FIXED_W = {-1.0: (_m1_values, _m1_partial_sums), -0.5: (_mhalf_values,)}
+_FIXED_W = {-1.0: (_m1_values,), -0.5: (_mhalf_values,)}
 
 
 class TestVkStream:
@@ -280,12 +269,8 @@ class TestVkStream:
             by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
             by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
             by_fixed_w = _m1_values(2.0 * z)
-            by_partial_sums = _m1_partial_sums(2.0 * z)
             for k in range(151):
-                assert (
-                    next(by_recurrence) == next(by_closed_form)
-                    == next(by_fixed_w) == next(by_partial_sums)
-                ), (z, k)
+                assert next(by_recurrence) == next(by_closed_form) == next(by_fixed_w), (z, k)
 
     @pytest.mark.parametrize("alpha,q", [(-1.0, 1), (-0.5, 2)])
     def test_fixed_argument_stream_is_the_coefficient_rows(self, alpha, q):
