@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from functools import partial
 from itertools import accumulate, count, islice
 
 import mpmath
@@ -29,9 +30,11 @@ from fracbessel import (
     rl_integral,
 )
 from fracbessel import series as series_module
+from fracbessel import vk
 from fracbessel.series import _e_stream, _ratio_terms
 from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import (
+    _FIRST_STOP,
     _closed_m1_row,
     _exact_poly,
     _m1_values,
@@ -39,6 +42,7 @@ from fracbessel.vk import (
     _vk_rows,
 )
 from fracbessel.truncation import STOP_RATIO, STOP_RUN, sum_with_policy
+from test_vk import HEAD_AT_6_6, _count_restarts, _doubt_at
 
 #: Wide-window policy for probing truncation behaviour past the conservative
 #: default divergence heuristic (the policy is a public knob).
@@ -228,9 +232,92 @@ class TestAlphaMinusOnePaths:
         _assert_sums_the_closed_form_rows(k_series_m9, pref, s, z, policy)
 
 
+def _over_the_exact_stream(evaluate, s, z, policy):
+    """``evaluate(s, z, policy)`` with its alpha = -1 inner stream read from
+    exact integers throughout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_m1_values", partial(_m1_values, exact=True))
+        return evaluate(s, z, policy)
+
+
+#: The two sums whose terms read ``vk._m1_values`` at w = 2z.
+OVER_M1 = [k_series_rearranged, k_series_m9]
+
+#: At s = 0.3 the ratio (1/2-s)_k/(1/2+s)_k decays like k^-0.6, so a sum at a
+#: z of order one reads its whole budget of inner values.
+SLOW_S = 0.3
+
+
 class TestBoundedStreamsInTheSeries:
+    """The rearranged form and M9 sum the bounded stream's values; wherever a
+    window leaves a value in doubt, the sum is still, bit for bit, the one
+    over the exact integers."""
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @given(s=st.floats(0.05, 4.9), z=st.floats(2.0 ** -31, 40.0), n=st.integers(1, 450))
+    # sums that end just past the first window and the second
+    @example(s=SLOW_S, z=3.3, n=_FIRST_STOP + 1)
+    @example(s=SLOW_S, z=0.1, n=2 * _FIRST_STOP + 1)
+    @settings(max_examples=20, deadline=None)
+    def test_bit_for_bit_the_sum_over_the_exact_values(self, evaluate, s, z, n):
+        policy = _capped(n)
+        assert evaluate(s, z, policy) == _over_the_exact_stream(evaluate, s, z, policy)
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("guard,z", [(0, 0.1), (0, 3.3), (-40, 0.1), (-40, 3.3), (-40, 20.0)])
+    def test_a_value_left_in_doubt_comes_from_the_exact_integers(self, monkeypatch, evaluate, guard, z):
+        # with no guard bits the check leaves a value in doubt in the first
+        # window at w = 0.2 and 6.6, and with -40 every value; the stream
+        # then starts its exact form once and the sum reads on from it
+        policy = _capped(300)
+        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
+        monkeypatch.setattr(vk, "_GUARD_BITS", guard)
+        restarts = _count_restarts(monkeypatch, _m1_values)
+        got = evaluate(SLOW_S, z, policy)
+        assert got == want and got.terms_used == 300
+        assert restarts == [True]
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
+    def test_doubt_inside_a_later_window(self, monkeypatch, evaluate, doubt):
+        # doubt at the first value past the head, inside the first window, at
+        # the first value of the second, and inside the third
+        policy = _capped(3 * _FIRST_STOP)
+        want = _over_the_exact_stream(evaluate, SLOW_S, 3.3, policy)
+        doubted = _doubt_at(monkeypatch, doubt)
+        restarts = _count_restarts(monkeypatch, _m1_values)
+        got = evaluate(SLOW_S, 3.3, policy)
+        assert got == want and got.terms_used == 3 * _FIRST_STOP
+        assert doubted == [doubt]
+        assert restarts == [True]
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-100, 2.0 ** -31])
+    def test_tiny_arguments(self, monkeypatch, evaluate, z):
+        # heads of 2 to 23 values; at w = 2z < 2^-40 every E_k past E_0 is
+        # about -w, below what the check can settle, so the first value past
+        # the head comes from the exact integers
+        policy = _capped(250)
+        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
+        restarts = _count_restarts(monkeypatch, _m1_values)
+        assert evaluate(SLOW_S, z, policy) == want
+        if 2.0 * z < 2.0 ** -40:
+            assert restarts == [True]
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("z", [0.25, 20.0])
+    def test_sums_past_a_long_head_read_windows(self, monkeypatch, evaluate, z):
+        # w = 0.5 and 40.0 have 100- and 112-value heads
+        policy = _capped(2 * _FIRST_STOP + 1)
+        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
+        restarts = _count_restarts(monkeypatch, _m1_values)
+        got = evaluate(SLOW_S, z, policy)
+        assert got == want and got.terms_used == 2 * _FIRST_STOP + 1
+        assert restarts == []  # every value past the head came from a window
+
     @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_values)])
-    @pytest.mark.parametrize("z,k", [(1e6, 63), (1e12, 28)])
+    # w = 2000000.1 has a 22-value head, so its E_63 overflows inside a window
+    @pytest.mark.parametrize("z,k", [(1e6, 63), (1000000.05, 63), (1e12, 28)])
     def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, stream, z, k):
         # E_63 overflows in a bounded window, E_28 in the exact head
         w = 2.0 * z
