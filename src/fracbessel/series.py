@@ -15,11 +15,11 @@ constructions in ``vk``:
   alpha = -1/2, and at any other alpha the coefficient rows
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
-The alpha = -1 stream takes exact integers only until those reach about
-900 bits, about 15 terms at a w with a full 53-bit mantissa, and past
-them runs on integers of a fixed size per window, which grows by about
-1.6 bits a term and not with w; each value is still the correctly
-rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
+The alpha = -1 stream takes exact integers only for its first two terms
+at a w with a full 53-bit mantissa (longer at an integer or short dyadic
+w), and past them runs on integers of a fixed size per window, about
+100 + 2.9 sqrt(max(1, w) n) bits for n terms, whatever the bits of w;
+each value is still the correctly rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
 exact: at w = p / 2^e its k-th term works on integers of about
 k (e + log2 k) bits, and e is about 50 for a generic double, so N terms
 cost O(N^2 e) bit operations.  ``_e_stream`` evaluates row_k(w) / (k! q^k)

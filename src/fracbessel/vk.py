@@ -41,18 +41,19 @@ supply them:
 
 Exact, a fixed-w recurrence works on integers of about k (e + log2 k) bits
 at its k-th value, so N values cost O(N^2 e) bit operations; e is about
-50 for a generic double.  ``_m1_values`` keeps exact integers only until
-they reach about 900 bits (``_EXACT_HEADS``): about 15 values at a w with
-a full 53-bit mantissa.  Past them it runs the same recurrence on
-integers scaled by 2^F, with a floor division a step, in windows whose F
-grows by log2 3 bits a value and not with e (``_window_precision``).  It
-yields a value only when its proved error allowance leaves one correctly
-rounded double, a check made with two integer-to-float conversions and
-no division, and otherwise goes back to the exact integers, so its values
-are bit for bit those of ``exact=True``, which keeps exact integers
-throughout.  On a 2-core Intel Xeon host with CPython 3.11,
-running at about half its top speed, 400 values at w = 6.6 take 0.76 ms
-from ``_m1_values`` and 4.8 ms exact.  ``_mhalf_values`` stays exact: in
+50 for a generic double.  ``_m1_values`` keeps exact integers only while
+they stay small (``_EXACT_HEADS``): at a w whose mantissa uses most of its
+53 bits, only E_0 and E_1; at an integer or a short dyadic w, until they
+reach about 900 bits.  Past them it runs the same recurrence on integers
+scaled by 2^F, with a floor division a step, in windows whose F follows
+the proved growth of the error: about 100 + 2.9 sqrt(max(1, |w|) n) bits
+for n values, whatever e (``_window_precision``).  It yields a value only when
+its error allowance leaves one correctly rounded double, a check made
+with two integer-to-float conversions and no division, and otherwise goes
+back to the exact integers, so its values are bit for bit those of
+``exact=True``, which keeps exact integers throughout.  On a 2-core Intel
+Xeon host with CPython 3.11, 400 values at w = 6.6 take 0.31 ms from
+``_m1_values`` and 2.8 ms exact.  ``_mhalf_values`` stays exact: in
 floats its recurrence is unstable, and bounded integers would need a far
 larger F to follow it.
 
@@ -151,14 +152,15 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
 
 
 #: H, the number of values ``_m1_values`` reads from exact integers before
-#: its bounded-precision windows, indexed by e at w = p / 2^e, p odd
-#: or zero (e is at most 1074 for a double).  The exact N_H has about
-#: H (e + log2 H) bits, so H = max(2, 900 // (e + 8)) ends the head once the
-#: exact integers reach about 900 bits, over twice the F of the first
-#: window: 15 values at a w with a full 53-bit mantissa, and up to 112 at an
-#: integer w.  At 600 bits (10 values) sums that end a few values past the
-#: head ran slower, and at 1500 (25) long sums kept a third less of the gain.
-_EXACT_HEADS = tuple(max(2, 900 // (e + 8)) for e in range(1075))
+#: its bounded-precision windows, indexed by m = max(e, the bit length of p)
+#: at w = p / 2^e, p odd or zero (m is at most 1074 for a double).  The
+#: exact N_k grow by about m + log2 k bits a value.  At m <= 20, an integer
+#: or a dyadic w with a short mantissa, H = 900 // (m + 8), so the head ends
+#: once those integers reach about 900 bits: 64 values at w = 40, 90 at 2,
+#: 100 at 1 and 112 at 0.  At larger m, a w whose mantissa uses most of its
+#: 53 bits, a window value costs no more than an exact one, and H = 2: the
+#: windows start from E_0 = 1 and E_1 = -w, with no division.
+_EXACT_HEADS = tuple(900 // (m + 8) if m <= 20 else 2 for m in range(1075))
 
 #: The first bounded window ends before this value, the default budget of a
 #: sum (``TruncationPolicy.max_terms``); each later one ends twice as far.
@@ -169,25 +171,30 @@ _FIRST_STOP = 200
 _GUARD_BITS = 40
 
 
-def _window_precision(w: float, stop: int, head: int) -> tuple[int, int]:
-    """(F, b): the scale 2^F and the error allowance 2^b of the bounded window
-    of ``_m1_values`` that starts at value ``head`` and ends before value
-    ``stop``.
+def _window_precision(w: float, stop: int) -> tuple[int, int]:
+    """(F, b): the scale 2^F and the error allowance 2^b of the bounded
+    windows of ``_m1_values`` that end before value ``stop``.
 
-    2^b bounds B = (n + 1) prod_{H <= j < stop} 3 max(1, w / (3j)), with
-    H = ``head`` and n = stop - H, the allowance ``_m1_values`` proves:
-    1.585 > log2 3 bits a factor, and n.bit_length() bits for n + 1.  F keeps
-    53 + ``_GUARD_BITS`` bits past b.  So F is about 1.6 n + 100 bits, where
-    the exact integers reach about stop (e + log2 stop) bits at w = p / 2^e.
+    With W = max(1, |w|), the proof in ``_m1_values`` bounds the error by
+    2 stop T_{stop-1}, with T_{stop-1} < exp(2 sqrt(W stop)) and
+    < (1 + W)^stop.  So b = L + 2 + ceil(g), L the bit length of ``stop``
+    and g the smaller of 2.8854 sqrt(W stop) (2.8854 > 2 / ln 2) and
+    stop log2(1 + W) (the smaller only past W = stop): one bit for the
+    factor 2 and one for the rounding of the float work.  F keeps
+    53 + ``_GUARD_BITS`` bits past b, and at |w| < 1 another
+    a = 1 - frexp(w)[1] >= -log2 |w| (at most 1022 - ``_GUARD_BITS``), so
+    that values of about w keep the guard bits.
+    At w = 6.6, F is 208 bits for a 200-value window, 253 for 400 and 315
+    for 800, where the exact N_k reach about k (e + log2 k) bits.
     """
-    n = stop - head
-    bits = (1585 * n + 999) // 1000 + n.bit_length()
-    if w > 3 * head:  # the factors w / j past 3
-        top = min(stop - 1, math.ceil(w / 3.0) - 1)  # the last j with 3j < w
-        # log2 prod_{head <= j <= top} w / (3j), one bit added for its rounding
-        log2_factorials = (math.lgamma(top + 1) - math.lgamma(head)) / math.log(2.0)
-        bits += math.ceil((top - head + 1) * math.log2(w / 3.0) - log2_factorials) + 1
-    return bits + 53 + _GUARD_BITS, bits
+    W = abs(w)
+    if W < 1.0:
+        W, extra = 1.0, min(1 - math.frexp(w)[1], 1022 - _GUARD_BITS)
+    else:
+        extra = 0
+    growth = min(2.8854 * math.sqrt(W * stop), stop * math.log2(1.0 + W))
+    bits = stop.bit_length() + 2 + math.ceil(growth)
+    return bits + 53 + _GUARD_BITS + extra, bits
 
 
 def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
@@ -202,45 +209,65 @@ def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
         N_{k+1} = (2k 2^e - p) N_k - k (k-1) 2^{2e} N_{k-1},   N_0 = 1, N_1 = -p,
 
     which is exact but grows by about e + log2 k bits a step.  So only the
-    first H = ``_EXACT_HEADS[e]`` values come from N_k, and all of them when
-    ``exact``.  Past them, X_k ~ 2^F E_k run the recurrence with one floor
-    division a step,
+    first H = ``_EXACT_HEADS[m]`` values come from N_k, m = max(e, the bit
+    length of p), and all of them when ``exact``.  Past them, X_k ~ 2^F E_k
+    run the recurrence with one floor division a step,
 
-        X_{k+1} = floor(((2k - w) X_k - (k-1) X_{k-1}) / (k+1)),
+        X_k = floor(((2(k-1) - w) X_{k-1} - (k-2) X_{k-2}) / k),
 
-    from X_k = floor(2^F E_k) at k = H - 2 and H - 1, on integers of about F
+    from X_j = floor(2^F E_j) at j = H - 2 and H - 1, on integers of about F
     bits, in windows that end before ``_FIRST_STOP``, then twice, four
     times, ... as far.  Each window begins again from that exact state, with
     the F of ``_window_precision``, and yields the values past the last.
 
-    The allowance.  Let d_k = X_k - 2^F E_k and D_k = max_{H-2 <= j <= k} |d_j|,
-    so D_{H-1} < 1.  A step carries the errors by the recurrence and adds a
-    floor in [0, 1): |d_{k+1}| <= r_k D_k + 1 with r_k = (|2k - w| + k - 1)/(k+1),
-    which is (3k - 1 - w)/(k+1) < 3 when 2k >= w and (w - k - 1)/(k+1) < w/(k+1)
-    otherwise, so r_k <= rho_{k+1} with rho_j = 3 max(1, w / (3j)).  Then
-    D_{k+1} <= rho_{k+1} D_k + 1, and by induction, as rho_j >= 1,
+    The allowance.  Let d_k = X_k - 2^F E_k, u_k = d_k and v_k = d_k - d_{k-1}.
+    As k E_k obeys the same step exactly, a step carries the errors as
 
-        D_n <= (n - H + 2) prod_{H <= j <= n} rho_j,
+        v_k = ((k-2) v_{k-1} - w u_{k-1}) / k - theta_k,   u_k = u_{k-1} + v_k,
 
-    so every value k < stop of a window is within (stop - H + 1)
-    prod_{H <= j < stop} rho_j <= B of 2^F E_k, for the B of
-    ``_window_precision``, and B <= 2^b.  With t = floor(X_k / 2^b), 2^F E_k
-    lies in [(t - 1) 2^b, (t + 2) 2^b].  A value is yielded only when t - 1
-    and t + 2 round to the same double, which rounding, being monotone, makes
-    the correctly rounded 2^{F-b} E_k.  That asks |t| > 2^53, so the double
-    times 2^{b-F} = 2^{-53-G}, G = ``_GUARD_BITS``, is at least 2^{-G} in
-    size and needs no second rounding.  Where they do not round alike, or t
-    is past float64, every value from that k on comes from N_k: an E_k past
-    float64 raises the range error of the exact stream, and a zero, whose
-    sign the interval cannot tell, is the exact one.  B grows by
-    log2 3 bits a value, so a window of n values works on integers of about
-    1.6 n + 100 bits, where N_k has about k (e + log2 k).
+    with theta_k in [0, 1) from the floor.  Let W = max(1, |w|) and
+
+        V_k = ((k-2) V_{k-1} + W U_{k-1}) / k + 1,   U_k = U_{k-1} + V_k,
+
+    from U_{H-1} = V_{H-1} = 1.  The start has |u_{H-1}|, |v_{H-1}| < 1,
+    and the step's coefficients are nonnegative at k >= 2, so by induction
+    |u_k| <= U_k and |v_k| <= V_k.  Without its + 1 the step maps
+    (T_{k-1}, s_{k-1}) to (T_k, s_k), where s_k = T_k - T_{k-1} and
+    T_k = sum_{j=1}^{k} C(k-1, j-1) W^j / j! is E_k at -W (the closed form
+    of ``_closed_m1_row``).  At j >= 2, T_j >= W >= 1 and s_j >= W^2 / 2 >= 1/2,
+    so the (1, 1) each step adds is at most 2 (T_j, s_j), and so is the
+    start at H - 1 >= 2; at H = 2 the start's first step gives
+    (1 + W/2, W/2) = (T_2, s_2) / W.  The step is linear and
+    nonnegative, so each of these k - H + 2 parts stays at most 2 T_k in
+    U_k, and every value k < stop of a window has
+
+        |d_k| <= 2 (k - H + 2) T_k < 2 stop T_{stop-1}.
+
+    C(n-1, j-1) <= n^j / j! and sum_j x^{2j} / (j!)^2 = I_0(2x) <= e^{2x}
+    give T_n < exp(2 sqrt(W n)), and dropping the 1/j! gives
+    T_n <= W (1 + W)^{n-1} < (1 + W)^n; either gives the b of
+    ``_window_precision``, so |d_k| < 2^b.  (The error grows like the
+    stream at -|w|, as the signs that make E_k oscillate no longer cancel
+    it: Perron's formula for Laguerre polynomials off the positive axis,
+    Szego, Orthogonal Polynomials, 8.22.)
+
+    The check.  With t = floor(X_k / 2^b), 2^F E_k lies in
+    [(t - 1) 2^b, (t + 2) 2^b].  A value is yielded only when t - 1 and
+    t + 2 round to the same double, which rounding, being monotone, makes
+    the correctly rounded 2^{F-b} E_k.  That asks |t| > 2^53, so the
+    double times 2^{b-F} = 2^{-53-G-a}, G = ``_GUARD_BITS`` and a the extra
+    bits at |w| < 1, is at least 2^{-G-a} >= 2^{-1022} in size, a normal
+    double, and needs no second rounding.  Where they do not round alike,
+    or t is past float64, every value from that k on comes from N_k: an E_k
+    past float64 raises the range error of the exact stream, and a zero,
+    whose sign the interval cannot tell, is the exact one.
     """
     k = 0
     try:
         p, q = w.as_integer_ratio()
         e = q.bit_length() - 1
-        head = _EXACT_HEADS[e]
+        m = p.bit_length()
+        head = _EXACT_HEADS[e if e > m else m]  # max(e, m), with no call
         yield 1.0
         old, cur, den = 0, 1, 1  # N_{k-2}, N_{k-1}, (k-1)! 2^{e(k-1)}
         for k in count(1) if exact else range(1, head):
@@ -253,24 +280,26 @@ def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
     factorial, step = den >> shift, 2 << e  # den = (H-1)! 2^{e(H-1)}
     first, stop = head, _FIRST_STOP
     while True:
-        scale, bits = _window_precision(w, stop, head)
+        scale, bits = _window_precision(w, stop)
         x_old = (old * (head - 1) << scale + e >> shift) // factorial
         x = (cur << scale >> shift) // factorial
-        c = (head - 1 << e + 1) - p  # 2(k-1) 2^e - p
-        for k in range(head, stop):
+        c, unit = (head - 1 << e + 1) - p, bits - scale  # c = 2(k-1) 2^e - p
+        for k in range(head, first):  # the values the window before yielded
             x_old, x = x, ((c * x >> e) - (k - 2) * x_old) // k
             c += step
-            if k >= first:
-                t = x >> bits
-                try:
-                    low = float(t - 1)
-                    settled = low == float(t + 2)
-                except OverflowError:
-                    settled = False
-                if not settled:
-                    yield from islice(_m1_values(w, exact=True), k, None)
-                    return
-                yield ldexp(low, bits - scale)
+        for k in range(first, stop):
+            x_old, x = x, ((c * x >> e) - (k - 2) * x_old) // k
+            c += step
+            t = x >> bits
+            try:
+                low = float(t - 1)
+                settled = low == float(t + 2)
+            except OverflowError:
+                settled = False
+            if not settled:
+                yield from islice(_m1_values(w, exact=True), k, None)
+                return
+            yield ldexp(low, unit)
         first, stop = stop, 2 * stop
 
 

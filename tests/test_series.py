@@ -280,8 +280,9 @@ class TestBoundedStreamsInTheSeries:
     @pytest.mark.parametrize("evaluate", OVER_M1)
     @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
     def test_doubt_inside_a_later_window(self, monkeypatch, evaluate, doubt):
-        # doubt at the first value past the head, inside the first window, at
-        # the first value of the second, and inside the third
+        # doubt at the first window value (E_2 at w = 6.6, right past the
+        # head), inside the first window, at the first value of the second,
+        # and inside the third
         policy = _capped(3 * _FIRST_STOP)
         want = _over_the_exact_stream(evaluate, SLOW_S, 3.3, policy)
         doubted = _doubt_at(monkeypatch, doubt)
@@ -294,20 +295,20 @@ class TestBoundedStreamsInTheSeries:
     @pytest.mark.parametrize("evaluate", OVER_M1)
     @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-100, 2.0 ** -31])
     def test_tiny_arguments(self, monkeypatch, evaluate, z):
-        # heads of 2 to 23 values; at w = 2z < 2^-40 every E_k past E_0 is
-        # about -w, below what the check can settle, so the first value past
-        # the head comes from the exact integers
+        # every E_k past E_0 is about -w = -2z; the windows give values of
+        # that size their guard bits, so only at z = 5e-324, where every E_k
+        # is subnormal, does the first window value come from the exact
+        # integers
         policy = _capped(250)
         want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
         restarts = _count_restarts(monkeypatch, _m1_values)
         assert evaluate(SLOW_S, z, policy) == want
-        if 2.0 * z < 2.0 ** -40:
-            assert restarts == [True]
+        assert restarts == ([True] if z == 5e-324 else [])
 
     @pytest.mark.parametrize("evaluate", OVER_M1)
     @pytest.mark.parametrize("z", [0.25, 20.0])
     def test_sums_past_a_long_head_read_windows(self, monkeypatch, evaluate, z):
-        # w = 0.5 and 40.0 have 100- and 112-value heads
+        # w = 0.5 and 40.0 have 100- and 64-value heads
         policy = _capped(2 * _FIRST_STOP + 1)
         want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
         restarts = _count_restarts(monkeypatch, _m1_values)
@@ -316,10 +317,10 @@ class TestBoundedStreamsInTheSeries:
         assert restarts == []  # every value past the head came from a window
 
     @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_values)])
-    # w = 2000000.1 has a 22-value head, so its E_63 overflows inside a window
     @pytest.mark.parametrize("z,k", [(1e6, 63), (1000000.05, 63), (1e12, 28)])
     def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, stream, z, k):
-        # E_63 overflows in a bounded window, E_28 in the exact head
+        # E_63 and E_28 overflow in a bounded window, which gives way to the
+        # exact stream and its error
         w = 2.0 * z
         with pytest.raises(DomainError) as want:
             list(stream(w, exact=True))

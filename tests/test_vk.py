@@ -218,6 +218,11 @@ def _exponent(w: float) -> int:
     return w.as_integer_ratio()[1].bit_length() - 1
 
 
+def _head(w: float) -> int:
+    """The number of values ``_m1_values`` reads from exact integers at w."""
+    return _EXACT_HEADS[max(_exponent(w), w.as_integer_ratio()[0].bit_length())]
+
+
 def _count_restarts(monkeypatch, bounded) -> list:
     """Route the stream's own fallback through a wrapper that records each
     call; ``bounded`` itself, called directly, is not recorded."""
@@ -249,8 +254,9 @@ def _doubt_at(monkeypatch, doubt: int) -> list:
     return doubted
 
 
-#: The head the rule picks at 6.6, a w with a full 53-bit mantissa.
-HEAD_AT_6_6 = _EXACT_HEADS[_exponent(6.6)]
+#: The head the rule picks at 6.6, a w with a full 53-bit mantissa: E_0 and
+#: E_1, so E_2 is the first window value.
+HEAD_AT_6_6 = _head(6.6)
 
 
 class TestBoundedStreams:
@@ -283,9 +289,9 @@ class TestBoundedStreams:
     @pytest.mark.parametrize("name", BOUNDED)
     @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
     def test_doubt_inside_a_later_window(self, monkeypatch, name, doubt):
-        # doubt at the first value past the head, inside the first window, at
-        # the first value of the second, and inside the third; the stream
-        # restarts its exact form once
+        # doubt at the first window value (E_2, right past the head), inside
+        # the first window, at the first value of the second, and inside the
+        # third; the stream restarts its exact form once
         bounded = BOUNDED[name]
         w, n = 6.6, 3 * _FIRST_STOP
         want = list(islice(bounded(w, exact=True), n))
@@ -298,29 +304,43 @@ class TestBoundedStreams:
     @pytest.mark.parametrize("name", BOUNDED)
     @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100, 2.0 ** -30])
     def test_tiny_arguments(self, monkeypatch, name, w):
-        # heads of 2 to 23 values; past them a value may fall below the
-        # window's allowance or be subnormal, and then comes from the exact
-        # integers (e > 300 bits a value)
+        # the windows start at E_2, and their F carries -log2 w more bits, so
+        # values of about -w keep their guard bits; only at 5e-324, where
+        # every E_k past E_0 is -5e-324, a subnormal the check never yields,
+        # do they come from the exact integers (e > 300 bits a value)
         bounded = BOUNDED[name]
         want = list(islice(bounded(w, exact=True), 250))
         restarts = _count_restarts(monkeypatch, bounded)
         assert list(islice(bounded(w), 250)) == want
-        if w == 5e-324:  # every E_k past E_0 is -5e-324, a subnormal
-            assert restarts == [True]
+        assert restarts == ([True] if w == 5e-324 else [])
+
+    @pytest.mark.parametrize("name", BOUNDED)
+    @pytest.mark.parametrize("w", [2.0 ** -30, 2e-10])
+    def test_values_of_about_w_are_not_left_in_doubt(self, monkeypatch, name, w):
+        # without the extra bits at |w| < 1 the check's t kept only about
+        # 93 + log2 w bits, and these streams restarted at k = 257 and 175
+        bounded = BOUNDED[name]
+        want = list(islice(bounded(w, exact=True), 600))
+        restarts = _count_restarts(monkeypatch, bounded)
+        assert list(islice(bounded(w), 600)) == want
+        assert restarts == []
 
     def test_precision_stays_bounded(self):
         # a 400-value window at a w with a full 53-bit mantissa keeps under
-        # 1000 bits, where the exact N_400 has about 22 500
+        # 300 bits, where the exact N_400 has about 22 500
         w = 6.6
-        scale, bits = _window_precision(w, 400, HEAD_AT_6_6)
-        assert bits < scale < 1000
+        scale, bits = _window_precision(w, 400)
+        assert bits < scale < 300
         # N_400 = 400! 2^{400e} E_400 at w = p / 2^e, and |E_400| < 1 here
-        assert math.log2(math.factorial(400)) + 400 * _exponent(w) > 20 * scale
-        # and grows linearly with the window
-        assert _window_precision(w, 800, HEAD_AT_6_6)[0] < 2 * scale
+        assert math.log2(math.factorial(400)) + 400 * _exponent(w) > 80 * scale
+        # and grows like the square root of the window
+        assert _window_precision(w, 800)[1] < math.sqrt(2) * bits
+        # past W = stop the bound (1 + W)^stop takes over: at w = 2e12,
+        # exp(2 sqrt(W stop)) would ask for 1.8 million bits
+        assert _window_precision(2e12, 200)[1] < 200 * 42
 
     @pytest.mark.parametrize("name", BOUNDED)
-    # 2000000.1 has a 22-value head, so its E_63 overflows inside a window
+    # every w here but inf reads windows from E_2, so E_63 overflows inside one
     @pytest.mark.parametrize("w", [2e6, 2000000.1, 2e12, math.inf])
     def test_values_past_float64_raise_the_exact_range_error(self, name, w):
         bounded = BOUNDED[name]
@@ -333,15 +353,21 @@ class TestBoundedStreams:
 
 
 class TestHeadRule:
-    """The exact head ends once the exact integers outgrow a window: after
-    about 15 values at a full 53-bit mantissa, later at a short one."""
+    """At a w whose mantissa uses most of its 53 bits the windows start right
+    after E_1; at a short mantissa, an integer or a dyadic w, the exact
+    integers stay small, and the head ends once they reach about 900 bits."""
 
     def test_heads(self):
-        assert HEAD_AT_6_6 == 15
-        assert _EXACT_HEADS[_exponent(0.5)] == 100
-        # the longest head, at an integer w, still ends before the first stop
-        assert _EXACT_HEADS[0] == 112 < _FIRST_STOP
-        assert _EXACT_HEADS[_exponent(5e-324)] == 2
+        for w in (6.6, 0.2, 79.9, 2000000.1, 2.0 ** -30, 5e-324, 1e300, 1.0 + 2.0 ** -20):
+            assert _head(w) == 2
+        assert _head(0.5) == 100
+        assert _head(0.375) == 81
+        # an integer w: 90 values at 2, 75 at 10 and 64 at 40
+        assert (_head(2.0), _head(10.0), _head(40.0)) == (90, 75, 64)
+        # the longest head, at 0, still ends before the first stop
+        assert _head(1.0) == 100 and _head(0.0) == 112 < _FIRST_STOP
+        # and every head is a pure function of w: a table read, no state
+        assert _EXACT_HEADS == tuple(900 // (m + 8) if m <= 20 else 2 for m in range(1075))
 
     @pytest.mark.parametrize("name", BOUNDED)
     @pytest.mark.parametrize("w", [0.5, 40.0])
@@ -359,8 +385,8 @@ def _m1_window_errors(w: float, stop: int) -> tuple[int, int]:
     ``_m1_values`` at w that ends before ``stop``, replayed from its
     docstring's recurrence against the exact N_k = k! 2^{ek} E_k."""
     p, e = w.as_integer_ratio()[0], _exponent(w)
-    head = _EXACT_HEADS[e]
-    scale, bits = _window_precision(w, stop, head)
+    head = _head(w)
+    scale, bits = _window_precision(w, stop)
     exact, den = [1, -p], [1, 1 << e]
     for k in range(1, stop):
         exact.append(((2 * k << e) - p) * exact[k] - (k * (k - 1) << 2 * e) * exact[k - 1])
@@ -376,17 +402,39 @@ def _m1_window_errors(w: float, stop: int) -> tuple[int, int]:
 
 class TestWindowAllowance:
     """The proved allowance 2^b of ``_window_precision`` bounds the real error
-    of a window's integers against the exact values."""
+    of a window's integers against the exact values, and follows the error's
+    growth rather than a fixed number of bits a value."""
 
-    # Measured over both windows: the largest error is 988 units, at w = 0.2,
-    # against allowances from 2^147 (w = 40, after its 112-value head) to
-    # 2^623, and the proof leaves at least 144 bits of margin (w = 40, first
-    # window, an error of 8 units)
+    # Measured over the first three windows: the largest error is about
+    # 2^39 units, at w = 79.9, against allowances from 2^51 (w = 0.2, first
+    # window) to 2^742 (w = 79.9, third); the proof leaves at least 42 bits
+    # of margin (w = 0.2, first window, an error of 492 units)
     @pytest.mark.parametrize("w", [0.2, 6.6, 40.0, 79.9])
     def test_the_real_error_stays_inside_the_allowance(self, w):
-        for stop in (_FIRST_STOP, 2 * _FIRST_STOP):
+        for stop in (_FIRST_STOP, 2 * _FIRST_STOP, 4 * _FIRST_STOP):
             worst, bits = _m1_window_errors(w, stop)
             assert 0 < worst < 2 ** bits
+
+    def test_the_closed_form_bounds_the_difference_basis_recursion(self):
+        # the docstring's majorant, V_k = ((k-2) V_{k-1} + W U_{k-1}) / k + 1
+        # and U_k = U_{k-1} + V_k from U_1 = V_1 = 1, run in integers scaled
+        # by 2^64 and rounded up at every step, so it is at least the exact
+        # recursion; the closed form 2^b must stay above it at every stop,
+        # and within 96 bits of it where windows run in the workloads (17 to
+        # 34 bits at |w| <= 6.6, up to 89 at 79.9)
+        stops = [_FIRST_STOP << j for j in range(6)]
+        one = 1 << 64
+        for w in (2.0 ** -30, 0.2, 1.0, 6.6, 40.0, 79.9, 1000.5, -50.25, 2.0 ** 16):
+            p, q = max(Fraction(1), abs(Fraction(w))).as_integer_ratio()
+            u = v = one
+            for k in range(2, stops[-1]):
+                v = -(((k - 2) * v * q + p * u) // -(k * q)) + one
+                u += v
+                if k + 1 in stops:
+                    bits = _window_precision(w, k + 1)[1]
+                    assert u < 2 ** bits * one, (w, k + 1)
+                    if abs(w) < 100:
+                        assert 2 ** bits * one < 2 ** 96 * u, (w, k + 1)
 
 
 class TestIndexBound:
