@@ -2,11 +2,14 @@
 
 Every evaluator has one shape: validate the inputs, form one prefactor in
 log space and exponentiate it once through ``special._guarded_exp`` (one
-outside the float64 range raises ``DomainError``), then sum the one term
-stream (a)_k/(b)_k * E_k of ``_ratio_terms``.  E_k is a polynomial value
-built exactly in integers and rounded once, so the heavily cancelling inner
-sums are never formed in plain float64.  It comes from one of three
-constructions in ``vk``:
+outside the float64 range raises ``DomainError``), then hand an inner stream
+E_k and a Pochhammer pair (a, b) to the one engine,
+``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
+with a running product, in the loop that decides where the sum stops, and
+ends the sum when a + k hits zero.  E_k is a polynomial value built exactly
+in integers and rounded once, so the heavily cancelling inner sums are never
+formed in plain float64.  It comes from one of three constructions in
+``vk``:
 
 * the rearranged form (and so ``k_mcdonald``) and M9 read the alpha = -1
   recurrence in k, ``vk._m1_values``, at w = 2z;
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
@@ -109,21 +112,6 @@ def _e_stream(rows: Iterable[list[int]], q: int, w: float) -> Iterator[float]:
         den *= k * q
 
 
-def _ratio_terms(a: float, b: float, inner: Iterable[float]) -> Iterator[float]:
-    """Yield (a)_k/(b)_k * inner_k for k = 0, 1, ...
-
-    The Pochhammer ratio is a running product, so when a + k is exactly
-    zero every later term vanishes and the stream ends there, after k + 1
-    terms.  ``inner`` is pulled lazily, one value per yielded term.
-    """
-    ratio = 1.0
-    for k, value in enumerate(inner):
-        yield ratio * value
-        if a + k == 0.0:
-            return
-        ratio *= (a + k) / (b + k)
-
-
 # --- validation helpers -----------------------------------------------------
 
 def _require_positive_z(z: float) -> None:
@@ -139,8 +127,15 @@ def _require_positive_order(s: float) -> None:
         )
 
 
-def _finalize(gen: Iterator[float], policy: TruncationPolicy, scale: float) -> SeriesApproximation:
-    approx = sum_with_policy(gen, policy, scale=scale)
+def _finalize(
+    inner: Iterator[float],
+    policy: TruncationPolicy,
+    scale: float,
+    a: float,
+    b: float,
+    zeros: int = 0,
+) -> SeriesApproximation:
+    approx = sum_with_policy(inner, policy, scale, a, b, zeros)
     if approx.stop_reason == "diverging":
         raise SeriesDiverged(approx)
     return approx
@@ -194,7 +189,7 @@ def _sum_k_series(
     pref = _guarded_exp(form.log_prefactor(s, z))
     if inner is None:
         inner = form.inner(z)
-    return _finalize(_ratio_terms(0.5 - s, 0.5 + s, inner), policy, pref)
+    return _finalize(inner, policy, pref, 0.5 - s, 0.5 + s)
 
 
 # --- public evaluators -------------------------------------------------------
@@ -321,10 +316,12 @@ def general_expansion_m7(
         num, den = gamma_log(s + 1.0), gamma_log(s + pole)
         log_head, sign = num.log_abs - den.log_abs, (-1) ** zeros * num.sign * den.sign
     pref = sign * _guarded_exp((nu - s) * math.log(x) + _guarded_lgamma(nu + 1.0) - w + log_head)
-    zeros = min(zeros, sys.maxsize)  # no policy sums past sys.maxsize terms
+    # the engine counts the zeros as terms, budget included, and reads E_k
+    # only past them; no policy sums past sys.maxsize terms
+    zeros = min(zeros, sys.maxsize)
     e = islice(_FIXED_W_STREAMS[alpha](w) if alpha in _FIXED_W_STREAMS
                else _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
-    return _finalize(chain(repeat(0.0, zeros), _ratio_terms(top, bottom, e)), policy, pref)
+    return _finalize(e, policy, pref, top, bottom, zeros)
 
 
 def adjudicate_m10(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 from .special import _in_range, _integer_at_least
 
@@ -41,8 +41,8 @@ class SeriesApproximation:
 
     ``stop_reason`` says why the sum stopped, one of four strings:
 
-    * ``"terminated"`` - the term stream ran out inside the budget: every
-      remaining term is identically zero;
+    * ``"terminated"`` - the term stream ran out, or the Pochhammer ratio
+      hit zero, inside the budget: every remaining term is identically zero;
     * ``"converged"`` - ``STOP_RUN`` terms in a row were negligible;
     * ``"budget"`` - ``max_terms`` terms were summed without a verdict;
     * ``"diverging"`` - |term| grew ``divergence_window`` times in a row.
@@ -68,40 +68,64 @@ class SeriesApproximation:
 
 
 def sum_with_policy(
-    terms: Iterator[float],
+    terms: Iterable[float],
     policy: TruncationPolicy = DEFAULT_POLICY,
     scale: float = 1.0,
+    a: float = 1.0,
+    b: float = 1.0,
+    zeros: int = 0,
 ) -> SeriesApproximation:
-    """Accumulate ``terms`` under ``policy`` and return value = scale * sum.
+    """Sum ``zeros`` exact zeros, then (a)_k/(b)_k * terms_k for k = 0, 1, ...,
+    under ``policy``, and return value = scale * sum.
+
+    The Pochhammer ratio is a running product, ratio *= (a + k)/(b + k),
+    whose factor for term k + 1 is formed only once the sum goes on to it.
+    When a + k is exactly zero every later term vanishes, so the sum ends
+    after term k as a zero tail.  The defaults a = b = 1 leave ``terms`` as
+    they are, bit for bit.  The ``zeros`` leading terms (a reciprocal
+    gamma's zeros) read nothing from ``terms`` but are terms like any other:
+    they count toward ``max_terms``, and the first value's magnitude is
+    compared with theirs.
 
     The sum stops at the first term that meets, in this precedence,
     ``STOP_RUN`` terms in a row with |term| <= STOP_RATIO * |partial sum|
     (``"converged"``; fixed), ``divergence_window`` strict increases of |term|
     in a row (``"diverging"``), or ``max_terms`` terms (``"budget"``).  A
-    stream that runs out inside the budget is ``"terminated"`` (a zero tail);
-    no term past the budget is evaluated, so a stream that ends exactly at
-    ``max_terms`` reads as budget.  Accumulation is exact (math.fsum).  A
-    value outside the float64 range raises ``DomainError``.
+    stream that runs out inside the budget, or a ratio that hits zero there,
+    is ``"terminated"`` (a zero tail); no value past the budget is read, so a
+    sum that ends exactly at ``max_terms`` reads as budget.  Accumulation is
+    exact (math.fsum).  A value outside the float64 range raises
+    ``DomainError``.
     """
-    collected: list[float] = []
-    running = 0.0
+    max_terms, window = policy.max_terms, policy.divergence_window
+    head = min(zeros, max_terms)
+    collected = [0.0] * head
+    running, ratio = 0.0, 1.0
     small = grow = 0
-    prev = math.inf  # so the first term is never an increase
-    for t in terms:
-        collected.append(t)
-        running += t
-        mag = abs(t)
-        if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
-            small = small + 1 if mag <= STOP_RATIO * abs(running) else 0
-        grow = grow + 1 if mag > prev else 0
-        prev = mag
-        if small >= STOP_RUN or grow >= policy.divergence_window or len(collected) >= policy.max_terms:
-            # named only here, in precedence order: a term costs just the test
-            stop = ("converged" if small >= STOP_RUN else "diverging" if grow >= policy.divergence_window
-                    else "budget")
-            break
-    else:
-        stop = "terminated"
+    prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
+    last = max_terms - head - 1  # the k whose term spends the budget
+    stop = "budget"
+    if last >= 0:
+        for k, t in enumerate(terms):
+            t *= ratio
+            collected.append(t)
+            running += t
+            mag = abs(t)
+            if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
+                small = small + 1 if mag <= STOP_RATIO * abs(running) else 0
+            grow = grow + 1 if mag > prev else 0
+            prev = mag
+            if small >= STOP_RUN or grow >= window or k >= last:
+                # named only here, in precedence order: a term costs just the test
+                stop = "converged" if small >= STOP_RUN else "diverging" if grow >= window else "budget"
+                break
+            top = a + k
+            if top == 0.0:
+                stop = "terminated"
+                break
+            ratio *= top / (b + k)
+        else:
+            stop = "terminated"
 
     try:
         total = math.fsum(collected)

@@ -31,7 +31,7 @@ from fracbessel import (
 )
 from fracbessel import series as series_module
 from fracbessel import vk
-from fracbessel.series import _e_stream, _ratio_terms
+from fracbessel.series import _e_stream
 from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import (
     _FIRST_STOP,
@@ -184,11 +184,30 @@ def _unreadable(*args):
     raise _StreamRead
 
 
+def _then_unreadable(values):
+    """A stand-in inner stream: ``values``, then a read that raises."""
+    yield from values
+    raise _StreamRead
+
+
+def _pochhammer_products(a, b, inner):
+    """(a)_k/(b)_k * inner_k for k = 0, 1, ..., from a running product of the
+    test's own, ending after the term where a + k == 0 (every later term
+    vanishes): the sum the engine forms from (a, b, inner)."""
+    ratio = 1.0
+    for k, value in enumerate(inner):
+        yield ratio * value
+        if a + k == 0.0:
+            return
+        ratio *= (a + k) / (b + k)
+
+
 def _assert_sums_the_closed_form_rows(evaluate, pref, s, z, policy):
     """``evaluate(s, z, policy)`` equals, bit for bit, the sum over the
-    alpha = -1 closed-form rows at -2z under the prefactor ``pref``."""
+    alpha = -1 closed-form rows at -2z under the prefactor ``pref``, with
+    the Pochhammer ratio formed here rather than by the engine."""
     rows = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-    want = sum_with_policy(_ratio_terms(0.5 - s, 0.5 + s, rows), policy, scale=pref)
+    want = sum_with_policy(_pochhammer_products(0.5 - s, 0.5 + s, rows), policy, scale=pref)
     try:
         got = evaluate(s, z, policy)
     except SeriesDiverged as exc:
@@ -668,20 +687,43 @@ class TestTruncationEngine:
         assert [f.name for f in fields(SeriesApproximation)] == [
             "value", "terms_used", "last_term_abs", "stop_reason"]
 
+    @pytest.mark.parametrize("values, policy, a, b, reason", [
+        ([1.0, 1.0, 1.0], TruncationPolicy(50), -2.0, 0.5, "terminated"),
+        ([1.0, 1e-20, 1e-20, 1e-20], TruncationPolicy(50), 0.5, 1.5, "converged"),
+        ([1.0, 4.0, 16.0, 64.0, 256.0, 1024.0], TruncationPolicy(50, 5), 0.5, 1.5, "diverging"),
+        # the ratio of term 4, (a + 3)/(b + 3), would divide by zero
+        ([1.0] * 4, TruncationPolicy(4), 0.5, -3.0, "budget"),
+    ])
+    def test_nothing_past_the_stop_is_read_or_formed(self, values, policy, a, b, reason):
+        approx = sum_with_policy(_then_unreadable(values), policy, a=a, b=b)
+        assert (approx.stop_reason, approx.terms_used) == (reason, len(values))
+
     @given(terms=TERM_LISTS, max_terms=st.integers(1, 25), window=st.integers(1, 8),
-           scale=st.floats(-1e3, 1e3))
-    @example(terms=[1.0, 2.0, 0.5], max_terms=5, window=5, scale=2.0)  # terminated
-    @example(terms=[], max_terms=5, window=5, scale=2.0)  # terminated, empty
-    @example(terms=[1.0, 1e-20, 0.0, -1e-20, 3.0], max_terms=9, window=5, scale=-1.0)  # converged
-    @example(terms=[1.0, 2.0, 4.0, 8.0, 1e-20], max_terms=4, window=3, scale=1.0)  # diverging at the budget
-    @example(terms=[0.9 ** k for k in range(12)], max_terms=6, window=2, scale=0.5)  # budget
+           scale=st.floats(-1e3, 1e3),
+           a=st.sampled_from([1.0, 0.0, -2.0, -0.5, 0.5, -7.0]) | st.floats(-10, 10),
+           b=st.sampled_from([1.0, 0.5, 2.5, -2.5]) | st.floats(0.01, 50),
+           zeros=st.integers(0, 6))
+    @example(terms=[1.0, 2.0, 0.5], max_terms=5, window=5, scale=2.0, a=1.0, b=1.0, zeros=0)  # terminated
+    @example(terms=[], max_terms=5, window=5, scale=2.0, a=1.0, b=1.0, zeros=0)  # terminated, empty
+    @example(terms=[1.0, 1e-20, 0.0, -1e-20, 3.0], max_terms=9, window=5, scale=-1.0,
+             a=1.0, b=1.0, zeros=0)  # converged
+    @example(terms=[1.0, 2.0, 4.0, 8.0, 1e-20], max_terms=4, window=3, scale=1.0,
+             a=1.0, b=1.0, zeros=0)  # diverging at the budget
+    @example(terms=[0.9 ** k for k in range(12)], max_terms=6, window=2, scale=0.5,
+             a=1.0, b=1.0, zeros=0)  # budget
+    @example(terms=[1.0] * 5, max_terms=3, window=5, scale=1.0, a=-2.0, b=1.0, zeros=0)  # budget
+    @example(terms=[1.0] * 5, max_terms=5, window=5, scale=1.0, a=-2.0, b=1.0, zeros=0)  # terminated, 3 terms
+    @example(terms=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_terms=20, window=3, scale=1.0,
+             a=1.0, b=1.0, zeros=3)  # diverging: the zeros are the first magnitudes
+    @example(terms=[1.0], max_terms=4, window=5, scale=-1.0, a=1.0, b=1.0, zeros=6)  # budget in the zeros
     @settings(max_examples=300, deadline=None)
-    def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale):
-        approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale)
-        reason, n = _reference_stop(terms, max_terms, window)
+    def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale, a, b, zeros):
+        approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale, a, b, zeros)
+        full = [0.0] * zeros + list(_pochhammer_products(a, b, terms))
+        reason, n = _reference_stop(full, max_terms, window)
         assert (approx.stop_reason, approx.terms_used) == (reason, n)
-        assert approx.last_term_abs == (0.0 if reason == "terminated" else abs(scale) * abs(terms[n - 1]))
-        assert approx.value == scale * math.fsum(terms[:n])
+        assert approx.last_term_abs == (0.0 if reason == "terminated" else abs(scale) * abs(full[n - 1]))
+        assert approx.value == scale * math.fsum(full[:n])
         assert approx.converged == (reason in ("terminated", "converged"))
         assert approx.diverging == (reason == "diverging")
 
