@@ -16,10 +16,7 @@ import io
 import json
 import math
 import sys
-from copy import copy
 from dataclasses import asdict, dataclass, fields
-from itertools import tee
-from typing import Iterator
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
@@ -131,48 +128,11 @@ def _parse_range(text: str, name: str) -> list[float]:
     return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
-class _Kept:
-    """Iterator over ``source`` that, once ``source`` has raised, raises that
-    exception again on every later pull.
-
-    ``itertools.tee`` asks its source again for a value the source raised
-    on, and a generator that has raised answers ``StopIteration``: a later
-    reader would take that for the end of a terminating series and report
-    its partial sum as converged.
-    """
-
-    def __init__(self, source: Iterator[float]):
-        self._source, self._error = source, None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> float:
-        if self._error is not None:
-            raise self._error.with_traceback(None)
-        try:
-            return next(self._source)
-        except Exception as exc:
-            self._error = exc
-            raise
-
-
-def _shared_streams(form: _KForm, z_values: list[float]) -> list[Iterator[float]]:
-    """The inner stream of ``form`` at each z, built once for a grid command.
-
-    A ``copy`` of an entry reads that stream from its first value, and each
-    value is computed only for the first reader that gets to it.
-    """
-    return [tee(_Kept(form.inner(z)), 1)[0] for z in z_values]
-
-
-def _sum_series(
-    form: _KForm, s: float, z: float, policy: TruncationPolicy, inner: Iterator[float] | None = None
-) -> SeriesApproximation:
-    """``form`` at (|s|, z), over ``inner`` when given; a ``SeriesDiverged``
-    gives back its flagged partial sum."""
+def _sum_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
+    """``form`` at (|s|, z); a ``SeriesDiverged`` gives back its flagged
+    partial sum."""
     try:
-        return _sum_k_series(form, abs(s), z, policy, inner)
+        return _sum_k_series(form, abs(s), z, policy)
     except SeriesDiverged as exc:
         return exc.approximation
 
@@ -183,16 +143,14 @@ def _evaluate(
     method: str,
     policy: TruncationPolicy,
     oracle: float | None = None,
-    inner: Iterator[float] | None = None,
 ) -> OutputRow:
     """Evaluate one point; ``oracle``, when given, is K_s(z) from ``k_oracle``,
-    reused for the ORACLE row instead of a second quadrature, and ``inner``,
-    when given, the series' inner stream at z."""
+    reused for the ORACLE row instead of a second quadrature."""
     if method == "oracle":
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
     label, form = _SERIES[method]
-    approx = _sum_series(form, s, z, policy, inner)
+    approx = _sum_series(form, s, z, policy)
     return OutputRow(s, z, label, approx.terms_used, approx.value, approx.converged)
 
 
@@ -234,13 +192,12 @@ def _cmd_table(args) -> int:
         if m not in _METHODS:
             raise DomainError(f"unknown method {m!r} (choose from {_METHODS})")
     policy = TruncationPolicy(max_terms=args.max_terms)
-    shared = {m: _shared_streams(_SERIES[m][1], z_values) for m in _SERIES.keys() & methods}
     rows = []
     for s in s_values:
-        for j, z in enumerate(z_values):
+        for z in z_values:
             ref = k_oracle(s, z) if args.with_oracle or "oracle" in methods else None
             for m in methods:
-                row = _evaluate(s, z, m, policy, ref, copy(shared[m][j]) if m in shared else None)
+                row = _evaluate(s, z, m, policy, ref)
                 if args.with_oracle:
                     row.rel_err_vs_oracle = abs(row.value - ref) / max(abs(ref), 1e-300)
                 rows.append(row)
@@ -264,14 +221,12 @@ def _cmd_converge(args) -> int:
     policy = TruncationPolicy(max_terms=args.max_terms)
 
     _, form = _SERIES["rearranged"]
-    shared = _shared_streams(form, z_values)
-
     statuses: dict[str, int] = {"converged": 0, "max-terms": 0, "diverging": 0, "rejected": 0}
     converged_s: set[float] = set()
     for s in s_values:
-        for z, stream in zip(z_values, shared):
+        for z in z_values:
             try:
-                approx = _sum_series(form, s, z, policy, copy(stream))
+                approx = _sum_series(form, s, z, policy)
             except DomainError:
                 status, terms, last = "rejected", 0, math.nan
             else:

@@ -6,10 +6,8 @@ outside the float64 range raises ``DomainError``), then hand an inner stream
 E_k and a Pochhammer pair (a, b) to the one engine,
 ``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
 with a running product, in the loop that decides where the sum stops, and
-ends the sum when a + k hits zero.  E_k is a polynomial value built exactly
-in integers and rounded once, so the heavily cancelling inner sums are never
-formed in plain float64.  It comes from one of three constructions in
-``vk``:
+ends the sum when a + k hits zero.  E_k comes from one of three
+constructions in ``vk``:
 
 * the rearranged form (and so ``k_mcdonald``) and M9 read the alpha = -1
   recurrence in k, ``vk._m1_values``, at w = 2z;
@@ -18,21 +16,20 @@ formed in plain float64.  It comes from one of three constructions in
   alpha = -1/2, and at any other alpha the coefficient rows
   ``vk._vk_rows(alpha)`` through ``_e_stream``.
 
-The alpha = -1 stream takes exact integers only for its first two terms
-at a w with a full 53-bit mantissa (longer at an integer or short dyadic
-w), and past them runs on integers of a fixed size per window, about
-100 + 2.9 sqrt(max(1, w) n) bits for n terms, whatever the bits of w;
-each value is still the correctly rounded one (``vk._m1_values``).  ``vk._mhalf_values`` stays
-exact: at w = p / 2^e its k-th term works on integers of about
-k (e + log2 k) bits, and e is about 50 for a generic double, so N terms
-cost O(N^2 e) bit operations.  ``_e_stream`` evaluates row_k(w) / (k! q^k)
-with ``vk._exact_poly``, O(k) big-integer work per term.
+The alpha = -1 stream runs its recurrence in float64, so its values are not
+correctly rounded; the accuracy that counts is asserted on the K values
+themselves, against mpmath and against the same sums over the exact stream
+(``vk._m1_values(w, exact=True)``).  The other two stay exact, each value
+built in integers and rounded once, so their heavily cancelling inner sums
+are never formed in plain float64.  ``vk._mhalf_values`` works at w = p / 2^e
+on integers of about k (e + log2 k) bits at its k-th term, and e is about
+50 for a generic double, so N terms cost O(N^2 e) bit operations.
+``_e_stream`` evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k)
+big-integer work per term.
 
 The three K series share one shape, ``_KForm``: a prefactor in (s, z) and
 the sum of (1/2-s)_k/(1/2+s)_k over an inner stream that depends on z
-alone.  The public evaluators build that stream for their one order; a
-caller evaluating many orders at one z (the CLI's ``table`` and
-``converge``) builds it once and hands each order a replay of it.
+alone.  Each evaluation builds its own stream.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -85,8 +82,9 @@ from .vk import _exact_poly, _m1_values, _mhalf_values, _vk_rows
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
 
-#: The alphas whose E_k M7 reads from a fixed-argument recurrence in k, bit
-#: for bit the values of the coefficient rows at a fixed cost per term.
+#: The alphas whose E_k M7 reads from a fixed-argument recurrence in k at a
+#: fixed cost per term: float64 at alpha = -1, and at alpha = -1/2 exact, bit
+#: for bit the values of the coefficient rows.
 _FIXED_W_STREAMS = {-1.0: _m1_values, -0.5: _mhalf_values}
 
 
@@ -174,22 +172,13 @@ _M10 = _KForm(
 )
 
 
-def _sum_k_series(
-    form: _KForm,
-    s: float,
-    z: float,
-    policy: TruncationPolicy,
-    inner: Iterator[float] | None = None,
-) -> SeriesApproximation:
+def _sum_k_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
     """``form`` at order s and argument z: the prefactor times the sum of
-    (1/2-s)_k/(1/2+s)_k * inner_k, where ``inner`` is the form's stream at z,
-    built here when not given."""
+    (1/2-s)_k/(1/2+s)_k over the form's inner stream at z."""
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _guarded_exp(form.log_prefactor(s, z))
-    if inner is None:
-        inner = form.inner(z)
-    return _finalize(inner, policy, pref, 0.5 - s, 0.5 + s)
+    return _finalize(form.inner(z), policy, pref, 0.5 - s, 0.5 + s)
 
 
 # --- public evaluators -------------------------------------------------------
@@ -203,7 +192,7 @@ def k_series_rearranged(
              [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)],
 
     with S_k(z) = E_k(2z) from the alpha = -1 recurrence in k,
-    ``vk._m1_values``, on integers of a bounded size.  The Pochhammer ratio is
+    ``vk._m1_values``, run in float64.  The Pochhammer ratio is
     built as a running product, so at half-integer s = m + 1/2 the factor
     (1/2-s+k-1) hits exact zero and the sum terminates after m + 1 outer
     terms.

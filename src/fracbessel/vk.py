@@ -27,8 +27,7 @@ All three are exact at every k (alpha = a/q exactly; ints and Fractions),
 for k up to ``sys.maxsize``.
 
 The series evaluators need the values E_k = (-1)^k V_k(w) / k! at one
-double w = p / 2^e, each correctly rounded.  Three integer constructions
-supply them:
+double w = p / 2^e.  Three constructions supply them:
 
 * ``_m1_values`` - the recurrence in k at fixed w for alpha = -1; the inner
   stream of the rearranged series (and so of ``k_mcdonald``) and of M9,
@@ -39,23 +38,18 @@ supply them:
 * ``_vk_rows`` - the coefficient recurrence above, written once, for any
   alpha; the rows of M7 at any other alpha.
 
-Exact, a fixed-w recurrence works on integers of about k (e + log2 k) bits
-at its k-th value, so N values cost O(N^2 e) bit operations; e is about
-50 for a generic double.  ``_m1_values`` keeps exact integers only while
-they stay small (``_EXACT_HEADS``): at a w whose mantissa uses most of its
-53 bits, only E_0 and E_1; at an integer or a short dyadic w, until they
-reach about 900 bits.  Past them it runs the same recurrence on integers
-scaled by 2^F, with a floor division a step, in windows whose F follows
-the proved growth of the error: about 100 + 2.9 sqrt(max(1, |w|) n) bits
-for n values, whatever e (``_window_precision``).  It yields a value only when
-its error allowance leaves one correctly rounded double, a check made
-with two integer-to-float conversions and no division, and otherwise goes
-back to the exact integers, so its values are bit for bit those of
-``exact=True``, which keeps exact integers throughout.  On a 2-core Intel
-Xeon host with CPython 3.11, 400 values at w = 6.6 take 0.31 ms from
-``_m1_values`` and 2.8 ms exact.  ``_mhalf_values`` stays exact: in
-floats its recurrence is unstable, and bounded integers would need a far
-larger F to follow it.
+``_m1_values`` runs its three-term recurrence in float64.  Its values are
+not correctly rounded and not bit for bit those of the exact integers;
+their accuracy is asserted where it matters, on the K values the
+rearranged form and M9 return, against mpmath and against the same sums
+over ``exact=True``, which keeps exact integers throughout and stays as
+the test reference and the fallback past float64.  ``_mhalf_values`` and
+the coefficient rows stay exact, each value correctly rounded: in floats
+the alpha = -1/2 recurrence is unstable.  Exact, a fixed-w recurrence
+works on integers of about k (e + log2 k) bits at its k-th value, so N
+values cost O(N^2 e) bit operations; e is about 50 for a generic double.
+On a 2-core Intel Xeon host with CPython 3.11, 400 alpha = -1 values at
+w = 6.6 take 0.18 ms in float64 and 4.4 ms exact.
 
 ``_closed_m1_row``, the alpha = -1 closed-form rows, feeds no evaluator: it
 is the third construction behind ``vk_coeffs_closed_m1`` and the check the
@@ -71,7 +65,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial, ldexp
+from math import comb, factorial
 from typing import Iterator
 
 from .errors import DomainError
@@ -151,156 +145,48 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
         raise _range_error(f"degree-{len(coeffs) - 1} polynomial at w={w!r}") from None
 
 
-#: H, the number of values ``_m1_values`` reads from exact integers before
-#: its bounded-precision windows, indexed by m = max(e, the bit length of p)
-#: at w = p / 2^e, p odd or zero (m is at most 1074 for a double).  The
-#: exact N_k grow by about m + log2 k bits a value.  At m <= 20, an integer
-#: or a dyadic w with a short mantissa, H = 900 // (m + 8), so the head ends
-#: once those integers reach about 900 bits: 64 values at w = 40, 90 at 2,
-#: 100 at 1 and 112 at 0.  At larger m, a w whose mantissa uses most of its
-#: 53 bits, a window value costs no more than an exact one, and H = 2: the
-#: windows start from E_0 = 1 and E_1 = -w, with no division.
-_EXACT_HEADS = tuple(900 // (m + 8) if m <= 20 else 2 for m in range(1075))
-
-#: The first bounded window ends before this value, the default budget of a
-#: sum (``TruncationPolicy.max_terms``); each later one ends twice as far.
-_FIRST_STOP = 200
-
-#: Bits a bounded window carries past its error allowance and the 53 of a
-#: double, so that the rounding check almost never leaves a value in doubt.
-_GUARD_BITS = 40
-
-
-def _window_precision(w: float, stop: int) -> tuple[int, int]:
-    """(F, b): the scale 2^F and the error allowance 2^b of the bounded
-    windows of ``_m1_values`` that end before value ``stop``.
-
-    With W = max(1, |w|), the proof in ``_m1_values`` bounds the error by
-    2 stop T_{stop-1}, with T_{stop-1} < exp(2 sqrt(W stop)) and
-    < (1 + W)^stop.  So b = L + 2 + ceil(g), L the bit length of ``stop``
-    and g the smaller of 2.8854 sqrt(W stop) (2.8854 > 2 / ln 2) and
-    stop log2(1 + W) (the smaller only past W = stop): one bit for the
-    factor 2 and one for the rounding of the float work.  F keeps
-    53 + ``_GUARD_BITS`` bits past b, and at |w| < 1 another
-    a = 1 - frexp(w)[1] >= -log2 |w| (at most 1022 - ``_GUARD_BITS``), so
-    that values of about w keep the guard bits.
-    At w = 6.6, F is 208 bits for a 200-value window, 253 for 400 and 315
-    for 800, where the exact N_k reach about k (e + log2 k) bits.
-    """
-    W = abs(w)
-    if W < 1.0:
-        W, extra = 1.0, min(1 - math.frexp(w)[1], 1022 - _GUARD_BITS)
-    else:
-        extra = 0
-    growth = min(2.8854 * math.sqrt(W * stop), stop * math.log2(1.0 + W))
-    bits = stop.bit_length() + 2 + math.ceil(growth)
-    return bits + 53 + _GUARD_BITS + extra, bits
-
-
 def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
-    """Yield E_k = (-1)^k V_k^{(-1)}(w) / k!, k = 0, 1, ..., each correctly
-    rounded, for finite w.
+    """Yield E_k = (-1)^k V_k^{(-1)}(w) / k!, k = 0, 1, ..., for finite w.
 
     E_{k+1} = ((2k - w) E_k - (k-1) E_{k-1}) / (k+1), E_0 = 1, E_1 = -w, is
-    Leibniz's rule on x^2 y' = beta y (DLMF 18.9 for the Laguerre
-    polynomials L_{k-1}^{(1)}).  At w = p / 2^e (exact) the integers
-    N_k = k! 2^{ek} E_k obey
+    Leibniz's rule on x^2 y' = beta y (DLMF 18.9: E_k = -w L_{k-1}^{(1)}(w) / k
+    for k >= 1).  It runs in float64 on G_k = E_k / (-w) from G_1 = 1, and
+    yields -w G_k: E_0 never enters E_2, so a tiny or subnormal w loses
+    nothing.  These values are not correctly rounded; their accuracy is
+    asserted on the K sums that read them.  From the first value that is not
+    finite the stream reads on from the exact integers, which raise the
+    range error where E_k leaves float64.
+
+    With ``exact``, every value comes from the integers N_k = k! 2^{ek} E_k
+    at w = p / 2^e (exact),
 
         N_{k+1} = (2k 2^e - p) N_k - k (k-1) 2^{2e} N_{k-1},   N_0 = 1, N_1 = -p,
 
-    which is exact but grows by about e + log2 k bits a step.  So only the
-    first H = ``_EXACT_HEADS[m]`` values come from N_k, m = max(e, the bit
-    length of p), and all of them when ``exact``.  Past them, X_k ~ 2^F E_k
-    run the recurrence with one floor division a step,
-
-        X_k = floor(((2(k-1) - w) X_{k-1} - (k-2) X_{k-2}) / k),
-
-    from X_j = floor(2^F E_j) at j = H - 2 and H - 1, on integers of about F
-    bits, in windows that end before ``_FIRST_STOP``, then twice, four
-    times, ... as far.  Each window begins again from that exact state, with
-    the F of ``_window_precision``, and yields the values past the last.
-
-    The allowance.  Let d_k = X_k - 2^F E_k, u_k = d_k and v_k = d_k - d_{k-1}.
-    As k E_k obeys the same step exactly, a step carries the errors as
-
-        v_k = ((k-2) v_{k-1} - w u_{k-1}) / k - theta_k,   u_k = u_{k-1} + v_k,
-
-    with theta_k in [0, 1) from the floor.  Let W = max(1, |w|) and
-
-        V_k = ((k-2) V_{k-1} + W U_{k-1}) / k + 1,   U_k = U_{k-1} + V_k,
-
-    from U_{H-1} = V_{H-1} = 1.  The start has |u_{H-1}|, |v_{H-1}| < 1,
-    and the step's coefficients are nonnegative at k >= 2, so by induction
-    |u_k| <= U_k and |v_k| <= V_k.  Without its + 1 the step maps
-    (T_{k-1}, s_{k-1}) to (T_k, s_k), where s_k = T_k - T_{k-1} and
-    T_k = sum_{j=1}^{k} C(k-1, j-1) W^j / j! is E_k at -W (the closed form
-    of ``_closed_m1_row``).  At j >= 2, T_j >= W >= 1 and s_j >= W^2 / 2 >= 1/2,
-    so the (1, 1) each step adds is at most 2 (T_j, s_j), and so is the
-    start at H - 1 >= 2; at H = 2 the start's first step gives
-    (1 + W/2, W/2) = (T_2, s_2) / W.  The step is linear and
-    nonnegative, so each of these k - H + 2 parts stays at most 2 T_k in
-    U_k, and every value k < stop of a window has
-
-        |d_k| <= 2 (k - H + 2) T_k < 2 stop T_{stop-1}.
-
-    C(n-1, j-1) <= n^j / j! and sum_j x^{2j} / (j!)^2 = I_0(2x) <= e^{2x}
-    give T_n < exp(2 sqrt(W n)), and dropping the 1/j! gives
-    T_n <= W (1 + W)^{n-1} < (1 + W)^n; either gives the b of
-    ``_window_precision``, so |d_k| < 2^b.  (The error grows like the
-    stream at -|w|, as the signs that make E_k oscillate no longer cancel
-    it: Perron's formula for Laguerre polynomials off the positive axis,
-    Szego, Orthogonal Polynomials, 8.22.)
-
-    The check.  With t = floor(X_k / 2^b), 2^F E_k lies in
-    [(t - 1) 2^b, (t + 2) 2^b].  A value is yielded only when t - 1 and
-    t + 2 round to the same double, which rounding, being monotone, makes
-    the correctly rounded 2^{F-b} E_k.  That asks |t| > 2^53, so the
-    double times 2^{b-F} = 2^{-53-G-a}, G = ``_GUARD_BITS`` and a the extra
-    bits at |w| < 1, is at least 2^{-G-a} >= 2^{-1022} in size, a normal
-    double, and needs no second rounding.  Where they do not round alike,
-    or t is past float64, every value from that k on comes from N_k: an E_k
-    past float64 raises the range error of the exact stream, and a zero,
-    whose sign the interval cannot tell, is the exact one.
+    rounded once, so each is correctly rounded; the k-th works on integers
+    of about k (e + log2 k) bits.
     """
+    if not exact:
+        yield 1.0
+        old, cur = 0.0, 1.0  # G_{k-1}, G_k
+        for k in count(1):
+            value = -w * cur
+            if not -math.inf < value < math.inf:
+                yield from islice(_m1_values(w, exact=True), k, None)
+                return
+            yield value
+            old, cur = cur, ((2 * k - w) * cur - (k - 1) * old) / (k + 1)
     k = 0
     try:
         p, q = w.as_integer_ratio()
         e = q.bit_length() - 1
-        m = p.bit_length()
-        head = _EXACT_HEADS[e if e > m else m]  # max(e, m), with no call
         yield 1.0
         old, cur, den = 0, 1, 1  # N_{k-2}, N_{k-1}, (k-1)! 2^{e(k-1)}
-        for k in count(1) if exact else range(1, head):
+        for k in count(1):
             old, cur = cur, ((k - 1 << e + 1) - p) * cur - ((k - 1) * (k - 2) << 2 * e) * old
             den = den * k << e
             yield cur / den
     except OverflowError:
         raise _range_error(f"E_{k} at w={w!r}") from None
-    shift = e * (head - 1)
-    factorial, step = den >> shift, 2 << e  # den = (H-1)! 2^{e(H-1)}
-    first, stop = head, _FIRST_STOP
-    while True:
-        scale, bits = _window_precision(w, stop)
-        x_old = (old * (head - 1) << scale + e >> shift) // factorial
-        x = (cur << scale >> shift) // factorial
-        c, unit = (head - 1 << e + 1) - p, bits - scale  # c = 2(k-1) 2^e - p
-        for k in range(head, first):  # the values the window before yielded
-            x_old, x = x, ((c * x >> e) - (k - 2) * x_old) // k
-            c += step
-        for k in range(first, stop):
-            x_old, x = x, ((c * x >> e) - (k - 2) * x_old) // k
-            c += step
-            t = x >> bits
-            try:
-                low = float(t - 1)
-                settled = low == float(t + 2)
-            except OverflowError:
-                settled = False
-            if not settled:
-                yield from islice(_m1_values(w, exact=True), k, None)
-                return
-            yield ldexp(low, unit)
-        first, stop = stop, 2 * stop
 
 
 def _mhalf_values(w: float) -> Iterator[float]:

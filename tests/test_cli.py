@@ -326,9 +326,9 @@ ORDERS = st.sampled_from([-1.5, -0.7, 0.0, 1e-12, 0.5, 1.5, 2.5, 0.7, 1.3]) | st
 ARGUMENTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 6.0)
 
 
-class TestSharedStreams:
-    """``table`` and ``converge`` build one inner stream per (method, z) and
-    replay it to every order; each row is still the one-point evaluation."""
+class TestGridCommands:
+    """Each row of ``table`` and each line of ``converge`` is the one-point
+    evaluation, and an error in a point's inner stream reaches that point."""
 
     @given(
         s_list=st.lists(ORDERS, min_size=1, max_size=3),
@@ -374,41 +374,9 @@ class TestSharedStreams:
         lines = [ln for ln in out.splitlines() if ln.startswith("s=")]
         assert lines == [expected_converge_line(s, z, max_terms) for s in s_values for z in z_values]
 
-    def test_converge_builds_one_stream_per_argument(self, monkeypatch):
-        built = []
-
-        def counting(inner):
-            def make(z):
-                built.append(z)
-                return inner(z)
-
-            return make
-
-        patch_stream(monkeypatch, "rearranged", counting)
-        code, out, _ = run("converge", "--s-range", "0.7:1.7:0.5", "--z-range", "1:2:1")
-        assert code == 0 and out.count("status=") == 6
-        assert built == [1.0, 2.0]
-
-    def test_table_builds_one_stream_per_method_and_argument(self, tmp_path, monkeypatch):
-        built = {m: [] for m in PUBLIC}
-        for m in PUBLIC:
-            def counting(inner, m=m):
-                def make(z):
-                    built[m].append(z)
-                    return inner(z)
-
-                return make
-
-            patch_stream(monkeypatch, m, counting)
-        code, _, _ = run("table", "--s-list", "0.7,1.3", "--z-list", "1,2", "--methods", "rearranged,m9,m10",
-                         "--out", str(tmp_path / "t.csv"))
-        assert code == 0
-        assert built == {m: [1.0, 2.0] for m in PUBLIC}
-
-    def test_a_shared_stream_read_past_a_window_restart(self, tmp_path):
-        # the s = 3.7 sums read 231 terms at z = 16 and 322 at z = 20, past
-        # the first bounded window; s = 2.2 reads less of each stream first,
-        # and the second s = 3.7 replays all of it
+    def test_long_sums_and_a_repeated_order_are_the_one_point_values(self, tmp_path):
+        # the s = 3.7 sums read 231 terms at z = 16 and 322 at z = 20, and
+        # the repeated order reads the same rows again
         s_list, z_list, methods = [2.2, 3.7, 3.7], [16.0, 20.0], ["rearranged", "m9"]
         out_path = tmp_path / "t.csv"
         code, _, _ = run("table", "--s-list=2.2,3.7,3.7", "--z-list=16,20", "--methods=rearranged,m9",
@@ -435,8 +403,7 @@ class TestSharedStreams:
 
     def test_a_stream_error_reaches_every_order_that_gets_that_far(self, monkeypatch):
         # s = 1/2, 3/2 and 5/2 end after 1, 2 and 3 terms, before index 3;
-        # a replay that lost the error would end the later generic orders
-        # there and report them converged
+        # every generic order reads that far and is rejected
         patch_stream(monkeypatch, "rearranged", self.failing_at(3))
         code, out, _ = run("converge", "--s-range", "0.5:2.5:0.5", "--z-range", "1:2:1")
         assert code == 0
@@ -446,6 +413,23 @@ class TestSharedStreams:
             f"s={s} z={z}": ("rejected" if s in ("1", "2") else "converged")
             for s in ("0.5", "1", "1.5", "2", "2.5") for z in ("1", "2")
         }
+
+    def test_a_stream_error_stays_at_its_argument(self, monkeypatch):
+        # the stream at z = 1 raises at index 3; the one at z = 2 does not
+        def failing_at_one(inner):
+            def make(z):
+                return self.failing_at(3)(inner)(z) if z == 1.0 else inner(z)
+
+            return make
+
+        patch_stream(monkeypatch, "rearranged", failing_at_one)
+        code, out, _ = run("converge", "--s-range", "0.5:2.5:0.5", "--z-range", "1:2:1")
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("s=")]
+        for s in cli._parse_range("0.5:2.5:0.5", "s-range"):
+            want_at_2 = expected_converge_line(s, 2.0, 200)
+            assert want_at_2 in lines and "status=rejected" not in want_at_2
+        assert sum("status=rejected" in ln for ln in lines) == 2
 
     @pytest.mark.parametrize("method", sorted(PUBLIC))
     def test_a_stream_error_fails_the_table_at_its_point(self, tmp_path, monkeypatch, method):

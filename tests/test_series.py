@@ -2,10 +2,10 @@
 
 import math
 from dataclasses import fields
-from functools import partial
 from itertools import accumulate, count, islice
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,11 +30,9 @@ from fracbessel import (
     rl_integral,
 )
 from fracbessel import series as series_module
-from fracbessel import vk
 from fracbessel.series import _e_stream
 from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import (
-    _FIRST_STOP,
     _closed_m1_row,
     _exact_poly,
     _m1_values,
@@ -42,7 +40,6 @@ from fracbessel.vk import (
     _vk_rows,
 )
 from fracbessel.truncation import STOP_RATIO, STOP_RUN, sum_with_policy
-from test_vk import HEAD_AT_6_6, _count_restarts, _doubt_at
 
 #: Wide-window policy for probing truncation behaviour past the conservative
 #: default divergence heuristic (the policy is a public knob).
@@ -202,23 +199,37 @@ def _pochhammer_products(a, b, inner):
         ratio *= (a + k) / (b + k)
 
 
+def _m1_exact(w):
+    """The alpha = -1 stream read from exact integers throughout."""
+    return _m1_values(w, exact=True)
+
+
+def _over_the_exact_stream(evaluate, s, z, policy):
+    """``evaluate(s, z, policy)`` with its alpha = -1 inner stream read from
+    exact integers throughout; a diverging sum gives back its partial sum."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_m1_values", _m1_exact)
+        try:
+            return evaluate(s, z, policy)
+        except SeriesDiverged as exc:
+            return exc.approximation
+
+
 def _assert_sums_the_closed_form_rows(evaluate, pref, s, z, policy):
-    """``evaluate(s, z, policy)`` equals, bit for bit, the sum over the
-    alpha = -1 closed-form rows at -2z under the prefactor ``pref``, with
-    the Pochhammer ratio formed here rather than by the engine."""
+    """``evaluate(s, z, policy)`` over the exact alpha = -1 stream equals,
+    bit for bit, the sum over the alpha = -1 closed-form rows at -2z under
+    the prefactor ``pref``, with the Pochhammer ratio formed here rather
+    than by the engine."""
     rows = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
     want = sum_with_policy(_pochhammer_products(0.5 - s, 0.5 + s, rows), policy, scale=pref)
-    try:
-        got = evaluate(s, z, policy)
-    except SeriesDiverged as exc:
-        got = exc.approximation
-    assert got == want
+    assert _over_the_exact_stream(evaluate, s, z, policy) == want
 
 
 class TestAlphaMinusOnePaths:
     """The rearranged form and M9 sum one inner stream, the alpha = -1
     recurrence in k at 2z, and neither reads the closed-form rows they are
-    both checked against."""
+    both checked against; over the exact stream both are, bit for bit, the
+    sum over those rows."""
 
     def test_all_three_read_the_fixed_argument_recurrence(self, monkeypatch):
         monkeypatch.setattr("fracbessel.series._m1_values", _unreadable)
@@ -250,99 +261,14 @@ class TestAlphaMinusOnePaths:
         )
         _assert_sums_the_closed_form_rows(k_series_m9, pref, s, z, policy)
 
-
-def _over_the_exact_stream(evaluate, s, z, policy):
-    """``evaluate(s, z, policy)`` with its alpha = -1 inner stream read from
-    exact integers throughout."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series_module, "_m1_values", partial(_m1_values, exact=True))
-        return evaluate(s, z, policy)
-
-
-#: The two sums whose terms read ``vk._m1_values`` at w = 2z.
-OVER_M1 = [k_series_rearranged, k_series_m9]
-
-#: At s = 0.3 the ratio (1/2-s)_k/(1/2+s)_k decays like k^-0.6, so a sum at a
-#: z of order one reads its whole budget of inner values.
-SLOW_S = 0.3
-
-
-class TestBoundedStreamsInTheSeries:
-    """The rearranged form and M9 sum the bounded stream's values; wherever a
-    window leaves a value in doubt, the sum is still, bit for bit, the one
-    over the exact integers."""
-
-    @pytest.mark.parametrize("evaluate", OVER_M1)
-    @given(s=st.floats(0.05, 4.9), z=st.floats(2.0 ** -31, 40.0), n=st.integers(1, 450))
-    # sums that end just past the first window and the second
-    @example(s=SLOW_S, z=3.3, n=_FIRST_STOP + 1)
-    @example(s=SLOW_S, z=0.1, n=2 * _FIRST_STOP + 1)
-    @settings(max_examples=20, deadline=None)
-    def test_bit_for_bit_the_sum_over_the_exact_values(self, evaluate, s, z, n):
-        policy = _capped(n)
-        assert evaluate(s, z, policy) == _over_the_exact_stream(evaluate, s, z, policy)
-
-    @pytest.mark.parametrize("evaluate", OVER_M1)
-    @pytest.mark.parametrize("guard,z", [(0, 0.1), (0, 3.3), (-40, 0.1), (-40, 3.3), (-40, 20.0)])
-    def test_a_value_left_in_doubt_comes_from_the_exact_integers(self, monkeypatch, evaluate, guard, z):
-        # with no guard bits the check leaves a value in doubt in the first
-        # window at w = 0.2 and 6.6, and with -40 every value; the stream
-        # then starts its exact form once and the sum reads on from it
-        policy = _capped(300)
-        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
-        monkeypatch.setattr(vk, "_GUARD_BITS", guard)
-        restarts = _count_restarts(monkeypatch, _m1_values)
-        got = evaluate(SLOW_S, z, policy)
-        assert got == want and got.terms_used == 300
-        assert restarts == [True]
-
-    @pytest.mark.parametrize("evaluate", OVER_M1)
-    @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
-    def test_doubt_inside_a_later_window(self, monkeypatch, evaluate, doubt):
-        # doubt at the first window value (E_2 at w = 6.6, right past the
-        # head), inside the first window, at the first value of the second,
-        # and inside the third
-        policy = _capped(3 * _FIRST_STOP)
-        want = _over_the_exact_stream(evaluate, SLOW_S, 3.3, policy)
-        doubted = _doubt_at(monkeypatch, doubt)
-        restarts = _count_restarts(monkeypatch, _m1_values)
-        got = evaluate(SLOW_S, 3.3, policy)
-        assert got == want and got.terms_used == 3 * _FIRST_STOP
-        assert doubted == [doubt]
-        assert restarts == [True]
-
-    @pytest.mark.parametrize("evaluate", OVER_M1)
-    @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-100, 2.0 ** -31])
-    def test_tiny_arguments(self, monkeypatch, evaluate, z):
-        # every E_k past E_0 is about -w = -2z; the windows give values of
-        # that size their guard bits, so only at z = 5e-324, where every E_k
-        # is subnormal, does the first window value come from the exact
-        # integers
-        policy = _capped(250)
-        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
-        restarts = _count_restarts(monkeypatch, _m1_values)
-        assert evaluate(SLOW_S, z, policy) == want
-        assert restarts == ([True] if z == 5e-324 else [])
-
-    @pytest.mark.parametrize("evaluate", OVER_M1)
-    @pytest.mark.parametrize("z", [0.25, 20.0])
-    def test_sums_past_a_long_head_read_windows(self, monkeypatch, evaluate, z):
-        # w = 0.5 and 40.0 have 100- and 64-value heads
-        policy = _capped(2 * _FIRST_STOP + 1)
-        want = _over_the_exact_stream(evaluate, SLOW_S, z, policy)
-        restarts = _count_restarts(monkeypatch, _m1_values)
-        got = evaluate(SLOW_S, z, policy)
-        assert got == want and got.terms_used == 2 * _FIRST_STOP + 1
-        assert restarts == []  # every value past the head came from a window
-
-    @pytest.mark.parametrize("evaluate,stream", [(k_mcdonald, _m1_values), (k_series_m9, _m1_values)])
+    @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_m9])
     @pytest.mark.parametrize("z,k", [(1e6, 63), (1000000.05, 63), (1e12, 28)])
-    def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, stream, z, k):
-        # E_63 and E_28 overflow in a bounded window, which gives way to the
-        # exact stream and its error
+    def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, z, k):
+        # E_63 and E_28 overflow in float64, where the stream gives way to the
+        # exact integers and their error
         w = 2.0 * z
         with pytest.raises(DomainError) as want:
-            list(stream(w, exact=True))
+            list(_m1_values(w, exact=True))
         message = f"E_{k} at w={w!r} is outside the float64 range (largest finite double ~1.8e308)"
         assert str(want.value) == message
         with pytest.raises(DomainError) as got:
@@ -350,9 +276,105 @@ class TestBoundedStreamsInTheSeries:
         assert str(got.value) == message
 
 
-#: The fixed-argument integer recurrences in k that feed the rearranged
-#: form and M9 (alpha = -1) and M10 (alpha = -1/2).
-_FIXED_W = {-1.0: (_m1_values,), -0.5: (_mhalf_values,)}
+#: Generic orders across (0.05, 4.95] and the first ten half-integers,
+#: against log-spaced arguments from 0.1 to 20.
+K_ORDERS = [0.05 + i * 4.9 / 13 for i in range(14)] + [m + 0.5 for m in range(10)]
+K_ARGS = [float(z) for z in np.geomspace(0.1, 20.0, 12)]
+
+
+class TestKAgainstMpmath:
+    """The float64 alpha = -1 stream costs K no accuracy: the rearranged form
+    and M9 stop where the same sums over the exact stream stop, and every
+    value they report converged or terminated is as close to K."""
+
+    @pytest.mark.parametrize("s", K_ORDERS)
+    def test_as_accurate_as_the_exact_stream(self, s):
+        for z in K_ARGS:
+            with mpmath.workdps(40):
+                k = float(mpmath.besselk(s, z))
+            for evaluate in (k_mcdonald, k_series_m9):
+                try:
+                    got = evaluate(s, z)
+                except SeriesDiverged as exc:
+                    got = exc.approximation
+                want = _over_the_exact_stream(evaluate, s, z, TruncationPolicy())
+                assert (got.stop_reason, got.terms_used) == (want.stop_reason, want.terms_used), (z, evaluate)
+                if got.stop_reason in ("converged", "terminated"):
+                    err = abs(got.value - k)
+                    assert err <= abs(want.value - k) + 1e-15 * k, (z, evaluate)
+                    assert err <= 1e-12 * k, (z, evaluate)
+
+
+#: The two sums whose terms read ``vk._m1_values`` at w = 2z, with the
+#: form whose prefactor each applies.
+OVER_M1 = {k_series_rearranged: series_module._REARRANGED, k_series_m9: series_module._M9}
+
+#: At s = 0.3 the ratio (1/2-s)_k/(1/2+s)_k decays like k^-0.6, so a sum at a
+#: z of order one reads its whole budget of inner values.
+SLOW_S = 0.3
+
+
+def _float_stream_allowance(evaluate, s, z, n):
+    """What the float stream may move the first n terms' sum by: each E_k,
+    k >= 1, by k^2 rounding units of w e^{w/2} (``test_vk``'s envelope), and
+    each of the two sums' roundings by n units of its largest term."""
+    w = 2.0 * z
+    scale = w * math.exp(w / 2)
+    pref = math.exp(OVER_M1[evaluate].log_prefactor(s, z))
+    ratios = islice(accumulate(range(n - 1), lambda r, k: r * (0.5 - s + k) / (0.5 + s + k), initial=1.0), n)
+    weights = (abs(r) * (k * k * scale + 2 * n * max(1.0, scale)) for k, r in enumerate(ratios))
+    return 2.0 ** -52 * pref * sum(weights)
+
+
+def _assert_sums_the_float_stream_closely(evaluate, s, z, policy):
+    """``evaluate`` stops where its sum over the exact stream stops, within
+    ``_float_stream_allowance`` of that sum's value."""
+    try:
+        got = evaluate(s, z, policy)
+    except SeriesDiverged as exc:
+        got = exc.approximation
+    want = _over_the_exact_stream(evaluate, s, z, policy)
+    assert (got.stop_reason, got.terms_used) == (want.stop_reason, want.terms_used)
+    assert abs(got.value - want.value) <= _float_stream_allowance(evaluate, s, z, want.terms_used)
+
+
+class TestFloatStreamInTheSeries:
+    """The rearranged form and M9 sum the float64 stream's values: under any
+    budget they stop where the sums over the exact integers stop, and their
+    values move by no more than the stream's error allows."""
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @given(s=st.floats(0.05, 4.9), z=st.floats(2.0 ** -31, 40.0), n=st.integers(1, 450))
+    # sums that read past 200 and 400 values, one at the top of the range,
+    # and one at a z whose values of about -2z carry k^2 rounding units
+    @example(s=SLOW_S, z=3.3, n=201)
+    @example(s=SLOW_S, z=0.1, n=401)
+    @example(s=2.0925702859470876, z=33.339084799923434, n=294)
+    @example(s=SLOW_S, z=2.0 ** -31, n=250)
+    @settings(max_examples=20, deadline=None)
+    def test_stops_where_the_sum_over_the_exact_values_stops(self, evaluate, s, z, n):
+        _assert_sums_the_float_stream_closely(evaluate, s, z, _capped(n))
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-100])
+    def test_tiny_arguments_sum_the_exact_values(self, evaluate, z):
+        # every E_k past E_0 is -2z times a G_k that rounds as the exact one
+        policy = _capped(250)
+        assert evaluate(SLOW_S, z, policy) == _over_the_exact_stream(evaluate, SLOW_S, z, policy)
+
+    @pytest.mark.parametrize("evaluate", OVER_M1)
+    @pytest.mark.parametrize("z", [0.25, 20.0])
+    def test_long_sums_at_short_mantissas(self, evaluate, z):
+        # w = 0.5 and 40.0, a dyadic w and an integer, over 401 terms
+        policy = _capped(401)
+        _assert_sums_the_float_stream_closely(evaluate, SLOW_S, z, policy)
+        assert evaluate(SLOW_S, z, policy).terms_used == 401
+
+
+#: The fixed-argument integer recurrences in k behind the rearranged form
+#: and M9 (alpha = -1, whose float64 stream the sums read is checked on K
+#: below) and M10 (alpha = -1/2).
+_FIXED_W = {-1.0: (_m1_exact,), -0.5: (_mhalf_values,)}
 
 
 class TestVkStream:
@@ -375,7 +397,7 @@ class TestVkStream:
         for z in (0.37, 1.0, 3.3, 8.0, 17.9, 29.5):
             by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
             by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-            by_fixed_w = _m1_values(2.0 * z)
+            by_fixed_w = _m1_exact(2.0 * z)
             for k in range(151):
                 assert next(by_recurrence) == next(by_closed_form) == next(by_fixed_w), (z, k)
 

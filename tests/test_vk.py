@@ -14,18 +14,37 @@ from hypothesis import strategies as st
 from fracbessel import (
     DomainError,
     Polynomial,
+    general_expansion_m7,
     vk_coeffs_closed_m1,
     vk_coeffs_recurrence,
     vk_coeffs_sum,
     vk_eval,
 )
+from fracbessel import series as series_module
 from fracbessel import vk
-from fracbessel.vk import (
-    _EXACT_HEADS,
-    _FIRST_STOP,
-    _m1_values,
-    _window_precision,
-)
+from fracbessel.vk import _m1_values
+
+
+def _count_restarts(monkeypatch) -> list:
+    """Route the stream's own handover to the exact integers through a
+    wrapper that records each call; ``_m1_values`` itself, called directly,
+    is not recorded."""
+    restarts = []
+
+    def counting(w, exact=False):
+        restarts.append(exact)
+        return _m1_values(w, exact)
+
+    monkeypatch.setattr(vk, "_m1_values", counting)
+    return restarts
+
+
+def _rounding_envelope(w: float, k: int) -> float:
+    """k^2 rounding units on the scale w e^{w/2} of |E_k|, k >= 1: the bound
+    the float stream's error is held to at any w, tiny ones included (the
+    rounding of 2k - w costs G_k an absolute, not a relative, error; the
+    largest measured error is a quarter of it, at k = 2)."""
+    return k * k * 2.0 ** -52 * abs(w) * math.exp(abs(w) / 2)
 
 
 class TestSmallCases:
@@ -209,232 +228,90 @@ class TestDefiningProduct:
         assert direct == pytest.approx(vk_eval(vk_coeffs_recurrence(alpha, k), z), rel=1e-5)
 
 
-#: The bounded alpha = -1 stream.
-BOUNDED = {"m1": _m1_values}
+class TestFloatStream:
+    """The alpha = -1 stream runs its recurrence in float64; against the exact
+    integers it stays inside the Laguerre envelope, is exact where w is tiny,
+    and raises the exact stream's range error where E_k leaves float64."""
 
+    # 0.5 and 40.0 are short mantissas, a dyadic w and an integer
+    @pytest.mark.parametrize("w", [0.2, 0.37, 0.5, 1.0, 2.0, 6.6, 34.6, 40.0, 60.0])
+    def test_within_the_laguerre_envelope(self, w):
+        # E_k = -w L_{k-1}^{(1)}(w) / k, and |L_n^{(1)}(w)| <= (n+1) e^{w/2}
+        # (DLMF 18.14.8), so |E_k| <= w e^{w/2}: the float error is measured
+        # on that scale, where it stays under 6e-15
+        bound = 1e-13 * w * math.exp(w / 2)
+        floats = islice(_m1_values(w), 400)
+        exact = islice(_m1_values(w, exact=True), 400)
+        for k, (got, want) in enumerate(zip(floats, exact)):
+            assert abs(got - want) <= bound, (w, k)
 
-def _exponent(w: float) -> int:
-    """e of w = p / 2^e, p odd or zero."""
-    return w.as_integer_ratio()[1].bit_length() - 1
-
-
-def _head(w: float) -> int:
-    """The number of values ``_m1_values`` reads from exact integers at w."""
-    return _EXACT_HEADS[max(_exponent(w), w.as_integer_ratio()[0].bit_length())]
-
-
-def _count_restarts(monkeypatch, bounded) -> list:
-    """Route the stream's own fallback through a wrapper that records each
-    call; ``bounded`` itself, called directly, is not recorded."""
-    restarts = []
-
-    def counting(w, exact=False):
-        restarts.append(exact)
-        return bounded(w, exact)
-
-    monkeypatch.setattr(vk, bounded.__name__, counting)
-    return restarts
-
-
-def _doubt_at(monkeypatch, doubt: int) -> list:
-    """Make the rounding check of a window leave value ``doubt`` in doubt, as
-    an end of its interval past float64 would, and record each time it does.
-
-    The check converts the ends of a value's interval with ``float``; a
-    conversion the window makes at k = ``doubt`` raises OverflowError."""
-    doubted = []
-
-    def checking(x):
-        if sys._getframe(1).f_locals.get("k") == doubt:
-            doubted.append(doubt)
-            raise OverflowError("int too large to convert to float")
-        return float(x)
-
-    monkeypatch.setattr(vk, "float", checking, raising=False)
-    return doubted
-
-
-#: The head the rule picks at 6.6, a w with a full 53-bit mantissa: E_0 and
-#: E_1, so E_2 is the first window value.
-HEAD_AT_6_6 = _head(6.6)
-
-
-class TestBoundedStreams:
-    """Past an exact head, the alpha = -1 stream runs on integers of a fixed
-    size per window; every value must still be the exact integers' value."""
-
-    @pytest.mark.parametrize("name", BOUNDED)
     @given(w=st.floats(2.0 ** -30, 80.0), n=st.integers(1, 600))
-    # reads that end just past the first window and the second, and a long one
-    @example(w=6.6, n=_FIRST_STOP + 1)
-    @example(w=0.2, n=2 * _FIRST_STOP + 1)
+    # reads that end past 200 and 400 values, a long one near the top of the
+    # workloads' range, and long ones at tiny w
+    @example(w=6.6, n=201)
+    @example(w=0.2, n=401)
     @example(w=79.99, n=600)
+    @example(w=2.0 ** -30, n=600)
+    @example(w=2e-10, n=600)
     @settings(max_examples=60, deadline=None)
-    def test_bit_for_bit_the_exact_values(self, name, w, n):
-        bounded = BOUNDED[name]
-        assert list(islice(bounded(w), n)) == list(islice(bounded(w, exact=True), n))
+    def test_close_to_the_exact_values(self, w, n):
+        floats = list(islice(_m1_values(w), n))
+        exact = list(islice(_m1_values(w, exact=True), n))
+        assert floats[:2] == exact[:2]  # E_0 = 1 and E_1 = -w
+        for k in range(2, n):
+            assert abs(floats[k] - exact[k]) <= _rounding_envelope(w, k), (w, k)
 
-    @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("guard,w", [(0, 0.2), (0, 6.6), (-40, 0.2), (-40, 6.6), (-40, 40.0)])
-    def test_a_value_left_in_doubt_comes_from_the_exact_integers(self, monkeypatch, name, guard, w):
-        # with no guard bits the check leaves a value in doubt in the first
-        # window at these w, and with -40 every value; the stream then starts
-        # its exact form once
-        bounded = BOUNDED[name]
-        monkeypatch.setattr(vk, "_GUARD_BITS", guard)
-        restarts = _count_restarts(monkeypatch, bounded)
-        assert list(islice(bounded(w), 300)) == list(islice(bounded(w, exact=True), 300))
-        assert restarts == [True]
+    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100])
+    def test_tiny_arguments_are_exact(self, w):
+        # G_k = E_k / (-w) starts from G_1 = 1, so every E_k past E_0 is -w
+        # times a value within rounding of 1, as the exact E_k is
+        assert list(islice(_m1_values(w), 250)) == list(islice(_m1_values(w, exact=True), 250))
 
-    @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("doubt", [HEAD_AT_6_6, 47, _FIRST_STOP, 2 * _FIRST_STOP + 7])
-    def test_doubt_inside_a_later_window(self, monkeypatch, name, doubt):
-        # doubt at the first window value (E_2, right past the head), inside
-        # the first window, at the first value of the second, and inside the
-        # third; the stream restarts its exact form once
-        bounded = BOUNDED[name]
-        w, n = 6.6, 3 * _FIRST_STOP
-        want = list(islice(bounded(w, exact=True), n))
-        doubted = _doubt_at(monkeypatch, doubt)
-        restarts = _count_restarts(monkeypatch, bounded)
-        assert list(islice(bounded(w), n)) == want
-        assert doubted == [doubt]
-        assert restarts == [True]
-
-    @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100, 2.0 ** -30])
-    def test_tiny_arguments(self, monkeypatch, name, w):
-        # the windows start at E_2, and their F carries -log2 w more bits, so
-        # values of about -w keep their guard bits; only at 5e-324, where
-        # every E_k past E_0 is -5e-324, a subnormal the check never yields,
-        # do they come from the exact integers (e > 300 bits a value)
-        bounded = BOUNDED[name]
-        want = list(islice(bounded(w, exact=True), 250))
-        restarts = _count_restarts(monkeypatch, bounded)
-        assert list(islice(bounded(w), 250)) == want
-        assert restarts == ([True] if w == 5e-324 else [])
-
-    @pytest.mark.parametrize("name", BOUNDED)
     @pytest.mark.parametrize("w", [2.0 ** -30, 2e-10])
-    def test_values_of_about_w_are_not_left_in_doubt(self, monkeypatch, name, w):
-        # without the extra bits at |w| < 1 the check's t kept only about
-        # 93 + log2 w bits, and these streams restarted at k = 257 and 175
-        bounded = BOUNDED[name]
-        want = list(islice(bounded(w, exact=True), 600))
-        restarts = _count_restarts(monkeypatch, bounded)
-        assert list(islice(bounded(w), 600)) == want
+    def test_values_of_about_w_keep_their_relative_accuracy(self, w):
+        # every E_k past E_0 is about -w; the float stream works on G_k of
+        # about 1, so its error is a few k^2 rounding units of w (measured:
+        # 2.6e-14 w and 3.7e-12 w at k = 599)
+        floats = islice(_m1_values(w), 600)
+        exact = islice(_m1_values(w, exact=True), 600)
+        for k, (got, want) in enumerate(zip(floats, exact)):
+            assert abs(got - want) <= k * k * 2.0 ** -52 * w, (w, k)
+
+    # 5e-324 is a subnormal w; 79.99 reads E_k up to about 1.7e19
+    @pytest.mark.parametrize("w", [5e-324, 2.0 ** -30, 0.2, 6.6, 79.99])
+    def test_finite_values_never_read_the_exact_integers(self, monkeypatch, w):
+        restarts = _count_restarts(monkeypatch)
+        assert all(math.isfinite(value) for value in islice(_m1_values(w), 600))
         assert restarts == []
 
-    def test_precision_stays_bounded(self):
-        # a 400-value window at a w with a full 53-bit mantissa keeps under
-        # 300 bits, where the exact N_400 has about 22 500
-        w = 6.6
-        scale, bits = _window_precision(w, 400)
-        assert bits < scale < 300
-        # N_400 = 400! 2^{400e} E_400 at w = p / 2^e, and |E_400| < 1 here
-        assert math.log2(math.factorial(400)) + 400 * _exponent(w) > 80 * scale
-        # and grows like the square root of the window
-        assert _window_precision(w, 800)[1] < math.sqrt(2) * bits
-        # past W = stop the bound (1 + W)^stop takes over: at w = 2e12,
-        # exp(2 sqrt(W stop)) would ask for 1.8 million bits
-        assert _window_precision(2e12, 200)[1] < 200 * 42
+    # E_311 leaves float64 at 1500, E_63 at 2e6 and E_2 at 1e300
+    @pytest.mark.parametrize("w,k", [(1500.0, 311), (2e6, 63), (1e300, 2)])
+    def test_the_first_value_past_float64_hands_over_once(self, monkeypatch, w, k):
+        restarts = _count_restarts(monkeypatch)
+        stream = _m1_values(w)
+        assert all(math.isfinite(value) for value in islice(stream, k))
+        assert restarts == []
+        with pytest.raises(DomainError, match=f"E_{k} at w="):
+            next(stream)
+        assert restarts == [True]
 
-    @pytest.mark.parametrize("name", BOUNDED)
-    # every w here but inf reads windows from E_2, so E_63 overflows inside one
-    @pytest.mark.parametrize("w", [2e6, 2000000.1, 2e12, math.inf])
-    def test_values_past_float64_raise_the_exact_range_error(self, name, w):
-        bounded = BOUNDED[name]
+    def test_m7_where_w_underflows_to_zero(self, monkeypatch):
+        # beta x^alpha = 5e-324 / 4 rounds to 0.0, where every E_k past E_0 is 0
+        args = (0.7, 0.5, -1.0, 5e-324, 4.0)
+        got = general_expansion_m7(*args)
+        monkeypatch.setattr(series_module, "_m1_values", lambda w: _m1_values(w, exact=True))
+        assert got == general_expansion_m7(*args)
+
+    # E_2 leaves float64 at 1e300, E_311 at 1500 and 1500.3, E_63 at 2e6,
+    # E_28 at 2e12; inf fails at E_0, which the float stream yields before it hands over
+    @pytest.mark.parametrize("w", [1e300, 1500.0, 1500.3, 2e6, 2000000.1, 2e12, math.inf])
+    def test_values_past_float64_raise_the_exact_range_error(self, w):
         with pytest.raises(DomainError) as want:
-            list(islice(bounded(w, exact=True), 100))
+            list(islice(_m1_values(w, exact=True), 400))
         with pytest.raises(DomainError) as got:
-            list(islice(bounded(w), 100))
+            list(islice(_m1_values(w), 400))
         assert str(got.value) == str(want.value)
         assert "outside the float64 range" in str(got.value)
-
-
-class TestHeadRule:
-    """At a w whose mantissa uses most of its 53 bits the windows start right
-    after E_1; at a short mantissa, an integer or a dyadic w, the exact
-    integers stay small, and the head ends once they reach about 900 bits."""
-
-    def test_heads(self):
-        for w in (6.6, 0.2, 79.9, 2000000.1, 2.0 ** -30, 5e-324, 1e300, 1.0 + 2.0 ** -20):
-            assert _head(w) == 2
-        assert _head(0.5) == 100
-        assert _head(0.375) == 81
-        # an integer w: 90 values at 2, 75 at 10 and 64 at 40
-        assert (_head(2.0), _head(10.0), _head(40.0)) == (90, 75, 64)
-        # the longest head, at 0, still ends before the first stop
-        assert _head(1.0) == 100 and _head(0.0) == 112 < _FIRST_STOP
-        # and every head is a pure function of w: a table read, no state
-        assert _EXACT_HEADS == tuple(900 // (m + 8) if m <= 20 else 2 for m in range(1075))
-
-    @pytest.mark.parametrize("name", BOUNDED)
-    @pytest.mark.parametrize("w", [0.5, 40.0])
-    def test_short_mantissas_read_windows_after_a_long_head(self, monkeypatch, name, w):
-        bounded = BOUNDED[name]
-        n = 2 * _FIRST_STOP + 1
-        want = list(islice(bounded(w, exact=True), n))
-        restarts = _count_restarts(monkeypatch, bounded)
-        assert list(islice(bounded(w), n)) == want
-        assert restarts == []  # every value past the head came from a window
-
-
-def _m1_window_errors(w: float, stop: int) -> tuple[int, int]:
-    """(max_k |X_k - 2^F E_k|, rounded up, and b) over the window of
-    ``_m1_values`` at w that ends before ``stop``, replayed from its
-    docstring's recurrence against the exact N_k = k! 2^{ek} E_k."""
-    p, e = w.as_integer_ratio()[0], _exponent(w)
-    head = _head(w)
-    scale, bits = _window_precision(w, stop)
-    exact, den = [1, -p], [1, 1 << e]
-    for k in range(1, stop):
-        exact.append(((2 * k << e) - p) * exact[k] - (k * (k - 1) << 2 * e) * exact[k - 1])
-        den.append(den[k] * (k + 1) << e)
-    x_old, x = ((exact[j] << scale) // den[j] for j in (head - 2, head - 1))
-    worst = 0
-    for k in range(head, stop):
-        # X_k = floor(((2(k-1) - w) X_{k-1} - (k-2) X_{k-2}) / k), one floor
-        x_old, x = x, ((((2 * k - 2 << e) - p) * x - ((k - 2) * x_old << e)) // (k << e))
-        worst = max(worst, -(-abs((x * den[k]) - (exact[k] << scale)) // den[k]))
-    return worst, bits
-
-
-class TestWindowAllowance:
-    """The proved allowance 2^b of ``_window_precision`` bounds the real error
-    of a window's integers against the exact values, and follows the error's
-    growth rather than a fixed number of bits a value."""
-
-    # Measured over the first three windows: the largest error is about
-    # 2^39 units, at w = 79.9, against allowances from 2^51 (w = 0.2, first
-    # window) to 2^742 (w = 79.9, third); the proof leaves at least 42 bits
-    # of margin (w = 0.2, first window, an error of 492 units)
-    @pytest.mark.parametrize("w", [0.2, 6.6, 40.0, 79.9])
-    def test_the_real_error_stays_inside_the_allowance(self, w):
-        for stop in (_FIRST_STOP, 2 * _FIRST_STOP, 4 * _FIRST_STOP):
-            worst, bits = _m1_window_errors(w, stop)
-            assert 0 < worst < 2 ** bits
-
-    def test_the_closed_form_bounds_the_difference_basis_recursion(self):
-        # the docstring's majorant, V_k = ((k-2) V_{k-1} + W U_{k-1}) / k + 1
-        # and U_k = U_{k-1} + V_k from U_1 = V_1 = 1, run in integers scaled
-        # by 2^64 and rounded up at every step, so it is at least the exact
-        # recursion; the closed form 2^b must stay above it at every stop,
-        # and within 96 bits of it where windows run in the workloads (17 to
-        # 34 bits at |w| <= 6.6, up to 89 at 79.9)
-        stops = [_FIRST_STOP << j for j in range(6)]
-        one = 1 << 64
-        for w in (2.0 ** -30, 0.2, 1.0, 6.6, 40.0, 79.9, 1000.5, -50.25, 2.0 ** 16):
-            p, q = max(Fraction(1), abs(Fraction(w))).as_integer_ratio()
-            u = v = one
-            for k in range(2, stops[-1]):
-                v = -(((k - 2) * v * q + p * u) // -(k * q)) + one
-                u += v
-                if k + 1 in stops:
-                    bits = _window_precision(w, k + 1)[1]
-                    assert u < 2 ** bits * one, (w, k + 1)
-                    if abs(w) < 100:
-                        assert 2 ** bits * one < 2 ** 96 * u, (w, k + 1)
 
 
 class TestIndexBound:
