@@ -20,14 +20,14 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
-from .series import _M9, _M10, _REARRANGED, OrderArg, _KForm, _sum_k_series, adjudicate_m10
+from .series import OrderArg, adjudicate_m10, k_series_m9, k_series_m10, k_series_rearranged
 from .truncation import SeriesApproximation, TruncationPolicy
 
-#: --method name -> (row label, K series of ``series``); "oracle" is served apart.
+#: --method name -> (row label, K series evaluator); "oracle" is served apart.
 _SERIES = {
-    "rearranged": ("REARRANGED", _REARRANGED),
-    "m9": ("RAW_M9", _M9),
-    "m10": ("M10_REG", _M10),
+    "rearranged": ("REARRANGED", k_series_rearranged),
+    "m9": ("RAW_M9", k_series_m9),
+    "m10": ("M10_REG", k_series_m10),
 }
 _METHODS = sorted([*_SERIES, "oracle"])
 
@@ -50,7 +50,12 @@ _ANCHOR_TOL_M4 = 1e-10
 _ANCHOR_TOL_INFO = 1e-9
 
 #: ``converge``'s status for each ``SeriesApproximation.stop_reason``.
-_STATUS = {"terminated": "converged", "converged": "converged", "budget": "max-terms", "diverging": "diverging"}
+_STATUS = {
+    "terminated": "converged",
+    "converged": "converged",
+    "budget": "max-terms",
+    "diverging": "diverging",
+}
 
 #: Most points one lo:hi:step range may expand to.
 _MAX_RANGE_POINTS = 100_000
@@ -128,11 +133,11 @@ def _parse_range(text: str, name: str) -> list[float]:
     return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
-def _sum_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
-    """``form`` at (|s|, z); a ``SeriesDiverged`` gives back its flagged
+def _sum_series(evaluate, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
+    """``evaluate`` at (|s|, z); a ``SeriesDiverged`` gives back its flagged
     partial sum."""
     try:
-        return _sum_k_series(form, abs(s), z, policy)
+        return evaluate(abs(s), z, policy)
     except SeriesDiverged as exc:
         return exc.approximation
 
@@ -149,8 +154,8 @@ def _evaluate(
     if method == "oracle":
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
-    label, form = _SERIES[method]
-    approx = _sum_series(form, s, z, policy)
+    label, evaluate = _SERIES[method]
+    approx = _sum_series(evaluate, s, z, policy)
     return OutputRow(s, z, label, approx.terms_used, approx.value, approx.converged)
 
 
@@ -220,13 +225,13 @@ def _cmd_converge(args) -> int:
         raise DomainError(f"every z must be positive, got --z-range {args.z_range!r}")
     policy = TruncationPolicy(max_terms=args.max_terms)
 
-    _, form = _SERIES["rearranged"]
+    _, evaluate = _SERIES["rearranged"]
     statuses: dict[str, int] = {"converged": 0, "max-terms": 0, "diverging": 0, "rejected": 0}
     converged_s: set[float] = set()
     for s in s_values:
         for z in z_values:
             try:
-                approx = _sum_series(form, s, z, policy)
+                approx = _sum_series(evaluate, s, z, policy)
             except DomainError:
                 status, terms, last = "rejected", 0, math.nan
             else:

@@ -33,6 +33,7 @@ from .errors import DomainError, ToleranceNotMet
 from .special import (
     EULER_GAMMA,
     POLE_TOL,
+    _gamma_log_off_pole,
     _guarded_exp,
     _guarded_lgamma,
     _in_range,
@@ -291,17 +292,18 @@ def rl_derivative(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
 def power_rule(s: float, p: float, bounds: BoundarySetup) -> float:
     """d^s (x - a)^p = Gamma(p+1)/Gamma(p+1-s) * (x - a)^{p-s} for p > -1.
 
-    When p + 1 - s is a non-positive integer the reciprocal gamma vanishes
-    and the exact result 0 is returned (e.g. integer-order derivatives that
-    annihilate the power).
+    When p + 1 - s is exactly a non-positive integer the reciprocal gamma
+    vanishes and the exact result 0 is returned (e.g. integer-order
+    derivatives that annihilate the power); next to one it is small and
+    kept.
     """
     if not p > -1:
         raise DomainError(f"power rule requires p > -1, got p={p!r}")
     q = p + 1.0 - s
-    if _pole_location(q) is not None:
+    if _pole_location(q) == q:
         return 0.0
     num = gamma_log(p + 1.0)
-    den = gamma_log(q)
+    den = _gamma_log_off_pole(q)
     base = bounds.x - bounds.a
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs + (p - s) * math.log(base))
 
@@ -344,11 +346,13 @@ def exp_rule(s: float, beta: float, x: float) -> float:
 def log_rule(s: float, x: float) -> float:
     """d^s ln x = x^{-s}/Gamma(1-s) [ln x - psi(-s) - C + 1/s], a = 0.
 
-    Positive integer orders collapse to the classical
-    (-1)^{n-1} (n-1)! / x^n; s = 0 is served explicitly as the identity
-    operation (the displayed bracket's 1/s term only cancels in the limit).
-    Powers are formed in log space, and a result outside the float64 range
-    raises ``DomainError``.
+    psi(-s) = psi(1-s) + 1/s turns the bracket into ln x - psi(1-s) - C,
+    whose terms do not cancel as s -> 0 and have no pole at s = 0.  Positive
+    integer orders collapse to the classical (-1)^{n-1} (n-1)! / x^n; s = 0
+    is served explicitly as the identity operation.  At x = 1 the value is
+    O(s) and its error is absolute, a few units of 1e-16.  Powers are formed
+    in log space, and a result outside the float64 range raises
+    ``DomainError``.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"log rule requires finite x > 0, got x={x!r}")
@@ -358,7 +362,7 @@ def log_rule(s: float, x: float) -> float:
     if n is not None and n > 0:
         return (-1) ** (n - 1) * _guarded_exp(_guarded_lgamma(float(n)) - n * math.log(x))
     lg = gamma_log(1.0 - s)
-    bracket = math.log(x) - digamma(-s) - EULER_GAMMA + 1.0 / s
+    bracket = math.log(x) - digamma(1.0 - s) - EULER_GAMMA
     return _in_range(lg.sign * bracket * _guarded_exp(-s * math.log(x) - lg.log_abs))
 
 

@@ -6,30 +6,18 @@ outside the float64 range raises ``DomainError``), then hand an inner stream
 E_k and a Pochhammer pair (a, b) to the one engine,
 ``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
 with a running product, in the loop that decides where the sum stops, and
-ends the sum when a + k hits zero.  E_k comes from one of three
-constructions in ``vk``:
+ends the sum when a + k hits zero.  E_k comes from ``vk._e_values(alpha,
+w)``, the one place that picks its construction:
 
-* the rearranged form (and so ``k_mcdonald``) and M9 read the alpha = -1
-  recurrence in k, ``vk._m1_values``, at w = 2z;
-* M10 reads the alpha = -1/2 recurrence in k, ``vk._mhalf_values``, at z;
-* M7 reads ``vk._m1_values`` at alpha = -1 and ``vk._mhalf_values`` at
-  alpha = -1/2, and at any other alpha the coefficient rows
-  ``vk._vk_rows(alpha)`` through ``_e_stream``.
-
-The alpha = -1 stream runs its recurrence in float64, so its values are not
-correctly rounded; the accuracy that counts is asserted on the K values
-themselves, against mpmath and against the same sums over the exact stream
-(``vk._m1_values(w, exact=True)``).  The other two stay exact, each value
-built in integers and rounded once, so their heavily cancelling inner sums
-are never formed in plain float64.  ``vk._mhalf_values`` works at w = p / 2^e
-on integers of about k (e + log2 k) bits at its k-th term, and e is about
-50 for a generic double, so N terms cost O(N^2 e) bit operations.
-``_e_stream`` evaluates row_k(w) / (k! q^k) with ``vk._exact_poly``, O(k)
-big-integer work per term.
+* the rearranged form (and so ``k_mcdonald``) and M9 read alpha = -1 at
+  w = 2z, the float64 recurrence in k;
+* M10 reads alpha = -1/2 at w = z, an exact recurrence in k;
+* M7 reads its own alpha at w = beta x^alpha: one of those two
+  recurrences, or at any other alpha the exact coefficient rows.
 
 The three K series share one shape, ``_KForm``: a prefactor in (s, z) and
-the sum of (1/2-s)_k/(1/2+s)_k over an inner stream that depends on z
-alone.  Each evaluation builds its own stream.
+the sum of (1/2-s)_k/(1/2+s)_k over the inner stream of one alpha at
+w = c z.  Each evaluation builds its own stream.
 
 * ``general_expansion_m7`` - the order-s derivative of x^nu exp(-beta x^alpha),
   the expansion the K series descend from; its reciprocal gamma
@@ -62,8 +50,9 @@ from __future__ import annotations
 import math
 import sys
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
+from . import vk
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import VerificationRecord, k_oracle
 from .special import (
@@ -75,17 +64,11 @@ from .special import (
     gamma_log,
 )
 from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, sum_with_policy
-from .vk import _exact_poly, _m1_values, _mhalf_values, _vk_rows
 
 #: Orders closer than this to 0 (after |s| reduction) are rejected: the
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
-
-#: The alphas whose E_k M7 reads from a fixed-argument recurrence in k at a
-#: fixed cost per term: float64 at alpha = -1, and at alpha = -1/2 exact, bit
-#: for bit the values of the coefficient rows.
-_FIXED_W_STREAMS = {-1.0: _m1_values, -0.5: _mhalf_values}
 
 
 class OrderArg(NamedTuple):
@@ -93,21 +76,6 @@ class OrderArg(NamedTuple):
 
     s: float
     z: float
-
-
-# --- term streams ---------------------------------------------------------
-
-def _e_stream(rows: Iterable[list[int]], q: int, w: float) -> Iterator[float]:
-    """Yield E_k = row_k(w) / (k! q^k), k = 0, 1, ..., each correctly rounded.
-
-    ``rows`` holds integer coefficients, highest degree first, as yielded by
-    ``vk._vk_rows`` (alpha = a / q; E_k = (-1)^k V_k^{(alpha)}(w) / k!).
-    w must be finite.
-    """
-    den = 1
-    for k, row in enumerate(rows, 1):
-        yield _exact_poly(row, den, w)
-        den *= k * q
 
 
 # --- validation helpers -----------------------------------------------------
@@ -142,19 +110,18 @@ def _finalize(
 # --- the three K series --------------------------------------------------------
 
 class _KForm(NamedTuple):
-    """One K series: the log of its prefactor at (s, z), and the inner stream
-    it sums, which depends on z alone."""
+    """One K series: the log of its prefactor at (s, z), and the alpha and
+    the ratio w / z of the inner stream it sums."""
 
     log_prefactor: Callable[[float, float], float]
-    inner: Callable[[float], Iterator[float]]
+    alpha: float
+    w_per_z: float
 
 
-# each ``inner`` names its ``vk`` stream when called, not when defined, so a
-# stream replaced on this module (as the tests that pin which stream a form
-# reads do) is the one that runs
 _REARRANGED = _KForm(
     lambda s, z: (s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
-    lambda z: _m1_values(2.0 * z),
+    -1.0,
+    2.0,
 )
 _M9 = _KForm(
     lambda s, z: (
@@ -164,21 +131,23 @@ _M9 = _KForm(
         + _guarded_lgamma(2.0 * s)
         - _guarded_lgamma(0.5 + s)
     ),
-    lambda z: _m1_values(2.0 * z),
+    -1.0,
+    2.0,
 )
 _M10 = _KForm(
     lambda s, z: (3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
-    lambda z: _mhalf_values(z),
+    -0.5,
+    1.0,
 )
 
 
 def _sum_k_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
     """``form`` at order s and argument z: the prefactor times the sum of
-    (1/2-s)_k/(1/2+s)_k over the form's inner stream at z."""
+    (1/2-s)_k/(1/2+s)_k over the form's inner stream at w = ``w_per_z`` z."""
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _guarded_exp(form.log_prefactor(s, z))
-    return _finalize(form.inner(z), policy, pref, 0.5 - s, 0.5 + s)
+    return _finalize(vk._e_values(form.alpha, form.w_per_z * z), policy, pref, 0.5 - s, 0.5 + s)
 
 
 # --- public evaluators -------------------------------------------------------
@@ -191,11 +160,10 @@ def k_series_rearranged(
     K_s(z) = 2^{s-1} Gamma(s) z^{-s} e^{-z}
              [1 + sum_{k>=1} (1/2-s)_k/(1/2+s)_k S_k(z)],
 
-    with S_k(z) = E_k(2z) from the alpha = -1 recurrence in k,
-    ``vk._m1_values``, run in float64.  The Pochhammer ratio is
-    built as a running product, so at half-integer s = m + 1/2 the factor
-    (1/2-s+k-1) hits exact zero and the sum terminates after m + 1 outer
-    terms.
+    with S_k(z) = E_k(2z) from the alpha = -1 recurrence in k, run in
+    float64.  The Pochhammer ratio is built as a running product, so at
+    half-integer s = m + 1/2 the factor (1/2-s+k-1) hits exact zero and the
+    sum terminates after m + 1 outer terms.
     """
     return _sum_k_series(_REARRANGED, s, z, policy)
 
@@ -215,7 +183,7 @@ def k_series_m9(
 
     free of the printed Gamma(1/2-s) pole: at s = m + 1/2 it terminates
     after m + 1 terms.  (-1)^k V_k^{(-1)}(2z) / k! = S_k(z), so its inner
-    stream is the rearranged form's, ``vk._m1_values`` at 2z, and the two
+    stream is the rearranged form's, alpha = -1 at 2z, and the two
     differ only in the prefactor: the Gamma(2s) here checks the
     duplication formula against the rearranged 2^{s-1} Gamma(s).
     """
@@ -271,8 +239,9 @@ def general_expansion_m7(
     Pochhammer (-s)_k.  The constant part of the reciprocal gamma joins the
     prefactor and the rest is a Pochhammer ratio.  Where Gamma(k-s+nu+1)
     sits exactly on a pole, the term is the reciprocal-gamma zero and the
-    sum continues; next to a pole the term is kept.  At non-negative integer s the Pochhammer chain hits zero
-    and the sum terminates (the classical derivative).
+    sum continues; next to a pole the term is kept.  At non-negative
+    integer s the Pochhammer chain hits zero and the sum terminates (the
+    classical derivative).
     """
     if not nu > -1.0:
         raise DomainError(f"need nu > -1 for the termwise power rule, got nu={nu!r}")
@@ -308,9 +277,7 @@ def general_expansion_m7(
     # the engine counts the zeros as terms, budget included, and reads E_k
     # only past them; no policy sums past sys.maxsize terms
     zeros = min(zeros, sys.maxsize)
-    e = islice(_FIXED_W_STREAMS[alpha](w) if alpha in _FIXED_W_STREAMS
-               else _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w), zeros, None)
-    return _finalize(e, policy, pref, top, bottom, zeros)
+    return _finalize(islice(vk._e_values(alpha, w), zeros, None), policy, pref, top, bottom, zeros)
 
 
 def adjudicate_m10(

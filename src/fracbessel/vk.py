@@ -27,7 +27,8 @@ All three are exact at every k (alpha = a/q exactly; ints and Fractions),
 for k up to ``sys.maxsize``.
 
 The series evaluators need the values E_k = (-1)^k V_k(w) / k! at one
-double w = p / 2^e.  Three constructions supply them:
+double w = p / 2^e.  ``_e_values(alpha, w)`` is the one place that picks
+their construction:
 
 * ``_m1_values`` - the recurrence in k at fixed w for alpha = -1; the inner
   stream of the rearranged series (and so of ``k_mcdonald``) and of M9,
@@ -35,21 +36,19 @@ double w = p / 2^e.  Three constructions supply them:
   alpha = -1;
 * ``_mhalf_values`` - the recurrence in k at fixed w for alpha = -1/2; the
   inner stream of M10 (at z) and of M7 at alpha = -1/2;
-* ``_vk_rows`` - the coefficient recurrence above, written once, for any
-  alpha; the rows of M7 at any other alpha.
+* ``_e_stream`` over ``_vk_rows`` - the coefficient recurrence above,
+  written once, for any alpha; the rows of M7 at any other alpha.
 
 ``_m1_values`` runs its three-term recurrence in float64.  Its values are
-not correctly rounded and not bit for bit those of the exact integers;
-their accuracy is asserted where it matters, on the K values the
-rearranged form and M9 return, against mpmath and against the same sums
-over ``exact=True``, which keeps exact integers throughout and stays as
-the test reference and the fallback past float64.  ``_mhalf_values`` and
-the coefficient rows stay exact, each value correctly rounded: in floats
-the alpha = -1/2 recurrence is unstable.  Exact, a fixed-w recurrence
-works on integers of about k (e + log2 k) bits at its k-th value, so N
-values cost O(N^2 e) bit operations; e is about 50 for a generic double.
-On a 2-core Intel Xeon host with CPython 3.11, 400 alpha = -1 values at
-w = 6.6 take 0.18 ms in float64 and 4.4 ms exact.
+not correctly rounded; their accuracy is asserted where it matters, on the
+K values the rearranged form and M9 return, against mpmath and against the
+same sums over exact integer values.  ``_mhalf_values`` and the coefficient
+rows stay exact, each value correctly rounded: in floats the alpha = -1/2
+recurrence is unstable.  Exact, a fixed-w recurrence works on integers of
+about k (e + log2 k) bits at its k-th value, so N values cost O(N^2 e) bit
+operations; e is about 50 for a generic double.  On a 2-core Intel Xeon
+host with CPython 3.11, 400 alpha = -1 values at w = 6.6 take 0.18 ms in
+float64, against 4.4 ms for the same recurrence in exact integers.
 
 ``_closed_m1_row``, the alpha = -1 closed-form rows, feeds no evaluator: it
 is the third construction behind ``vk_coeffs_closed_m1`` and the check the
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .special import _integer_at_least, _range_error
@@ -145,48 +144,25 @@ def _exact_poly(coeffs: list[int], den: int, w: float) -> float:
         raise _range_error(f"degree-{len(coeffs) - 1} polynomial at w={w!r}") from None
 
 
-def _m1_values(w: float, exact: bool = False) -> Iterator[float]:
-    """Yield E_k = (-1)^k V_k^{(-1)}(w) / k!, k = 0, 1, ..., for finite w.
+def _m1_values(w: float) -> Iterator[float]:
+    """Yield E_k = (-1)^k V_k^{(-1)}(w) / k!, k = 0, 1, ...
 
     E_{k+1} = ((2k - w) E_k - (k-1) E_{k-1}) / (k+1), E_0 = 1, E_1 = -w, is
     Leibniz's rule on x^2 y' = beta y (DLMF 18.9: E_k = -w L_{k-1}^{(1)}(w) / k
     for k >= 1).  It runs in float64 on G_k = E_k / (-w) from G_1 = 1, and
     yields -w G_k: E_0 never enters E_2, so a tiny or subnormal w loses
     nothing.  These values are not correctly rounded; their accuracy is
-    asserted on the K sums that read them.  From the first value that is not
-    finite the stream reads on from the exact integers, which raise the
-    range error where E_k leaves float64.
-
-    With ``exact``, every value comes from the integers N_k = k! 2^{ek} E_k
-    at w = p / 2^e (exact),
-
-        N_{k+1} = (2k 2^e - p) N_k - k (k-1) 2^{2e} N_{k-1},   N_0 = 1, N_1 = -p,
-
-    rounded once, so each is correctly rounded; the k-th works on integers
-    of about k (e + log2 k) bits.
+    asserted on the K sums that read them.  The first value that is not
+    finite raises the range error instead.
     """
-    if not exact:
-        yield 1.0
-        old, cur = 0.0, 1.0  # G_{k-1}, G_k
-        for k in count(1):
-            value = -w * cur
-            if not -math.inf < value < math.inf:
-                yield from islice(_m1_values(w, exact=True), k, None)
-                return
-            yield value
-            old, cur = cur, ((2 * k - w) * cur - (k - 1) * old) / (k + 1)
-    k = 0
-    try:
-        p, q = w.as_integer_ratio()
-        e = q.bit_length() - 1
-        yield 1.0
-        old, cur, den = 0, 1, 1  # N_{k-2}, N_{k-1}, (k-1)! 2^{e(k-1)}
-        for k in count(1):
-            old, cur = cur, ((k - 1 << e + 1) - p) * cur - ((k - 1) * (k - 2) << 2 * e) * old
-            den = den * k << e
-            yield cur / den
-    except OverflowError:
-        raise _range_error(f"E_{k} at w={w!r}") from None
+    yield 1.0
+    old, cur = 0.0, 1.0  # G_{k-1}, G_k
+    for k in count(1):
+        value = -w * cur
+        if not -math.inf < value < math.inf:
+            raise _range_error(f"E_{k} at w={w!r}")
+        yield value
+        old, cur = cur, ((2 * k - w) * cur - (k - 1) * old) / (k + 1)
 
 
 def _mhalf_values(w: float) -> Iterator[float]:
@@ -219,6 +195,35 @@ def _mhalf_values(w: float) -> Iterator[float]:
             den = den * (k + 1) << e + 1
     except OverflowError:
         raise _range_error(f"E_{k} at w={w!r}") from None
+
+
+def _e_stream(rows: Iterable[list[int]], q: int, w: float) -> Iterator[float]:
+    """Yield E_k = row_k(w) / (k! q^k), k = 0, 1, ..., each correctly rounded.
+
+    ``rows`` holds integer coefficients, highest degree first, as yielded by
+    ``_vk_rows`` (alpha = a / q; E_k = (-1)^k V_k^{(alpha)}(w) / k!).
+    w must be finite.
+    """
+    den = 1
+    for k, row in enumerate(rows, 1):
+        yield _exact_poly(row, den, w)
+        den *= k * q
+
+
+def _e_values(alpha, w: float) -> Iterator[float]:
+    """E_k = (-1)^k V_k^{(alpha)}(w) / k!, k = 0, 1, ..., for alpha finite
+    and nonzero and w finite (at alpha = -1 an infinite w raises the range
+    error at E_1): the one choice of construction.
+
+    alpha = -1 reads the float64 recurrence ``_m1_values``, alpha = -1/2 the
+    exact ``_mhalf_values``, each at a fixed cost per value, and any other
+    alpha the coefficient rows of ``_vk_rows``.
+    """
+    if alpha == -1:
+        return _m1_values(w)
+    if alpha == -0.5:
+        return _mhalf_values(w)
+    return _e_stream(_vk_rows(alpha), alpha.as_integer_ratio()[1], w)
 
 
 def vk_coeffs_sum(alpha, k: int) -> Polynomial:

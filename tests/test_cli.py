@@ -20,6 +20,7 @@ from fracbessel import (
     k_series_m9,
     k_series_m10,
     k_series_rearranged,
+    vk,
 )
 from fracbessel.cli import CSV_FIELDS, OutputRow, main
 
@@ -314,10 +315,14 @@ def expected_converge_line(s, z, max_terms):
     return f"s={s:.17g} z={z:.17g} status={status} terms={approx.terms_used} last_term={approx.last_term_abs:.3e}"
 
 
-def patch_stream(monkeypatch, method, make):
-    """Replace ``method``'s inner stream, a function of z, by ``make(original)``."""
-    label, form = cli._SERIES[method]
-    monkeypatch.setitem(cli._SERIES, method, (label, form._replace(inner=make(form.inner))))
+#: --method -> the factor c of the argument w = c z its inner stream reads
+W_PER_Z = {"rearranged": 2.0, "m9": 2.0, "m10": 1.0}
+
+
+def patch_stream(monkeypatch, make):
+    """Replace the library's choice of inner stream, a function of
+    (alpha, w), by ``make(original)``."""
+    monkeypatch.setattr(vk, "_e_values", make(vk._e_values))
 
 
 #: Orders drawn for the grid commands: duplicates, negatives, zero, an order
@@ -388,13 +393,13 @@ class TestGridCommands:
 
     @staticmethod
     def failing_at(index):
-        """A stream factory wrapper whose stream raises at ``index``."""
+        """A stream chooser wrapper whose streams raise at ``index``."""
 
-        def wrap(inner):
-            def make(z):
-                for k, value in enumerate(inner(z)):
+        def wrap(choose):
+            def make(alpha, w):
+                for k, value in enumerate(choose(alpha, w)):
                     if k == index:
-                        raise DomainError(f"injected at E_{k}, z={z!r}")
+                        raise DomainError(f"injected at E_{k}, w={w!r}")
                     yield value
 
             return make
@@ -404,7 +409,7 @@ class TestGridCommands:
     def test_a_stream_error_reaches_every_order_that_gets_that_far(self, monkeypatch):
         # s = 1/2, 3/2 and 5/2 end after 1, 2 and 3 terms, before index 3;
         # every generic order reads that far and is rejected
-        patch_stream(monkeypatch, "rearranged", self.failing_at(3))
+        patch_stream(monkeypatch, self.failing_at(3))
         code, out, _ = run("converge", "--s-range", "0.5:2.5:0.5", "--z-range", "1:2:1")
         assert code == 0
         status = {ln.split(" status=")[0]: ln.split("status=")[1].split()[0]
@@ -415,14 +420,14 @@ class TestGridCommands:
         }
 
     def test_a_stream_error_stays_at_its_argument(self, monkeypatch):
-        # the stream at z = 1 raises at index 3; the one at z = 2 does not
-        def failing_at_one(inner):
-            def make(z):
-                return self.failing_at(3)(inner)(z) if z == 1.0 else inner(z)
+        # the stream at z = 1 (w = 2) raises at index 3; the one at z = 2 does not
+        def failing_at_one(choose):
+            def make(alpha, w):
+                return self.failing_at(3)(choose)(alpha, w) if w == 2.0 else choose(alpha, w)
 
             return make
 
-        patch_stream(monkeypatch, "rearranged", failing_at_one)
+        patch_stream(monkeypatch, failing_at_one)
         code, out, _ = run("converge", "--s-range", "0.5:2.5:0.5", "--z-range", "1:2:1")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln.startswith("s=")]
@@ -433,7 +438,7 @@ class TestGridCommands:
 
     @pytest.mark.parametrize("method", sorted(PUBLIC))
     def test_a_stream_error_fails_the_table_at_its_point(self, tmp_path, monkeypatch, method):
-        patch_stream(monkeypatch, method, self.failing_at(3))
+        patch_stream(monkeypatch, self.failing_at(3))
         out_path = tmp_path / "t.csv"
         grid = ("--z-list", "1,2", "--methods", method, "--out", str(out_path))
         code, _, _ = run("table", "--s-list", "0.5,1.5,2.5", *grid)
@@ -442,7 +447,7 @@ class TestGridCommands:
             assert [row["converged"] for row in csv.DictReader(fh)] == ["true"] * 6
         out_path.unlink()
         code, out, err = run("table", "--s-list", "0.5,1.5,1.3,2.5", *grid)
-        assert (code, out, err) == (1, "", "error: injected at E_3, z=1.0\n")
+        assert (code, out, err) == (1, "", f"error: injected at E_3, w={W_PER_Z[method]!r}\n")
         assert not out_path.exists()
 
 

@@ -3,6 +3,7 @@ against their classical limits."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,18 @@ class TestPowerRule:
         # d^2 of a linear function vanishes through the reciprocal-gamma zero
         assert power_rule(2.0, 1.0, BoundarySetup(0.0, 5.0)) == 0.0
 
+    # p + 1 - s within 1e-12 of 0, -1 and -2, on either side
+    @pytest.mark.parametrize("s,p,x", [(2 + 1e-13, 1.0, 1.5), (2 - 1e-13, 1.0, 1.5), (3 + 2e-13, 1.0, 2.0),
+                                       (3.5 + 1e-13, 0.5, 1.7), (4 - 5e-13, 2.0, 0.7)])
+    def test_next_to_a_gamma_pole_the_value_is_kept(self, s, p, x):
+        got = power_rule(s, p, BoundarySetup(0.0, x))
+        with mpmath.workdps(40):
+            big_s, big_p = mpmath.mpf(s), mpmath.mpf(p)
+            want = mpmath.gamma(big_p + 1) * mpmath.rgamma(big_p + 1 - big_s) * mpmath.mpf(x) ** (big_p - big_s)
+            want = float(want)
+        assert got != 0.0
+        assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             power_rule(0.5, -1.0, BoundarySetup(0.0, 1.0))
@@ -442,6 +455,26 @@ class TestLogRule:
 
     def test_identity_order(self):
         assert log_rule(0.0, 3.0) == math.log(3.0)
+
+    @staticmethod
+    def printed_form(s, x):
+        """x^{-s}/Gamma(1-s) [ln x - psi(-s) - C + 1/s] at 40 digits."""
+        with mpmath.workdps(40):
+            big_s, big_x = mpmath.mpf(s), mpmath.mpf(x)
+            bracket = mpmath.log(big_x) - mpmath.digamma(-big_s) - mpmath.euler + 1 / big_s
+            return float(big_x ** -big_s * mpmath.rgamma(1 - big_s) * bracket)
+
+    # the printed bracket cancels as s -> 0; within 1e-12 of 0, psi(-s) is at a pole
+    @pytest.mark.parametrize("s", [1e-13, -1e-13, 1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("x", [0.3, 2.0, 7.0])
+    def test_orders_next_to_zero_keep_their_digits(self, s, x):
+        want = self.printed_form(s, x)
+        assert abs(log_rule(s, x) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s", [1e-13, -1e-13, 1e-8])
+    def test_at_x_one_the_error_is_absolute(self, s):
+        # the value is about zeta(2) s there (measured error: 2.6e-16 at most)
+        assert abs(log_rule(s, 1.0) - self.printed_form(s, 1.0)) <= 1e-15
 
     def test_order_minus_one_is_the_integral(self):
         # int_0^1 ln t dt = -1

@@ -1,8 +1,9 @@
 """The package's export list matches what ``fracbessel/__init__.py`` binds,
 the package carries no unused import and no private definition nothing names,
-its declared dependencies are exactly the third-party packages it imports,
-importing it loads no scipy, and the series path, from import through the
-CLI's series commands, loads no numpy: only a quadrature does."""
+the CLI imports no private library name, its declared dependencies are
+exactly the third-party packages it imports, importing it loads no scipy,
+and the series path, from import through the CLI's series commands, loads
+no numpy: only a quadrature does."""
 
 import ast
 import re
@@ -80,6 +81,23 @@ def test_every_private_definition_is_named_elsewhere():
             for name in defined:
                 if name.startswith("_") and not name.startswith("__"):
                     assert name in named, f"{module}:{node.lineno} defines {name} and nothing names it"
+
+
+def test_the_cli_imports_no_private_library_name():
+    # the CLI is a thin shell over the library: it reaches it by public names only
+    tree = _trees()["cli.py"]
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "fracbessel"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == [], private
 
 
 def test_declared_dependencies_match_the_imports():

@@ -30,16 +30,18 @@ from fracbessel import (
     rl_integral,
 )
 from fracbessel import series as series_module
-from fracbessel.series import _e_stream
+from fracbessel import vk
 from fracbessel.special import _guarded_exp, _guarded_lgamma
 from fracbessel.vk import (
     _closed_m1_row,
+    _e_stream,
     _exact_poly,
-    _m1_values,
     _mhalf_values,
     _vk_rows,
 )
 from fracbessel.truncation import STOP_RATIO, STOP_RUN, sum_with_policy
+
+from exact_m1 import m1_exact
 
 #: Wide-window policy for probing truncation behaviour past the conservative
 #: default divergence heuristic (the policy is a public knob).
@@ -199,16 +201,11 @@ def _pochhammer_products(a, b, inner):
         ratio *= (a + k) / (b + k)
 
 
-def _m1_exact(w):
-    """The alpha = -1 stream read from exact integers throughout."""
-    return _m1_values(w, exact=True)
-
-
 def _over_the_exact_stream(evaluate, s, z, policy):
     """``evaluate(s, z, policy)`` with its alpha = -1 inner stream read from
     exact integers throughout; a diverging sum gives back its partial sum."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series_module, "_m1_values", _m1_exact)
+        patch.setattr(vk, "_m1_values", m1_exact)
         try:
             return evaluate(s, z, policy)
         except SeriesDiverged as exc:
@@ -232,7 +229,7 @@ class TestAlphaMinusOnePaths:
     sum over those rows."""
 
     def test_all_three_read_the_fixed_argument_recurrence(self, monkeypatch):
-        monkeypatch.setattr("fracbessel.series._m1_values", _unreadable)
+        monkeypatch.setattr("fracbessel.vk._m1_values", _unreadable)
         for evaluate in (k_series_rearranged, k_mcdonald, k_series_m9):
             with pytest.raises(_StreamRead):
                 evaluate(2.5, 1.3)
@@ -264,16 +261,55 @@ class TestAlphaMinusOnePaths:
     @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_m9])
     @pytest.mark.parametrize("z,k", [(1e6, 63), (1000000.05, 63), (1e12, 28)])
     def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, z, k):
-        # E_63 and E_28 overflow in float64, where the stream gives way to the
-        # exact integers and their error
+        # E_63 and E_28 overflow in float64, where the exact values do
         w = 2.0 * z
         with pytest.raises(DomainError) as want:
-            list(_m1_values(w, exact=True))
+            list(m1_exact(w))
         message = f"E_{k} at w={w!r} is outside the float64 range (largest finite double ~1.8e308)"
         assert str(want.value) == message
         with pytest.raises(DomainError) as got:
             evaluate(1.3, z, EXPLORE)
         assert str(got.value) == message
+
+
+def _record_choices(monkeypatch) -> list:
+    """Route every choice of inner stream through a wrapper that records
+    its (alpha, w)."""
+    calls = []
+    choose = vk._e_values
+
+    def recording(alpha, w):
+        calls.append((alpha, w))
+        return choose(alpha, w)
+
+    monkeypatch.setattr(vk, "_e_values", recording)
+    return calls
+
+
+class TestStreamChoice:
+    """Every evaluator takes its E_k from ``vk._e_values`` at its own
+    (alpha, w): the K series at alpha = -1 and w = 2z, or alpha = -1/2 and
+    w = z; M7 at its alpha and w = beta x^alpha."""
+
+    @pytest.mark.parametrize(
+        "evaluate,alpha,w",
+        [
+            (k_series_rearranged, -1.0, 2.0 * 1.3),
+            (k_mcdonald, -1.0, 2.0 * 1.3),
+            (k_series_m9, -1.0, 2.0 * 1.3),
+            (k_series_m10, -0.5, 1.3),
+        ],
+    )
+    def test_each_k_series_reads_its_alpha_at_its_argument(self, monkeypatch, evaluate, alpha, w):
+        calls = _record_choices(monkeypatch)
+        assert evaluate(2.5, 1.3).converged
+        assert calls == [(alpha, w)]
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0 / 3.0])
+    def test_m7_reads_its_alpha_at_beta_x_to_the_alpha(self, monkeypatch, alpha):
+        calls = _record_choices(monkeypatch)
+        assert general_expansion_m7(2.0, 0.5, alpha, 1.5, 2.0).converged
+        assert calls == [(alpha, 1.5 * 2.0 ** alpha)]
 
 
 #: Generic orders across (0.05, 4.95] and the first ten half-integers,
@@ -305,7 +341,7 @@ class TestKAgainstMpmath:
                     assert err <= 1e-12 * k, (z, evaluate)
 
 
-#: The two sums whose terms read ``vk._m1_values`` at w = 2z, with the
+#: The two sums whose terms read the alpha = -1 stream at w = 2z, with the
 #: form whose prefactor each applies.
 OVER_M1 = {k_series_rearranged: series_module._REARRANGED, k_series_m9: series_module._M9}
 
@@ -371,10 +407,10 @@ class TestFloatStreamInTheSeries:
         assert evaluate(SLOW_S, z, policy).terms_used == 401
 
 
-#: The fixed-argument integer recurrences in k behind the rearranged form
-#: and M9 (alpha = -1, whose float64 stream the sums read is checked on K
-#: below) and M10 (alpha = -1/2).
-_FIXED_W = {-1.0: (_m1_exact,), -0.5: (_mhalf_values,)}
+#: The fixed-argument integer recurrences in k: at alpha = -1 the tests'
+#: reference for the float64 stream the rearranged form and M9 read (checked
+#: on K above), at alpha = -1/2 M10's own stream.
+_FIXED_W = {-1.0: (m1_exact,), -0.5: (_mhalf_values,)}
 
 
 class TestVkStream:
@@ -397,7 +433,7 @@ class TestVkStream:
         for z in (0.37, 1.0, 3.3, 8.0, 17.9, 29.5):
             by_recurrence = _e_stream(_vk_rows(-1.0), 1, 2.0 * z)
             by_closed_form = _e_stream(map(_closed_m1_row, count()), 1, -2.0 * z)
-            by_fixed_w = _m1_exact(2.0 * z)
+            by_fixed_w = m1_exact(2.0 * z)
             for k in range(151):
                 assert next(by_recurrence) == next(by_closed_form) == next(by_fixed_w), (z, k)
 

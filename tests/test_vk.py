@@ -20,23 +20,10 @@ from fracbessel import (
     vk_coeffs_sum,
     vk_eval,
 )
-from fracbessel import series as series_module
 from fracbessel import vk
 from fracbessel.vk import _m1_values
 
-
-def _count_restarts(monkeypatch) -> list:
-    """Route the stream's own handover to the exact integers through a
-    wrapper that records each call; ``_m1_values`` itself, called directly,
-    is not recorded."""
-    restarts = []
-
-    def counting(w, exact=False):
-        restarts.append(exact)
-        return _m1_values(w, exact)
-
-    monkeypatch.setattr(vk, "_m1_values", counting)
-    return restarts
+from exact_m1 import m1_exact
 
 
 def _rounding_envelope(w: float, k: int) -> float:
@@ -231,7 +218,7 @@ class TestDefiningProduct:
 class TestFloatStream:
     """The alpha = -1 stream runs its recurrence in float64; against the exact
     integers it stays inside the Laguerre envelope, is exact where w is tiny,
-    and raises the exact stream's range error where E_k leaves float64."""
+    and raises their range error at the k where E_k leaves float64."""
 
     # 0.5 and 40.0 are short mantissas, a dyadic w and an integer
     @pytest.mark.parametrize("w", [0.2, 0.37, 0.5, 1.0, 2.0, 6.6, 34.6, 40.0, 60.0])
@@ -241,7 +228,7 @@ class TestFloatStream:
         # on that scale, where it stays under 6e-15
         bound = 1e-13 * w * math.exp(w / 2)
         floats = islice(_m1_values(w), 400)
-        exact = islice(_m1_values(w, exact=True), 400)
+        exact = islice(m1_exact(w), 400)
         for k, (got, want) in enumerate(zip(floats, exact)):
             assert abs(got - want) <= bound, (w, k)
 
@@ -256,7 +243,7 @@ class TestFloatStream:
     @settings(max_examples=60, deadline=None)
     def test_close_to_the_exact_values(self, w, n):
         floats = list(islice(_m1_values(w), n))
-        exact = list(islice(_m1_values(w, exact=True), n))
+        exact = list(islice(m1_exact(w), n))
         assert floats[:2] == exact[:2]  # E_0 = 1 and E_1 = -w
         for k in range(2, n):
             assert abs(floats[k] - exact[k]) <= _rounding_envelope(w, k), (w, k)
@@ -265,7 +252,7 @@ class TestFloatStream:
     def test_tiny_arguments_are_exact(self, w):
         # G_k = E_k / (-w) starts from G_1 = 1, so every E_k past E_0 is -w
         # times a value within rounding of 1, as the exact E_k is
-        assert list(islice(_m1_values(w), 250)) == list(islice(_m1_values(w, exact=True), 250))
+        assert list(islice(_m1_values(w), 250)) == list(islice(m1_exact(w), 250))
 
     @pytest.mark.parametrize("w", [2.0 ** -30, 2e-10])
     def test_values_of_about_w_keep_their_relative_accuracy(self, w):
@@ -273,45 +260,37 @@ class TestFloatStream:
         # about 1, so its error is a few k^2 rounding units of w (measured:
         # 2.6e-14 w and 3.7e-12 w at k = 599)
         floats = islice(_m1_values(w), 600)
-        exact = islice(_m1_values(w, exact=True), 600)
+        exact = islice(m1_exact(w), 600)
         for k, (got, want) in enumerate(zip(floats, exact)):
             assert abs(got - want) <= k * k * 2.0 ** -52 * w, (w, k)
-
-    # 5e-324 is a subnormal w; 79.99 reads E_k up to about 1.7e19
-    @pytest.mark.parametrize("w", [5e-324, 2.0 ** -30, 0.2, 6.6, 79.99])
-    def test_finite_values_never_read_the_exact_integers(self, monkeypatch, w):
-        restarts = _count_restarts(monkeypatch)
-        assert all(math.isfinite(value) for value in islice(_m1_values(w), 600))
-        assert restarts == []
-
-    # E_311 leaves float64 at 1500, E_63 at 2e6 and E_2 at 1e300
-    @pytest.mark.parametrize("w,k", [(1500.0, 311), (2e6, 63), (1e300, 2)])
-    def test_the_first_value_past_float64_hands_over_once(self, monkeypatch, w, k):
-        restarts = _count_restarts(monkeypatch)
-        stream = _m1_values(w)
-        assert all(math.isfinite(value) for value in islice(stream, k))
-        assert restarts == []
-        with pytest.raises(DomainError, match=f"E_{k} at w="):
-            next(stream)
-        assert restarts == [True]
 
     def test_m7_where_w_underflows_to_zero(self, monkeypatch):
         # beta x^alpha = 5e-324 / 4 rounds to 0.0, where every E_k past E_0 is 0
         args = (0.7, 0.5, -1.0, 5e-324, 4.0)
         got = general_expansion_m7(*args)
-        monkeypatch.setattr(series_module, "_m1_values", lambda w: _m1_values(w, exact=True))
+        monkeypatch.setattr(vk, "_m1_values", m1_exact)
         assert got == general_expansion_m7(*args)
 
-    # E_2 leaves float64 at 1e300, E_311 at 1500 and 1500.3, E_63 at 2e6,
-    # E_28 at 2e12; inf fails at E_0, which the float stream yields before it hands over
-    @pytest.mark.parametrize("w", [1e300, 1500.0, 1500.3, 2e6, 2000000.1, 2e12, math.inf])
+    # E_2 leaves float64 at 1e300, E_311 at 1500 and 1500.3, E_63 at 2e6
+    # and 2000000.1, E_28 at 2e12
+    @pytest.mark.parametrize("w", [1e300, 1500.0, 1500.3, 2e6, 2000000.1, 2e12])
     def test_values_past_float64_raise_the_exact_range_error(self, w):
+        exact = []
         with pytest.raises(DomainError) as want:
-            list(islice(_m1_values(w, exact=True), 400))
+            exact.extend(m1_exact(w))
+        k = len(exact)
+        stream = _m1_values(w)
+        assert all(math.isfinite(value) for value in islice(stream, k))
         with pytest.raises(DomainError) as got:
-            list(islice(_m1_values(w), 400))
+            next(stream)
         assert str(got.value) == str(want.value)
-        assert "outside the float64 range" in str(got.value)
+        assert str(got.value).startswith(f"E_{k} at w={w!r} is outside the float64 range")
+
+    def test_an_infinite_argument_fails_at_e1(self):
+        stream = _m1_values(math.inf)
+        assert next(stream) == 1.0
+        with pytest.raises(DomainError, match=r"^E_1 at w=inf is outside the float64 range"):
+            next(stream)
 
 
 class TestIndexBound:
