@@ -11,10 +11,10 @@ as an independent cross-check.
 
 Every quadrature of the package, here and in the identity audit, is one
 double-exponential rule, ``_de_quad`` (Takahasi & Mori, Publ. RIMS 9, 1974):
-the trapezoidal rule after a change of variable that makes the integrand
-decay double-exponentially, tanh-sinh on a finite interval and exp-sinh on
-[lo, inf).  The integrand receives its nodes as numpy arrays, the first six
-levels in one array, which settles nearly every integral in one call.
+the trapezoidal rule after the tanh-sinh change of variable, which makes
+the integrand decay double-exponentially at both ends of a finite interval.
+The integrand receives its nodes as numpy arrays, the first six levels in
+one array, which settles nearly every integral in one call.
 
 numpy is imported inside the functions that build arrays, not with the
 module: the closed-form rules and the K series never load it, and the first
@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DomainError, ToleranceNotMet
 from .special import (
-    EULER_GAMMA,
     POLE_TOL,
+    _digamma_from_one,
     _gamma_log_off_pole,
     _guarded_exp,
     _guarded_lgamma,
@@ -40,7 +40,6 @@ from .special import (
     _integer_at_least,
     _pole_location,
     _range_error,
-    digamma,
     gamma_log,
     gen_binomial,
     lower_incomplete_gamma,
@@ -64,8 +63,7 @@ _DE_MAX_LEVEL = 8
 #: The first integrand call evaluates levels 0 to this together: 321 nodes.
 _DE_FIRST_TOP = 5
 
-#: Nodes cover |tau| <= this: tanh-sinh nodes come within 5.7e-102 of either
-#: end of [0, 1], exp-sinh ones reach from lo + 2.4e-51 to lo + 4.2e50.
+#: Nodes cover |tau| <= this: they come within 5.7e-102 of either end of [0, 1].
 _DE_TAU_MAX = 5
 
 #: A level-0 term below this share of the level's absolute sum is negligible.
@@ -101,15 +99,14 @@ def _taus(level: int) -> np.ndarray:
 
 
 @cache
-def _stage(infinite: bool, first: int, last: int) -> tuple[np.ndarray, ...]:
-    """(tau, level - ``first``, distance to lo, distance to hi, weight / h)
-    of the nodes that levels ``first`` to ``last`` add, ascending in tau.
+def _stage(first: int, last: int) -> tuple[np.ndarray, ...]:
+    """(tau, level - ``first``, distance to 0, distance to 1, weight / h)
+    of the nodes that levels ``first`` to ``last`` add on [0, 1], ascending
+    in tau.
 
-    Tanh-sinh (``infinite`` false) puts a node at (1 + tanh(pi/2 sinh tau)) / 2
-    on [0, 1]: its distance to the nearer end, q = 1 / (1 + e^{pi sinh |tau|}),
-    is formed without cancellation, and its weight is pi cosh(tau) q (1 - q).
-    Exp-sinh puts one at e^{pi/2 sinh tau} on [0, inf), weighted by
-    pi/2 cosh(tau) e^{pi/2 sinh tau}, at distance inf from the upper end.
+    Tanh-sinh puts a node at (1 + tanh(pi/2 sinh tau)) / 2: its distance to
+    the nearer end, q = 1 / (1 + e^{pi sinh |tau|}), is formed without
+    cancellation, and its weight is pi cosh(tau) q (1 - q).
     """
     import numpy as np
 
@@ -118,9 +115,6 @@ def _stage(infinite: bool, first: int, last: int) -> tuple[np.ndarray, ...]:
     level = np.concatenate([np.full(len(_taus(m)), m - first) for m in levels])
     order = np.argsort(tau)
     tau, level = tau[order], level[order]
-    if infinite:
-        v = np.exp(0.5 * np.pi * np.sinh(tau))
-        return tau, level, v, np.full_like(v, math.inf), 0.5 * np.pi * np.cosh(tau) * v
     y = np.pi * np.sinh(np.abs(tau))
     near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
     above = tau > 0
@@ -132,9 +126,9 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: 
              ) -> tuple[float, int, float]:
     """(integral of fn over [lo, hi], nodes evaluated, estimated absolute error).
 
-    ``hi`` is finite or inf.  ``fn(u, r)`` receives nodes u as an array, and
-    r, each node's distance to ``hi`` formed without cancellation (inf on
-    [lo, inf)), and returns the integrand there; no node sits on either
+    ``lo`` and ``hi`` are finite.  ``fn(u, r)`` receives nodes u as an
+    array, and r, each node's distance to ``hi`` formed without
+    cancellation, and returns the integrand there; no node sits on either
     end.  The integrand runs under ``np.errstate(all="ignore")``, so it
     decides its own overflow, and a level sum outside the float64 range, NaN
     included, raises ``DomainError``.
@@ -154,13 +148,12 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: 
     """
     import numpy as np
 
-    infinite = hi == math.inf
-    scale = 1.0 if infinite else hi - lo
+    scale = hi - lo
     ends = (-math.inf, math.inf)
     total, previous, nodes = 0.0, math.nan, 0
     top = min(_DE_FIRST_TOP, _DE_MAX_LEVEL)
     for first, last in [(0, top), *((m, m) for m in range(top + 1, _DE_MAX_LEVEL + 1))]:
-        tau, level, d_lo, d_hi, w = _stage(infinite, first, last)
+        tau, level, d_lo, d_hi, w = _stage(first, last)
         i, j = tau.searchsorted(ends)
         with np.errstate(all="ignore"):
             terms = w[i:j] * fn(lo + scale * d_lo[i:j], scale * d_hi[i:j])
@@ -232,7 +225,9 @@ def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> flo
     is near 1, so it has no cancellation, and f is never evaluated at t <= a:
     a node whose gap is lost in rounding a + gap is left out.  A prefactor
     (x - a)^p / Gamma(p + 1) or a result outside float64 raises
-    ``DomainError``.
+    ``DomainError``.  Every left side of the identity audit is taken here,
+    on an f formed in log space: M5's as d^s f(x), and M4's
+    int_0^x (x - t)^{mu-1} f(t) dt as Gamma(mu) times the order -mu integral.
     """
     import numpy as np
 
@@ -346,12 +341,13 @@ def exp_rule(s: float, beta: float, x: float) -> float:
 def log_rule(s: float, x: float) -> float:
     """d^s ln x = x^{-s}/Gamma(1-s) [ln x - psi(-s) - C + 1/s], a = 0.
 
-    psi(-s) = psi(1-s) + 1/s turns the bracket into ln x - psi(1-s) - C,
-    whose terms do not cancel as s -> 0 and have no pole at s = 0.  Positive
+    psi(-s) = psi(1-s) + 1/s turns the bracket into ln x - (psi(1-s) + C),
+    which has no pole at s = 0, and ``_digamma_from_one`` forms
+    psi(1-s) + C without cancellation as s -> 0, so the value keeps its
+    relative accuracy at x = 1 too, where it is about zeta(2) s.  Positive
     integer orders collapse to the classical (-1)^{n-1} (n-1)! / x^n; s = 0
-    is served explicitly as the identity operation.  At x = 1 the value is
-    O(s) and its error is absolute, a few units of 1e-16.  Powers are formed
-    in log space, and a result outside the float64 range raises
+    is served explicitly as the identity operation.  Powers are formed in
+    log space, and a result outside the float64 range raises
     ``DomainError``.
     """
     if not 0 < x < math.inf:
@@ -362,7 +358,7 @@ def log_rule(s: float, x: float) -> float:
     if n is not None and n > 0:
         return (-1) ** (n - 1) * _guarded_exp(_guarded_lgamma(float(n)) - n * math.log(x))
     lg = gamma_log(1.0 - s)
-    bracket = math.log(x) - digamma(1.0 - s) - EULER_GAMMA
+    bracket = math.log(x) - _digamma_from_one(s)
     return _in_range(lg.sign * bracket * _guarded_exp(-s * math.log(x) - lg.log_abs))
 
 

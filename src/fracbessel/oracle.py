@@ -13,12 +13,16 @@ quadrature both sides of the library's catalogued integral identities (IDs
 M4A, M4B, M5A, M5B) and return structured deviation records; M5B is
 measured under both plausible readings of its K argument rather than
 assuming either.  Each evaluates K first, so an order the oracle refuses
-raises before any left-hand-side quadrature runs.  The left-hand sides are
-taken by the package's one double-exponential rule, ``fractional._de_quad``
-(directly for M4, through the array form of ``rl_integral`` for M5), on
-integrands that map a numpy array of nodes at once.  As in ``fractional``,
-numpy is imported by the functions that build arrays, so importing the
-module, or ``VerificationRecord`` alone, does not load it.
+raises before any left-hand-side quadrature runs.  Every left-hand side is
+one Riemann-Liouville integral from 0, d^{-p} f(x) = (1/Gamma(p)) int_0^x
+(x - t)^{p-1} f(t) dt, taken by the array form of ``rl_integral`` on an f
+formed in log space that maps a numpy array of nodes at once: M5's at
+p = -s as it stands, M4's at p = mu times Gamma(mu), with
+f(t) = t^{-2 mu} e^{-beta/t} for M4A and that times (x + t)^{mu-1} for M4B.
+Both sides of each identity are positive, so a side that rounds to 0 raises
+the float64-range ``DomainError``, as one past float64 does.  As in
+``fractional``, numpy is imported by the functions that build arrays, so
+importing the module, or ``VerificationRecord`` alone, does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ToleranceNotMet
-from .fractional import BoundarySetup, _de_quad, _rl_integral_array
+from .fractional import ArrayFunction, BoundarySetup, _rl_integral_array
 from .special import _guarded_exp, _in_range, _range_error
 
 if TYPE_CHECKING:
@@ -215,76 +219,36 @@ def _top_bits(x: float) -> float:
     return math.ldexp(round(math.ldexp(m, 26)), e - 26)
 
 
-def _m4_lhs(mu: float, beta: float, x: float, squared: bool) -> float:
-    """int_0^x t^{-2 mu} (x - t)^{mu-1} e^{-beta/t} dt, or the (x^2 - t^2) variant.
-
-    Two substitutions, split at t = x/2: u = 1/t maps the essential decay at
-    t -> 0 onto plain exponential decay on [2/x, inf), and u = (x - t)^mu
-    removes the endpoint singularity at t = x exactly.  A power, x^2 or the
-    result outside the float64 range raises ``DomainError``.
-    """
-    import numpy as np
-
-    if squared and not 0.0 < x * x < math.inf:
-        raise _range_error(f"x^2 at x={x!r}")
-    power = "t^(-2 mu) (x + t)^(mu - 1)" if squared else "t^(-2 mu)"
-
-    def near_zero(u: np.ndarray, _) -> np.ndarray:
-        base = x * x - 1.0 / (u * u) if squared else x - 1.0 / u
-        return _guarded_exp_array((2.0 * mu - 2.0) * np.log(u) + (mu - 1.0) * np.log(base) - beta * u)
-
-    def near_x(u: np.ndarray, _) -> np.ndarray:
-        t = x - u ** (1.0 / mu)
-        powers = t ** (-2.0 * mu) * ((x + t) ** (mu - 1.0) if squared else 1.0)
-        bad = ~(powers < math.inf)
-        if bad.any():
-            raise _range_error(f"{power} at t={t[bad][0]!r}, mu={mu!r}")
-        return powers * _guarded_exp_array(-beta / t)
-
-    try:
-        upper = (0.5 * x) ** mu
-    except OverflowError:
-        raise _range_error(f"(x/2)^mu = {0.5 * x!r}^{mu!r}") from None
-    i_zero = _de_quad(near_zero, 2.0 / x, math.inf)[0]
-    i_x = _de_quad(near_x, 0.0, upper)[0]
-    return _in_range(i_zero + i_x / mu)
-
-
-def verify_m4a(
-    mu: float,
-    beta: float,
-    x: float,
-    tol: float = 1e-7,
-) -> VerificationRecord:
+def verify_m4a(mu: float, beta: float, x: float, tol: float = 1e-7) -> VerificationRecord:
     """Check int_0^x t^{-2mu}(x-t)^{mu-1} e^{-beta/t} dt against its K form.
 
     RHS: beta^{1/2-mu}/sqrt(pi x) e^{-beta/(2x)} Gamma(mu) K_{mu-1/2}(beta/(2x)),
     valid for mu > 0, beta > 0, x > 0.
     """
+    import numpy as np
+
     _require_positive(mu=mu, beta=beta, x=x)
     k = k_oracle(mu - 0.5, beta / (2.0 * x))
-    lhs = _m4_lhs(mu, beta, x, squared=False)
+    lhs = _guarded_exp(math.lgamma(mu)) * _left_side(lambda t: -2.0 * mu * np.log(t) - beta / t, -mu, x)
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
-    return VerificationRecord.build("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
+    rhs = _guarded_exp(pref + math.lgamma(mu)) * k
+    return _record("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
-def verify_m4b(
-    mu: float,
-    beta: float,
-    x: float,
-    tol: float = 1e-7,
-) -> VerificationRecord:
+def verify_m4b(mu: float, beta: float, x: float, tol: float = 1e-7) -> VerificationRecord:
     """Check int_0^x t^{-2mu}(x^2-t^2)^{mu-1} e^{-beta/t} dt against its K form.
 
     RHS: (1/sqrt(pi)) (2/beta)^{mu-1/2} x^{mu-3/2} Gamma(mu) K_{mu-1/2}(beta/x).
     """
+    import numpy as np
+
     _require_positive(mu=mu, beta=beta, x=x)
     k = k_oracle(mu - 0.5, beta / x)
-    lhs = _m4_lhs(mu, beta, x, squared=True)
+    lhs = _guarded_exp(math.lgamma(mu)) * _left_side(
+        lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t, -mu, x)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
-    rhs = _in_range(_guarded_exp(pref + math.lgamma(mu)) * k)
-    return VerificationRecord.build("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
+    rhs = _guarded_exp(pref + math.lgamma(mu)) * k
+    return _record("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
 def _require_positive(**params: float) -> None:
@@ -293,12 +257,24 @@ def _require_positive(**params: float) -> None:
         raise DomainError(f"identity domain is finite {', '.join(params)} > 0; got {params!r}")
 
 
-def verify_m5a(
-    s: float,
-    beta: float,
-    x: float,
-    tol: float = 1e-7,
-) -> VerificationRecord:
+def _left_side(log_f: ArrayFunction, s: float, x: float) -> float:
+    """d^s f(x) from the boundary point 0 for f = exp(log_f) and s < 0: every
+    identity's left side, M4's as Gamma(mu) d^{-mu} f(x)."""
+    return _rl_integral_array(lambda t: _guarded_exp_array(log_f(t)), s, BoundarySetup(0.0, x))
+
+
+def _record(identity_id: str, params: dict[str, float], lhs: float, rhs: float, tol: float
+            ) -> VerificationRecord:
+    """``VerificationRecord.build`` for an identity whose sides are positive
+    in exact arithmetic: a side that rounded to 0 or past float64 raises
+    ``DomainError``, so that 0 = 0 is never a pass."""
+    for side, value in (("left", lhs), ("right", rhs)):
+        if not 0.0 < value < math.inf:
+            raise _range_error(f"the {side} side ({value!r})")
+    return VerificationRecord.build(identity_id, params, lhs, rhs, tol)
+
+
+def verify_m5a(s: float, beta: float, x: float, tol: float = 1e-7) -> VerificationRecord:
     """Fractional-derivative reading of the first integral identity.
 
     LHS: d^s [x^{2s} e^{-beta/x}] by the order-s integral (s < 0 applies
@@ -311,23 +287,15 @@ def verify_m5a(
     if s >= 0:
         raise DomainError(f"verify_m5a requires s < 0, got s={s!r}")
     _require_positive(beta=beta, x=x)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _guarded_exp_array(2.0 * s * np.log(t) - beta / t)
-
     k = k_oracle(s + 0.5, beta / (2.0 * x))
-    lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
+    lhs = _left_side(lambda t: 2.0 * s * np.log(t) - beta / t, s, x)
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _in_range(_guarded_exp(pref) * k)
-    return VerificationRecord.build("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
+    rhs = _guarded_exp(pref) * k
+    return _record("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
-def verify_m5b(
-    s: float,
-    beta: float,
-    x: float,
-    tol: float = 1e-7,
-) -> tuple[VerificationRecord, VerificationRecord]:
+def verify_m5b(s: float, beta: float, x: float, tol: float = 1e-7
+               ) -> tuple[VerificationRecord, VerificationRecord]:
     """Second fractional-derivative identity, measured under both readings.
 
     LHS: d^s [x^{s-1/2} e^{-beta/sqrt(x)}], s in (-1/2, 0) for integrability.
@@ -341,22 +309,10 @@ def verify_m5b(
     if not (-0.5 < s < 0.0):
         raise DomainError(f"verify_m5b requires s in (-1/2, 0), got s={s!r}")
     _require_positive(beta=beta, x=x)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _guarded_exp_array((s - 0.5) * np.log(t) - beta / np.sqrt(t))
-
     k_args = (beta / x, beta / math.sqrt(x))
     ks = {k_arg: k_oracle(s + 0.5, k_arg) for k_arg in dict.fromkeys(k_args)}  # once at x = 1
-    lhs = _rl_integral_array(f, s, BoundarySetup(0.0, x))
+    lhs = _left_side(lambda t: (s - 0.5) * np.log(t) - beta / np.sqrt(t), s, x)
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
-    printed, alt = (
-        VerificationRecord.build(
-            "M5B",
-            {"s": s, "beta": beta, "x": x, "k_arg": k_arg},
-            lhs,
-            _in_range(pref * ks[k_arg]),
-            tol,
-        )
-        for k_arg in k_args
-    )
+    printed, alt = (_record("M5B", {"s": s, "beta": beta, "x": x, "k_arg": k_arg}, lhs, pref * ks[k_arg], tol)
+                    for k_arg in k_args)
     return printed, alt

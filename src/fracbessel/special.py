@@ -44,6 +44,16 @@ _STIRLING_COEFFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 3603
 _DIGAMMA_ASYMPTOTIC_MIN = 10.0
 _DIGAMMA_COEFFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
+#: psi(1 - s) + C = -sum_{k>=2} zeta(k) s^{k-1} (DLMF 5.7.4) is summed for
+#: |s| <= this, over the zeta(k), k = 2 to 18, that follow; the first omitted
+#: term is below 7e-18 of the sum there.
+_ZETA_SERIES_MAX = 0.1
+_ZETAS = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+          1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+          1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+          1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+          1.000003817293265)
+
 #: Lower incomplete gamma, series and continued fraction alike: cutoff and cap.
 _LIG_REL_CUTOFF = 1e-16
 _LIG_MAX_TERMS = 500
@@ -168,8 +178,10 @@ def pochhammer(a: float, k: int) -> float:
     crosses zero.  The direct product is used up to k = 64; larger k fall
     back to a log-space gamma ratio (product form stays in use for integer
     ``a`` where the ratio would sit on a pole; a base next to a pole but
-    not on it takes the ratio).  A k past float64 raises the float64-range
-    ``DomainError``, as the value is past it too.
+    not on it takes the ratio).  For a > 0 that ratio is
+    ``_lgamma_ratio(a, k)``, which does not cancel when a is large.  A k past
+    float64 raises the float64-range ``DomainError``, as the value is past
+    it too.
     """
     k = _integer_at_least(k, 0, "pochhammer index k")
     if not math.isfinite(a):
@@ -189,6 +201,8 @@ def pochhammer(a: float, k: int) -> float:
         top = a + k
     except OverflowError:  # k past float64, and so (a)_k
         raise _range_error("pochhammer index k") from None
+    if a > 0:
+        return _guarded_exp(_lgamma_ratio(a, float(k)))
     num = _gamma_log_off_pole(top)
     den = _gamma_log_off_pole(a)
     return num.sign * den.sign * _guarded_exp(num.log_abs - den.log_abs)
@@ -292,6 +306,20 @@ def digamma(x: float) -> float:
         d = x - round(x)  # exact, in [-1/2, 1/2]
         return math.fsum(_digamma_parts(1.0 - x) + [-math.pi * math.cos(math.pi * d) / math.sin(math.pi * d)])
     return math.fsum(_digamma_parts(x))
+
+
+def _digamma_from_one(s: float) -> float:
+    """psi(1 - s) - psi(1) = psi(1 - s) + C, to a few ulps of itself also
+    where it is small.  For |s| <= ``_ZETA_SERIES_MAX`` it is the power
+    series of DLMF 5.7.4, whose terms fall tenfold or more from one to the
+    next, so it does not cancel; past that, ``digamma(1 - s) + C`` cancels
+    by less than a digit."""
+    if not abs(s) <= _ZETA_SERIES_MAX:
+        return digamma(1.0 - s) + EULER_GAMMA
+    acc = 0.0
+    for zeta in reversed(_ZETAS):
+        acc = acc * s + zeta
+    return -s * acc
 
 
 def _digamma_parts(x: float) -> list[float]:

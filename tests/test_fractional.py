@@ -149,22 +149,17 @@ def _level_by_level(fn, lo, hi):
     on all of |tau| <= 5 sets the range, each finer level is evaluated only
     inside it, and each level's terms are added one by one in tau order.
     Returns (value, estimate, the number of nodes of each level)."""
-    infinite = hi == math.inf
-    scale = 1.0 if infinite else hi - lo
+    scale = hi - lo
     ends = (-math.inf, math.inf)
     total, previous, sizes = 0.0, math.nan, []
     for m in range(fractional._DE_MAX_LEVEL + 1):
         step = 0.5 ** m
         tau = np.arange(-5.0, 6.0) if m == 0 else np.arange(-(5 << m) + 1, 5 << m, 2) * step
         tau = tau[(ends[0] <= tau) & (tau < ends[1])]
-        if infinite:
-            v = np.exp(0.5 * np.pi * np.sinh(tau))
-            d_lo, d_hi, w = v, np.full_like(v, math.inf), 0.5 * np.pi * np.cosh(tau) * v
-        else:
-            y = np.pi * np.sinh(np.abs(tau))
-            near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
-            d_lo, d_hi = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
-            w = np.pi * np.cosh(tau) * near * far
+        y = np.pi * np.sinh(np.abs(tau))
+        near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
+        d_lo, d_hi = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
+        w = np.pi * np.cosh(tau) * near * far
         with np.errstate(all="ignore"):
             terms = w * fn(lo + scale * d_lo, scale * d_hi)
         sizes.append(tau.size)
@@ -195,15 +190,13 @@ def _counted(fn):
     return g, sizes
 
 
-#: (integrand, lo, hi): smooth, and singular at both ends, on [0, 1]; decaying
-#: on [lo, inf); then two that need levels past the first call, one on [0, 1]
-#: and one on [0, inf).
+#: (integrand, lo, hi): smooth, and singular at both ends, on [0, 1]; then two
+#: that need one and two levels past the first call.
 DE_CASES = [
     (lambda u, r: np.exp(-u) * np.cos(3.0 * u), 0.0, 1.0),
     (lambda u, r: u ** -0.5 * r ** -0.5, 0.0, 1.0),
-    (lambda u, r: np.exp(-u) * np.sqrt(u), 0.5, math.inf),
     (lambda u, r: np.sin(40.0 * u) ** 2 / np.sqrt(u), 0.0, 1.0),
-    (lambda u, r: np.exp(-u) * np.cos(3.0 * u), 0.0, math.inf),
+    (lambda u, r: np.sin(100.0 * u) ** 2, 0.0, 1.0),
 ]
 
 #: Nodes of the first call: levels 0 to ``_DE_FIRST_TOP`` over |tau| <= 5.
@@ -224,7 +217,7 @@ class TestDoubleExponentialRule:
         levels = [_level_by_level(fn, lo, hi)[2] for fn, lo, hi in DE_CASES]
         # level 1 has 10 nodes on |tau| < 5; the cut leaves fewer
         assert all(sizes[1] < 10 for sizes in levels)
-        assert [len(sizes) - 1 for sizes in levels] == [4, 3, 5, 6, 7]
+        assert [len(sizes) - 1 for sizes in levels] == [4, 3, 6, 7]
 
     @pytest.mark.parametrize("fn, lo, hi", DE_CASES)
     def test_nodes_are_those_handed_to_the_integrand(self, fn, lo, hi):
@@ -241,7 +234,7 @@ class TestDoubleExponentialRule:
     @pytest.mark.parametrize("top", [1, fractional._DE_MIN_LEVEL])
     def test_levels_stop_at_the_maximum_inside_the_first_call(self, top, monkeypatch):
         monkeypatch.setattr(fractional, "_DE_MAX_LEVEL", top)
-        g, sizes = _counted(DE_CASES[3][0])
+        g, sizes = _counted(DE_CASES[2][0])
         with pytest.raises(ToleranceNotMet) as info:
             fractional._de_quad(g, 0.0, 1.0)
         assert sizes == [10 * 2 ** top + 1]
@@ -473,8 +466,16 @@ class TestLogRule:
 
     @pytest.mark.parametrize("s", [1e-13, -1e-13, 1e-8])
     def test_at_x_one_the_error_is_absolute(self, s):
-        # the value is about zeta(2) s there (measured error: 2.6e-16 at most)
+        # the value is about zeta(2) s there
         assert abs(log_rule(s, 1.0) - self.printed_form(s, 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("magnitude", [10.0 ** -e for e in range(13, 1, -1)])
+    def test_at_x_one_small_orders_keep_their_relative_digits(self, sign, magnitude):
+        # ln x - psi(1-s) - C cancelled to 1.3e-3 relative at s = 1e-13
+        s = sign * magnitude
+        want = self.printed_form(s, 1.0)
+        assert abs(log_rule(s, 1.0) - want) <= 1e-14 * abs(want)
 
     def test_order_minus_one_is_the_integral(self):
         # int_0^1 ln t dt = -1

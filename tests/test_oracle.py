@@ -1,6 +1,7 @@
 """The quadrature oracle and the definite-integral identity audit."""
 
 import ast
+import itertools
 import math
 import sys
 
@@ -228,11 +229,13 @@ class TestM4A:
     @pytest.mark.parametrize(
         "mu,beta,x",
         [
-            (50.0, 8e7, 1e7),  # the upper limit (x/2)^mu
-            (50.0, 1.0, 0.001),  # t^(-2 mu)
+            (50.0, 8e7, 1e7),
+            (50.0, 1.0, 0.001),
         ],
     )
     def test_power_overflow_is_a_domain_error(self, mu, beta, x):
+        # t^(-2 mu) would overflow on its own; in log space with e^{-beta/t}
+        # the left side rounds to 0
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4a(mu, beta, x)
 
@@ -241,7 +244,6 @@ class TestM4A:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran before the order check")
 
-        monkeypatch.setattr(oracle, "_de_quad", no_quadrature)
         monkeypatch.setattr(oracle, "_rl_integral_array", no_quadrature)
         with pytest.raises(DomainError, match="k_oracle supports"):
             verify_m4a(162.0, 163.0, 160.0)
@@ -275,7 +277,7 @@ class TestM4B:
 
     def test_power_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="float64 range"):
-            verify_m4b(50.0, 1.0, 0.001)
+            verify_m4b(50.0, 1.0, 0.001)  # the left side rounds to 0
 
 
 class TestM5A:
@@ -336,6 +338,77 @@ class TestM5B:
             verify_m5b(-0.15, math.inf, 1.0)
         with pytest.raises(DomainError, match="float64 range"):
             verify_m5b(-0.25, 1e308, 1e308)  # the prefactor overflows
+
+
+#: A grid over the box mu, beta, x in [0.3, 3] that the audit workload draws from.
+BOX = (0.3, 0.9, 1.7, 3.0)
+
+
+def _m4_lhs_reference(mu, beta, x, squared):
+    """int_0^x t^{-2mu} (x - t)^{mu-1} [(x + t)^{mu-1}] e^{-beta/t} dt at 40 digits.
+
+    u = (x - t)^mu removes the endpoint singularity of the kernel, and the
+    integrand is scaled by e^{beta/x}, its value at u = 0, so that mpmath's
+    absolute tolerance acts as a relative one on integrals as small as 1e-48.
+    """
+    with mpmath.workdps(40):
+        mu, beta, x = map(mpmath.mpf, (mu, beta, x))
+
+        def g(u):
+            t = x - u ** (1 / mu)
+            if t <= 0:
+                return mpmath.mpf(0)
+            value = t ** (-2 * mu) * mpmath.exp(beta / x - beta / t)
+            return value * (x + t) ** (mu - 1) if squared else value
+
+        top = x ** mu
+        integral = mpmath.quad(g, [0] + [top * f for f in (0.001, 0.01, 0.1, 0.5)] + [top])
+        return float(integral * mpmath.exp(-beta / x) / mu)
+
+
+class TestIdentityAccuracy:
+    """Both sides agree far inside the 1e-7 default, so lost digits show."""
+
+    @pytest.mark.parametrize("verify", [verify_m4a, verify_m4b])
+    def test_m4_over_the_audit_box(self, verify):
+        worst = max(verify(*p).rel_dev for p in itertools.product(BOX, BOX, BOX))
+        assert worst <= 1e-13
+
+    def test_m5a_over_the_audit_box(self):
+        points = itertools.product((-0.95, -0.6, -0.3, -0.05), BOX, BOX)
+        assert max(verify_m5a(*p).rel_dev for p in points) <= 1e-13
+
+    def test_m5b_at_x_one(self):
+        # the only x at which both readings are the identity
+        for s, beta in itertools.product((-0.45, -0.3, -0.15, -0.05), BOX):
+            for rec in verify_m5b(s, beta, 1.0):
+                assert rec.rel_dev <= 1e-13, rec
+
+    @pytest.mark.parametrize("verify, squared", [(verify_m4a, False), (verify_m4b, True)])
+    @pytest.mark.parametrize(
+        "mu,beta,x",
+        [(1.0, 1.0, 1.0), (2.0, 100.0, 1.0), (1.5, 80.0, 1.0), (0.3, 3.0, 0.3), (3.0, 3.0, 0.3),
+         (0.3, 0.3, 3.0), (3.0, 0.3, 3.0)],
+    )
+    def test_m4_left_side_against_mpmath(self, verify, squared, mu, beta, x):
+        # (2, 100, 1) and (1.5, 80, 1) are integrals of 3.8e-48 and 2.2e-38
+        want = _m4_lhs_reference(mu, beta, x, squared)
+        assert verify(mu, beta, x).lhs == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "verify, args",
+        [(verify_m5a, (-0.5, 1e3, 1.0)), (verify_m5b, (-0.25, 2e3, 1.0)),
+         (verify_m4a, (2.0, 1e3, 1.0)), (verify_m4b, (2.0, 1e3, 1.0))],
+    )
+    def test_a_side_that_rounds_to_zero_is_a_range_error(self, verify, args):
+        # both sides are positive; these returned lhs = rhs = 0.0 with passed=True
+        with pytest.raises(DomainError, match="float64 range"):
+            verify(*args)
+
+    @pytest.mark.parametrize("verify, args", [(verify_m4a, (1e-300, 1.0, 1.0)), (verify_m4b, (50.0, 8e7, 1e7))])
+    def test_large_left_sides_inside_float64_are_returned(self, verify, args):
+        # left sides of 3.7e299 and 2.7e57; an intermediate power raised a range error here
+        assert verify(*args).rel_dev <= 1e-12
 
 
 class TestWholeDomain:

@@ -115,6 +115,13 @@ class TestPochhammer:
         # k > 64 switches to the log-space gamma ratio
         assert pochhammer(0.5, 100) == pytest.approx(float(sc.poch(0.5, 100)), rel=1e-11)
 
+    @pytest.mark.parametrize("a,k", [(3e4, 65), (2e4, 65), (1000.5, 70), (0.035, 165)])
+    def test_large_k_keeps_its_digits_at_a_large_base(self, a, k):
+        # lgamma(a + k) - lgamma(a) cancelled: 4.5e-11 relative at (3e4, 65)
+        with mpmath.workdps(50):
+            want = float(mpmath.rf(mpmath.mpf(a), k))
+        assert pochhammer(a, k) == pytest.approx(want, rel=1e-12)
+
     def test_negative_integer_base_large_k(self):
         assert pochhammer(-200.0, 100) == pytest.approx(float(sc.poch(-200.0, 100)), rel=1e-10)
 
