@@ -4,8 +4,10 @@ Each subcommand is a thin shell over the library: the library checks its own
 arguments, and one map in main() turns its errors into exit codes.
 Exit codes: 0 success, 1 argument/domain validation failure, 2 numerical
 failure (tolerance not met, a series that did not converge, or an asserted
-identity check failing).  All reals are printed with 17 significant digits,
-which round-trips float64 exactly, so written tables double as test fixtures.
+identity check failing).  CSV and text print every real with 17 significant
+digits; a JSON payload is one line, each float its shortest round-trip repr
+(pipe it through ``python -m json.tool`` for an indented view).  Both
+round-trip float64 exactly, so written tables double as test fixtures.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, SeriesDiverged, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
@@ -163,12 +165,12 @@ def _rows_to_csv(rows: list[OutputRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    writer.writerows([_cell(v) for v in asdict(r).values()] for r in rows)
+    writer.writerows([_cell(v) for v in vars(r).values()] for r in rows)
     return buf.getvalue()
 
 
 def _rows_to_json(rows: list[OutputRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+    return json.dumps([vars(r) for r in rows]) + "\n"
 
 
 # --- subcommands -------------------------------------------------------------
@@ -180,7 +182,7 @@ def _cmd_eval(args) -> int:
     elif args.csv:
         sys.stdout.write(_rows_to_csv([row]))
     else:
-        print(" ".join(f"{k}={_cell(v)}" for k, v in asdict(row).items() if v is not None))
+        print(" ".join(f"{k}={_cell(v)}" for k, v in vars(row).items() if v is not None))
     if not row.converged:
         print("warning: series did not converge; value is the last partial sum", file=sys.stderr)
         return 2
@@ -283,7 +285,7 @@ def _cmd_verify(args) -> int:
     pairs = [pair for ident in identities for pair in _verify_records(ident, args.tol)]
     if args.json:
         out = [{**rec.as_dict(), "asserted": asserted} for rec, asserted in pairs]
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
+        sys.stdout.write(json.dumps(out) + "\n")
     else:
         for rec, asserted in pairs:
             kind = "ASSERT" if asserted else "INFO  "

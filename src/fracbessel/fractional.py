@@ -212,10 +212,24 @@ def rl_integral(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
 
 
 def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> float:
-    """``rl_integral`` for an f that maps an array of t to an array of values.
+    """``rl_integral`` for an f that maps an array of t to an array of values:
+    ``_rl_quadrature`` times the prefactor (x - a)^p / Gamma(p + 1), p = -s.
+    A prefactor or a result outside float64 raises ``DomainError``.
+    """
+    if not s < 0:
+        raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
+    p = -s
+    lg = gamma_log(p + 1.0)
+    scale = lg.sign * _guarded_exp(p * math.log(bounds.x - bounds.a) - lg.log_abs)
+    return _in_range(scale * _rl_quadrature(f, p, bounds.a, bounds.x))
 
-    The kernel singularity (x - t)^{p-1} at t = x, p = -s, is removed
-    exactly by the substitution v = ((x - t) / (x - a))^p:
+
+def _rl_quadrature(f: ArrayFunction, p: float, a: float, x: float) -> float:
+    """int_0^1 f(x - (x - a) v^{1/p}) dv for p > 0 and finite a < x: the
+    order -p integral of f over (a, x] without its prefactor.
+
+    The kernel singularity (x - t)^{p-1} at t = x is removed exactly by the
+    substitution v = ((x - t) / (x - a))^p:
 
         int_a^x (x-t)^{p-1} f(t) dt = ((x-a)^p / p) int_0^1 f(x - (x-a) v^{1/p}) dv,
 
@@ -223,21 +237,14 @@ def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> flo
     point, t - a = (x - a)(-expm1(log(v) / p)), comes from log v, taken as
     log1p(-r) from the node's distance r = 1 - v to the upper end where v
     is near 1, so it has no cancellation, and f is never evaluated at t <= a:
-    a node whose gap is lost in rounding a + gap is left out.  A prefactor
-    (x - a)^p / Gamma(p + 1) or a result outside float64 raises
-    ``DomainError``.  Every left side of the identity audit is taken here,
-    on an f formed in log space: M5's as d^s f(x), and M4's
-    int_0^x (x - t)^{mu-1} f(t) dt as Gamma(mu) times the order -mu integral.
+    a node whose gap is lost in rounding a + gap is left out.  Every left
+    side of the identity audit is taken here, on an f formed in log space
+    and scaled by its peak, with the prefactor added in log space
+    (``oracle._left_side``).
     """
     import numpy as np
 
-    if not s < 0:
-        raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
-    p = -s
-    a, x = bounds.a, bounds.x
     span = x - a
-    lg = gamma_log(p + 1.0)
-    scale = lg.sign * _guarded_exp(p * math.log(span) - lg.log_abs)
 
     def g(v: np.ndarray, r: np.ndarray) -> np.ndarray:
         log_v = np.where(v < 0.5, np.log(v), np.log1p(-r))
@@ -249,7 +256,7 @@ def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> flo
         values[inside] = f(t[inside])
         return values
 
-    return _in_range(scale * _de_quad(g, 0.0, 1.0)[0])
+    return _de_quad(g, 0.0, 1.0)[0]
 
 
 def rl_derivative(f: RealFunction, s: float, bounds: BoundarySetup) -> float:

@@ -15,10 +15,15 @@ measured under both plausible readings of its K argument rather than
 assuming either.  Each evaluates K first, so an order the oracle refuses
 raises before any left-hand-side quadrature runs.  Every left-hand side is
 one Riemann-Liouville integral from 0, d^{-p} f(x) = (1/Gamma(p)) int_0^x
-(x - t)^{p-1} f(t) dt, taken by the array form of ``rl_integral`` on an f
-formed in log space that maps a numpy array of nodes at once: M5's at
-p = -s as it stands, M4's at p = mu times Gamma(mu), with
-f(t) = t^{-2 mu} e^{-beta/t} for M4A and that times (x + t)^{mu-1} for M4B.
+(x - t)^{p-1} f(t) dt, taken by the quadrature of the array form of
+``rl_integral`` on an f formed in log space that maps a numpy array of
+nodes at once: M5's at p = -s as it stands, M4's at p = mu times
+Gamma(mu), with f(t) = t^{-2 mu} e^{-beta/t} for M4A and that times
+(x + t)^{mu-1} for M4B.  f is integrated scaled by its largest value on
+(0, x], found in closed form, and that scale, the prefactor
+x^p / Gamma(p + 1) and M4's Gamma(mu) are added back in log space, so a
+left side inside float64 is returned even where f or a factor alone
+leaves it.
 Both sides of each identity are positive, so a side that rounds to 0 raises
 the float64-range ``DomainError``, as one past float64 does.  As in
 ``fractional``, numpy is imported by the functions that build arrays, so
@@ -33,16 +38,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ToleranceNotMet
-from .fractional import ArrayFunction, BoundarySetup, _rl_integral_array
-from .special import _guarded_exp, _in_range, _range_error
+from .fractional import ArrayFunction, _rl_quadrature
+from .special import _guarded_exp, _in_range, _range_error, gamma_log
 
 if TYPE_CHECKING:
     import numpy as np
 
 _TINY = 1e-300
 
-#: exp(x) is finite in float64 for every x up to this.
-_EXP_MAX = math.log(sys.float_info.max)
+#: ln of the least positive float64 (a subnormal).
+_LOG_SMALLEST = math.log(5e-324)
+
+#: ln of a bound on the quadrature in ``_left_side``, int_0^1 g dv <= sup g:
+#: sup g is 1 where min(peak, x) is f's largest value on (0, x] (M4A, M5A,
+#: M5B); M4B's factor ((x + t) / (x + t*))^{mu-1} adds at most 2^{|mu - 1|},
+#: and mu <= 50.5 once K is evaluated.
+_LOG_SCALED_MAX = 35.0
 
 #: Largest tail cut T; sinh(T) stays inside the float64 range.
 _T_MAX = 710.0
@@ -153,8 +164,8 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
 
     The value is e^{g(t*) + log(T_h / 2)}.  That exponent reaches |s| t* ~ 500
     at small z and z ~ 700 at large z, where rounding it as one float would
-    cost ~1e-13, so it is summed exactly and its integer part exponentiated
-    apart: a = a_hi + a_lo makes a t* two exact products, and
+    cost ~1e-13, so ``_exp_of_sum`` sums it exactly and exponentiates its
+    integer part apart: a = a_hi + a_lo makes a t* two exact products, and
     z cosh t* = z + 2 z sinh^2(t*/2) keeps z exact.
     """
     import numpy as np
@@ -187,12 +198,8 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
         nodes += n
         n *= 2
     a_hi = _top_bits(a)
-    exponent = [a_hi * peak, (a - a_hi) * peak, -z, -z * (2.0 * math.sinh(0.5 * peak) ** 2),
-                math.log(0.5 * h * fine)]
-    whole = round(math.fsum(exponent))
-    # in halves, so that no factor overflows before the product does
-    value = _in_range(_guarded_exp(math.fsum(exponent + [-whole]))
-                      * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
+    value = _exp_of_sum([a_hi * peak, (a - a_hi) * peak, -z, -z * (2.0 * math.sinh(0.5 * peak) ** 2),
+                         math.log(0.5 * h * fine)])
     if not change <= _TRAPEZOID_REL_TOL:
         raise ToleranceNotMet(
             f"k_oracle's trapezoid moved by {change:.3e} (relative) at its last halving",
@@ -201,16 +208,14 @@ def _trapezoid(a: float, z: float) -> tuple[float, int, float]:
     return value, nodes, change * value
 
 
-def _guarded_exp_array(x: np.ndarray) -> np.ndarray:
-    """``_guarded_exp`` elementwise: exp(x), or ``DomainError`` naming the
-    float64 range where any element overflows or is NaN.  The largest
-    argument is tested before exponentiating, so numpy never warns."""
-    import numpy as np
-
-    top = x.max(initial=-math.inf)
-    if not top <= _EXP_MAX:
-        raise _range_error(f"exp({top:.6g})")
-    return np.exp(x)
+def _exp_of_sum(terms: list[float]) -> float:
+    """e to the exact sum of ``terms``, rounded about once whatever the
+    sum's size: its integer part is exponentiated apart, in halves, so that
+    no factor overflows before the product does.  A value past float64
+    raises ``DomainError``."""
+    whole = round(math.fsum(terms))
+    return _in_range(_guarded_exp(math.fsum([*terms, -whole]))
+                     * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
 
 
 def _top_bits(x: float) -> float:
@@ -229,9 +234,10 @@ def verify_m4a(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
 
     _require_positive(mu=mu, beta=beta, x=x)
     k = k_oracle(mu - 0.5, beta / (2.0 * x))
-    lhs = _guarded_exp(math.lgamma(mu)) * _left_side(lambda t: -2.0 * mu * np.log(t) - beta / t, -mu, x)
+    lg = math.lgamma(mu)
+    lhs = _left_side(lambda t: -2.0 * mu * np.log(t) - beta / t, beta / (2.0 * mu), -mu, x, lg)
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _guarded_exp(pref + math.lgamma(mu)) * k
+    rhs = _guarded_exp(pref + lg) * k
     return _record("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -244,10 +250,11 @@ def verify_m4b(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
 
     _require_positive(mu=mu, beta=beta, x=x)
     k = k_oracle(mu - 0.5, beta / x)
-    lhs = _guarded_exp(math.lgamma(mu)) * _left_side(
-        lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t, -mu, x)
+    lg = math.lgamma(mu)
+    lhs = _left_side(lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t,
+                     beta / (2.0 * mu), -mu, x, lg)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
-    rhs = _guarded_exp(pref + math.lgamma(mu)) * k
+    rhs = _guarded_exp(pref + lg) * k
     return _record("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -257,10 +264,33 @@ def _require_positive(**params: float) -> None:
         raise DomainError(f"identity domain is finite {', '.join(params)} > 0; got {params!r}")
 
 
-def _left_side(log_f: ArrayFunction, s: float, x: float) -> float:
-    """d^s f(x) from the boundary point 0 for f = exp(log_f) and s < 0: every
-    identity's left side, M4's as Gamma(mu) d^{-mu} f(x)."""
-    return _rl_integral_array(lambda t: _guarded_exp_array(log_f(t)), s, BoundarySetup(0.0, x))
+def _left_side(log_f: ArrayFunction, peak: float, s: float, x: float, log_factor: float = 0.0
+               ) -> float:
+    """e^log_factor d^s f(x) from the boundary point 0 for f = exp(log_f)
+    and s < 0, where log_f, which maps floats as well as arrays, is largest
+    on (0, x] at min(peak, x): every identity's left side, M4's with
+    log_factor = ln Gamma(mu).
+
+    With c = log_f(min(peak, x)) and p = -s, d^s f(x) is
+    e^c x^p / Gamma(p + 1) times ``_rl_quadrature`` of g = e^{log_f - c},
+    so the quadrature sees neither f's range nor the prefactor's; their
+    logs are summed and exponentiated by ``_exp_of_sum``.  So a left side
+    inside float64 is returned wherever f alone, or the prefactor, leaves
+    it, and c, which g and the sum share, costs no digits.  One that
+    ``_LOG_SCALED_MAX`` proves smaller than the least float64 is 0 without a
+    quadrature: there |c| is so large that log_f - c keeps no digits.  A
+    peak below the least normal float64 is taken there.
+    """
+    import numpy as np
+
+    c = float(log_f(min(max(peak, sys.float_info.min), x)))  # a float in, so numpy never warns
+    log_scale = [c, -s * math.log(x), -gamma_log(1.0 - s).log_abs, log_factor]
+    if sum(log_scale) + _LOG_SCALED_MAX < _LOG_SMALLEST:
+        return 0.0
+    scaled = _rl_quadrature(lambda t: np.exp(log_f(t) - c), -s, 0.0, x)
+    if not scaled > 0.0:
+        return 0.0
+    return _exp_of_sum([*log_scale, math.log(scaled)])
 
 
 def _record(identity_id: str, params: dict[str, float], lhs: float, rhs: float, tol: float
@@ -288,7 +318,7 @@ def verify_m5a(s: float, beta: float, x: float, tol: float = 1e-7) -> Verificati
         raise DomainError(f"verify_m5a requires s < 0, got s={s!r}")
     _require_positive(beta=beta, x=x)
     k = k_oracle(s + 0.5, beta / (2.0 * x))
-    lhs = _left_side(lambda t: 2.0 * s * np.log(t) - beta / t, s, x)
+    lhs = _left_side(lambda t: 2.0 * s * np.log(t) - beta / t, beta / (-2.0 * s), s, x)
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
     rhs = _guarded_exp(pref) * k
     return _record("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
@@ -311,7 +341,8 @@ def verify_m5b(s: float, beta: float, x: float, tol: float = 1e-7
     _require_positive(beta=beta, x=x)
     k_args = (beta / x, beta / math.sqrt(x))
     ks = {k_arg: k_oracle(s + 0.5, k_arg) for k_arg in dict.fromkeys(k_args)}  # once at x = 1
-    lhs = _left_side(lambda t: (s - 0.5) * np.log(t) - beta / np.sqrt(t), s, x)
+    lhs = _left_side(lambda t: (s - 0.5) * np.log(t) - beta / np.sqrt(t),
+                     beta * beta / (1.0 - 2.0 * s) ** 2, s, x)
     pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
     printed, alt = (_record("M5B", {"s": s, "beta": beta, "x": x, "k_arg": k_arg}, lhs, pref * ks[k_arg], tol)
                     for k_arg in k_args)

@@ -533,6 +533,42 @@ class TestVerify:
         for rec, line in zip(records, text_lines):
             assert float(line.split("lhs=")[1].split()[0]) == rec["lhs"]
 
+    def test_json_is_every_field_of_every_record(self):
+        # one line, and each record's fields as the library gives them, floats bit for bit
+        code, out, _ = run("verify", "--identity", "all", "--json")
+        assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+        want = [{**rec.as_dict(), "asserted": asserted}
+                for identity in ("m4a", "m4b", "m5a", "m5b", "m10")
+                for rec, asserted in cli._verify_records(identity, 1e-7)]
+        assert repr(json.loads(out)) == repr(want)
+
+
+class TestEvalJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "0.5", "--z", "1"),
+            ("--s", "1.3", "--z", "2.7", "--method", "m9"),
+            ("--s", "0.7", "--z", "0.3", "--method", "m10"),
+            ("--s", "2.5", "--z", "3", "--method", "oracle"),
+        ],
+    )
+    def test_json_row_is_the_text_row(self, argv):
+        text_code, text, _ = run("eval", *argv)
+        json_code, payload, _ = run("eval", *argv, "--json")
+        assert text_code == json_code
+        (row,) = json.loads(payload)
+        fields = dict(pair.split("=", 1) for pair in text.split())
+        assert list(fields) == [name for name, value in row.items() if value is not None]
+        for name, value in fields.items():
+            want = row[name]
+            if isinstance(want, bool):
+                assert value == ("true" if want else "false")
+            elif isinstance(want, float):
+                assert repr(float(value)) == repr(want), name  # 17 digits round-trip
+            else:
+                assert value == str(want)
+
 
 class TestExitCodeMap:
     """``main`` maps every library DomainError to 1 and ToleranceNotMet to 2."""

@@ -224,7 +224,7 @@ class TestM4A:
         with pytest.raises(DomainError):
             verify_m4a(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError, match="float64 range"):
-            verify_m4a(50.0, 0.01, 1.0)  # the lhs integrand's exponential overflows
+            verify_m4a(50.0, 0.01, 1.0)  # the left side is 9.4e351
 
     @pytest.mark.parametrize(
         "mu,beta,x",
@@ -234,8 +234,9 @@ class TestM4A:
         ],
     )
     def test_power_overflow_is_a_domain_error(self, mu, beta, x):
-        # t^(-2 mu) would overflow on its own; in log space with e^{-beta/t}
-        # the left side rounds to 0
+        # the right side rounds to 0 at (50, 8e7, 1e7), its prefactor e^{-769}
+        # exponentiated apart from K (the left side is 6.2e-288); the left
+        # side at (50, 1, 0.001) is 5.7e-399
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4a(mu, beta, x)
 
@@ -244,7 +245,7 @@ class TestM4A:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran before the order check")
 
-        monkeypatch.setattr(oracle, "_rl_integral_array", no_quadrature)
+        monkeypatch.setattr(oracle, "_rl_quadrature", no_quadrature)
         with pytest.raises(DomainError, match="k_oracle supports"):
             verify_m4a(162.0, 163.0, 160.0)
 
@@ -366,6 +367,29 @@ def _m4_lhs_reference(mu, beta, x, squared):
         return float(integral * mpmath.exp(-beta / x) / mu)
 
 
+def _m4_log_lhs_reference(mu, beta, x, squared):
+    """ln int_0^x t^{-2mu} (x - t)^{mu-1} [(x + t)^{mu-1}] e^{-beta/t} dt at 40 digits.
+
+    Taken in t and in log space, so that it holds past the float64 range:
+    the integrand is scaled by its largest value on the breakpoints, which
+    crowd toward both ends on a log scale, so that a peak next to either end
+    falls between two of them.
+    """
+    with mpmath.workdps(40):
+        mu, beta, x = map(mpmath.mpf, (mu, beta, x))
+
+        def log_integrand(t):
+            value = -2 * mu * mpmath.log(t) + (mu - 1) * mpmath.log(x - t) - beta / t
+            return value + (mu - 1) * mpmath.log(x + t) if squared else value
+
+        steps = [mpmath.mpf(10) ** (-k / mpmath.mpf(2)) for k in range(1, 41)]
+        points = sorted({mpmath.mpf(0), x, *(x * k / 16 for k in range(1, 16)),
+                         *(x * d for d in steps), *(x - x * d for d in steps)})
+        c = max(log_integrand(t) for t in points[1:-1])
+        scaled = mpmath.quad(lambda t: mpmath.exp(log_integrand(t) - c) if 0 < t < x else 0, points)
+        return mpmath.log(scaled) + c
+
+
 class TestIdentityAccuracy:
     """Both sides agree far inside the 1e-7 default, so lost digits show."""
 
@@ -409,6 +433,39 @@ class TestIdentityAccuracy:
     def test_large_left_sides_inside_float64_are_returned(self, verify, args):
         # left sides of 3.7e299 and 2.7e57; an intermediate power raised a range error here
         assert verify(*args).rel_dev <= 1e-12
+
+    @pytest.mark.parametrize(
+        "verify, squared, args",
+        [(verify_m4a, False, (50.0, 0.01, 0.01)), (verify_m4a, False, (50.0, 500.0, 1.0)),
+         (verify_m4b, True, (50.0, 500.0, 1.0))],
+    )
+    def test_left_sides_whose_integrand_leaves_float64(self, verify, squared, args):
+        # 5.7e253, 6.4e-288 and 3.2e-274: the unscaled integrand passed e^709
+        # at t = 1e-4, or each of its values rounded to 0, and these raised
+        want = float(mpmath.exp(_m4_log_lhs_reference(*args, squared)))
+        rec = verify(*args)
+        assert rec.lhs == pytest.approx(want, rel=1e-13)
+        assert rec.rhs == pytest.approx(want, rel=1e-13)
+
+    def test_m5a_at_a_large_order(self):
+        # d^-50 of t^-100 e^{-0.01/t} at 0.01 is the M4A integral over Gamma(50): 9.4e190
+        with mpmath.workdps(40):
+            want = float(mpmath.exp(_m4_log_lhs_reference(50.0, 0.01, 0.01, False) - mpmath.loggamma(50)))
+        rec = verify_m5a(-50.0, 0.01, 0.01)
+        assert rec.lhs == pytest.approx(want, rel=1e-13)
+        assert rec.rhs == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "verify, squared, args",
+        [(verify_m4a, False, (50.0, 0.01, 1.0)), (verify_m4a, False, (50.0, 1.0, 0.001)),
+         (verify_m4b, True, (50.0, 1.0, 0.001))],
+    )
+    def test_a_left_side_past_float64_still_raises(self, verify, squared, args):
+        # 9.4e351, 5.7e-399 and 5.9e-533
+        log_lhs = _m4_log_lhs_reference(*args, squared)
+        assert not math.log(5e-324) < log_lhs < math.log(sys.float_info.max)
+        with pytest.raises(DomainError, match="float64 range"):
+            verify(*args)
 
 
 class TestWholeDomain:

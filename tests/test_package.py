@@ -1,9 +1,9 @@
 """The package's export list matches what ``fracbessel/__init__.py`` binds,
 the package carries no unused import and no private definition nothing names,
-the CLI imports no private library name, its declared dependencies are
-exactly the third-party packages it imports, importing it loads no scipy,
-and the series path, from import through the CLI's series commands, loads
-no numpy: only a quadrature does."""
+the CLI imports no private library name and writes JSON with the C encoder,
+its declared dependencies are exactly the third-party packages it imports,
+importing it loads no scipy, and the series path, from import through the
+CLI's series commands, loads no numpy: only a quadrature does."""
 
 import ast
 import re
@@ -98,6 +98,26 @@ def test_the_cli_imports_no_private_library_name():
                 and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == [], private
+
+
+def test_the_cli_writes_json_with_the_c_encoder():
+    # json.dumps runs the C encoder only without indent, and dataclasses.asdict
+    # deep-copies every field: neither belongs on the batch entry point
+    tree = _trees()["cli.py"]
+    dumps = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            assert "asdict" not in {alias.name for alias in node.names}, f"cli.py:{node.lineno} imports asdict"
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        assert name != "asdict", f"cli.py:{node.lineno} calls asdict"
+        if name == "dumps":
+            dumps += 1
+            keywords = {kw.arg for kw in node.keywords}  # None is a ** argument
+            assert not keywords & {"indent", None}, f"cli.py:{node.lineno} may pass indent to json.dumps"
+    assert dumps, "cli.py no longer calls json.dumps; this check reads nothing"
 
 
 def test_declared_dependencies_match_the_imports():
