@@ -237,7 +237,7 @@ def verify_m4a(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
     lg = math.lgamma(mu)
     lhs = _left_side(lambda t: -2.0 * mu * np.log(t) - beta / t, beta / (2.0 * mu), -mu, x, lg)
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _guarded_exp(pref + lg) * k
+    rhs = _m4_right_side([pref, lg], k)
     return _record("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -254,8 +254,16 @@ def verify_m4b(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
     lhs = _left_side(lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t,
                      beta / (2.0 * mu), -mu, x, lg)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
-    rhs = _guarded_exp(pref + lg) * k
+    rhs = _m4_right_side([pref, lg], k)
     return _record("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
+
+
+def _m4_right_side(log_factor: list[float], k: float) -> float:
+    """e^(sum of log_factor) K, with ln K summed into the exponent by
+    ``_exp_of_sum``: a factor past float64 times a K on the other side of 1
+    still gives a right side inside it.  A K that rounded to 0 leaves 0,
+    which ``_record`` refuses."""
+    return _exp_of_sum([*log_factor, math.log(k)]) if k > 0.0 else 0.0
 
 
 def _require_positive(**params: float) -> None:

@@ -100,30 +100,35 @@ def sum_with_policy(
     max_terms, window = policy.max_terms, policy.divergence_window
     head = min(zeros, max_terms)
     collected = [0.0] * head
+    append = collected.append
+    stop_ratio, stop_run = STOP_RATIO, STOP_RUN
     running, ratio = 0.0, 1.0
     small = grow = 0
     prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
-    last = max_terms - head - 1  # the k whose term spends the budget
+    left = max_terms - head  # terms the budget still allows
     stop = "budget"
-    if last >= 0:
-        for k, t in enumerate(terms):
+    if left > 0:
+        k = 0.0  # a float index: a + k and b + k round as with an int k
+        for t in terms:
             t *= ratio
-            collected.append(t)
+            append(t)
             running += t
             mag = abs(t)
             if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
-                small = small + 1 if mag <= STOP_RATIO * abs(running) else 0
+                small = small + 1 if mag <= stop_ratio * abs(running) else 0
             grow = grow + 1 if mag > prev else 0
             prev = mag
-            if small >= STOP_RUN or grow >= window or k >= last:
-                # named only here, in precedence order: a term costs just the test
-                stop = "converged" if small >= STOP_RUN else "diverging" if grow >= window else "budget"
+            left -= 1
+            if small >= stop_run or grow >= window or not left:
+                # named only here, in precedence order: a term that goes on costs one test
+                stop = "converged" if small >= stop_run else "diverging" if grow >= window else "budget"
                 break
             top = a + k
             if top == 0.0:
                 stop = "terminated"
                 break
             ratio *= top / (b + k)
+            k += 1.0
         else:
             stop = "terminated"
 

@@ -1,6 +1,7 @@
-"""The test reference for the alpha = -1 inner stream: every value from exact
-integers, rounded once."""
+"""The test references for the alpha = -1 inner stream: every value from
+exact integers, rounded once, and the float64 recurrence with an int index."""
 
+import math
 from itertools import count
 
 from fracbessel.special import _range_error
@@ -30,3 +31,17 @@ def m1_exact(w):
             yield cur / den
     except OverflowError:
         raise _range_error(f"E_{k} at w={w!r}") from None
+
+
+def m1_int_indexed(w):
+    """Yield the library's float64 values of E_k, k = 0, 1, ..., from the
+    recurrence on G_k = E_k / (-w) written with an int k: the values, and
+    the range error, that ``vk._m1_values`` must reproduce bit for bit."""
+    yield 1.0
+    old, cur = 0.0, 1.0  # G_{k-1}, G_k
+    for k in count(1):
+        value = -w * cur
+        if not -math.inf < value < math.inf:
+            raise _range_error(f"E_{k} at w={w!r}")
+        yield value
+        old, cur = cur, ((2 * k - w) * cur - (k - 1) * old) / (k + 1)

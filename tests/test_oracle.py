@@ -229,16 +229,26 @@ class TestM4A:
     @pytest.mark.parametrize(
         "mu,beta,x",
         [
-            (50.0, 8e7, 1e7),
             (50.0, 1.0, 0.001),
         ],
     )
     def test_power_overflow_is_a_domain_error(self, mu, beta, x):
-        # the right side rounds to 0 at (50, 8e7, 1e7), its prefactor e^{-769}
-        # exponentiated apart from K (the left side is 6.2e-288); the left
-        # side at (50, 1, 0.001) is 5.7e-399
+        # the left side at (50, 1, 0.001) is 5.7e-399
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4a(mu, beta, x)
+
+    def test_prefactor_below_float64_times_a_large_k(self):
+        # the prefactor e^{-769} is below float64 and K_{49.5}(4) = 5.0e46:
+        # only their product, 6.24e-288 like the left side, is a double
+        mu, beta, x = 50.0, 8e7, 1e7
+        rec = verify_m4a(mu, beta, x)
+        with mpmath.workdps(40):
+            m, b, t = mpmath.mpf(mu), mpmath.mpf(beta), mpmath.mpf(x)
+            want = (b ** (0.5 - m) / mpmath.sqrt(mpmath.pi * t) * mpmath.exp(-b / (2 * t))
+                    * mpmath.gamma(m) * mpmath.besselk(m - 0.5, b / (2 * t)))
+        for side in (rec.lhs, rec.rhs):
+            assert abs(side - want) <= 1e-13 * want, (side, want)
+        assert rec.passed
 
     def test_order_past_the_oracle_raises_before_any_quadrature(self, monkeypatch):
         # K is evaluated first: mu - 1/2 = 161.5 is past the oracle's |s| <= 50

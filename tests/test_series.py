@@ -774,6 +774,9 @@ class TestTruncationEngine:
     @example(terms=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_terms=20, window=3, scale=1.0,
              a=1.0, b=1.0, zeros=3)  # diverging: the zeros are the first magnitudes
     @example(terms=[1.0], max_terms=4, window=5, scale=-1.0, a=1.0, b=1.0, zeros=6)  # budget in the zeros
+    @example(terms=[1.0, 1e-20, 2e-20, 3e-20], max_terms=9, window=2, scale=1.0,
+             a=1.0, b=1.0, zeros=0)  # converged: the third small term is also the second increase
+    @example(terms=[2.0, 1.0], max_terms=1, window=1, scale=1.0, a=1.0, b=1.0, zeros=0)  # budget at once
     @settings(max_examples=300, deadline=None)
     def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale, a, b, zeros):
         approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale, a, b, zeros)

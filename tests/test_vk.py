@@ -23,7 +23,7 @@ from fracbessel import (
 from fracbessel import vk
 from fracbessel.vk import _m1_values
 
-from exact_m1 import m1_exact
+from exact_m1 import m1_exact, m1_int_indexed
 
 
 def _rounding_envelope(w: float, k: int) -> float:
@@ -247,6 +247,21 @@ class TestFloatStream:
         assert floats[:2] == exact[:2]  # E_0 = 1 and E_1 = -w
         for k in range(2, n):
             assert abs(floats[k] - exact[k]) <= _rounding_envelope(w, k), (w, k)
+
+    @given(w=st.floats(5e-324, 2000.0), n=st.integers(1, 700))
+    @example(w=1738.774375885025, n=300)  # raises at E_265
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit_the_int_indexed_recurrence(self, w, n):
+        # the float index k = 1.0, 2.0, ... rounds every step as an int k does
+        def read(stream):
+            values = []
+            try:
+                values.extend(repr(value) for value in islice(stream, n))
+            except DomainError as err:
+                return values, str(err)
+            return values, None
+
+        assert read(_m1_values(w)) == read(m1_int_indexed(w))
 
     @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-100])
     def test_tiny_arguments_are_exact(self, w):
