@@ -13,8 +13,10 @@ Every quadrature of the package, here and in the identity audit, is one
 double-exponential rule, ``_de_quad`` (Takahasi & Mori, Publ. RIMS 9, 1974):
 the trapezoidal rule after the tanh-sinh change of variable, which makes
 the integrand decay double-exponentially at both ends of a finite interval.
-The integrand receives its nodes as numpy arrays, the first six levels in
-one array, which settles nearly every integral in one call.
+Every integral is taken over [0, 1].  The integrand receives its nodes as
+the rule's cached, read-only numpy arrays, the first six levels in one
+array laid out level by level, which settles nearly every integral in one
+call.
 
 numpy is imported inside the functions that build arrays, not with the
 module: the closed-form rules and the K series never load it, and the first
@@ -88,21 +90,22 @@ class BoundarySetup:
 
 
 def _taus(level: int) -> np.ndarray:
-    """The nodes in tau that ``level`` adds: all multiples of h = 1 at level
-    0, the odd multiples of h = 2^-level after."""
+    """The nodes in tau that ``level`` adds, ascending: all multiples of h = 1
+    at level 0, the odd multiples of h = 2^-level after."""
     import numpy as np
 
     if level == 0:
         return np.arange(-_DE_TAU_MAX, _DE_TAU_MAX + 1.0)
-    half = np.arange(1, _DE_TAU_MAX << level, 2) * 0.5 ** level
-    return np.concatenate((-half, half))
+    n = _DE_TAU_MAX << level
+    return np.arange(1 - n, n, 2) * 0.5 ** level
 
 
 @cache
 def _stage(first: int, last: int) -> tuple[np.ndarray, ...]:
     """(tau, level - ``first``, distance to 0, distance to 1, weight / h)
-    of the nodes that levels ``first`` to ``last`` add on [0, 1], ascending
-    in tau.
+    of the nodes that levels ``first`` to ``last`` add on [0, 1], level by
+    level, each level ascending in tau.  The arrays are read-only:
+    ``_de_quad`` hands the distances to the integrand as they are.
 
     Tanh-sinh puts a node at (1 + tanh(pi/2 sinh tau)) / 2: its distance to
     the nearer end, q = 1 / (1 + e^{pi sinh |tau|}), is formed without
@@ -110,73 +113,85 @@ def _stage(first: int, last: int) -> tuple[np.ndarray, ...]:
     """
     import numpy as np
 
-    levels = range(first, last + 1)
-    tau = np.concatenate([_taus(m) for m in levels])
-    level = np.concatenate([np.full(len(_taus(m)), m - first) for m in levels])
-    order = np.argsort(tau)
-    tau, level = tau[order], level[order]
+    taus = [_taus(m) for m in range(first, last + 1)]
+    tau = np.concatenate(taus)
+    level = np.repeat(np.arange(len(taus)), [t.size for t in taus])
     y = np.pi * np.sinh(np.abs(tau))
     near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
     above = tau > 0
-    return (tau, level, np.where(above, far, near), np.where(above, near, far),
-            np.pi * np.cosh(tau) * near * far)
+    arrays = (tau, level, np.where(above, far, near), np.where(above, near, far),
+              np.pi * np.cosh(tau) * near * far)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float
-             ) -> tuple[float, int, float]:
-    """(integral of fn over [lo, hi], nodes evaluated, estimated absolute error).
+@cache
+def _first_kept(last: int, start: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, levels) of the first call's nodes, ``_stage(0, last)``, that
+    are summed once level 0 has set the range [start, stop) in tau: all of
+    level 0 and the finer nodes inside the range.  ``start`` and ``stop``
+    are integers, or infinite when level 0 set no range."""
+    tau, level = _stage(0, last)[:2]
+    kept = (level == 0) | ((start <= tau) & (tau < stop))
+    return kept, level[kept]
 
-    ``lo`` and ``hi`` are finite.  ``fn(u, r)`` receives nodes u as an
-    array, and r, each node's distance to ``hi`` formed without
-    cancellation, and returns the integrand there; no node sits on either
-    end.  The integrand runs under ``np.errstate(all="ignore")``, so it
-    decides its own overflow, and a level sum outside the float64 range, NaN
-    included, raises ``DomainError``.
+
+def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, int, float]:
+    """(integral of fn over [0, 1], nodes evaluated, estimated absolute error).
+
+    ``fn(u, r)`` receives nodes u as an array, and r, each node's distance
+    to 1 formed without cancellation, and returns the integrand there; no
+    node sits on either end.  The two arrays are the rule's cached ones,
+    read-only, and ``fn`` must not write to them.  The integrand runs under
+    ``np.errstate(all="ignore")``, so it decides its own overflow, and a
+    level sum outside the float64 range, NaN included, raises
+    ``DomainError``.
 
     The first call hands the integrand every node of levels 0 to
-    ``_DE_FIRST_TOP`` at once, since a call costs far more than its nodes and
-    most integrals settle by then; each later level is one call.  Level 0
-    sets the range in tau that the finer levels sum over: it ends one step
-    of h = 1 past the outermost node whose term is more than ``_DE_TAIL`` of
-    the level's absolute sum, since past such a step the terms only fall,
-    double-exponentially.  The first call's finer nodes outside that range
-    are evaluated but not summed; later calls evaluate only nodes inside it.
-    Each level's terms are summed in tau order.  The estimate is the change
-    between the last two levels.  A rule that has not settled by
-    ``_DE_MAX_LEVEL`` raises ``ToleranceNotMet``: the integral may be
-    divergent, or its integrand too rough for the rule.
+    ``_DE_FIRST_TOP`` at once, level by level, since a call costs far more
+    than its nodes and most integrals settle by then; each later level is
+    one call.  Level 0 sets the range in tau that the finer levels sum over:
+    it ends one step of h = 1 past the outermost node whose term is more
+    than ``_DE_TAIL`` of the level's absolute sum, since past such a step
+    the terms only fall, double-exponentially.  The first call's finer nodes
+    outside that range are evaluated but not summed; later calls evaluate
+    only nodes inside it.  Each level's terms are summed in tau order.  The
+    estimate is the change between the last two levels.  A rule that has
+    not settled by ``_DE_MAX_LEVEL`` raises ``ToleranceNotMet``: the
+    integral may be divergent, or its integrand too rough for the rule.
     """
     import numpy as np
 
-    scale = hi - lo
     ends = (-math.inf, math.inf)
     total, previous, nodes = 0.0, math.nan, 0
     top = min(_DE_FIRST_TOP, _DE_MAX_LEVEL)
     for first, last in [(0, top), *((m, m) for m in range(top + 1, _DE_MAX_LEVEL + 1))]:
-        tau, level, d_lo, d_hi, w = _stage(first, last)
-        i, j = tau.searchsorted(ends)
+        tau, level, u, r, w = _stage(first, last)
+        if first:  # the first call takes every node; later ones, the range level 0 set
+            i, j = tau.searchsorted(ends)
+            level, u, r, w = level[i:j], u[i:j], r[i:j], w[i:j]
         with np.errstate(all="ignore"):
-            terms = w[i:j] * fn(lo + scale * d_lo[i:j], scale * d_hi[i:j])
-        nodes += int(j - i)
-        tau, level = tau[i:j], level[i:j]
+            terms = w * fn(u, r)
+        nodes += terms.size
         if first == 0:
-            coarse = level == 0
-            size = np.abs(terms[coarse])
-            significant = tau[coarse][size > _DE_TAIL * size.sum()]
-            if significant.size:
-                ends = (significant[0] - 1.0, significant[-1] + 1.0)
-            kept = coarse | ((ends[0] <= tau) & (tau < ends[1]))
-            level, terms = level[kept], terms[kept]
-        for m, part in enumerate(np.bincount(level, terms, last - first + 1), first):
-            total += float(part)
-            value = _in_range(scale * total * 0.5 ** m)
+            size = np.abs(terms[:2 * _DE_TAU_MAX + 1])  # level 0: tau = -5, ..., 5
+            significant = np.flatnonzero(size > _DE_TAIL * size.sum()).tolist()
+            if significant:
+                ends = (significant[0] - _DE_TAU_MAX - 1, significant[-1] - _DE_TAU_MAX + 1)
+            kept, level = _first_kept(last, *ends)
+            terms = terms[kept]
+        for m, part in enumerate(np.bincount(level, terms, last - first + 1).tolist(), first):
+            total += part
+            value = _in_range(total * 0.5 ** m)
             change = abs(value - previous)
             if m >= _DE_MIN_LEVEL and change <= _DE_REL_TOL * abs(value):
                 return value, nodes, change
             previous = value
     raise ToleranceNotMet(
-        f"double-exponential quadrature moved by {change:.3e} at level {_DE_MAX_LEVEL} "
-        f"(value {value:.6g}); the integral is probably divergent",
+        f"double-exponential quadrature did not settle by level {_DE_MAX_LEVEL}: it moved by "
+        f"{change:.3e} there (value {value:.6g}); the integral may be divergent, or its "
+        "integrand too rough for the rule",
         estimate=change,
     )
 
@@ -256,7 +271,7 @@ def _rl_quadrature(f: ArrayFunction, p: float, a: float, x: float) -> float:
         values[inside] = f(t[inside])
         return values
 
-    return _de_quad(g, 0.0, 1.0)[0]
+    return _de_quad(g)[0]
 
 
 def rl_derivative(f: RealFunction, s: float, bounds: BoundarySetup) -> float:

@@ -23,7 +23,8 @@ Gamma(mu), with f(t) = t^{-2 mu} e^{-beta/t} for M4A and that times
 (0, x], found in closed form, and that scale, the prefactor
 x^p / Gamma(p + 1) and M4's Gamma(mu) are added back in log space, so a
 left side inside float64 is returned even where f or a factor alone
-leaves it.
+leaves it.  Each right side is a prefactor times K, formed the same way:
+ln K is summed into the log of the prefactor.
 Both sides of each identity are positive, so a side that rounds to 0 raises
 the float64-range ``DomainError``, as one past float64 does.  As in
 ``fractional``, numpy is imported by the functions that build arrays, so
@@ -237,7 +238,7 @@ def verify_m4a(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
     lg = math.lgamma(mu)
     lhs = _left_side(lambda t: -2.0 * mu * np.log(t) - beta / t, beta / (2.0 * mu), -mu, x, lg)
     pref = (0.5 - mu) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _m4_right_side([pref, lg], k)
+    rhs = _right_side([pref, lg], k)
     return _record("M4A", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -254,16 +255,22 @@ def verify_m4b(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
     lhs = _left_side(lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t,
                      beta / (2.0 * mu), -mu, x, lg)
     pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
-    rhs = _m4_right_side([pref, lg], k)
+    rhs = _right_side([pref, lg], k)
     return _record("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
-def _m4_right_side(log_factor: list[float], k: float) -> float:
-    """e^(sum of log_factor) K, with ln K summed into the exponent by
-    ``_exp_of_sum``: a factor past float64 times a K on the other side of 1
-    still gives a right side inside it.  A K that rounded to 0 leaves 0,
-    which ``_record`` refuses."""
-    return _exp_of_sum([*log_factor, math.log(k)]) if k > 0.0 else 0.0
+def _right_side(log_factor: list[float], k: float) -> float:
+    """e^(sum of log_factor) K, every identity's right side, with ln K summed
+    into the exponent by ``_exp_of_sum``: a factor past float64 times a K on
+    the other side of 1 still gives a right side inside it.  A K that
+    rounded to 0 leaves 0, and a right side past float64 is inf; ``_record``
+    refuses both, after the left side."""
+    if not k > 0.0:
+        return 0.0
+    try:
+        return _exp_of_sum([*log_factor, math.log(k)])
+    except DomainError:
+        return math.inf
 
 
 def _require_positive(**params: float) -> None:
@@ -328,7 +335,7 @@ def verify_m5a(s: float, beta: float, x: float, tol: float = 1e-7) -> Verificati
     k = k_oracle(s + 0.5, beta / (2.0 * x))
     lhs = _left_side(lambda t: 2.0 * s * np.log(t) - beta / t, beta / (-2.0 * s), s, x)
     pref = (s + 0.5) * math.log(beta) - 0.5 * math.log(math.pi * x) - beta / (2.0 * x)
-    rhs = _guarded_exp(pref) * k
+    rhs = _right_side([pref], k)
     return _record("M5A", {"s": s, "beta": beta, "x": x}, lhs, rhs, tol)
 
 
@@ -351,7 +358,10 @@ def verify_m5b(s: float, beta: float, x: float, tol: float = 1e-7
     ks = {k_arg: k_oracle(s + 0.5, k_arg) for k_arg in dict.fromkeys(k_args)}  # once at x = 1
     lhs = _left_side(lambda t: (s - 0.5) * np.log(t) - beta / np.sqrt(t),
                      beta * beta / (1.0 - 2.0 * s) ** 2, s, x)
-    pref = 2.0 / math.sqrt(math.pi) * (0.5 * beta) ** (s + 0.5) * x ** (0.75 - 0.5 * s)
-    printed, alt = (_record("M5B", {"s": s, "beta": beta, "x": x, "k_arg": k_arg}, lhs, pref * ks[k_arg], tol)
+    # ln beta - ln 2: beta / 2 rounds to 0 at the least subnormal beta
+    pref = [math.log(2.0 / math.sqrt(math.pi)), (s + 0.5) * (math.log(beta) - math.log(2.0)),
+            (0.75 - 0.5 * s) * math.log(x)]
+    printed, alt = (_record("M5B", {"s": s, "beta": beta, "x": x, "k_arg": k_arg}, lhs,
+                            _right_side(pref, ks[k_arg]), tol)
                     for k_arg in k_args)
     return printed, alt

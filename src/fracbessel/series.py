@@ -118,14 +118,18 @@ class _KForm(NamedTuple):
     w_per_z: float
 
 
+#: ln 2 and ln sqrt(pi), the constants of the prefactors below.
+_LN2 = math.log(2.0)
+_HALF_LN_PI = 0.5 * math.log(math.pi)
+
 _REARRANGED = _KForm(
-    lambda s, z: (s - 1.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
+    lambda s, z: (s - 1.0) * _LN2 + _guarded_lgamma(s) - s * math.log(z) - z,
     -1.0,
     2.0,
 )
 _M9 = _KForm(
     lambda s, z: (
-        0.5 * math.log(math.pi)
+        _HALF_LN_PI
         - s * math.log(2.0 * z)
         - z
         + _guarded_lgamma(2.0 * s)
@@ -135,7 +139,7 @@ _M9 = _KForm(
     2.0,
 )
 _M10 = _KForm(
-    lambda s, z: (3.0 * s - 2.0) * math.log(2.0) + _guarded_lgamma(s) - s * math.log(z) - z,
+    lambda s, z: (3.0 * s - 2.0) * _LN2 + _guarded_lgamma(s) - s * math.log(z) - z,
     -0.5,
     1.0,
 )

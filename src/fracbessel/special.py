@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError, ToleranceNotMet
 
@@ -59,8 +59,7 @@ _LIG_REL_CUTOFF = 1e-16
 _LIG_MAX_TERMS = 500
 
 
-@dataclass(frozen=True)
-class LogGammaValue:
+class LogGammaValue(NamedTuple):
     """Gamma(x) stored as ``sign * exp(log_abs)``.
 
     ``sign`` is +1 for x > 0 and alternates between pole intervals on the

@@ -83,8 +83,8 @@ class TestRlIntegral:
         assert info.value.estimate > 0
 
     def test_divergent_integral_raises(self):
-        # int_0^1 (1-t)^{-1/2} t^{-1.2} dt diverges at t = 0; QUADPACK says
-        # "probably divergent" although its error estimate (1.4e-9) is small
+        # int_0^1 (1-t)^{-1/2} t^{-1.2} dt diverges at t = 0: the rule's
+        # levels keep moving, and its message names divergence as one cause
         with pytest.raises(ToleranceNotMet, match="divergent"):
             rl_integral(lambda t: t ** -1.2, -0.5, BoundarySetup(0.0, 1.0))
 
@@ -144,12 +144,11 @@ class TestRlIntegral:
             rl_integral(lambda t: 1.0, -200.0, BoundarySetup(0.0, 1e10))
 
 
-def _level_by_level(fn, lo, hi):
-    """The double-exponential rule with one integrand call per level: level 0
-    on all of |tau| <= 5 sets the range, each finer level is evaluated only
-    inside it, and each level's terms are added one by one in tau order.
-    Returns (value, estimate, the number of nodes of each level)."""
-    scale = hi - lo
+def _level_by_level(fn):
+    """The double-exponential rule on [0, 1] with one integrand call per
+    level: level 0 on all of |tau| <= 5 sets the range, each finer level is
+    evaluated only inside it, and each level's terms are added one by one in
+    tau order.  Returns (value, estimate, the number of nodes of each level)."""
     ends = (-math.inf, math.inf)
     total, previous, sizes = 0.0, math.nan, []
     for m in range(fractional._DE_MAX_LEVEL + 1):
@@ -161,13 +160,13 @@ def _level_by_level(fn, lo, hi):
         d_lo, d_hi = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
         w = np.pi * np.cosh(tau) * near * far
         with np.errstate(all="ignore"):
-            terms = w * fn(lo + scale * d_lo, scale * d_hi)
+            terms = w * fn(d_lo, d_hi)
         sizes.append(tau.size)
         part = 0.0
         for term in terms:
             part += term
         total += float(part)
-        value = scale * total * step
+        value = total * step
         change = abs(value - previous)
         if m >= fractional._DE_MIN_LEVEL and change <= fractional._DE_REL_TOL * abs(value):
             return value, change, sizes
@@ -190,13 +189,13 @@ def _counted(fn):
     return g, sizes
 
 
-#: (integrand, lo, hi): smooth, and singular at both ends, on [0, 1]; then two
-#: that need one and two levels past the first call.
+#: Integrands on [0, 1]: smooth, and singular at both ends; then two that
+#: need one and two levels past the first call.
 DE_CASES = [
-    (lambda u, r: np.exp(-u) * np.cos(3.0 * u), 0.0, 1.0),
-    (lambda u, r: u ** -0.5 * r ** -0.5, 0.0, 1.0),
-    (lambda u, r: np.sin(40.0 * u) ** 2 / np.sqrt(u), 0.0, 1.0),
-    (lambda u, r: np.sin(100.0 * u) ** 2, 0.0, 1.0),
+    lambda u, r: np.exp(-u) * np.cos(3.0 * u),
+    lambda u, r: u ** -0.5 * r ** -0.5,
+    lambda u, r: np.sin(40.0 * u) ** 2 / np.sqrt(u),
+    lambda u, r: np.sin(100.0 * u) ** 2,
 ]
 
 #: Nodes of the first call: levels 0 to ``_DE_FIRST_TOP`` over |tau| <= 5.
@@ -204,29 +203,57 @@ FIRST_CALL = 10 * 2 ** fractional._DE_FIRST_TOP + 1
 
 
 class TestDoubleExponentialRule:
-    @pytest.mark.parametrize("fn, lo, hi", DE_CASES)
-    def test_matches_the_rule_one_level_per_call(self, fn, lo, hi):
-        value, estimate, levels = _level_by_level(fn, lo, hi)
+    @pytest.mark.parametrize("fn", DE_CASES)
+    def test_matches_the_rule_one_level_per_call(self, fn):
+        value, estimate, levels = _level_by_level(fn)
         g, sizes = _counted(fn)
-        got, _, got_estimate = fractional._de_quad(g, lo, hi)
+        got, _, got_estimate = fractional._de_quad(g)
         assert (got, got_estimate) == (value, estimate)
         # the first call is all of |tau| <= 5; each later one, that level's range
         assert sizes == [FIRST_CALL] + levels[fractional._DE_FIRST_TOP + 1:]
 
+    def test_stages_are_laid_out_level_by_level(self):
+        top = fractional._DE_FIRST_TOP
+        stages = [fractional._stage(0, top), *(fractional._stage(m, m)
+                                               for m in range(top + 1, fractional._DE_MAX_LEVEL + 1))]
+        for first, arrays in zip([0, *range(top + 1, fractional._DE_MAX_LEVEL + 1)], stages):
+            tau, level = arrays[:2]
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                arrays[2][0] = 0.5
+            # each level is one block, ascending in tau, of the odd multiples of its h
+            assert (np.diff(level) >= 0).all()
+            for m in range(level[-1] + 1):
+                block = tau[level == m]
+                assert (np.diff(block) > 0).all()
+                if first + m:
+                    multiples = block * 2.0 ** (first + m)
+                    assert (multiples % 2 == 1).all() and block.size == 10 * 2 ** (first + m - 1)
+        tau, level = stages[0][:2]
+        # level 0 is the first 11 nodes: the first call reads it as a slice
+        assert tau[:11].tolist() == list(range(-5, 6))
+        assert not level[:11].any() and level[11:].all()
+        # the cached mask of the first call is the rule level 0 | range
+        ranges = [(a, b) for a in range(-6, 7) for b in range(a + 1, 7)] + [(-math.inf, math.inf)]
+        for start, stop in ranges:
+            kept, kept_level = fractional._first_kept(top, start, stop)
+            rule = (level == 0) | ((start <= tau) & (tau < stop))
+            assert (kept == rule).all() and (kept_level == level[rule]).all()
+
     def test_cases_cut_the_range_and_reach_past_the_first_call(self):
-        levels = [_level_by_level(fn, lo, hi)[2] for fn, lo, hi in DE_CASES]
+        levels = [_level_by_level(fn)[2] for fn in DE_CASES]
         # level 1 has 10 nodes on |tau| < 5; the cut leaves fewer
         assert all(sizes[1] < 10 for sizes in levels)
         assert [len(sizes) - 1 for sizes in levels] == [4, 3, 6, 7]
 
-    @pytest.mark.parametrize("fn, lo, hi", DE_CASES)
-    def test_nodes_are_those_handed_to_the_integrand(self, fn, lo, hi):
+    @pytest.mark.parametrize("fn", DE_CASES)
+    def test_nodes_are_those_handed_to_the_integrand(self, fn):
         g, sizes = _counted(fn)
-        assert fractional._de_quad(g, lo, hi)[1] == sum(sizes)
+        assert fractional._de_quad(g)[1] == sum(sizes)
 
     def test_smooth_integrand_takes_one_call(self):
         g, sizes = _counted(lambda u, r: np.exp(-u) * np.cos(3.0 * u))
-        value = fractional._de_quad(g, 0.0, 1.0)[0]
+        value = fractional._de_quad(g)[0]
         assert len(sizes) == 1
         assert value == pytest.approx((1.0 - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0))) / 10.0,
                                       rel=1e-14)
@@ -234,9 +261,9 @@ class TestDoubleExponentialRule:
     @pytest.mark.parametrize("top", [1, fractional._DE_MIN_LEVEL])
     def test_levels_stop_at_the_maximum_inside_the_first_call(self, top, monkeypatch):
         monkeypatch.setattr(fractional, "_DE_MAX_LEVEL", top)
-        g, sizes = _counted(DE_CASES[2][0])
+        g, sizes = _counted(DE_CASES[2])
         with pytest.raises(ToleranceNotMet) as info:
-            fractional._de_quad(g, 0.0, 1.0)
+            fractional._de_quad(g)
         assert sizes == [10 * 2 ** top + 1]
         assert info.value.estimate > 0
 
@@ -246,13 +273,13 @@ class TestDoubleExponentialRule:
 
         with np.errstate(all="raise", under="warn"):
             before = np.geterr()
-            fractional._de_quad(lambda u, r: np.log(u) / u ** 0.5, 0.0, 1.0)
+            fractional._de_quad(lambda u, r: np.log(u) / u ** 0.5)
             assert np.geterr() == before
             with pytest.raises(ToleranceNotMet):
-                fractional._de_quad(lambda u, r: 1.0 / u ** 1.2, 0.0, 1.0)
+                fractional._de_quad(lambda u, r: 1.0 / u ** 1.2)
             assert np.geterr() == before
             with pytest.raises(DomainError, match="refused"):
-                fractional._de_quad(raising, 0.0, 1.0)
+                fractional._de_quad(raising)
             assert np.geterr() == before
 
 

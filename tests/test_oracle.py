@@ -307,6 +307,19 @@ class TestM5A:
         with pytest.raises(DomainError):
             verify_m5a(0.3, 1.0, 1.0)
 
+    def test_prefactor_below_float64_times_a_large_k(self):
+        # the prefactor e^{-816} is below float64 and K_50(0.05) = 4e142:
+        # only their product, 2.07e-212 like the left side, is a double
+        s, beta, x = -50.5, 1e7, 1e8
+        rec = verify_m5a(s, beta, x)
+        with mpmath.workdps(40):
+            v, b, t = mpmath.mpf(s), mpmath.mpf(beta), mpmath.mpf(x)
+            want = (b ** (v + 0.5) / mpmath.sqrt(mpmath.pi * t) * mpmath.exp(-b / (2 * t))
+                    * mpmath.besselk(v + 0.5, b / (2 * t)))
+        for side in (rec.lhs, rec.rhs):
+            assert abs(side - want) <= 1e-13 * want, (side, want)
+        assert rec.passed
+
 
 class TestM5B:
     def test_readings_coincide_at_x1(self):
@@ -349,6 +362,17 @@ class TestM5B:
             verify_m5b(-0.15, math.inf, 1.0)
         with pytest.raises(DomainError, match="float64 range"):
             verify_m5b(-0.25, 1e308, 1e308)  # the prefactor overflows
+
+    def test_subnormal_prefactor_keeps_its_digits(self):
+        # the float-power prefactor is about 1e-320, a subnormal with a few
+        # significant bits; times K it read 1e-4 off in both readings
+        s, beta, x = -0.1, 1e-300, 1e-250
+        with mpmath.workdps(40):
+            v, b, t = mpmath.mpf(s), mpmath.mpf(beta), mpmath.mpf(x)
+            pref = 2 / mpmath.sqrt(mpmath.pi) * (b / 2) ** (v + 0.5) * t ** (0.75 - v / 2)
+            wants = [pref * mpmath.besselk(v + 0.5, arg) for arg in (b / t, b / mpmath.sqrt(t))]
+        for rec, want in zip(verify_m5b(s, beta, x), wants):
+            assert abs(rec.rhs - want) <= 1e-13 * want, (rec.rhs, want)
 
 
 #: A grid over the box mu, beta, x in [0.3, 3] that the audit workload draws from.

@@ -1,7 +1,6 @@
 """Series evaluators: termination, rearrangement equivalence, honest flags."""
 
 import math
-from dataclasses import fields
 from itertools import accumulate, count, islice
 
 import mpmath
@@ -742,8 +741,14 @@ class TestTruncationEngine:
 
     def test_the_result_stores_one_stop_reason(self):
         # converged and diverging are read from it, not stored beside it
-        assert [f.name for f in fields(SeriesApproximation)] == [
+        assert list(SeriesApproximation._fields) == [
             "value", "terms_used", "last_term_abs", "stop_reason"]
+
+    @pytest.mark.parametrize("name", SeriesApproximation._fields)
+    def test_the_result_is_immutable(self, name):
+        approx = k_series_rearranged(2.5, 1.0)
+        with pytest.raises(AttributeError):
+            setattr(approx, name, 0)
 
     @pytest.mark.parametrize("values, policy, a, b, reason", [
         ([1.0, 1.0, 1.0], TruncationPolicy(50), -2.0, 0.5, "terminated"),
