@@ -13,10 +13,10 @@ Every quadrature of the package, here and in the identity audit, is one
 double-exponential rule, ``_de_quad`` (Takahasi & Mori, Publ. RIMS 9, 1974):
 the trapezoidal rule after the tanh-sinh change of variable, which makes
 the integrand decay double-exponentially at both ends of a finite interval.
-Every integral is taken over [0, 1].  The integrand receives its nodes as
-the rule's cached, read-only numpy arrays, the first six levels in one
-array laid out level by level, which settles nearly every integral in one
-call.
+Every integral is taken over [0, 1].  The integrand receives each node u
+as ln u, the one coordinate its only caller needs, in the rule's cached,
+read-only numpy array, the first six levels in one array laid out level by
+level, which settles nearly every integral in one call.
 
 numpy is imported inside the functions that build arrays, not with the
 module: the closed-form rules and the K series never load it, and the first
@@ -102,14 +102,16 @@ def _taus(level: int) -> np.ndarray:
 
 @cache
 def _stage(first: int, last: int) -> tuple[np.ndarray, ...]:
-    """(tau, level - ``first``, distance to 0, distance to 1, weight / h)
-    of the nodes that levels ``first`` to ``last`` add on [0, 1], level by
-    level, each level ascending in tau.  The arrays are read-only:
-    ``_de_quad`` hands the distances to the integrand as they are.
+    """(tau, level - ``first``, ln u, weight / h) of the nodes u that levels
+    ``first`` to ``last`` add on [0, 1], level by level, each level
+    ascending in tau.  The arrays are read-only: ``_de_quad`` hands ln u to
+    the integrand as it is.
 
-    Tanh-sinh puts a node at (1 + tanh(pi/2 sinh tau)) / 2: its distance to
-    the nearer end, q = 1 / (1 + e^{pi sinh |tau|}), is formed without
-    cancellation, and its weight is pi cosh(tau) q (1 - q).
+    Tanh-sinh puts a node at u = (1 + tanh(pi/2 sinh tau)) / 2: its distance
+    to the nearer end, q = 1 / (1 + e^{pi sinh |tau|}), is formed without
+    cancellation, and its weight is pi cosh(tau) q (1 - q).  ln u is log(u)
+    below u = 1/2 and log1p(-r) above, from the node's distance r = 1 - u
+    to the upper end, so it has no cancellation next to u = 1.
     """
     import numpy as np
 
@@ -119,8 +121,10 @@ def _stage(first: int, last: int) -> tuple[np.ndarray, ...]:
     y = np.pi * np.sinh(np.abs(tau))
     near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
     above = tau > 0
-    arrays = (tau, level, np.where(above, far, near), np.where(above, near, far),
-              np.pi * np.cosh(tau) * near * far)
+    u, r = np.where(above, far, near), np.where(above, near, far)
+    with np.errstate(divide="ignore"):  # log1p(-r) at r = 1, where log(u) is taken
+        ln_u = np.where(u < 0.5, np.log(u), np.log1p(-r))
+    arrays = (tau, level, ln_u, np.pi * np.cosh(tau) * near * far)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -137,16 +141,16 @@ def _first_kept(last: int, start: float, stop: float) -> tuple[np.ndarray, np.nd
     return kept, level[kept]
 
 
-def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, int, float]:
+def _de_quad(fn: ArrayFunction) -> tuple[float, int, float]:
     """(integral of fn over [0, 1], nodes evaluated, estimated absolute error).
 
-    ``fn(u, r)`` receives nodes u as an array, and r, each node's distance
-    to 1 formed without cancellation, and returns the integrand there; no
-    node sits on either end.  The two arrays are the rule's cached ones,
-    read-only, and ``fn`` must not write to them.  The integrand runs under
-    ``np.errstate(all="ignore")``, so it decides its own overflow, and a
-    level sum outside the float64 range, NaN included, raises
-    ``DomainError``.
+    ``fn(ln_u)`` receives the nodes u as the array of their logs, each
+    formed without cancellation at either end (``_stage``), and returns the
+    integrand there; no node sits on either end.  The array is the rule's
+    cached one, or a slice of it, read-only, and ``fn`` must not write to
+    it.  The integrand runs under ``np.errstate(all="ignore")``, so it
+    decides its own overflow, and a level sum outside the float64 range,
+    NaN included, raises ``DomainError``.
 
     The first call hands the integrand every node of levels 0 to
     ``_DE_FIRST_TOP`` at once, level by level, since a call costs far more
@@ -154,12 +158,14 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float,
     one call.  Level 0 sets the range in tau that the finer levels sum over:
     it ends one step of h = 1 past the outermost node whose term is more
     than ``_DE_TAIL`` of the level's absolute sum, since past such a step
-    the terms only fall, double-exponentially.  The first call's finer nodes
-    outside that range are evaluated but not summed; later calls evaluate
-    only nodes inside it.  Each level's terms are summed in tau order.  The
-    estimate is the change between the last two levels.  A rule that has
-    not settled by ``_DE_MAX_LEVEL`` raises ``ToleranceNotMet``: the
-    integral may be divergent, or its integrand too rough for the rule.
+    the terms only fall, double-exponentially.  Its 11 terms are read as
+    Python floats, and their absolute sum is ``math.fsum``'s.  The first
+    call's finer nodes outside that range are evaluated but not summed;
+    later calls evaluate only nodes inside it.  Each level's terms are
+    summed in tau order.  The estimate is the change between the last two
+    levels.  A rule that has not settled by ``_DE_MAX_LEVEL`` raises
+    ``ToleranceNotMet``: the integral may be divergent, or its integrand too
+    rough for the rule.
     """
     import numpy as np
 
@@ -167,16 +173,20 @@ def _de_quad(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float,
     total, previous, nodes = 0.0, math.nan, 0
     top = min(_DE_FIRST_TOP, _DE_MAX_LEVEL)
     for first, last in [(0, top), *((m, m) for m in range(top + 1, _DE_MAX_LEVEL + 1))]:
-        tau, level, u, r, w = _stage(first, last)
+        tau, level, ln_u, w = _stage(first, last)
         if first:  # the first call takes every node; later ones, the range level 0 set
             i, j = tau.searchsorted(ends)
-            level, u, r, w = level[i:j], u[i:j], r[i:j], w[i:j]
+            level, ln_u, w = level[i:j], ln_u[i:j], w[i:j]
         with np.errstate(all="ignore"):
-            terms = w * fn(u, r)
+            terms = w * fn(ln_u)
         nodes += terms.size
         if first == 0:
-            size = np.abs(terms[:2 * _DE_TAU_MAX + 1])  # level 0: tau = -5, ..., 5
-            significant = np.flatnonzero(size > _DE_TAIL * size.sum()).tolist()
+            size = [abs(term) for term in terms[:2 * _DE_TAU_MAX + 1].tolist()]  # tau = -5, ..., 5
+            try:
+                floor = _DE_TAIL * math.fsum(size)
+            except OverflowError:  # finite terms whose sum leaves float64: none is significant
+                floor = math.inf
+            significant = [k for k, term in enumerate(size) if term > floor]
             if significant:
                 ends = (significant[0] - _DE_TAU_MAX - 1, significant[-1] - _DE_TAU_MAX + 1)
             kept, level = _first_kept(last, *ends)
@@ -249,20 +259,18 @@ def _rl_quadrature(f: ArrayFunction, p: float, a: float, x: float) -> float:
         int_a^x (x-t)^{p-1} f(t) dt = ((x-a)^p / p) int_0^1 f(x - (x-a) v^{1/p}) dv,
 
     and ``_de_quad`` takes the integral over v.  The gap to the boundary
-    point, t - a = (x - a)(-expm1(log(v) / p)), comes from log v, taken as
-    log1p(-r) from the node's distance r = 1 - v to the upper end where v
-    is near 1, so it has no cancellation, and f is never evaluated at t <= a:
-    a node whose gap is lost in rounding a + gap is left out.  Every left
-    side of the identity audit is taken here, on an f formed in log space
-    and scaled by its peak, with the prefactor added in log space
-    (``oracle._left_side``).
+    point, t - a = (x - a)(-expm1(log(v) / p)), comes from the log v that
+    the rule hands the integrand, which has no cancellation next to v = 1,
+    and f is never evaluated at t <= a: a node whose gap is lost in
+    rounding a + gap is left out.  Every left side of the identity audit is
+    taken here, on an f formed in log space and scaled by its peak, with
+    the prefactor added in log space (``oracle._left_side``).
     """
     import numpy as np
 
     span = x - a
 
-    def g(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-        log_v = np.where(v < 0.5, np.log(v), np.log1p(-r))
+    def g(log_v: np.ndarray) -> np.ndarray:
         t = np.minimum(a - span * np.expm1(log_v / p), x)
         inside = t > a
         if inside.all():

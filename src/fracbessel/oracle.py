@@ -50,6 +50,10 @@ _TINY = 1e-300
 #: ln of the least positive float64 (a subnormal).
 _LOG_SMALLEST = math.log(5e-324)
 
+#: ln 2 and ln(2 / sqrt(pi)), of M5B's right side.
+_LN2 = math.log(2.0)
+_LN_2_OVER_SQRT_PI = math.log(2.0 / math.sqrt(math.pi))
+
 #: ln of a bound on the quadrature in ``_left_side``, int_0^1 g dv <= sup g:
 #: sup g is 1 where min(peak, x) is f's largest value on (0, x] (M4A, M5A,
 #: M5B); M4B's factor ((x + t) / (x + t*))^{mu-1} adds at most 2^{|mu - 1|},
@@ -213,10 +217,15 @@ def _exp_of_sum(terms: list[float]) -> float:
     """e to the exact sum of ``terms``, rounded about once whatever the
     sum's size: its integer part is exponentiated apart, in halves, so that
     no factor overflows before the product does.  A value past float64
-    raises ``DomainError``."""
-    whole = round(math.fsum(terms))
-    return _in_range(_guarded_exp(math.fsum([*terms, -whole]))
-                     * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
+    raises ``DomainError`` that names the whole exponent, not the factor
+    that overflowed."""
+    total = math.fsum(terms)
+    whole = round(total)
+    try:
+        return _in_range(_guarded_exp(math.fsum([*terms, -whole]))
+                         * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
+    except DomainError:
+        raise _range_error(f"exp({total:.6g})") from None
 
 
 def _top_bits(x: float) -> float:
@@ -359,7 +368,7 @@ def verify_m5b(s: float, beta: float, x: float, tol: float = 1e-7
     lhs = _left_side(lambda t: (s - 0.5) * np.log(t) - beta / np.sqrt(t),
                      beta * beta / (1.0 - 2.0 * s) ** 2, s, x)
     # ln beta - ln 2: beta / 2 rounds to 0 at the least subnormal beta
-    pref = [math.log(2.0 / math.sqrt(math.pi)), (s + 0.5) * (math.log(beta) - math.log(2.0)),
+    pref = [_LN_2_OVER_SQRT_PI, (s + 0.5) * (math.log(beta) - _LN2),
             (0.75 - 0.5 * s) * math.log(x)]
     printed, alt = (_record("M5B", {"s": s, "beta": beta, "x": x, "k_arg": k_arg}, lhs,
                             _right_side(pref, ks[k_arg]), tol)

@@ -146,9 +146,10 @@ class TestRlIntegral:
 
 def _level_by_level(fn):
     """The double-exponential rule on [0, 1] with one integrand call per
-    level: level 0 on all of |tau| <= 5 sets the range, each finer level is
-    evaluated only inside it, and each level's terms are added one by one in
-    tau order.  Returns (value, estimate, the number of nodes of each level)."""
+    level, each handing fn the nodes' ln u: level 0 on all of |tau| <= 5
+    sets the range, each finer level is evaluated only inside it, and each
+    level's terms are added one by one in tau order.  Returns (value,
+    estimate, the number of nodes of each level)."""
     ends = (-math.inf, math.inf)
     total, previous, sizes = 0.0, math.nan, []
     for m in range(fractional._DE_MAX_LEVEL + 1):
@@ -157,10 +158,10 @@ def _level_by_level(fn):
         tau = tau[(ends[0] <= tau) & (tau < ends[1])]
         y = np.pi * np.sinh(np.abs(tau))
         near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
-        d_lo, d_hi = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
+        u, r = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
         w = np.pi * np.cosh(tau) * near * far
         with np.errstate(all="ignore"):
-            terms = w * fn(d_lo, d_hi)
+            terms = w * fn(np.where(u < 0.5, np.log(u), np.log1p(-r)))
         sizes.append(tau.size)
         part = 0.0
         for term in terms:
@@ -182,20 +183,20 @@ def _counted(fn):
     """fn, recording the size of each node array it is handed."""
     sizes = []
 
-    def g(u, r):
-        sizes.append(u.size)
-        return fn(u, r)
+    def g(ln_u):
+        sizes.append(ln_u.size)
+        return fn(ln_u)
 
     return g, sizes
 
 
-#: Integrands on [0, 1]: smooth, and singular at both ends; then two that
-#: need one and two levels past the first call.
+#: Integrands on [0, 1], of ln u: smooth, and singular at both ends (with
+#: r = 1 - u); then two that need one and two levels past the first call.
 DE_CASES = [
-    lambda u, r: np.exp(-u) * np.cos(3.0 * u),
-    lambda u, r: u ** -0.5 * r ** -0.5,
-    lambda u, r: np.sin(40.0 * u) ** 2 / np.sqrt(u),
-    lambda u, r: np.sin(100.0 * u) ** 2,
+    lambda lu: np.exp(-np.exp(lu)) * np.cos(3.0 * np.exp(lu)),
+    lambda lu: np.exp(-0.5 * lu) * (-np.expm1(lu)) ** -0.5,
+    lambda lu: np.sin(40.0 * np.exp(lu)) ** 2 * np.exp(-0.5 * lu),
+    lambda lu: np.sin(100.0 * np.exp(lu)) ** 2,
 ]
 
 #: Nodes of the first call: levels 0 to ``_DE_FIRST_TOP`` over |tau| <= 5.
@@ -240,6 +241,43 @@ class TestDoubleExponentialRule:
             rule = (level == 0) | ((start <= tau) & (tau < stop))
             assert (kept == rule).all() and (kept_level == level[rule]).all()
 
+    def test_first_call_hands_the_integrand_the_cached_ln_u(self):
+        top = fractional._DE_FIRST_TOP
+        seen = []
+
+        def fn(ln_u):
+            seen.append(ln_u)
+            return DE_CASES[3](ln_u)
+
+        fractional._de_quad(fn)
+        assert seen[0] is fractional._stage(0, top)[2]
+        # each later call is a read-only slice of its level's cached array
+        assert len(seen) == 3
+        for m, ln_u in enumerate(seen[1:], top + 1):
+            assert not ln_u.flags.writeable
+            assert np.shares_memory(ln_u, fractional._stage(m, m)[2])
+
+    def test_ln_u_is_the_log_of_the_nearer_distance(self):
+        # bit for bit log(u) below u = 1/2 and log1p(-r) above, from the
+        # distances u and r = 1 - u to both ends, formed here from tau
+        top = fractional._DE_FIRST_TOP
+        for first, last in [(0, top), *((m, m) for m in range(top + 1, fractional._DE_MAX_LEVEL + 1))]:
+            tau, _, ln_u, _ = fractional._stage(first, last)
+            y = np.pi * np.sinh(np.abs(tau))
+            near, far = 1.0 / (1.0 + np.exp(y)), 1.0 / (1.0 + np.exp(-y))
+            u, r = np.where(tau > 0, far, near), np.where(tau > 0, near, far)
+            with np.errstate(divide="ignore"):
+                expected = np.where(u < 0.5, np.log(u), np.log1p(-r))
+            assert ln_u.tobytes() == expected.tobytes()
+            assert np.isfinite(ln_u).all() and (ln_u < 0).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_level_zero_past_float64_is_a_domain_error(self):
+        # the absolute sum of level 0's finite terms leaves float64, where
+        # math.fsum raises OverflowError and numpy warned
+        with pytest.raises(DomainError, match="float64 range"):
+            fractional._de_quad(lambda lu: np.full(lu.shape, 1.79e308))
+
     def test_cases_cut_the_range_and_reach_past_the_first_call(self):
         levels = [_level_by_level(fn)[2] for fn in DE_CASES]
         # level 1 has 10 nodes on |tau| < 5; the cut leaves fewer
@@ -252,7 +290,7 @@ class TestDoubleExponentialRule:
         assert fractional._de_quad(g)[1] == sum(sizes)
 
     def test_smooth_integrand_takes_one_call(self):
-        g, sizes = _counted(lambda u, r: np.exp(-u) * np.cos(3.0 * u))
+        g, sizes = _counted(DE_CASES[0])
         value = fractional._de_quad(g)[0]
         assert len(sizes) == 1
         assert value == pytest.approx((1.0 - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0))) / 10.0,
@@ -268,15 +306,15 @@ class TestDoubleExponentialRule:
         assert info.value.estimate > 0
 
     def test_numpy_error_state_is_restored(self):
-        def raising(u, r):
+        def raising(ln_u):
             raise DomainError("refused by the integrand")
 
         with np.errstate(all="raise", under="warn"):
             before = np.geterr()
-            fractional._de_quad(lambda u, r: np.log(u) / u ** 0.5)
+            fractional._de_quad(lambda lu: lu * np.exp(-0.5 * lu))
             assert np.geterr() == before
             with pytest.raises(ToleranceNotMet):
-                fractional._de_quad(lambda u, r: 1.0 / u ** 1.2)
+                fractional._de_quad(lambda lu: np.exp(-1.2 * lu))
             assert np.geterr() == before
             with pytest.raises(DomainError, match="refused"):
                 fractional._de_quad(raising)

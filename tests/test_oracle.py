@@ -98,6 +98,16 @@ class TestKOracle:
         with pytest.raises(DomainError, match="tail cut"):
             k_oracle(0.0, 5e-324)  # cosh would overflow before the cut
 
+    @pytest.mark.parametrize("call", [lambda: k_oracle(9.5, 5e-101),
+                                      lambda: verify_m4a(10.0, 1e-200, 1e-100)],
+                             ids=["k_oracle", "verify_m4a"])
+    def test_overflow_names_the_whole_exponent(self, call):
+        # ln K_{9.5}(5e-101) = 2211.62; the message named half of it, exp(1106)
+        with mpmath.workdps(40):
+            assert f"{float(mpmath.log(mpmath.besselk(9.5, 5e-101))):.6g}" == "2211.62"
+        with pytest.raises(DomainError, match=r"^exp\(2211\.62\) is outside the float64 range"):
+            call()
+
     @given(s=st.floats(-50.0, 50.0), z=st.floats())
     @settings(max_examples=40, deadline=None)
     def test_whole_domain(self, s, z):
