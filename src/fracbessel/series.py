@@ -9,8 +9,8 @@ with a running product, in the loop that decides where the sum stops, and
 ends the sum when a + k hits zero.  E_k comes from ``vk._e_values(alpha,
 w)``, the one place that picks its construction:
 
-* the rearranged form (and so ``k_mcdonald``) and M9 read alpha = -1 at
-  w = 2z, the float64 recurrence in k;
+* the rearranged form (and so ``k_mcdonald`` outside its corner, below)
+  and M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
 * M10 reads alpha = -1/2 at w = z, an exact recurrence in k;
 * M7 reads its own alpha at w = beta x^alpha: one of those two
   recurrences, or at any other alpha the exact coefficient rows.
@@ -43,6 +43,17 @@ w = c z.  Each evaluation builds its own stream.
 No prefactor carries the printed Gamma(1/2-s) pole, so half-integer orders
 need no special case: at s = m + 1/2 the factor (1/2-s)_k vanishes from
 k = m + 1 on and each K series ends by itself after m + 1 terms.
+
+``k_mcdonald`` alone has a second route.  In the small-z corner,
+ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5) and
+0 < z <= ``CORNER_MAX_Z`` (2), the rearranged form's terms fall only
+algebraically, like k^{-2s} z, so its sum runs out of budget or trips the
+divergence window.  There ``k_mcdonald`` sums Temme's series for K_mu and
+K_{mu+1}, |mu| <= 1/2, in at most ~14 terms, and climbs to |s| by the
+recurrence of DLMF 10.29.1.  Half-integer orders stay on the rearranged form,
+which ends after m + 1 <= 5 terms there.  Temme's series is not a formula of
+the paper: ``k_series_rearranged``, M9, M10 and the CLI sum the paper's
+series everywhere, and the oracle never reads it.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ from .special import (
     _gamma_log_off_pole,
     _guarded_exp,
     _guarded_lgamma,
+    _in_range,
     _pole_location,
     _range_error,
     gamma_log,
@@ -69,6 +81,13 @@ from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, s
 #: Gamma(s) prefactor blows up and K_0 carries a log z structure these
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
+
+#: The corner ``k_mcdonald`` sums by Temme's series: |s| up to this order
+#: (half-integers excepted) ...
+CORNER_MAX_ORDER = 5.0
+#: ... at 0 < z up to this argument, where the rearranged form's terms fall
+#: only algebraically.
+CORNER_MAX_Z = 2.0
 
 
 class OrderArg(NamedTuple):
@@ -154,6 +173,100 @@ def _sum_k_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) ->
     return _finalize(vk._e_values(form.alpha, form.w_per_z * z), policy, pref, 0.5 - s, 0.5 + s)
 
 
+# --- Temme's series in the small-z corner -------------------------------------
+
+#: Taylor coefficients g_j of 1/Gamma(1+x) = sum_j g_j x^j for j = 0..21
+#: (DLMF 5.7.1), rounded from 40-digit mpmath and paired (g_{2i}, g_{2i+1})
+#: from the highest i down, for Horner's rule in x^2.  At |x| <= 1/2 the
+#: omitted terms are below 1e-20.
+_RGAMMA_PAIRS = (
+    (-3.696805618642206e-12, 5.100370287454476e-13),
+    (1.0434267116911005e-10, 7.782263439905071e-12),
+    (5.002007644469223e-09, -1.18127457048702e-09),
+    (-2.056338416977607e-07, 6.116095104481416e-09),
+    (-1.2504934821426706e-06, 1.133027231981696e-06),
+    (0.0001280502823881162, -2.013485478078824e-05),
+    (-0.0011651675918590652, -0.00021524167411495098),
+    (-0.009621971527876973, 0.0072189432466631),
+    (0.16653861138229148, -0.04219773455554433),
+    (-0.6558780715202539, -0.04200263503409524),
+    (1.0, 0.5772156649015329),
+)
+
+#: Temme's sums stop once a term of each is below this share of its sum.
+_TEMME_EPS = 1e-16
+
+
+def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
+    """K_s(z) for ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and
+    0 < z <= CORNER_MAX_Z, by Temme's series (N. M. Temme, J. Comput. Phys.
+    19 (1975) 324-337; Numerical Recipes section 6.7, ``bessik``).
+
+    One loop sums K_mu(z) and K_{mu+1}(z) at mu = s - round(s), |mu| <= 1/2,
+    from Gamma1(mu) = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu) and
+    Gamma2(mu) = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, both from the Taylor
+    coefficients of 1/Gamma(1+x); K_{nu+1} = K_{nu-1} + (2 nu/z) K_nu
+    (DLMF 10.29.1), stable upward, then climbs to s.  Each term counts
+    toward ``policy.max_terms``; the sum is ``"converged"`` once a term of
+    each series is below ``_TEMME_EPS`` of its sum, and ``"budget"`` if the
+    budget runs out first.  ``last_term_abs`` is what the recurrence makes
+    of the two last terms' magnitudes, in the scale of K_s.
+    """
+    n = round(s)
+    mu = s - n  # exact: s <= 5
+    mu2 = mu * mu
+    gam1 = gam2 = 0.0
+    for even, odd in _RGAMMA_PAIRS:
+        gam2 = gam2 * mu2 + even
+        gam1 = gam1 * mu2 - odd
+    d = _LN2 - math.log(z)  # ln(2/z), with no ln 0 at a subnormal z
+    e = mu * d
+    # exp(e) = (2/z)^mu by two powers: exp would turn the rounding of a large
+    # e (up to 373) into a relative error of its size
+    ee = 2.0 ** mu * z ** -mu
+    ie = 1.0 / ee
+    # sinh(e)/e from the powers where it does not cancel, else by sinh
+    sinhc = (ee - ie) / (2.0 * e) if abs(e) > 1.0 else math.sinh(e) / e if e else 1.0
+    pimu = math.pi * mu
+    fact = pimu / math.sin(pimu) if mu else 1.0
+    ff = fact * (gam1 * 0.5 * (ee + ie) + gam2 * d * sinhc)
+    p = 0.5 * ee / (gam2 - mu * gam1)  # (z/2)^-mu Gamma(1+mu) / 2
+    q = 0.5 * ie / (gam2 + mu * gam1)  # (z/2)^mu Gamma(1-mu) / 2
+    total = t = ff
+    total1 = t1 = p
+    y = 0.25 * z * z
+    c = i = 1.0
+    left = policy.max_terms - 1  # terms the budget allows after the first
+    stop = "budget"
+    eps = _TEMME_EPS
+    while left:
+        ff = (i * ff + p + q) / (i * i - mu2)
+        c *= y / i
+        p /= i - mu
+        q /= i + mu
+        t = c * ff
+        t1 = c * (p - i * ff)
+        total += t
+        total1 += t1
+        left -= 1
+        if abs(t) <= eps * abs(total) and abs(t1) <= eps * abs(total1):
+            stop = "converged"
+            break
+        i += 1.0
+    # the recurrence carries the two last terms as it carries the two sums
+    value, last = total, abs(t)
+    if n:
+        # K_{mu+1} = (2/z) total1; past float64 it is inf, and so is every K above it
+        k0, value = total, 2.0 * total1 / z
+        l0, last = last, 2.0 * abs(t1) / z
+        nu = mu + 1.0
+        for _ in range(n - 1):
+            k0, value = value, k0 + 2.0 * nu * value / z
+            l0, last = last, l0 + 2.0 * nu * last / z
+            nu += 1.0
+    return SeriesApproximation(_in_range(value), policy.max_terms - left, last, stop)
+
+
 # --- public evaluators -------------------------------------------------------
 
 def k_series_rearranged(
@@ -219,11 +332,27 @@ def k_mcdonald(
 ) -> SeriesApproximation:
     """Front-door evaluator of K_s(z).
 
-    Reduces s -> |s| (the function is even in its order) and dispatches to
-    the rearranged form, which terminates at half-integers and truncates
-    adaptively elsewhere.  Orders within 1e-10 of zero are rejected.
+    Reduces s -> |s| (the function is even in its order) and routes by
+    (|s|, z):
+
+    * the small-z corner, ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5)
+      and 0 < z <= ``CORNER_MAX_Z`` (2), half-integers excepted, goes to
+      Temme's series (``_k_temme``), at most ~14 terms.  There the
+      rearranged form's terms fall only algebraically, so it spends its
+      budget or trips the divergence window.  Temme's series is not a
+      formula of the paper, and the oracle never reads it;
+    * every other point, half-integers included, goes to the rearranged
+      form, bit for bit ``k_series_rearranged(|s|, z, policy)``: at
+      s = m + 1/2 it terminates after m + 1 <= 5 terms in the corner, and
+      truncates adaptively elsewhere.
+
+    Orders within 1e-10 of zero are rejected, although Temme's series would
+    give K_0: the domain stays that of the paper's forms.
     """
-    return _sum_k_series(_REARRANGED, abs(s), z, policy)
+    s = abs(s)
+    if ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and 0.0 < z <= CORNER_MAX_Z and s % 1.0 != 0.5:
+        return _k_temme(s, z, policy)
+    return _sum_k_series(_REARRANGED, s, z, policy)
 
 
 def general_expansion_m7(

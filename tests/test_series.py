@@ -1,12 +1,13 @@
 """Series evaluators: termination, rearrangement equivalence, honest flags."""
 
 import math
+import sys
 from itertools import accumulate, count, islice
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
@@ -320,14 +321,16 @@ K_ARGS = [float(z) for z in np.geomspace(0.1, 20.0, 12)]
 class TestKAgainstMpmath:
     """The float64 alpha = -1 stream costs K no accuracy: the rearranged form
     and M9 stop where the same sums over the exact stream stop, and every
-    value they report converged or terminated is as close to K."""
+    value they report converged or terminated is as close to K.  (In the
+    small-z corner ``k_mcdonald`` reads no stream, so the rearranged form is
+    checked by name.)"""
 
     @pytest.mark.parametrize("s", K_ORDERS)
     def test_as_accurate_as_the_exact_stream(self, s):
         for z in K_ARGS:
             with mpmath.workdps(40):
                 k = float(mpmath.besselk(s, z))
-            for evaluate in (k_mcdonald, k_series_m9):
+            for evaluate in (k_series_rearranged, k_series_m9):
                 try:
                     got = evaluate(s, z)
                 except SeriesDiverged as exc:
@@ -520,10 +523,12 @@ class TestKMcdonald:
             evaluate(*args)
 
     def test_more_terms_do_not_lose_accuracy(self):
-        # the inner sums are exact, so a longer tail can only move closer to K
+        # the inner sums are exact, so a longer tail can only move closer to K;
+        # k_mcdonald answers (1.3, 1) by Temme's series, which ends long before
+        # either budget, so the sum it keeps outside the corner is checked
         ref = kv(1.3, 1.0)
         errors = [
-            abs(k_mcdonald(1.3, 1.0, _capped(n)).value - ref) / ref for n in (200, 1000)
+            abs(k_series_rearranged(1.3, 1.0, _capped(n)).value - ref) / ref for n in (200, 1000)
         ]
         assert errors[1] <= errors[0]
 
@@ -535,6 +540,136 @@ class TestKMcdonald:
         approx = info.value.approximation
         assert approx.diverging and not approx.converged
         assert math.isfinite(approx.value)
+
+
+#: The corner that ``k_mcdonald`` sums by Temme's series: orders across
+#: (0, 5], next to 0, 1/2 and the integers, against arguments up to its edge.
+CORNER_ORDERS = [1e-10, 1e-6, 0.05, 0.3, 0.5 - 1e-10, 0.5 + 1e-10, 0.999999999, 1.0, 1.000000001,
+                 2.0, 2.3, 3.0, 3.7, 4.0, 4.95, 5.0]
+CORNER_ARGS = [1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0]
+#: Arguments below 1e-20, down to the smallest subnormal, where K_s leaves
+#: float64 at every order but the smallest.
+TINY_ARGS = [1e-50, 1e-100, 1e-200, 2.7e-295, 1e-310, 5e-324]
+
+#: Points ``k_mcdonald`` leaves to the rearranged form: half-integers inside
+#: the corner, orders past 5 or next to 0, arguments past 2, and inputs that
+#: are rejected or leave float64.
+OUTSIDE_THE_CORNER = [
+    (0.5, 0.1), (2.5, 1.0), (-1.5, 0.3), (4.5, 2.0), (2.5, 1e-200),
+    (5.000000000000001, 1.0), (7.3, 0.5), (200.5, 1.0),
+    (1.3, 2.0000000000000004), (2.6, 2.5), (0.7, 40.0), (3.3, 20.0),
+    (0.0, 1.0), (5e-11, 1.0), (1.3, 0.0), (1.3, -1.0),
+    (math.nan, 1.0), (1.3, math.nan), (math.inf, 1.0), (1.3, math.inf),
+]
+
+
+def _rel_to_mpmath(value, s, z):
+    """|value - K_s(z)| / K_s(z) against 40-digit mpmath."""
+    with mpmath.workdps(40):
+        k = mpmath.besselk(s, z)
+        return float(abs(mpmath.mpf(value) - k) / k)
+
+
+def _outcome(evaluate, *args):
+    """What ``evaluate(*args)`` returns, or the type and message it raises."""
+    try:
+        return evaluate(*args)
+    except FracBesselError as exc:
+        return type(exc), str(exc)
+
+
+class TestTemmeCorner:
+    """At 0 < z <= 2 and orders up to 5 that are not half-integers,
+    ``k_mcdonald`` sums Temme's series and reads no inner stream; everywhere
+    else it is the rearranged form, bit for bit."""
+
+    @pytest.mark.parametrize("s", CORNER_ORDERS)
+    def test_converged_within_1e_14_of_mpmath(self, s):
+        for z in CORNER_ARGS:
+            approx = k_mcdonald(s, z)
+            assert approx.stop_reason == "converged" and approx.terms_used <= 15, z
+            assert approx.last_term_abs <= STOP_RATIO * abs(approx.value), z
+            assert _rel_to_mpmath(approx.value, s, z) <= 1e-14, z
+
+    @pytest.mark.parametrize("s", CORNER_ORDERS)
+    def test_below_1e_20_in_range_or_the_range_error(self, s):
+        for z in TINY_ARGS:
+            with mpmath.workdps(40):
+                inside = mpmath.besselk(s, z) < sys.float_info.max
+            if inside:
+                assert _rel_to_mpmath(k_mcdonald(s, z).value, s, z) <= 1e-13, z
+            else:
+                with pytest.raises(DomainError, match="float64 range"):
+                    k_mcdonald(s, z)
+
+    def test_the_smallest_subnormal_argument(self):
+        # ln(z/2) is ln 0 there: the series forms ln(2/z) as ln 2 - ln z
+        with pytest.raises(DomainError, match="float64 range"):
+            k_mcdonald(1.3, 5e-324)
+        assert _rel_to_mpmath(k_mcdonald(0.3, 5e-324).value, 0.3, 5e-324) <= 1e-13
+
+    def test_no_inner_stream_is_read(self, monkeypatch):
+        monkeypatch.setattr(vk, "_m1_values", _unreadable)
+        for s in CORNER_ORDERS:
+            for z in CORNER_ARGS:
+                assert k_mcdonald(s, z).converged, (s, z)
+                assert k_mcdonald(-s, z) == k_mcdonald(s, z), (s, z)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE, TruncationPolicy(max_terms=3)],
+                             ids=["default", "wide", "three"])
+    @pytest.mark.parametrize("s,z", OUTSIDE_THE_CORNER)
+    def test_outside_it_is_the_rearranged_form(self, s, z, policy):
+        assert _outcome(k_mcdonald, s, z, policy) == _outcome(k_series_rearranged, abs(s), z, policy)
+
+    @pytest.mark.parametrize("z", [0.1, 1.0, 2.0])
+    def test_a_short_budget_is_budget(self, z):
+        approx = k_mcdonald(1.3, z, TruncationPolicy(max_terms=3))
+        assert approx.stop_reason == "budget" and approx.terms_used <= 3
+        assert math.isfinite(approx.value)
+
+    def test_a_first_term_of_zero_divides_nothing(self):
+        # at z = 2 exp(-gamma) ln(2/z) rounds to gamma, and K_0's first term is 0.0
+        for s in (1e-10, 1.0):
+            approx = k_mcdonald(s, 1.1229189671337703, TruncationPolicy(max_terms=1))
+            assert approx.stop_reason == "budget" and approx.terms_used == 1
+            assert math.isfinite(approx.last_term_abs)
+
+    @given(
+        s=st.floats(series_module.ZERO_ORDER_TOL, series_module.CORNER_MAX_ORDER),
+        z=st.floats(0.0, series_module.CORNER_MAX_Z, exclude_min=True),
+        n=st.integers(1, 20),
+        window=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_never_diverging_and_inside_the_budget(self, s, z, n, window):
+        assume(s % 1.0 != 0.5)  # half-integers are the rearranged form's
+        try:
+            approx = k_mcdonald(s, z, TruncationPolicy(max_terms=n, divergence_window=window))
+        except DomainError as exc:
+            assert "float64 range" in str(exc)
+            return
+        assert approx.terms_used <= n and math.isfinite(approx.value)
+        assert approx.last_term_abs >= 0.0
+        assert approx.stop_reason in ("converged", "budget")
+        assert approx.stop_reason == "converged" or approx.terms_used == n
+        if approx.converged:
+            assert approx.last_term_abs <= STOP_RATIO * abs(approx.value)
+
+    def test_the_reciprocal_gamma_coefficients_are_mpmaths(self):
+        # g_j = c_{j+1} of 1/Gamma(x) = sum_k c_k x^k, rounded from 40 digits, bit
+        # for bit: c_1 = 1, c_2 = gamma, and for k >= 3 (DLMF 5.7.2)
+        # (k-1) c_k = gamma c_{k-1} - zeta(2) c_{k-2} + ... + (-1)^k zeta(k-1) c_1
+        with mpmath.workdps(40):
+            c = [None, mpmath.mpf(1), +mpmath.euler]
+            for k in range(3, 26):
+                acc = mpmath.euler * c[k - 1]
+                acc += mpmath.fsum((-1) ** (j + 1) * mpmath.zeta(j) * c[k - j] for j in range(2, k))
+                c.append(acc / (k - 1))
+            want = [float(c_k) for c_k in c[1:]]
+        got = [g for pair in reversed(series_module._RGAMMA_PAIRS) for g in pair]
+        assert got == want[: len(got)]
+        # the ones left out weigh less than 1e-20 at |x| = 1/2
+        assert max(abs(g) * 0.5 ** j for j, g in enumerate(want) if j >= len(got)) < 1e-20
 
 
 class TestGeneralExpansion:
