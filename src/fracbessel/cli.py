@@ -20,10 +20,10 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, SeriesDiverged, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet
 from .oracle import k_oracle, verify_m4a, verify_m4b, verify_m5a, verify_m5b
 from .series import OrderArg, adjudicate_m10, k_series_m9, k_series_m10, k_series_rearranged
-from .truncation import SeriesApproximation, TruncationPolicy
+from .truncation import TruncationPolicy
 
 #: --method name -> (row label, K series evaluator); "oracle" is served apart.
 _SERIES = {
@@ -135,15 +135,6 @@ def _parse_range(text: str, name: str) -> list[float]:
     return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
-def _sum_series(evaluate, s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
-    """``evaluate`` at (|s|, z); a ``SeriesDiverged`` gives back its flagged
-    partial sum."""
-    try:
-        return evaluate(abs(s), z, policy)
-    except SeriesDiverged as exc:
-        return exc.approximation
-
-
 def _evaluate(
     s: float,
     z: float,
@@ -157,7 +148,7 @@ def _evaluate(
         value = k_oracle(s, z) if oracle is None else oracle
         return OutputRow(s=s, z=z, method="ORACLE", terms=0, value=value, converged=True)
     label, evaluate = _SERIES[method]
-    approx = _sum_series(evaluate, s, z, policy)
+    approx = evaluate(abs(s), z, policy)
     return OutputRow(s, z, label, approx.terms_used, approx.value, approx.converged)
 
 
@@ -233,7 +224,7 @@ def _cmd_converge(args) -> int:
     for s in s_values:
         for z in z_values:
             try:
-                approx = _sum_series(evaluate, s, z, policy)
+                approx = evaluate(abs(s), z, policy)
             except DomainError:
                 status, terms, last = "rejected", 0, math.nan
             else:

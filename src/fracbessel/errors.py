@@ -32,9 +32,12 @@ class ToleranceNotMet(FracBesselError, ArithmeticError):
 
 
 class SeriesDiverged(FracBesselError, ArithmeticError):
-    """A series evaluation was aborted by the divergence heuristic.
+    """A series flagged by the divergence heuristic, as an exception.
 
-    The partial result (with honest flags) is attached as ``approximation``.
+    The evaluators no longer raise it: a sum that stops on the heuristic
+    returns its partial result with ``stop_reason == "diverging"``, as a
+    sum that spends its budget returns ``"budget"``.  It stays exported for
+    callers that still catch it; the partial result is ``approximation``.
     """
 
     def __init__(self, approximation, message: str | None = None):

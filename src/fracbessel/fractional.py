@@ -207,15 +207,22 @@ def _de_quad(fn: ArrayFunction) -> tuple[float, int, float]:
 
 
 def rl_integral(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
-    """Order-s integral (s < 0) of f over (a, x].
+    """Order-s integral (s < 0) of f over (a, x]: ``_rl_quadrature`` times the
+    prefactor (x - a)^p / Gamma(p + 1), p = -s.
 
     f takes and returns a float; it is adapted once to the array form that
-    ``_rl_integral_array`` documents, and evaluated only on (a, x].  An
-    ``OverflowError`` from f, as Python raises for t ** -3.5 next to t = 0,
-    is a value past float64, and a complex value, as t ** 0.5 gives at
-    t < 0 or a numpy complex scalar anywhere, is not real: both raise
-    ``DomainError``.  Any other exception of f propagates as it is.
+    ``_rl_quadrature`` reads, and evaluated only on (a, x].  A prefactor or
+    a result outside float64 raises ``DomainError``.  An ``OverflowError``
+    from f, as Python raises for t ** -3.5 next to t = 0, is a value past
+    float64, and a complex value, as t ** 0.5 gives at t < 0 or a numpy
+    complex scalar anywhere, is not real: both raise ``DomainError``.  Any
+    other exception of f propagates as it is.
     """
+    if not s < 0:
+        raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
+    p = -s
+    lg = gamma_log(p + 1.0)
+    scale = lg.sign * _guarded_exp(p * math.log(bounds.x - bounds.a) - lg.log_abs)
 
     def f_array(t: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -233,20 +240,7 @@ def rl_integral(f: RealFunction, s: float, bounds: BoundarySetup) -> float:
         except OverflowError:  # from f, or an int value past float64
             raise _range_error("a value of f") from None
 
-    return _rl_integral_array(f_array, s, bounds)
-
-
-def _rl_integral_array(f: ArrayFunction, s: float, bounds: BoundarySetup) -> float:
-    """``rl_integral`` for an f that maps an array of t to an array of values:
-    ``_rl_quadrature`` times the prefactor (x - a)^p / Gamma(p + 1), p = -s.
-    A prefactor or a result outside float64 raises ``DomainError``.
-    """
-    if not s < 0:
-        raise DomainError(f"rl_integral requires s < 0, got s={s!r}")
-    p = -s
-    lg = gamma_log(p + 1.0)
-    scale = lg.sign * _guarded_exp(p * math.log(bounds.x - bounds.a) - lg.log_abs)
-    return _in_range(scale * _rl_quadrature(f, p, bounds.a, bounds.x))
+    return _in_range(scale * _rl_quadrature(f_array, p, bounds.a, bounds.x))
 
 
 def _rl_quadrature(f: ArrayFunction, p: float, a: float, x: float) -> float:

@@ -6,7 +6,10 @@ outside the float64 range raises ``DomainError``), then hand an inner stream
 E_k and a Pochhammer pair (a, b) to the one engine,
 ``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
 with a running product, in the loop that decides where the sum stops, and
-ends the sum when a + k hits zero.  E_k comes from ``vk._e_values(alpha,
+ends the sum when a + k hits zero.  Every evaluator returns the engine's
+result as it is: why the sum stopped is its ``stop_reason``, and a sum the
+divergence heuristic stops comes back as ``"diverging"``, its partial sum
+the value, never as an exception.  E_k comes from ``vk._e_values(alpha,
 w)``, the one place that picks its construction:
 
 * the rearranged form (and so ``k_mcdonald`` outside its corner, below)
@@ -61,10 +64,10 @@ from __future__ import annotations
 import math
 import sys
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import vk
-from .errors import DomainError, SeriesDiverged, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet
 from .oracle import VerificationRecord, k_oracle
 from .special import (
     _gamma_log_off_pole,
@@ -112,20 +115,6 @@ def _require_positive_order(s: float) -> None:
         )
 
 
-def _finalize(
-    inner: Iterator[float],
-    policy: TruncationPolicy,
-    scale: float,
-    a: float,
-    b: float,
-    zeros: int = 0,
-) -> SeriesApproximation:
-    approx = sum_with_policy(inner, policy, scale, a, b, zeros)
-    if approx.stop_reason == "diverging":
-        raise SeriesDiverged(approx)
-    return approx
-
-
 # --- the three K series --------------------------------------------------------
 
 class _KForm(NamedTuple):
@@ -170,7 +159,7 @@ def _sum_k_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) ->
     _require_positive_order(s)
     _require_positive_z(z)
     pref = _guarded_exp(form.log_prefactor(s, z))
-    return _finalize(vk._e_values(form.alpha, form.w_per_z * z), policy, pref, 0.5 - s, 0.5 + s)
+    return sum_with_policy(vk._e_values(form.alpha, form.w_per_z * z), policy, pref, 0.5 - s, 0.5 + s)
 
 
 # --- Temme's series in the small-z corner -------------------------------------
@@ -410,7 +399,7 @@ def general_expansion_m7(
     # the engine counts the zeros as terms, budget included, and reads E_k
     # only past them; no policy sums past sys.maxsize terms
     zeros = min(zeros, sys.maxsize)
-    return _finalize(islice(vk._e_values(alpha, w), zeros, None), policy, pref, top, bottom, zeros)
+    return sum_with_policy(islice(vk._e_values(alpha, w), zeros, None), policy, pref, top, bottom, zeros)
 
 
 def adjudicate_m10(
@@ -430,8 +419,6 @@ def adjudicate_m10(
         params = {"s": float(s), "z": float(z)}
         try:
             lhs = k_series_m10(s, z).value
-        except SeriesDiverged as exc:
-            lhs = exc.approximation.value
         except DomainError:
             lhs = math.nan
         try:

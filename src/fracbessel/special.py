@@ -180,7 +180,9 @@ def pochhammer(a: float, k: int) -> float:
     not on it takes the ratio).  For a > 0 that ratio is
     ``_lgamma_ratio(a, k)``, which does not cancel when a is large.  A k past
     float64 raises the float64-range ``DomainError``, as the value is past
-    it too.
+    it too.  The product stops at its first infinite partial product: a
+    non-positive integer base takes it at any k, but each of its factors has
+    magnitude >= 1, so it leaves float64 within ~171 of them.
     """
     k = _integer_at_least(k, 0, "pochhammer index k")
     if not math.isfinite(a):
@@ -195,6 +197,8 @@ def pochhammer(a: float, k: int) -> float:
         out = 1.0
         for m in range(k):
             out *= a + m
+            if math.isinf(out):
+                break
         return _in_range(out)
     try:
         top = a + k

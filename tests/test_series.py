@@ -17,7 +17,6 @@ from fracbessel import (
     FracBesselError,
     OrderArg,
     SeriesApproximation,
-    SeriesDiverged,
     TruncationPolicy,
     adjudicate_m10,
     general_expansion_m7,
@@ -203,13 +202,10 @@ def _pochhammer_products(a, b, inner):
 
 def _over_the_exact_stream(evaluate, s, z, policy):
     """``evaluate(s, z, policy)`` with its alpha = -1 inner stream read from
-    exact integers throughout; a diverging sum gives back its partial sum."""
+    exact integers throughout."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vk, "_m1_values", m1_exact)
-        try:
-            return evaluate(s, z, policy)
-        except SeriesDiverged as exc:
-            return exc.approximation
+        return evaluate(s, z, policy)
 
 
 def _assert_sums_the_closed_form_rows(evaluate, pref, s, z, policy):
@@ -331,10 +327,7 @@ class TestKAgainstMpmath:
             with mpmath.workdps(40):
                 k = float(mpmath.besselk(s, z))
             for evaluate in (k_series_rearranged, k_series_m9):
-                try:
-                    got = evaluate(s, z)
-                except SeriesDiverged as exc:
-                    got = exc.approximation
+                got = evaluate(s, z)
                 want = _over_the_exact_stream(evaluate, s, z, TruncationPolicy())
                 assert (got.stop_reason, got.terms_used) == (want.stop_reason, want.terms_used), (z, evaluate)
                 if got.stop_reason in ("converged", "terminated"):
@@ -367,10 +360,7 @@ def _float_stream_allowance(evaluate, s, z, n):
 def _assert_sums_the_float_stream_closely(evaluate, s, z, policy):
     """``evaluate`` stops where its sum over the exact stream stops, within
     ``_float_stream_allowance`` of that sum's value."""
-    try:
-        got = evaluate(s, z, policy)
-    except SeriesDiverged as exc:
-        got = exc.approximation
+    got = evaluate(s, z, policy)
     want = _over_the_exact_stream(evaluate, s, z, policy)
     assert (got.stop_reason, got.terms_used) == (want.stop_reason, want.terms_used)
     assert abs(got.value - want.value) <= _float_stream_allowance(evaluate, s, z, want.terms_used)
@@ -532,12 +522,11 @@ class TestKMcdonald:
         ]
         assert errors[1] <= errors[0]
 
-    def test_divergence_heuristic_raises_with_partial(self):
+    def test_divergence_heuristic_returns_the_partial_sum(self):
         # large z: term magnitudes climb through the initial hump, which the
-        # conservative default window flags
-        with pytest.raises(SeriesDiverged) as info:
-            k_mcdonald(0.7, 40.0)
-        approx = info.value.approximation
+        # conservative default window flags; the flagged partial sum is the result
+        approx = k_mcdonald(0.7, 40.0)
+        assert approx.stop_reason == "diverging" and approx.terms_used == 6
         assert approx.diverging and not approx.converged
         assert math.isfinite(approx.value)
 
@@ -993,6 +982,38 @@ class TestWholeDomain:
         except FracBesselError:
             return
         assert len(records) == 1 and records[0].identity_id == "M10_ADJ"
+
+
+def _assert_returned_verdict(approx):
+    """A sum's result carries its verdict: a finite value, and flags that
+    read exactly what ``stop_reason`` says."""
+    assert math.isfinite(approx.value)
+    assert approx.diverging == (approx.stop_reason == "diverging")
+    assert approx.converged == (approx.stop_reason in ("terminated", "converged"))
+
+
+class TestVerdictIsReturned:
+    """Every truncated sum returns why it stopped, a diverging stop included:
+    no evaluator raises its verdict."""
+
+    @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_rearranged, k_series_m9, k_series_m10])
+    @given(s=st.floats(series_module.ZERO_ORDER_TOL, 5.0), z=st.floats(0.1, 50.0))
+    @example(s=0.7, z=40.0)  # diverging after 6 terms
+    @example(s=10.3, z=20.0)  # diverging after 6 terms
+    @settings(max_examples=100, deadline=None)
+    def test_k_series(self, evaluate, s, z):
+        _assert_returned_verdict(evaluate(s, z))
+
+    @given(
+        s=st.floats(-0.9, -0.1, exclude_min=True, exclude_max=True),
+        nu=st.floats(0.2, 2.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+        x=st.floats(0.5, 2.0, exclude_min=True, exclude_max=True),
+    )
+    @example(s=-0.4, nu=1.2, beta=1.0, x=1.0)  # diverging after 32 terms
+    @settings(max_examples=100, deadline=None)
+    def test_general_expansion_at_alpha_minus_one(self, s, nu, beta, x):
+        _assert_returned_verdict(general_expansion_m7(s, nu, -1.0, beta, x))
 
 
 class TestMetadataInvariants:

@@ -124,6 +124,11 @@ class TestPochhammer:
 
     def test_negative_integer_base_large_k(self):
         assert pochhammer(-200.0, 100) == pytest.approx(float(sc.poch(-200.0, 100)), rel=1e-10)
+        # the product form, which stops at its first infinite partial
+        # product, keeps every finite value bit for bit
+        assert pochhammer(-170.0, 100) == 6.058665269334438e206
+        with mpmath.workdps(40):
+            assert abs(pochhammer(-170.0, 100) - mpmath.rf(-170, 100)) <= 1e-15 * 6.058665269334438e206
 
     @pytest.mark.parametrize(
         "a,k", [(-3 + 1e-13, 100), (-3 - 1e-13, 100), (-100 + 1e-13, 80), (-1e-13, 70)]
@@ -146,6 +151,15 @@ class TestPochhammer:
         for a, k in [(100.0, 200), (1e10, 64), (1e200, 2)]:
             with pytest.raises(DomainError, match="float64 range"):
                 pochhammer(a, k)
+
+    def test_negative_integer_base_leaves_float64_at_once(self):
+        # the product form serves a non-positive integer base at every k; it
+        # stops once past float64, however many factors are left
+        t0 = time.perf_counter()
+        for a, k in [(-1e300, 10**20), (-1e9, 10**7), (-200.0, 199)]:
+            with pytest.raises(DomainError, match="float64 range"):
+                pochhammer(a, k)
+        assert time.perf_counter() - t0 < 1.0
 
     @given(
         a=st.floats(-10, 10, allow_nan=False),
