@@ -1,8 +1,9 @@
 """Evaluating K_s(z) by series, with honest convergence metadata.
 
 Shows the terminating half-integer fast path, the slow oscillating tail of
-the paper's sum at generic orders, the small-z corner that ``k_mcdonald``
-answers by Temme's series instead, and the agreement between the raw and
+the paper's sum at generic orders, Temme's method, by which ``k_mcdonald``
+answers generic orders up to 5 instead (Temme's series at z <= 2, Steed's
+continued fraction past it), and the agreement between the raw and
 rearranged forms of the expansion.
 
     python demos/03_mcdonald_series.py
@@ -46,8 +47,9 @@ for s, z in ((0.7, 1.0), (2.6, 1.0)):
         f"rel = {abs(approx.value - ref) / ref:.1e}"
     )
 
-print("\nk_mcdonald answers z <= 2 at orders up to 5 (half-integers aside) by Temme's series:")
-for s, z in ((0.7, 1.0), (2.6, 1.0)):
+print("\nk_mcdonald answers orders up to 5 (half-integers aside) by Temme's method:")
+print("Temme's series at z <= 2, Steed's continued fraction past it:")
+for s, z in ((0.7, 1.0), (2.6, 1.0), (0.7, 40.0)):
     approx = k_mcdonald(s, z)
     ref = k_oracle(s, z)
     print(

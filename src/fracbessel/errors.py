@@ -24,7 +24,13 @@ class PoleError(DomainError):
 
 
 class ToleranceNotMet(FracBesselError, ArithmeticError):
-    """Adaptive quadrature exhausted its budget without reaching tolerance."""
+    """A numerical method spent its budget without reaching its tolerance.
+
+    Raised by the double-exponential rule ``fractional._de_quad`` past its
+    level 8, by ``k_oracle``'s trapezoid after 6 halvings of its step, and
+    by ``lower_incomplete_gamma``'s series or continued fraction after 500
+    steps.  ``estimate`` is the size of the method's last change or term.
+    """
 
     def __init__(self, message: str, estimate: float | None = None):
         self.estimate = estimate

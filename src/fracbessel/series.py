@@ -12,8 +12,9 @@ divergence heuristic stops comes back as ``"diverging"``, its partial sum
 the value, never as an exception.  E_k comes from ``vk._e_values(alpha,
 w)``, the one place that picks its construction:
 
-* the rearranged form (and so ``k_mcdonald`` outside its corner, below)
-  and M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
+* the rearranged form (and so ``k_mcdonald`` at half-integer orders and
+  orders past 5, below) and M9 read alpha = -1 at w = 2z, the float64
+  recurrence in k;
 * M10 reads alpha = -1/2 at w = z, an exact recurrence in k;
 * M7 reads its own alpha at w = beta x^alpha: one of those two
   recurrences, or at any other alpha the exact coefficient rows.
@@ -47,16 +48,19 @@ No prefactor carries the printed Gamma(1/2-s) pole, so half-integer orders
 need no special case: at s = m + 1/2 the factor (1/2-s)_k vanishes from
 k = m + 1 on and each K series ends by itself after m + 1 terms.
 
-``k_mcdonald`` alone has a second route.  In the small-z corner,
-ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5) and
-0 < z <= ``CORNER_MAX_Z`` (2), the rearranged form's terms fall only
-algebraically, like k^{-2s} z, so its sum runs out of budget or trips the
-divergence window.  There ``k_mcdonald`` sums Temme's series for K_mu and
-K_{mu+1}, |mu| <= 1/2, in at most ~14 terms, and climbs to |s| by the
-recurrence of DLMF 10.29.1.  Half-integer orders stay on the rearranged form,
-which ends after m + 1 <= 5 terms there.  Temme's series is not a formula of
-the paper: ``k_series_rearranged``, M9, M10 and the CLI sum the paper's
-series everywhere, and the oracle never reads it.
+``k_mcdonald`` alone has a second route, Temme's method, at
+ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), half-integers excepted,
+and every finite z > 0.  At generic orders the rearranged form's sum does
+not end by itself: at 0 < z <= ``CORNER_MAX_Z`` (2) its terms fall only
+algebraically, like k^{-2s} z, and past it they climb a hump and then
+oscillate, so it runs out of budget or trips the divergence window.
+Temme's method finds K_mu and K_{mu+1}, |mu| <= 1/2, by Temme's series at
+z <= 2 (at most ~14 terms) and by Steed's continued fraction CF2 past it
+(at most ~81 increments), and climbs to |s| by the recurrence of DLMF
+10.29.1.  Half-integer orders stay on the rearranged form, which ends after
+m + 1 <= 5 terms there.  Temme's method is not a formula of the paper:
+``k_series_rearranged``, M9, M10 and the CLI sum the paper's series
+everywhere, and the oracle never reads it.
 """
 
 from __future__ import annotations
@@ -85,11 +89,12 @@ from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, s
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
 
-#: The corner ``k_mcdonald`` sums by Temme's series: |s| up to this order
-#: (half-integers excepted) ...
+#: ``k_mcdonald`` runs Temme's method at |s| up to this order (half-integers
+#: excepted) and any finite z > 0 ...
 CORNER_MAX_ORDER = 5.0
-#: ... at 0 < z up to this argument, where the rearranged form's terms fall
-#: only algebraically.
+#: ... by Temme's series at 0 < z up to this argument, the small-z corner
+#: where the rearranged form's terms fall only algebraically, and by Steed's
+#: continued fraction past it.
 CORNER_MAX_Z = 2.0
 
 
@@ -162,7 +167,7 @@ def _sum_k_series(form: _KForm, s: float, z: float, policy: TruncationPolicy) ->
     return sum_with_policy(vk._e_values(form.alpha, form.w_per_z * z), policy, pref, 0.5 - s, 0.5 + s)
 
 
-# --- Temme's series in the small-z corner -------------------------------------
+# --- Temme's method: Temme's series at z <= 2, Steed's CF2 past it -----------
 
 #: Taylor coefficients g_j of 1/Gamma(1+x) = sum_j g_j x^j for j = 0..21
 #: (DLMF 5.7.1), rounded from 40-digit mpmath and paired (g_{2i}, g_{2i+1})
@@ -182,27 +187,19 @@ _RGAMMA_PAIRS = (
     (1.0, 0.5772156649015329),
 )
 
-#: Temme's sums stop once a term of each is below this share of its sum.
+#: Temme's sums, and Steed's continued fraction, stop once a term of each
+#: sum is below this share of its sum.
 _TEMME_EPS = 1e-16
 
 
-def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
-    """K_s(z) for ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and
-    0 < z <= CORNER_MAX_Z, by Temme's series (N. M. Temme, J. Comput. Phys.
-    19 (1975) 324-337; Numerical Recipes section 6.7, ``bessik``).
+def _temme_series(mu: float, z: float, left: int) -> tuple:
+    """Temme's series for K_mu(z) and K_{mu+1}(z), |mu| <= 1/2, 0 < z <= 2.
 
-    One loop sums K_mu(z) and K_{mu+1}(z) at mu = s - round(s), |mu| <= 1/2,
-    from Gamma1(mu) = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu) and
-    Gamma2(mu) = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, both from the Taylor
-    coefficients of 1/Gamma(1+x); K_{nu+1} = K_{nu-1} + (2 nu/z) K_nu
-    (DLMF 10.29.1), stable upward, then climbs to s.  Each term counts
-    toward ``policy.max_terms``; the sum is ``"converged"`` once a term of
-    each series is below ``_TEMME_EPS`` of its sum, and ``"budget"`` if the
-    budget runs out first.  ``last_term_abs`` is what the recurrence makes
-    of the two last terms' magnitudes, in the scale of K_s.
+    One loop sums both from Gamma1(mu) = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu)
+    and Gamma2(mu) = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, both from the Taylor
+    coefficients of 1/Gamma(1+x), in the first term and at most ``left``
+    more.  Returns (K_mu, K_{mu+1}, |last term| of each, terms, stop).
     """
-    n = round(s)
-    mu = s - n  # exact: s <= 5
     mu2 = mu * mu
     gam1 = gam2 = 0.0
     for even, odd in _RGAMMA_PAIRS:
@@ -225,7 +222,7 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
     total1 = t1 = p
     y = 0.25 * z * z
     c = i = 1.0
-    left = policy.max_terms - 1  # terms the budget allows after the first
+    terms = left + 1
     stop = "budget"
     eps = _TEMME_EPS
     while left:
@@ -242,18 +239,99 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
             stop = "converged"
             break
         i += 1.0
-    # the recurrence carries the two last terms as it carries the two sums
-    value, last = total, abs(t)
-    if n:
-        # K_{mu+1} = (2/z) total1; past float64 it is inf, and so is every K above it
-        k0, value = total, 2.0 * total1 / z
-        l0, last = last, 2.0 * abs(t1) / z
-        nu = mu + 1.0
-        for _ in range(n - 1):
-            k0, value = value, k0 + 2.0 * nu * value / z
-            l0, last = last, l0 + 2.0 * nu * last / z
-            nu += 1.0
-    return SeriesApproximation(_in_range(value), policy.max_terms - left, last, stop)
+    # K_{mu+1} = (2/z) total1; past float64 it is inf, and so is every K above it
+    return total, 2.0 * total1 / z, abs(t), 2.0 * abs(t1) / z, terms - left, stop
+
+
+def _steed_cf2(mu: float, z: float, left: int) -> tuple:
+    """Steed's continued fraction CF2 for e^z K_mu(z) and e^z K_{mu+1}(z),
+    |mu| <= 1/2, z > 2 (Numerical Recipes section 6.7, after Temme).
+
+    The sum S = 1 + sum_k C_k Q_k, with e^z K_mu = sqrt(pi/(2z)) / S, and
+    the continued fraction h of K_{mu+1} / K_mu are formed together, in a
+    first increment and at most ``left`` more; it stops once an increment
+    of S is below ``_TEMME_EPS`` of S.  Returns the two scaled values, the
+    same two times the last increment's share of S, the increments summed
+    and the stop.  At z past ~9e307, b = 2(1 + z) overflows; ``_k_temme``
+    never calls it beyond z ~ 745.
+    """
+    b = 2.0 * (1.0 + z)
+    d = h = delh = 1.0 / b
+    q1, q2 = 0.0, 1.0
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    dels = q * delh
+    total = 1.0 + dels
+    terms = left + 1
+    i = 1.0
+    stop = "budget"
+    eps = _TEMME_EPS
+    while left:
+        a -= 2.0 * i
+        c = -a * c / (i + 1.0)
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh *= b * d - 1.0
+        h += delh
+        dels = q * delh
+        total += dels
+        left -= 1
+        if abs(dels) <= eps * abs(total):
+            stop = "converged"
+            break
+        i += 1.0
+    k0 = math.sqrt(0.5 * math.pi / z) / total
+    k1 = k0 * (mu + z + 0.5 - a1 * h) / z
+    share = abs(dels / total)
+    return k0, k1, share * k0, share * k1, terms - left, stop
+
+
+def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
+    """K_s(z) for ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and finite z > 0,
+    by Temme's method (N. M. Temme, J. Comput. Phys. 19 (1975) 324-337;
+    Numerical Recipes section 6.7, ``bessik``).
+
+    Both branches find K_mu(z) and K_{mu+1}(z) at mu = s - round(s),
+    |mu| <= 1/2: Temme's series at z <= CORNER_MAX_Z (at most ~14 terms),
+    Steed's continued fraction CF2 past it (at most ~81 increments just
+    above z = 2, 16 at z = 20, 6 at z = 700).  Both then climb to s by
+    K_{nu+1} = K_{nu-1} + (2 nu/z) K_nu (DLMF 10.29.1), stable upward; the
+    continued fraction's values are e^z K, and e^{-z} is applied once,
+    after the climb, so a subnormal K is rounded only once.  Past z where
+    e^{-z} underflows, K_s(z) rounds to 0.0 at every order up to 5, and no
+    term is formed.
+
+    Each term or increment counts toward ``policy.max_terms``; the sum is
+    ``"converged"`` once the last term of each of its sums is below
+    ``_TEMME_EPS`` of that sum, and ``"budget"`` if the budget runs out
+    first.  It never reports ``"diverging"``.  ``last_term_abs`` is what the
+    climb makes of the two last terms' magnitudes (for the continued
+    fraction, of the last increment's share of each value), in the scale of
+    K_s.
+    """
+    n = round(s)
+    mu = s - n  # exact: s <= 5
+    left = policy.max_terms - 1  # terms the budget allows after the first
+    if z <= CORNER_MAX_Z:
+        scale = 1.0
+        k0, value, l0, last, terms, stop = _temme_series(mu, z, left)
+    else:
+        scale = math.exp(-z)
+        if not scale:
+            return SeriesApproximation(0.0, 0, 0.0, "converged")
+        k0, value, l0, last, terms, stop = _steed_cf2(mu, z, left)
+    if not n:
+        value, last = k0, l0
+    # the recurrence carries the two last terms as it carries the two values
+    nu = mu + 1.0
+    for _ in range(n - 1):
+        k0, value = value, k0 + 2.0 * nu * value / z
+        l0, last = last, l0 + 2.0 * nu * last / z
+        nu += 1.0
+    return SeriesApproximation(_in_range(value * scale), terms, last * scale, stop)
 
 
 # --- public evaluators -------------------------------------------------------
@@ -324,22 +402,25 @@ def k_mcdonald(
     Reduces s -> |s| (the function is even in its order) and routes by
     (|s|, z):
 
-    * the small-z corner, ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5)
-      and 0 < z <= ``CORNER_MAX_Z`` (2), half-integers excepted, goes to
-      Temme's series (``_k_temme``), at most ~14 terms.  There the
-      rearranged form's terms fall only algebraically, so it spends its
-      budget or trips the divergence window.  Temme's series is not a
+    * ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), half-integers
+      excepted, at every finite z > 0, goes to Temme's method
+      (``_k_temme``): Temme's series at z <= ``CORNER_MAX_Z`` (2), at most
+      ~14 terms, and Steed's continued fraction past it, at most ~81
+      increments.  There the rearranged form's sum does not end by itself,
+      and it spends its budget or trips the divergence window.  Past
+      z ~ 745 the value is 0.0, ``"converged"``.  Temme's method is not a
       formula of the paper, and the oracle never reads it;
     * every other point, half-integers included, goes to the rearranged
       form, bit for bit ``k_series_rearranged(|s|, z, policy)``: at
-      s = m + 1/2 it terminates after m + 1 <= 5 terms in the corner, and
-      truncates adaptively elsewhere.
+      s = m + 1/2 it terminates after m + 1 terms, and it truncates
+      adaptively at orders past 5.  A z <= 0, NaN or inf is its
+      ``DomainError``.
 
-    Orders within 1e-10 of zero are rejected, although Temme's series would
+    Orders within 1e-10 of zero are rejected, although Temme's method would
     give K_0: the domain stays that of the paper's forms.
     """
     s = abs(s)
-    if ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and 0.0 < z <= CORNER_MAX_Z and s % 1.0 != 0.5:
+    if ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and 0.0 < z < math.inf and s % 1.0 != 0.5:
         return _k_temme(s, z, policy)
     return _sum_k_series(_REARRANGED, s, z, policy)
 

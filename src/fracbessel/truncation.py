@@ -49,7 +49,8 @@ class SeriesApproximation(NamedTuple):
     * ``"terminated"`` - the term stream ran out, or the Pochhammer ratio
       hit zero, inside the budget: every remaining term is identically zero;
     * ``"converged"`` - ``STOP_RUN`` terms in a row were negligible (for
-      ``k_mcdonald``'s Temme series, one term of each of its two sums);
+      ``k_mcdonald``'s Temme's method, one term of each of Temme's two sums,
+      or one increment of Steed's continued fraction);
     * ``"budget"`` - ``max_terms`` terms were summed without a verdict;
     * ``"diverging"`` - |term| grew ``divergence_window`` times in a row.
 

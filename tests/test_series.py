@@ -254,7 +254,7 @@ class TestAlphaMinusOnePaths:
         )
         _assert_sums_the_closed_form_rows(k_series_m9, pref, s, z, policy)
 
-    @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_m9])
+    @pytest.mark.parametrize("evaluate", [k_series_rearranged, k_series_m9])
     @pytest.mark.parametrize("z,k", [(1e6, 63), (1000000.05, 63), (1e12, 28)])
     def test_a_value_past_float64_is_the_exact_streams_range_error(self, evaluate, z, k):
         # E_63 and E_28 overflow in float64, where the exact values do
@@ -525,7 +525,7 @@ class TestKMcdonald:
     def test_divergence_heuristic_returns_the_partial_sum(self):
         # large z: term magnitudes climb through the initial hump, which the
         # conservative default window flags; the flagged partial sum is the result
-        approx = k_mcdonald(0.7, 40.0)
+        approx = k_series_rearranged(0.7, 40.0)
         assert approx.stop_reason == "diverging" and approx.terms_used == 6
         assert approx.diverging and not approx.converged
         assert math.isfinite(approx.value)
@@ -540,16 +540,29 @@ CORNER_ARGS = [1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0]
 #: float64 at every order but the smallest.
 TINY_ARGS = [1e-50, 1e-100, 1e-200, 2.7e-295, 1e-310, 5e-324]
 
-#: Points ``k_mcdonald`` leaves to the rearranged form: half-integers inside
-#: the corner, orders past 5 or next to 0, arguments past 2, and inputs that
-#: are rejected or leave float64.
+#: Points ``k_mcdonald`` leaves to the rearranged form: half-integers at
+#: any argument, orders past 5 or next to 0, and inputs that are rejected or
+#: leave float64.
 OUTSIDE_THE_CORNER = [
-    (0.5, 0.1), (2.5, 1.0), (-1.5, 0.3), (4.5, 2.0), (2.5, 1e-200),
-    (5.000000000000001, 1.0), (7.3, 0.5), (200.5, 1.0),
-    (1.3, 2.0000000000000004), (2.6, 2.5), (0.7, 40.0), (3.3, 20.0),
-    (0.0, 1.0), (5e-11, 1.0), (1.3, 0.0), (1.3, -1.0),
+    (0.5, 0.1), (2.5, 1.0), (-1.5, 0.3), (4.5, 2.0), (2.5, 1e-200), (1.5, 2.5), (3.5, 40.0),
+    (5.000000000000001, 1.0), (7.3, 0.5), (200.5, 1.0), (7.3, 20.0),
+    (0.0, 1.0), (5e-11, 1.0), (1.3, 0.0), (1.3, -1.0), (1.3, -math.inf),
     (math.nan, 1.0), (1.3, math.nan), (math.inf, 1.0), (1.3, math.inf),
 ]
+
+#: Points past z = 2 where the paper's sum spends its budget or trips the
+#: divergence window, and ``k_mcdonald`` runs Steed's continued fraction.
+PAST_THE_CORNER = [(1.3, 2.0000000000000004), (2.6, 2.5), (0.7, 40.0), (3.3, 20.0)]
+#: Arguments past the corner, from its edge to where K_s leaves the normal
+#: float64 range.
+STEED_ARGS = [2.0000000000000004, 2.001, 2.01, 2.5, 3.3, 5.0, 10.0, 20.0, 40.0, 100.0, 300.0, 700.0]
+#: Arguments where K_s(z) is subnormal at every order up to 5 ...
+SUBNORMAL_ARGS = [708.5, 715.0, 720.0, 730.0, 740.0, 744.0, 745.0, 745.13]
+#: ... and past the last one where e^{-z} is nonzero.
+UNDERFLOW_ARGS = [745.14, 760.0, 1e6, 1e300, sys.float_info.max]
+#: The most increments Steed's continued fraction takes on STEED_ARGS and
+#: 3000 random points up to z = 745: 81, just above z = 2.
+STEED_MAX_TERMS = 85
 
 
 def _rel_to_mpmath(value, s, z):
@@ -568,15 +581,17 @@ def _outcome(evaluate, *args):
 
 
 class TestTemmeCorner:
-    """At 0 < z <= 2 and orders up to 5 that are not half-integers,
-    ``k_mcdonald`` sums Temme's series and reads no inner stream; everywhere
+    """At finite z > 0 and orders up to 5 that are not half-integers,
+    ``k_mcdonald`` runs Temme's method and reads no inner stream: Temme's
+    series at z <= 2 and Steed's continued fraction past it.  Everywhere
     else it is the rearranged form, bit for bit."""
 
     @pytest.mark.parametrize("s", CORNER_ORDERS)
     def test_converged_within_1e_14_of_mpmath(self, s):
-        for z in CORNER_ARGS:
+        for z in CORNER_ARGS + STEED_ARGS:
             approx = k_mcdonald(s, z)
-            assert approx.stop_reason == "converged" and approx.terms_used <= 15, z
+            cap = 15 if z <= series_module.CORNER_MAX_Z else STEED_MAX_TERMS
+            assert approx.stop_reason == "converged" and approx.terms_used <= cap, z
             assert approx.last_term_abs <= STOP_RATIO * abs(approx.value), z
             assert _rel_to_mpmath(approx.value, s, z) <= 1e-14, z
 
@@ -597,10 +612,45 @@ class TestTemmeCorner:
             k_mcdonald(1.3, 5e-324)
         assert _rel_to_mpmath(k_mcdonald(0.3, 5e-324).value, 0.3, 5e-324) <= 1e-13
 
+    @given(
+        s=st.floats(series_module.ZERO_ORDER_TOL, series_module.CORNER_MAX_ORDER),
+        z=st.floats(series_module.CORNER_MAX_Z, 700.0, exclude_min=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_past_the_corner_anywhere(self, s, z):
+        assume(s % 1.0 != 0.5)  # half-integers are the rearranged form's
+        approx = k_mcdonald(s, z)
+        assert approx.stop_reason == "converged" and approx.terms_used <= STEED_MAX_TERMS
+        assert approx.last_term_abs <= STOP_RATIO * abs(approx.value)
+        assert _rel_to_mpmath(approx.value, s, z) <= 1e-14
+
+    @pytest.mark.parametrize("s,z", PAST_THE_CORNER)
+    def test_past_the_corner_where_the_paper_sum_stops_short(self, s, z):
+        assert k_series_rearranged(s, z).stop_reason in ("diverging", "budget")
+        approx = k_mcdonald(s, z)
+        assert approx.stop_reason == "converged" and approx.terms_used <= STEED_MAX_TERMS
+        assert _rel_to_mpmath(approx.value, s, z) <= 1e-14
+
+    @pytest.mark.parametrize("s", CORNER_ORDERS)
+    def test_a_subnormal_value_is_rounded_once(self, s):
+        # e^{-z} is applied after the climb, so K_s keeps its last digits
+        for z in SUBNORMAL_ARGS:
+            approx = k_mcdonald(s, z)
+            assert approx.stop_reason == "converged", z
+            with mpmath.workdps(40):
+                k = mpmath.besselk(s, z)
+                assert abs(mpmath.mpf(approx.value) - k) <= 1e-14 * k + mpmath.mpf(5e-324), z
+
+    @pytest.mark.parametrize("z", UNDERFLOW_ARGS)
+    def test_past_the_underflow_zero_is_converged(self, z):
+        for s in (0.3, -1.3, 5.0):
+            assert k_mcdonald(s, z) == (0.0, 0, 0.0, "converged")
+            assert math.copysign(1.0, k_mcdonald(s, z).value) == 1.0
+
     def test_no_inner_stream_is_read(self, monkeypatch):
         monkeypatch.setattr(vk, "_m1_values", _unreadable)
         for s in CORNER_ORDERS:
-            for z in CORNER_ARGS:
+            for z in CORNER_ARGS + STEED_ARGS:
                 assert k_mcdonald(s, z).converged, (s, z)
                 assert k_mcdonald(-s, z) == k_mcdonald(s, z), (s, z)
 
@@ -610,7 +660,7 @@ class TestTemmeCorner:
     def test_outside_it_is_the_rearranged_form(self, s, z, policy):
         assert _outcome(k_mcdonald, s, z, policy) == _outcome(k_series_rearranged, abs(s), z, policy)
 
-    @pytest.mark.parametrize("z", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("z", [0.1, 1.0, 2.0, 2.5, 20.0])
     def test_a_short_budget_is_budget(self, z):
         approx = k_mcdonald(1.3, z, TruncationPolicy(max_terms=3))
         assert approx.stop_reason == "budget" and approx.terms_used <= 3
@@ -625,8 +675,10 @@ class TestTemmeCorner:
 
     @given(
         s=st.floats(series_module.ZERO_ORDER_TOL, series_module.CORNER_MAX_ORDER),
-        z=st.floats(0.0, series_module.CORNER_MAX_Z, exclude_min=True),
-        n=st.integers(1, 20),
+        z=st.floats(0.0, series_module.CORNER_MAX_Z, exclude_min=True)
+        | st.floats(series_module.CORNER_MAX_Z, 50.0)
+        | st.floats(0.0, exclude_min=True, allow_infinity=False),
+        n=st.integers(1, 100),
         window=st.integers(1, 5),
     )
     @settings(max_examples=200, deadline=None)
@@ -998,7 +1050,7 @@ class TestVerdictIsReturned:
 
     @pytest.mark.parametrize("evaluate", [k_mcdonald, k_series_rearranged, k_series_m9, k_series_m10])
     @given(s=st.floats(series_module.ZERO_ORDER_TOL, 5.0), z=st.floats(0.1, 50.0))
-    @example(s=0.7, z=40.0)  # diverging after 6 terms
+    @example(s=0.7, z=40.0)  # the paper's sums: diverging after 6 terms
     @example(s=10.3, z=20.0)  # diverging after 6 terms
     @settings(max_examples=100, deadline=None)
     def test_k_series(self, evaluate, s, z):
