@@ -2,7 +2,7 @@
 
 Shows the terminating half-integer fast path, the slow oscillating tail of
 the paper's sum at generic orders, Temme's method, by which ``k_mcdonald``
-answers generic orders up to 5 instead (Temme's series at z <= 2, Steed's
+answers every order up to 5 instead (Temme's series at z <= 2, Steed's
 continued fraction past it), and the agreement between the raw and
 rearranged forms of the expansion.
 
@@ -20,7 +20,7 @@ from fracbessel import (
 print("Half-integer orders terminate after exactly s + 1/2 outer terms:")
 for m in range(5):
     s = m + 0.5
-    approx = k_mcdonald(s, 2.0)
+    approx = k_series_rearranged(s, 2.0)
     ref = k_oracle(s, 2.0)
     print(
         f"  K_{m}+1/2(2) = {approx.value:.15g}  terms={approx.terms_used}  "
@@ -47,7 +47,7 @@ for s, z in ((0.7, 1.0), (2.6, 1.0)):
         f"rel = {abs(approx.value - ref) / ref:.1e}"
     )
 
-print("\nk_mcdonald answers orders up to 5 (half-integers aside) by Temme's method:")
+print("\nk_mcdonald answers orders up to 5 by Temme's method:")
 print("Temme's series at z <= 2, Steed's continued fraction past it:")
 for s, z in ((0.7, 1.0), (2.6, 1.0), (0.7, 40.0)):
     approx = k_mcdonald(s, z)

@@ -9,10 +9,11 @@ extended to 0 <= s < 4 by composing n classical derivatives with an order
 and logarithm act as the fast path; the quadrature route stays available
 as an independent cross-check.
 
-Every quadrature of the package, here and in the identity audit, is one
-double-exponential rule, ``_de_quad`` (Takahasi & Mori, Publ. RIMS 9, 1974):
-the trapezoidal rule after the tanh-sinh change of variable, which makes
-the integrand decay double-exponentially at both ends of a finite interval.
+Every Riemann-Liouville integral of the package, here and in the identity
+audit, is one double-exponential rule, ``_de_quad`` (Takahasi & Mori, Publ.
+RIMS 9, 1974): the trapezoidal rule after the tanh-sinh change of variable,
+which makes the integrand decay double-exponentially at both ends of a
+finite interval.
 Every integral is taken over [0, 1].  The integrand receives each node u
 as ln u, the one coordinate its only caller needs, in the rule's cached,
 read-only numpy array, the first six levels in one array laid out level by

@@ -12,9 +12,8 @@ divergence heuristic stops comes back as ``"diverging"``, its partial sum
 the value, never as an exception.  E_k comes from ``vk._e_values(alpha,
 w)``, the one place that picks its construction:
 
-* the rearranged form (and so ``k_mcdonald`` at half-integer orders and
-  orders past 5, below) and M9 read alpha = -1 at w = 2z, the float64
-  recurrence in k;
+* the rearranged form (and so ``k_mcdonald`` at orders past 5, below) and
+  M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
 * M10 reads alpha = -1/2 at w = z, an exact recurrence in k;
 * M7 reads its own alpha at w = beta x^alpha: one of those two
   recurrences, or at any other alpha the exact coefficient rows.
@@ -49,16 +48,15 @@ need no special case: at s = m + 1/2 the factor (1/2-s)_k vanishes from
 k = m + 1 on and each K series ends by itself after m + 1 terms.
 
 ``k_mcdonald`` alone has a second route, Temme's method, at
-ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), half-integers excepted,
-and every finite z > 0.  At generic orders the rearranged form's sum does
-not end by itself: at 0 < z <= ``CORNER_MAX_Z`` (2) its terms fall only
-algebraically, like k^{-2s} z, and past it they climb a hump and then
-oscillate, so it runs out of budget or trips the divergence window.
+ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5) and every finite z > 0.
+There the rearranged form's sum ends by itself only at half-integers: at
+0 < z <= ``CORNER_MAX_Z`` (2) its terms fall only algebraically, like
+k^{-2s} z, and past it they climb a hump and then oscillate, so it runs
+out of budget or trips the divergence window.
 Temme's method finds K_mu and K_{mu+1}, |mu| <= 1/2, by Temme's series at
 z <= 2 (at most ~14 terms) and by Steed's continued fraction CF2 past it
 (at most ~81 increments), and climbs to |s| by the recurrence of DLMF
-10.29.1.  Half-integer orders stay on the rearranged form, which ends after
-m + 1 <= 5 terms there.  Temme's method is not a formula of the paper:
+10.29.1.  Temme's method is not a formula of the paper:
 ``k_series_rearranged``, M9, M10 and the CLI sum the paper's series
 everywhere, and the oracle never reads it.
 """
@@ -89,8 +87,8 @@ from .truncation import DEFAULT_POLICY, SeriesApproximation, TruncationPolicy, s
 #: expansions cannot represent.
 ZERO_ORDER_TOL = 1e-10
 
-#: ``k_mcdonald`` runs Temme's method at |s| up to this order (half-integers
-#: excepted) and any finite z > 0 ...
+#: ``k_mcdonald`` runs Temme's method at |s| up to this order and any finite
+#: z > 0 ...
 CORNER_MAX_ORDER = 5.0
 #: ... by Temme's series at 0 < z up to this argument, the small-z corner
 #: where the rearranged form's terms fall only algebraically, and by Steed's
@@ -402,25 +400,24 @@ def k_mcdonald(
     Reduces s -> |s| (the function is even in its order) and routes by
     (|s|, z):
 
-    * ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), half-integers
-      excepted, at every finite z > 0, goes to Temme's method
-      (``_k_temme``): Temme's series at z <= ``CORNER_MAX_Z`` (2), at most
-      ~14 terms, and Steed's continued fraction past it, at most ~81
-      increments.  There the rearranged form's sum does not end by itself,
-      and it spends its budget or trips the divergence window.  Past
+    * ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), at every finite
+      z > 0, goes to Temme's method (``_k_temme``): Temme's series at
+      z <= ``CORNER_MAX_Z`` (2), at most ~14 terms, and Steed's continued
+      fraction past it, at most ~81 increments.  There the rearranged
+      form's sum ends by itself only at half-integers, and elsewhere it
+      spends its budget or trips the divergence window.  Past
       z ~ 745 the value is 0.0, ``"converged"``.  Temme's method is not a
       formula of the paper, and the oracle never reads it;
-    * every other point, half-integers included, goes to the rearranged
-      form, bit for bit ``k_series_rearranged(|s|, z, policy)``: at
-      s = m + 1/2 it terminates after m + 1 terms, and it truncates
-      adaptively at orders past 5.  A z <= 0, NaN or inf is its
-      ``DomainError``.
+    * every other point goes to the rearranged form, bit for bit
+      ``k_series_rearranged(|s|, z, policy)``: at orders past 5 it
+      terminates after m + 1 terms at s = m + 1/2 and truncates adaptively
+      elsewhere.  A z <= 0, NaN or inf is its ``DomainError``.
 
     Orders within 1e-10 of zero are rejected, although Temme's method would
     give K_0: the domain stays that of the paper's forms.
     """
     s = abs(s)
-    if ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and 0.0 < z < math.inf and s % 1.0 != 0.5:
+    if ZERO_ORDER_TOL <= s <= CORNER_MAX_ORDER and 0.0 < z < math.inf:
         return _k_temme(s, z, policy)
     return _sum_k_series(_REARRANGED, s, z, policy)
 

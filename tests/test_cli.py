@@ -183,6 +183,20 @@ class TestTable:
         code, _, err = run("table", "--s-list", ",", "--z-list", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "s_list,methods,message",
+        [
+            ("a,b", "rearranged", "could not parse --s-list 'a,b' as comma-separated reals"),
+            ("0.5", ",", "--methods produced an empty list"),
+            ("0.5", "foo", "unknown method 'foo' (choose from "),
+        ],
+    )
+    def test_malformed_flags_exit_1(self, tmp_path, s_list, methods, message):
+        code, _, err = run("table", "--s-list", s_list, "--z-list", "1", "--methods", methods,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert message in err
+
     def test_nonpositive_z_exits_1(self, tmp_path):
         out_path = tmp_path / "x.csv"
         for methods in (("--methods", "rearranged"), ("--methods", "oracle"), ("--with-oracle",)):
@@ -259,11 +273,14 @@ class TestConverge:
             ("0:1:inf", "1:2:1"),
             ("0:1e12:1", "1:2:1"),  # a finite range can still make too many points
             ("-1e308:1e308:1", "1:2:1"),  # hi - lo overflows to inf
+            ("a:1:0.5", "1:2:1"),
         ],
     )
     def test_malformed_ranges_exit_1(self, s_range, z_range):
-        code, _, _ = run("converge", "--s-range", s_range, "--z-range", z_range)
+        code, _, err = run("converge", "--s-range", s_range, "--z-range", z_range)
         assert code == 1
+        # "1:2:1" is the one well-formed z range
+        assert ("--s-range" if z_range == "1:2:1" else "--z-range") in err
 
 
 #: --method -> (row label, the public one-point evaluator)

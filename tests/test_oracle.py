@@ -165,6 +165,18 @@ class TestOracleAccuracy:
             value, _, estimate = oracle._trapezoid(s, z)
             assert abs(value - _mp_k(s, z)) <= estimate, (s, z)
 
+    def test_a_first_pass_that_does_not_settle_is_halved(self, monkeypatch):
+        # the first pass (57 nodes) moves by 2.4e-10, past the tolerance, and
+        # one halving settles it
+        s, z = 2.0413331567207313, 0.009719087289018841
+        value, nodes, estimate = oracle._trapezoid(s, z)
+        assert nodes == 113
+        assert abs(value - _mp_k(s, z)) <= 1e-14 * value
+        assert estimate <= oracle._TRAPEZOID_REL_TOL * value
+        monkeypatch.setattr(oracle, "_MAX_HALVINGS", 0)
+        with pytest.raises(ToleranceNotMet, match="trapezoid"):
+            oracle._trapezoid(s, z)
+
     def test_unsettled_rule_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "_NODES_PER_WIDTH", 1)
         monkeypatch.setattr(oracle, "_MAX_HALVINGS", 0)

@@ -154,7 +154,8 @@ from fracbessel import general_expansion_m7, k_mcdonald, k_oracle, k_series_m9, 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 
-k_mcdonald(0.5, 1.0), k_mcdonald(1.3, 0.5), k_mcdonald(1.3, 5.0), k_series_m9(0.5, 1.0), k_series_m10(0.5, 1.0)
+k_mcdonald(0.5, 1.0), k_mcdonald(1.3, 0.5), k_mcdonald(1.3, 5.0), k_mcdonald(7.3, 1.0)
+k_series_m9(0.5, 1.0), k_series_m10(0.5, 1.0)
 general_expansion_m7(1.0, 2.0, 1.0, 1.0, 1.0)
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     codes = [

@@ -7,7 +7,7 @@ from itertools import accumulate, count, islice
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
@@ -225,16 +225,17 @@ class TestAlphaMinusOnePaths:
     sum over those rows."""
 
     def test_all_three_read_the_fixed_argument_recurrence(self, monkeypatch):
+        # k_mcdonald sums the rearranged form only past order 5
         monkeypatch.setattr("fracbessel.vk._m1_values", _unreadable)
-        for evaluate in (k_series_rearranged, k_mcdonald, k_series_m9):
+        for evaluate, s in ((k_series_rearranged, 2.5), (k_mcdonald, 7.5), (k_series_m9, 2.5)):
             with pytest.raises(_StreamRead):
-                evaluate(2.5, 1.3)
+                evaluate(s, 1.3)
 
     def test_neither_reads_the_closed_form_rows(self, monkeypatch):
         assert not hasattr(series_module, "_closed_m1_row")
         monkeypatch.setattr("fracbessel.vk._closed_m1_row", _unreadable)
         assert k_series_rearranged(2.5, 1.3).converged
-        assert k_mcdonald(2.5, 1.3).converged
+        assert k_mcdonald(7.5, 1.3).converged
         assert k_series_m9(2.5, 1.3).converged
 
     @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE], ids=["default", "wide"])
@@ -288,17 +289,17 @@ class TestStreamChoice:
     w = z; M7 at its alpha and w = beta x^alpha."""
 
     @pytest.mark.parametrize(
-        "evaluate,alpha,w",
+        "evaluate,alpha,w,s",
         [
-            (k_series_rearranged, -1.0, 2.0 * 1.3),
-            (k_mcdonald, -1.0, 2.0 * 1.3),
-            (k_series_m9, -1.0, 2.0 * 1.3),
-            (k_series_m10, -0.5, 1.3),
+            (k_series_rearranged, -1.0, 2.0 * 1.3, 2.5),
+            (k_mcdonald, -1.0, 2.0 * 1.3, 7.5),  # the rearranged form past order 5
+            (k_series_m9, -1.0, 2.0 * 1.3, 2.5),
+            (k_series_m10, -0.5, 1.3, 2.5),
         ],
     )
-    def test_each_k_series_reads_its_alpha_at_its_argument(self, monkeypatch, evaluate, alpha, w):
+    def test_each_k_series_reads_its_alpha_at_its_argument(self, monkeypatch, evaluate, alpha, w, s):
         calls = _record_choices(monkeypatch)
-        assert evaluate(2.5, 1.3).converged
+        assert evaluate(s, 1.3).converged
         assert calls == [(alpha, w)]
 
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0 / 3.0])
@@ -317,8 +318,8 @@ K_ARGS = [float(z) for z in np.geomspace(0.1, 20.0, 12)]
 class TestKAgainstMpmath:
     """The float64 alpha = -1 stream costs K no accuracy: the rearranged form
     and M9 stop where the same sums over the exact stream stop, and every
-    value they report converged or terminated is as close to K.  (In the
-    small-z corner ``k_mcdonald`` reads no stream, so the rearranged form is
+    value they report converged or terminated is as close to K.  (At orders
+    up to 5 ``k_mcdonald`` reads no stream, so the rearranged form is
     checked by name.)"""
 
     @pytest.mark.parametrize("s", K_ORDERS)
@@ -474,9 +475,9 @@ class TestKMcdonald:
         assert neg.value == pos.value
 
     def test_terminating_high_order(self):
-        approx = k_mcdonald(3.5, 5.0)
+        approx = k_mcdonald(7.5, 5.0)
         assert approx.converged
-        assert approx.value == pytest.approx(k_oracle(3.5, 5.0), rel=1e-9)
+        assert approx.value == pytest.approx(k_oracle(7.5, 5.0), rel=1e-9)
 
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
@@ -498,7 +499,7 @@ class TestKMcdonald:
             (k_series_m9, (2.7, 1e-200)),
             (k_series_m10, (2.7, 1e-200)),
             (general_expansion_m7, (5.0, 0.5, 1.0, 1.0, 1e-100)),
-            (k_mcdonald, (2.5, 1e200)),  # the inner sum S_2 overflows
+            (k_series_rearranged, (2.5, 1e200)),  # the inner sum S_2 overflows
             (general_expansion_m7, (0.5, 1.0, -1.0, 1.0, 1e-320)),  # x^alpha overflows
             (k_series_m9, (2.5, 1e200)),  # E_2 of each fixed-w recurrence overflows
             (k_series_m10, (2.5, 1e200)),
@@ -532,20 +533,19 @@ class TestKMcdonald:
 
 
 #: The corner that ``k_mcdonald`` sums by Temme's series: orders across
-#: (0, 5], next to 0, 1/2 and the integers, against arguments up to its edge.
-CORNER_ORDERS = [1e-10, 1e-6, 0.05, 0.3, 0.5 - 1e-10, 0.5 + 1e-10, 0.999999999, 1.0, 1.000000001,
-                 2.0, 2.3, 3.0, 3.7, 4.0, 4.95, 5.0]
+#: (0, 5], next to 0, 1/2 and the integers, and the half-integers, against
+#: arguments up to its edge.
+CORNER_ORDERS = [1e-10, 1e-6, 0.05, 0.3, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 0.999999999, 1.0, 1.000000001,
+                 1.5, 2.0, 2.3, 2.5, 3.0, 3.5, 3.7, 4.0, 4.5, 4.95, 5.0]
 CORNER_ARGS = [1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0]
 #: Arguments below 1e-20, down to the smallest subnormal, where K_s leaves
 #: float64 at every order but the smallest.
 TINY_ARGS = [1e-50, 1e-100, 1e-200, 2.7e-295, 1e-310, 5e-324]
 
-#: Points ``k_mcdonald`` leaves to the rearranged form: half-integers at
-#: any argument, orders past 5 or next to 0, and inputs that are rejected or
-#: leave float64.
+#: Points ``k_mcdonald`` leaves to the rearranged form: orders past 5 or
+#: next to 0, and inputs that are rejected or leave float64.
 OUTSIDE_THE_CORNER = [
-    (0.5, 0.1), (2.5, 1.0), (-1.5, 0.3), (4.5, 2.0), (2.5, 1e-200), (1.5, 2.5), (3.5, 40.0),
-    (5.000000000000001, 1.0), (7.3, 0.5), (200.5, 1.0), (7.3, 20.0),
+    (5.000000000000001, 1.0), (5.5, 1.3), (7.3, 0.5), (40.5, 3.0), (200.5, 1.0), (7.3, 20.0),
     (0.0, 1.0), (5e-11, 1.0), (1.3, 0.0), (1.3, -1.0), (1.3, -math.inf),
     (math.nan, 1.0), (1.3, math.nan), (math.inf, 1.0), (1.3, math.inf),
 ]
@@ -581,10 +581,10 @@ def _outcome(evaluate, *args):
 
 
 class TestTemmeCorner:
-    """At finite z > 0 and orders up to 5 that are not half-integers,
-    ``k_mcdonald`` runs Temme's method and reads no inner stream: Temme's
-    series at z <= 2 and Steed's continued fraction past it.  Everywhere
-    else it is the rearranged form, bit for bit."""
+    """At finite z > 0 and orders up to 5, ``k_mcdonald`` runs Temme's
+    method and reads no inner stream: Temme's series at z <= 2 and Steed's
+    continued fraction past it.  Everywhere else it is the rearranged form,
+    bit for bit."""
 
     @pytest.mark.parametrize("s", CORNER_ORDERS)
     def test_converged_within_1e_14_of_mpmath(self, s):
@@ -618,7 +618,6 @@ class TestTemmeCorner:
     )
     @settings(max_examples=150, deadline=None)
     def test_past_the_corner_anywhere(self, s, z):
-        assume(s % 1.0 != 0.5)  # half-integers are the rearranged form's
         approx = k_mcdonald(s, z)
         assert approx.stop_reason == "converged" and approx.terms_used <= STEED_MAX_TERMS
         assert approx.last_term_abs <= STOP_RATIO * abs(approx.value)
@@ -643,7 +642,7 @@ class TestTemmeCorner:
 
     @pytest.mark.parametrize("z", UNDERFLOW_ARGS)
     def test_past_the_underflow_zero_is_converged(self, z):
-        for s in (0.3, -1.3, 5.0):
+        for s in (0.3, -1.3, 2.5, 5.0):
             assert k_mcdonald(s, z) == (0.0, 0, 0.0, "converged")
             assert math.copysign(1.0, k_mcdonald(s, z).value) == 1.0
 
@@ -683,7 +682,6 @@ class TestTemmeCorner:
     )
     @settings(max_examples=200, deadline=None)
     def test_never_diverging_and_inside_the_budget(self, s, z, n, window):
-        assume(s % 1.0 != 0.5)  # half-integers are the rearranged form's
         try:
             approx = k_mcdonald(s, z, TruncationPolicy(max_terms=n, divergence_window=window))
         except DomainError as exc:
