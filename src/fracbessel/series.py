@@ -6,11 +6,12 @@ outside the float64 range raises ``DomainError``), then hand an inner stream
 E_k and a Pochhammer pair (a, b) to the one engine,
 ``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
 with a running product, in the loop that decides where the sum stops, and
-ends the sum when a + k hits zero.  Every evaluator returns the engine's
-result as it is: why the sum stopped is its ``stop_reason``, and a sum the
-divergence heuristic stops comes back as ``"diverging"``, its partial sum
-the value, never as an exception.  E_k comes from ``vk._e_values(alpha,
-w)``, the one place that picks its construction:
+ends the sum when a + k hits zero; a sum that this end closes inside the
+budget it sums whole, with no stop to test.  Every evaluator returns the
+engine's result as it is: why the sum stopped is its ``stop_reason``, and a
+sum the divergence heuristic stops comes back as ``"diverging"``, its
+partial sum the value, never as an exception.  E_k comes from
+``vk._e_values(alpha, w)``, the one place that picks its construction:
 
 * the rearranged form (and so ``k_mcdonald`` at orders past 5, below) and
   M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
@@ -45,7 +46,8 @@ w = c z.  Each evaluation builds its own stream.
 
 No prefactor carries the printed Gamma(1/2-s) pole, so half-integer orders
 need no special case: at s = m + 1/2 the factor (1/2-s)_k vanishes from
-k = m + 1 on and each K series ends by itself after m + 1 terms.
+k = m + 1 on and each K series ends by itself after m + 1 terms, summed
+whole (``"terminated"``) however its terms rise or fall on the way.
 
 ``k_mcdonald`` alone has a second route, Temme's method, at
 ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5) and every finite z > 0.

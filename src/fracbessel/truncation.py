@@ -3,7 +3,8 @@
 The policy is a frozen dataclass that validates its stops on construction.
 The result is a ``NamedTuple``, built positionally once per sum: a call that
 sums a handful of terms would otherwise spend a noticeable share of its time
-building it.
+building it.  A sum that its Pochhammer ratio ends inside the budget is
+summed whole by a lean loop; every other sum runs the loop that tests stops.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ STOP_RUN = 3
 class TruncationPolicy:
     """The two adjustable stops of ``sum_with_policy``, integers >= 1.
 
-    Divergence is a heuristic label, not a theorem: series whose term
-    magnitudes ride a slowly drifting oscillation can trip it while still
-    summing to the right value.  Callers probing such tails should pass a
-    wider window.
+    Neither applies to a sum that its Pochhammer ratio ends within
+    ``max_terms`` terms: that sum is summed whole.  Divergence is a heuristic
+    label, not a theorem: series whose term magnitudes ride a slowly drifting
+    oscillation can trip it while still summing to the right value.  Callers
+    probing such tails should pass a wider window.
     """
 
     max_terms: int = 200
@@ -46,8 +48,9 @@ class SeriesApproximation(NamedTuple):
 
     ``stop_reason`` says why the sum stopped, one of four strings:
 
-    * ``"terminated"`` - the term stream ran out, or the Pochhammer ratio
-      hit zero, inside the budget: every remaining term is identically zero;
+    * ``"terminated"`` - the sum is whole: the Pochhammer ratio hit zero
+      within the budget, whatever the terms did on the way, or the term
+      stream ran out inside it; every remaining term is identically zero;
     * ``"converged"`` - ``STOP_RUN`` terms in a row were negligible (for
       ``k_mcdonald``'s Temme's method, one term of each of Temme's two sums,
       or one increment of Steed's continued fraction);
@@ -94,50 +97,64 @@ def sum_with_policy(
     they count toward ``max_terms``, and the first value's magnitude is
     compared with theirs.
 
-    The sum stops at the first term that meets, in this precedence,
-    ``STOP_RUN`` terms in a row with |term| <= STOP_RATIO * |partial sum|
-    (``"converged"``; fixed), ``divergence_window`` strict increases of |term|
-    in a row (``"diverging"``), or ``max_terms`` terms (``"budget"``).  A
-    stream that runs out inside the budget, or a ratio that hits zero there,
-    is ``"terminated"`` (a zero tail); no value past the budget is read, so a
-    sum that ends exactly at ``max_terms`` reads as budget.  Accumulation is
-    exact (math.fsum).  A value outside the float64 range raises
-    ``DomainError``.
+    A ratio that ends the sum within the budget (a an integer <= 0 and
+    ``zeros`` - a < ``max_terms``) is known before the sum starts: a lean
+    loop sums every term to that end, or to the stream's end if that comes
+    first, with no stop tested (``"terminated"``), so a stream value past
+    float64 raises its ``DomainError`` there.  Every other sum stops at the
+    first term that meets, in this precedence, ``STOP_RUN`` terms in a row
+    with |term| <= STOP_RATIO * |partial sum| (``"converged"``; fixed),
+    ``divergence_window`` strict increases of |term| in a row
+    (``"diverging"``), or ``max_terms`` terms (``"budget"``).  A stream that
+    runs out inside the budget is ``"terminated"`` (a zero tail); no value
+    past the budget is read, so a stream that ends exactly at ``max_terms``
+    reads as budget.  Accumulation is exact (math.fsum).  A value outside
+    the float64 range raises ``DomainError``.
     """
     max_terms, window = policy.max_terms, policy.divergence_window
-    head = min(zeros, max_terms)
-    collected = [0.0] * head
-    append = collected.append
-    stop_ratio, stop_run = STOP_RATIO, STOP_RUN
-    running, ratio = 0.0, 1.0
-    small = grow = 0
-    prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
-    left = max_terms - head  # terms the budget still allows
-    stop = "budget"
-    if left > 0:
-        k = 0.0  # a float index: a + k and b + k round as with an int k
+    if a <= 0.0 and zeros - a < max_terms and a % 1.0 == 0.0:
+        # the ratio ends the sum inside the budget: sum it whole, untested
+        collected = [0.0] * zeros
+        append = collected.append
+        ratio, k = 1.0, 0.0
         for t in terms:
-            t *= ratio
-            append(t)
-            running += t
-            mag = abs(t)
-            if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
-                small = small + 1 if mag <= stop_ratio * abs(running) else 0
-            grow = grow + 1 if mag > prev else 0
-            prev = mag
-            left -= 1
-            if small >= stop_run or grow >= window or not left:
-                # named only here, in precedence order: a term that goes on costs one test
-                stop = "converged" if small >= stop_run else "diverging" if grow >= window else "budget"
-                break
+            append(t * ratio)
             top = a + k
             if top == 0.0:
-                stop = "terminated"
                 break
             ratio *= top / (b + k)
             k += 1.0
-        else:
-            stop = "terminated"
+        stop = "terminated"
+    else:
+        head = min(zeros, max_terms)
+        collected = [0.0] * head
+        append = collected.append
+        stop_ratio, stop_run = STOP_RATIO, STOP_RUN
+        running, ratio = 0.0, 1.0
+        small = grow = 0
+        prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
+        left = max_terms - head  # terms the budget still allows
+        stop = "budget"
+        if left > 0:
+            k = 0.0  # a float index: a + k and b + k round as with an int k
+            for t in terms:
+                t *= ratio
+                append(t)
+                running += t
+                mag = abs(t)
+                if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
+                    small = small + 1 if mag <= stop_ratio * abs(running) else 0
+                grow = grow + 1 if mag > prev else 0
+                prev = mag
+                left -= 1
+                if small >= stop_run or grow >= window or not left:
+                    # named only here, in precedence order: a term that goes on costs one test
+                    stop = "converged" if small >= stop_run else "diverging" if grow >= window else "budget"
+                    break
+                ratio *= (a + k) / (b + k)  # a + k != 0 here: the lean loop took those sums
+                k += 1.0
+            else:
+                stop = "terminated"
 
     try:
         total = math.fsum(collected)

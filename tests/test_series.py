@@ -153,6 +153,37 @@ class TestRawM9:
                 assert approx.value == pytest.approx(kv(m + 0.5, z), rel=1e-14, abs=0.0), (m, z)
 
 
+#: 12 log-spaced arguments over [0.1, 30].
+HALF_INTEGER_Z = [0.1 * 300.0 ** (i / 11) for i in range(12)]
+
+
+class TestHalfIntegerSumsAreWhole:
+    """At s = m + 1/2 the three K series are finite sums of m + 1 terms,
+    summed whole: neither a growing head nor a run of small terms stops
+    them early."""
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_terminated_after_m_plus_one_terms(self, m):
+        s = m + 0.5
+        for z in HALF_INTEGER_Z:
+            with mpmath.workdps(40):
+                want = mpmath.besselk(s, z)
+            for evaluate in (k_series_rearranged, k_series_m9, k_series_m10):
+                approx = evaluate(s, z)
+                assert (approx.stop_reason, approx.terms_used, approx.last_term_abs) == (
+                    "terminated", m + 1, 0.0), (evaluate.__name__, z)
+                if evaluate is not k_series_m10:
+                    # the worst are 4.8e-14 and 7.5e-14, from the prefactor
+                    assert abs(approx.value - want) <= 1e-13 * want, (evaluate.__name__, z)
+
+    def test_a_growing_head_is_no_divergence(self):
+        # its first terms grow: a divergence streak would stop it after 6
+        approx = k_mcdonald(28.5, 14.41013485931804)
+        assert (approx.stop_reason, approx.terms_used) == ("terminated", 29)
+        with mpmath.workdps(40):
+            assert abs(approx.value - mpmath.besselk(28.5, 14.41013485931804)) <= 1e-13 * approx.value
+
+
 def _mp_e(alpha, w, n):
     """E_k(w) = (-1)^k V_k^{(alpha)}(w) / k! for k < n as mpmath numbers, from
     the unscaled coefficient recurrence at the working precision."""
@@ -820,9 +851,17 @@ def _capped(n):
     return TruncationPolicy(max_terms=n, divergence_window=10**6)
 
 
-def _reference_stop(terms, max_terms, window):
+def _reference_stop(terms, max_terms, window, a=1.0, zeros=0):
     """(stop_reason, terms_used) of the documented stop rule, decided afresh
-    on each prefix of ``terms`` instead of from running counters."""
+    on each prefix of ``terms`` instead of from running counters.
+
+    ``terms`` is the sum up to its end, ``zeros`` leading zeros included.  A
+    Pochhammer top ``a`` that is an integer <= 0 ends it after term
+    zeros - a; when that end fits in ``max_terms`` the sum is whole, and
+    reads "terminated" at that length, or at the stream's end if that comes
+    first."""
+    if a <= 0.0 and float(a).is_integer() and zeros - a + 1 <= max_terms:
+        return "terminated", len(terms)
     sums = list(accumulate(terms, initial=0.0))[1:]
     mags = [abs(t) for t in terms]
     for n in range(1, len(terms) + 1):
@@ -909,9 +948,12 @@ class TestTruncationEngine:
         assert approx.stop_reason == "budget"
         assert not approx.converged and not approx.diverging
         assert approx.last_term_abs == 3.0
+        # an end that the Pochhammer ratio sets is known before the sum starts:
+        # all 3 terms of K_{5/2} are the whole sum
         approx = k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=3))
-        assert approx.terms_used == 3 and not approx.converged
-        assert k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=4)).converged
+        assert (approx.stop_reason, approx.terms_used, approx.last_term_abs) == ("terminated", 3, 0.0)
+        assert approx == k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=4))
+        assert k_series_rearranged(2.5, 1.0, TruncationPolicy(max_terms=2)).stop_reason == "budget"
 
     def test_the_result_stores_one_stop_reason(self):
         # converged and diverging are read from it, not stored beside it
@@ -948,7 +990,7 @@ class TestTruncationEngine:
              a=1.0, b=1.0, zeros=0)  # diverging at the budget
     @example(terms=[0.9 ** k for k in range(12)], max_terms=6, window=2, scale=0.5,
              a=1.0, b=1.0, zeros=0)  # budget
-    @example(terms=[1.0] * 5, max_terms=3, window=5, scale=1.0, a=-2.0, b=1.0, zeros=0)  # budget
+    @example(terms=[1.0] * 5, max_terms=3, window=5, scale=1.0, a=-2.0, b=1.0, zeros=0)  # terminated at the budget
     @example(terms=[1.0] * 5, max_terms=5, window=5, scale=1.0, a=-2.0, b=1.0, zeros=0)  # terminated, 3 terms
     @example(terms=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0], max_terms=20, window=3, scale=1.0,
              a=1.0, b=1.0, zeros=3)  # diverging: the zeros are the first magnitudes
@@ -956,11 +998,19 @@ class TestTruncationEngine:
     @example(terms=[1.0, 1e-20, 2e-20, 3e-20], max_terms=9, window=2, scale=1.0,
              a=1.0, b=1.0, zeros=0)  # converged: the third small term is also the second increase
     @example(terms=[2.0, 1.0], max_terms=1, window=1, scale=1.0, a=1.0, b=1.0, zeros=0)  # budget at once
+    @example(terms=[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], max_terms=10, window=3, scale=1.0,
+             a=-6.0, b=1.0, zeros=0)  # terminated, 7 terms: a growing head is no divergence
+    @example(terms=[1.0, 1e-20, 1e-20, 1e-20, 5.0], max_terms=9, window=5, scale=1.0,
+             a=-4.0, b=1.0, zeros=0)  # terminated, 5 terms: an early run of small terms is no convergence
+    @example(terms=[1.0, 1.0, 1.0], max_terms=6, window=5, scale=1.0,
+             a=-2.0, b=1.0, zeros=3)  # terminated: the ratio's end is exactly the budget
+    @example(terms=[1.0, 2.0, 0.5], max_terms=3, window=5, scale=1.0,
+             a=1.0, b=1.0, zeros=0)  # budget: a stream ending at the budget is not seen to end
     @settings(max_examples=300, deadline=None)
     def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale, a, b, zeros):
         approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale, a, b, zeros)
         full = [0.0] * zeros + list(_pochhammer_products(a, b, terms))
-        reason, n = _reference_stop(full, max_terms, window)
+        reason, n = _reference_stop(full, max_terms, window, a, zeros)
         assert (approx.stop_reason, approx.terms_used) == (reason, n)
         assert approx.last_term_abs == (0.0 if reason == "terminated" else abs(scale) * abs(full[n - 1]))
         assert approx.value == scale * math.fsum(full[:n])
