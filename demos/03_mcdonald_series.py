@@ -2,9 +2,9 @@
 
 Shows the terminating half-integer fast path, the slow oscillating tail of
 the paper's sum at generic orders, Temme's method, by which ``k_mcdonald``
-answers every order up to 5 instead (Temme's series at z <= 2, Steed's
-continued fraction past it), and the agreement between the raw and
-rearranged forms of the expansion.
+answers every order up to 100 instead (Temme's series at z <= 2, Steed's
+continued fraction past it, then the upward recurrence), and the agreement
+between the raw and rearranged forms of the expansion.
 
     python demos/03_mcdonald_series.py
 """
@@ -47,9 +47,9 @@ for s, z in ((0.7, 1.0), (2.6, 1.0)):
         f"rel = {abs(approx.value - ref) / ref:.1e}"
     )
 
-print("\nk_mcdonald answers orders up to 5 by Temme's method:")
+print("\nk_mcdonald answers orders up to 100 by Temme's method:")
 print("Temme's series at z <= 2, Steed's continued fraction past it:")
-for s, z in ((0.7, 1.0), (2.6, 1.0), (0.7, 40.0)):
+for s, z in ((0.7, 1.0), (2.6, 1.0), (0.7, 40.0), (10.3, 20.0)):
     approx = k_mcdonald(s, z)
     ref = k_oracle(s, z)
     print(

@@ -13,8 +13,8 @@ sum the divergence heuristic stops comes back as ``"diverging"``, its
 partial sum the value, never as an exception.  E_k comes from
 ``vk._e_values(alpha, w)``, the one place that picks its construction:
 
-* the rearranged form (and so ``k_mcdonald`` at orders past 5, below) and
-  M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
+* the rearranged form (and so ``k_mcdonald`` at orders past 100, below)
+  and M9 read alpha = -1 at w = 2z, the float64 recurrence in k;
 * M10 reads alpha = -1/2 at w = z, an exact recurrence in k;
 * M7 reads its own alpha at w = beta x^alpha: one of those two
   recurrences, or at any other alpha the exact coefficient rows.
@@ -50,7 +50,7 @@ k = m + 1 on and each K series ends by itself after m + 1 terms, summed
 whole (``"terminated"``) however its terms rise or fall on the way.
 
 ``k_mcdonald`` alone has a second route, Temme's method, at
-ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5) and every finite z > 0.
+ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (100) and every finite z > 0.
 There the rearranged form's sum ends by itself only at half-integers: at
 0 < z <= ``CORNER_MAX_Z`` (2) its terms fall only algebraically, like
 k^{-2s} z, and past it they climb a hump and then oscillate, so it runs
@@ -91,7 +91,7 @@ ZERO_ORDER_TOL = 1e-10
 
 #: ``k_mcdonald`` runs Temme's method at |s| up to this order and any finite
 #: z > 0 ...
-CORNER_MAX_ORDER = 5.0
+CORNER_MAX_ORDER = 100.0
 #: ... by Temme's series at 0 < z up to this argument, the small-z corner
 #: where the rearranged form's terms fall only algebraically, and by Steed's
 #: continued fraction past it.
@@ -253,7 +253,7 @@ def _steed_cf2(mu: float, z: float, left: int) -> tuple:
     of S is below ``_TEMME_EPS`` of S.  Returns the two scaled values, the
     same two times the last increment's share of S, the increments summed
     and the stop.  At z past ~9e307, b = 2(1 + z) overflows; ``_k_temme``
-    never calls it beyond z ~ 745.
+    never calls it beyond z ~ 1490.
     """
     b = 2.0 * (1.0 + z)
     d = h = delh = 1.0 / b
@@ -299,10 +299,10 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
     Steed's continued fraction CF2 past it (at most ~81 increments just
     above z = 2, 16 at z = 20, 6 at z = 700).  Both then climb to s by
     K_{nu+1} = K_{nu-1} + (2 nu/z) K_nu (DLMF 10.29.1), stable upward; the
-    continued fraction's values are e^z K, and e^{-z} is applied once,
-    after the climb, so a subnormal K is rounded only once.  Past z where
-    e^{-z} underflows, K_s(z) rounds to 0.0 at every order up to 5, and no
-    term is formed.
+    continued fraction's values are e^z K, and e^{-z} is applied after the
+    climb, as e^{-z/2} twice where it is subnormal, so a subnormal K is
+    rounded only once.  Where e^{-z/2} underflows, K_s(z) is 0.0 at every
+    order up to 100, and no term is formed.
 
     Each term or increment counts toward ``policy.max_terms``; the sum is
     ``"converged"`` once the last term of each of its sums is below
@@ -313,15 +313,17 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
     K_s.
     """
     n = round(s)
-    mu = s - n  # exact: s <= 5
+    mu = s - n  # exact at every s >= 0 (Sterbenz)
     left = policy.max_terms - 1  # terms the budget allows after the first
+    scale = rest = 1.0  # the climb's values times scale times rest are K
     if z <= CORNER_MAX_Z:
-        scale = 1.0
         k0, value, l0, last, terms, stop = _temme_series(mu, z, left)
     else:
         scale = math.exp(-z)
-        if not scale:
-            return SeriesApproximation(0.0, 0, 0.0, "converged")
+        if scale < sys.float_info.min:  # e^{-z/2} twice: one subnormal rounding
+            scale = rest = math.exp(-0.5 * z)
+            if not scale:
+                return SeriesApproximation(0.0, 0, 0.0, "converged")
         k0, value, l0, last, terms, stop = _steed_cf2(mu, z, left)
     if not n:
         value, last = k0, l0
@@ -331,7 +333,7 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
         k0, value = value, k0 + 2.0 * nu * value / z
         l0, last = last, l0 + 2.0 * nu * last / z
         nu += 1.0
-    return SeriesApproximation(_in_range(value * scale), terms, last * scale, stop)
+    return SeriesApproximation(_in_range(value * scale * rest), terms, last * scale * rest, stop)
 
 
 # --- public evaluators -------------------------------------------------------
@@ -402,16 +404,14 @@ def k_mcdonald(
     Reduces s -> |s| (the function is even in its order) and routes by
     (|s|, z):
 
-    * ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (5), at every finite
+    * ZERO_ORDER_TOL <= |s| <= ``CORNER_MAX_ORDER`` (100), at every finite
       z > 0, goes to Temme's method (``_k_temme``): Temme's series at
       z <= ``CORNER_MAX_Z`` (2), at most ~14 terms, and Steed's continued
-      fraction past it, at most ~81 increments.  There the rearranged
-      form's sum ends by itself only at half-integers, and elsewhere it
-      spends its budget or trips the divergence window.  Past
-      z ~ 745 the value is 0.0, ``"converged"``.  Temme's method is not a
-      formula of the paper, and the oracle never reads it;
+      fraction past it, at most ~81 increments, then the climb to |s|.
+      Past z = 760 the value is 0.0, ``"converged"``.  Temme's method is
+      not a formula of the paper, and the oracle never reads it;
     * every other point goes to the rearranged form, bit for bit
-      ``k_series_rearranged(|s|, z, policy)``: at orders past 5 it
+      ``k_series_rearranged(|s|, z, policy)``: at orders past 100 it
       terminates after m + 1 terms at s = m + 1/2 and truncates adaptively
       elsewhere.  A z <= 0, NaN or inf is its ``DomainError``.
 

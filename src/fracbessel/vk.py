@@ -32,7 +32,7 @@ their construction:
 
 * ``_m1_values`` - the recurrence in k at fixed w for alpha = -1; the inner
   stream of the rearranged series (and so of ``k_mcdonald`` at orders past
-  5) and of M9, both at 2z, where its values are the inner sums S_k(z), and
+  100) and of M9, both at 2z, where its values are the inner sums S_k(z), and
   of M7 at alpha = -1;
 * ``_mhalf_values`` - the recurrence in k at fixed w for alpha = -1/2; the
   inner stream of M10 (at z) and of M7 at alpha = -1/2;

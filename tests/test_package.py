@@ -149,12 +149,14 @@ SERIES_PATH = """
 import contextlib, io, sys, tempfile
 from pathlib import Path
 import fracbessel, fracbessel.cli
-from fracbessel import general_expansion_m7, k_mcdonald, k_oracle, k_series_m9, k_series_m10
+from fracbessel import (general_expansion_m7, k_mcdonald, k_oracle, k_series_m9, k_series_m10,
+                        k_series_rearranged)
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 
-k_mcdonald(0.5, 1.0), k_mcdonald(1.3, 0.5), k_mcdonald(1.3, 5.0), k_mcdonald(7.3, 1.0)
+k_mcdonald(0.5, 1.0), k_mcdonald(1.3, 0.5), k_mcdonald(1.3, 5.0), k_mcdonald(40.5, 3.0)
+k_series_rearranged(7.3, 1.0)
 k_series_m9(0.5, 1.0), k_series_m10(0.5, 1.0)
 general_expansion_m7(1.0, 2.0, 1.0, 1.0, 1.0)
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

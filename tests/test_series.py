@@ -178,7 +178,7 @@ class TestHalfIntegerSumsAreWhole:
 
     def test_a_growing_head_is_no_divergence(self):
         # its first terms grow: a divergence streak would stop it after 6
-        approx = k_mcdonald(28.5, 14.41013485931804)
+        approx = k_series_rearranged(28.5, 14.41013485931804)
         assert (approx.stop_reason, approx.terms_used) == ("terminated", 29)
         with mpmath.workdps(40):
             assert abs(approx.value - mpmath.besselk(28.5, 14.41013485931804)) <= 1e-13 * approx.value
@@ -256,9 +256,9 @@ class TestAlphaMinusOnePaths:
     sum over those rows."""
 
     def test_all_three_read_the_fixed_argument_recurrence(self, monkeypatch):
-        # k_mcdonald sums the rearranged form only past order 5
+        # k_mcdonald sums the rearranged form only past order 100
         monkeypatch.setattr("fracbessel.vk._m1_values", _unreadable)
-        for evaluate, s in ((k_series_rearranged, 2.5), (k_mcdonald, 7.5), (k_series_m9, 2.5)):
+        for evaluate, s in ((k_series_rearranged, 2.5), (k_mcdonald, 100.5), (k_series_m9, 2.5)):
             with pytest.raises(_StreamRead):
                 evaluate(s, 1.3)
 
@@ -266,7 +266,7 @@ class TestAlphaMinusOnePaths:
         assert not hasattr(series_module, "_closed_m1_row")
         monkeypatch.setattr("fracbessel.vk._closed_m1_row", _unreadable)
         assert k_series_rearranged(2.5, 1.3).converged
-        assert k_mcdonald(7.5, 1.3).converged
+        assert k_mcdonald(100.5, 1.3).converged
         assert k_series_m9(2.5, 1.3).converged
 
     @pytest.mark.parametrize("policy", [TruncationPolicy(), EXPLORE], ids=["default", "wide"])
@@ -323,7 +323,7 @@ class TestStreamChoice:
         "evaluate,alpha,w,s",
         [
             (k_series_rearranged, -1.0, 2.0 * 1.3, 2.5),
-            (k_mcdonald, -1.0, 2.0 * 1.3, 7.5),  # the rearranged form past order 5
+            (k_mcdonald, -1.0, 2.0 * 1.3, 100.5),  # the rearranged form past order 100
             (k_series_m9, -1.0, 2.0 * 1.3, 2.5),
             (k_series_m10, -0.5, 1.3, 2.5),
         ],
@@ -350,7 +350,7 @@ class TestKAgainstMpmath:
     """The float64 alpha = -1 stream costs K no accuracy: the rearranged form
     and M9 stop where the same sums over the exact stream stop, and every
     value they report converged or terminated is as close to K.  (At orders
-    up to 5 ``k_mcdonald`` reads no stream, so the rearranged form is
+    up to 100 ``k_mcdonald`` reads no stream, so the rearranged form is
     checked by name.)"""
 
     @pytest.mark.parametrize("s", K_ORDERS)
@@ -506,9 +506,14 @@ class TestKMcdonald:
         assert neg.value == pos.value
 
     def test_terminating_high_order(self):
+        # k_mcdonald answers by Temme's method; the paper's sum ends after 8 terms
+        want = k_oracle(7.5, 5.0)
         approx = k_mcdonald(7.5, 5.0)
         assert approx.converged
-        assert approx.value == pytest.approx(k_oracle(7.5, 5.0), rel=1e-9)
+        assert approx.value == pytest.approx(want, rel=1e-9)
+        approx = k_series_rearranged(7.5, 5.0)
+        assert (approx.stop_reason, approx.terms_used) == ("terminated", 8)
+        assert approx.value == pytest.approx(want, rel=1e-9)
 
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
@@ -573,17 +578,17 @@ CORNER_ARGS = [1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0]
 #: float64 at every order but the smallest.
 TINY_ARGS = [1e-50, 1e-100, 1e-200, 2.7e-295, 1e-310, 5e-324]
 
-#: Points ``k_mcdonald`` leaves to the rearranged form: orders past 5 or
+#: Points ``k_mcdonald`` leaves to the rearranged form: orders past 100 or
 #: next to 0, and inputs that are rejected or leave float64.
 OUTSIDE_THE_CORNER = [
-    (5.000000000000001, 1.0), (5.5, 1.3), (7.3, 0.5), (40.5, 3.0), (200.5, 1.0), (7.3, 20.0),
+    (100.00000000000001, 1.0), (100.5, 1.3), (107.3, 0.5), (140.5, 3.0), (200.5, 1.0), (107.3, 20.0),
     (0.0, 1.0), (5e-11, 1.0), (1.3, 0.0), (1.3, -1.0), (1.3, -math.inf),
     (math.nan, 1.0), (1.3, math.nan), (math.inf, 1.0), (1.3, math.inf),
 ]
 
 #: Points past z = 2 where the paper's sum spends its budget or trips the
 #: divergence window, and ``k_mcdonald`` runs Steed's continued fraction.
-PAST_THE_CORNER = [(1.3, 2.0000000000000004), (2.6, 2.5), (0.7, 40.0), (3.3, 20.0)]
+PAST_THE_CORNER = [(1.3, 2.0000000000000004), (2.6, 2.5), (0.7, 40.0), (3.3, 20.0), (10.3, 20.0)]
 #: Arguments past the corner, from its edge to where K_s leaves the normal
 #: float64 range.
 STEED_ARGS = [2.0000000000000004, 2.001, 2.01, 2.5, 3.3, 5.0, 10.0, 20.0, 40.0, 100.0, 300.0, 700.0]
@@ -612,7 +617,7 @@ def _outcome(evaluate, *args):
 
 
 class TestTemmeCorner:
-    """At finite z > 0 and orders up to 5, ``k_mcdonald`` runs Temme's
+    """At finite z > 0 and orders up to 100, ``k_mcdonald`` runs Temme's
     method and reads no inner stream: Temme's series at z <= 2 and Steed's
     continued fraction past it.  Everywhere else it is the rearranged form,
     bit for bit."""
@@ -663,7 +668,8 @@ class TestTemmeCorner:
 
     @pytest.mark.parametrize("s", CORNER_ORDERS)
     def test_a_subnormal_value_is_rounded_once(self, s):
-        # e^{-z} is applied after the climb, so K_s keeps its last digits
+        # e^{-z} is applied after the climb, in halves where it is subnormal,
+        # so K_s is rounded once and keeps its last digits
         for z in SUBNORMAL_ARGS:
             approx = k_mcdonald(s, z)
             assert approx.stop_reason == "converged", z
@@ -674,8 +680,11 @@ class TestTemmeCorner:
     @pytest.mark.parametrize("z", UNDERFLOW_ARGS)
     def test_past_the_underflow_zero_is_converged(self, z):
         for s in (0.3, -1.3, 2.5, 5.0):
-            assert k_mcdonald(s, z) == (0.0, 0, 0.0, "converged")
-            assert math.copysign(1.0, k_mcdonald(s, z).value) == 1.0
+            approx = k_mcdonald(s, z)
+            assert (approx.value, approx.last_term_abs, approx.stop_reason) == (0.0, 0.0, "converged")
+            assert math.copysign(1.0, approx.value) == 1.0
+            # e^{-z} is applied in halves; once a half underflows, no term is formed
+            assert approx.terms_used <= (0 if math.exp(-0.5 * z) == 0.0 else STEED_MAX_TERMS)
 
     def test_no_inner_stream_is_read(self, monkeypatch):
         monkeypatch.setattr(vk, "_m1_values", _unreadable)
@@ -740,6 +749,57 @@ class TestTemmeCorner:
         assert got == want[: len(got)]
         # the ones left out weigh less than 1e-20 at |x| = 1/2
         assert max(abs(g) * 0.5 ** j for j, g in enumerate(want) if j >= len(got)) < 1e-20
+
+
+#: Orders past 5 up to the cap of 100: next to both ends, half-integers up
+#: to 99.5 and generic orders.
+HIGH_ORDERS = [5.000000000000001, 5.5, 6.2, 7.3, 10.3, 12.5, 19.99, 28.5, 33.7, 40.5, 41.2, 57.5,
+               63.9, 79.6, 88.8, 99.5, 99.99999999999999, 100.0]
+#: Arguments from 1e-3, where K_s leaves float64 past order ~30, to 760,
+#: where it underflows at every order up to 100.  From 712 on, e^{-z} is
+#: subnormal and goes in halves: K_100(745.2) is 8.6e-323, where e^{-z}
+#: alone is 0.0.
+HIGH_ARGS = [1e-3, 0.05, 0.5, 1.3, 2.0, 2.0000000000000004, 3.0, 5.0, 14.41013485931804, 20.0,
+             45.0, 100.0, 250.0, 500.0, 700.0, 712.0, 740.0, 744.0, 745.2, 750.0, 760.0]
+
+
+def _assert_k_or_range_error(s, z):
+    """``k_mcdonald(s, z)`` is ``"converged"`` within 1e-14 K + 5e-324 of
+    mpmath (40 digits, 80 past order 40), or the range error where K_s(z)
+    is past float64."""
+    with mpmath.workdps(40 if s <= 40.0 else 80):
+        k = mpmath.besselk(s, z)
+        if k > sys.float_info.max:
+            with pytest.raises(DomainError, match="float64 range"):
+                k_mcdonald(s, z)
+            return
+        approx = k_mcdonald(s, z)
+        cap = 15 if z <= series_module.CORNER_MAX_Z else STEED_MAX_TERMS
+        assert approx.stop_reason == "converged" and approx.terms_used <= cap, (s, z)
+        assert abs(mpmath.mpf(approx.value) - k) <= 1e-14 * k + mpmath.mpf(5e-324), (s, z)
+
+
+class TestTemmeUpToOrder100:
+    """Past order 5, up to ``CORNER_MAX_ORDER`` (100), ``k_mcdonald`` runs
+    Temme's method too: K_mu and K_{mu+1}, |mu| <= 1/2, and a climb of up to
+    100 steps."""
+
+    @pytest.mark.parametrize("s", HIGH_ORDERS)
+    def test_converged_within_1e_14_of_mpmath_or_the_range_error(self, s):
+        for z in HIGH_ARGS:
+            _assert_k_or_range_error(s, z)
+
+    def test_zero_where_k_underflows(self):
+        # e^{-700} is normal, so Steed's continued fraction runs
+        approx = k_mcdonald(100.0, 1400.0)
+        assert (approx.value, approx.last_term_abs, approx.stop_reason) == (0.0, 0.0, "converged")
+        assert math.copysign(1.0, approx.value) == 1.0
+
+    @given(s=st.floats(5.0, series_module.CORNER_MAX_ORDER, exclude_min=True),
+           z=st.floats(1e-3, 760.0), half=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_anywhere(self, s, z, half):
+        _assert_k_or_range_error(min(math.floor(s), 99) + 0.5 if half else s, z)
 
 
 class TestGeneralExpansion:
