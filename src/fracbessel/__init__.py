@@ -6,7 +6,6 @@ from .errors import (
     DomainError,
     FracBesselError,
     PoleError,
-    SeriesDiverged,
     ToleranceNotMet,
 )
 from .fractional import (
@@ -66,7 +65,6 @@ __all__ = [
     "PoleError",
     "Polynomial",
     "SeriesApproximation",
-    "SeriesDiverged",
     "ToleranceNotMet",
     "TruncationPolicy",
     "VerificationRecord",

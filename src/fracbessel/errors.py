@@ -36,21 +36,3 @@ class ToleranceNotMet(FracBesselError, ArithmeticError):
         self.estimate = estimate
         super().__init__(message)
 
-
-class SeriesDiverged(FracBesselError, ArithmeticError):
-    """A series flagged by the divergence heuristic, as an exception.
-
-    The evaluators no longer raise it: a sum that stops on the heuristic
-    returns its partial result with ``stop_reason == "diverging"``, as a
-    sum that spends its budget returns ``"budget"``.  It stays exported for
-    callers that still catch it; the partial result is ``approximation``.
-    """
-
-    def __init__(self, approximation, message: str | None = None):
-        self.approximation = approximation
-        if message is None:
-            message = (
-                f"series flagged as diverging after {approximation.terms_used} terms "
-                f"(last |term| = {approximation.last_term_abs:.3e})"
-            )
-        super().__init__(message)

@@ -5,13 +5,13 @@ log space and exponentiate it once through ``special._guarded_exp`` (one
 outside the float64 range raises ``DomainError``), then hand an inner stream
 E_k and a Pochhammer pair (a, b) to the one engine,
 ``truncation.sum_with_policy``.  The engine forms each term (a)_k/(b)_k * E_k
-with a running product, in the loop that decides where the sum stops, and
-ends the sum when a + k hits zero; a sum that this end closes inside the
-budget it sums whole, with no stop to test.  Every evaluator returns the
-engine's result as it is: why the sum stopped is its ``stop_reason``, and a
-sum the divergence heuristic stops comes back as ``"diverging"``, its
-partial sum the value, never as an exception.  E_k comes from
-``vk._e_values(alpha, w)``, the one place that picks its construction:
+with a running product, in its one loop, which decides where the sum stops;
+a sum that a + k = 0 ends inside the budget runs that loop to its end, with
+no other stop in reach.  Every evaluator returns the engine's result as it
+is: why the sum stopped is its ``stop_reason``, and a sum the divergence
+heuristic stops comes back as ``"diverging"``, its partial sum the value,
+never as an exception.  E_k comes from ``vk._e_values(alpha, w)``, the one
+place that picks its construction:
 
 * the rearranged form (and so ``k_mcdonald`` at orders past 100, below)
   and M9 read alpha = -1 at w = 2z, the float64 recurrence in k;

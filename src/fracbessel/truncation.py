@@ -3,8 +3,8 @@
 The policy is a frozen dataclass that validates its stops on construction.
 The result is a ``NamedTuple``, built positionally once per sum: a call that
 sums a handful of terms would otherwise spend a noticeable share of its time
-building it.  A sum that its Pochhammer ratio ends inside the budget is
-summed whole by a lean loop; every other sum runs the loop that tests stops.
+building it.  Every sum runs one loop; a sum that its Pochhammer ratio ends
+inside the budget runs it with no stop to test.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ class TruncationPolicy:
     """The two adjustable stops of ``sum_with_policy``, integers >= 1.
 
     Neither applies to a sum that its Pochhammer ratio ends within
-    ``max_terms`` terms: that sum is summed whole.  Divergence is a heuristic
-    label, not a theorem: series whose term magnitudes ride a slowly drifting
-    oscillation can trip it while still summing to the right value.  Callers
-    probing such tails should pass a wider window.
+    ``max_terms`` terms: the loop runs that sum to its end with neither stop
+    in reach.  Divergence is a heuristic label, not a theorem: series whose
+    term magnitudes ride a slowly drifting oscillation can trip it while
+    still summing to the right value.  Callers probing such tails should
+    pass a wider window.
     """
 
     max_terms: int = 200
@@ -97,64 +98,54 @@ def sum_with_policy(
     they count toward ``max_terms``, and the first value's magnitude is
     compared with theirs.
 
-    A ratio that ends the sum within the budget (a an integer <= 0 and
-    ``zeros`` - a < ``max_terms``) is known before the sum starts: a lean
-    loop sums every term to that end, or to the stream's end if that comes
-    first, with no stop tested (``"terminated"``), so a stream value past
-    float64 raises its ``DomainError`` there.  Every other sum stops at the
-    first term that meets, in this precedence, ``STOP_RUN`` terms in a row
-    with |term| <= STOP_RATIO * |partial sum| (``"converged"``; fixed),
-    ``divergence_window`` strict increases of |term| in a row
-    (``"diverging"``), or ``max_terms`` terms (``"budget"``).  A stream that
-    runs out inside the budget is ``"terminated"`` (a zero tail); no value
-    past the budget is read, so a stream that ends exactly at ``max_terms``
-    reads as budget.  Accumulation is exact (math.fsum).  A value outside
-    the float64 range raises ``DomainError``.
+    The sum stops at the first term that meets, in this precedence,
+    ``STOP_RUN`` terms in a row with |term| <= STOP_RATIO * |partial sum|
+    (``"converged"``; fixed), ``divergence_window`` strict increases of
+    |term| in a row (``"diverging"``), or ``max_terms`` terms (``"budget"``).
+    A stream that runs out inside the budget is ``"terminated"`` (a zero
+    tail); no value past the budget is read, so a stream that ends exactly
+    at ``max_terms`` reads as budget.  A ratio that ends the sum within the
+    budget (a an integer <= 0 and ``zeros`` - a < ``max_terms``) is known
+    before the sum starts: the same loop then runs with its budget at that
+    end and neither of the other stops in reach, so it sums every term to
+    that end, or to the stream's end if that comes first, and is
+    ``"terminated"``; a stream value past float64 raises its
+    ``DomainError`` there.  Accumulation is exact (math.fsum).  A value
+    outside the float64 range raises ``DomainError``.
     """
     max_terms, window = policy.max_terms, policy.divergence_window
+    head = min(zeros, max_terms)
+    collected = [0.0] * head
+    append = collected.append
+    stop_ratio, stop_run = STOP_RATIO, STOP_RUN
+    running, ratio = 0.0, 1.0
+    small = grow = 0
+    prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
+    left = max_terms - head  # terms the budget still allows
+    end = stop = "budget"
     if a <= 0.0 and zeros - a < max_terms and a % 1.0 == 0.0:
-        # the ratio ends the sum inside the budget: sum it whole, untested
-        collected = [0.0] * zeros
-        append = collected.append
-        ratio, k = 1.0, 0.0
+        # the ratio ends the sum inside the budget: run to that end, the other stops out of reach
+        left, stop_run, window, end = int(1.0 - a), math.inf, math.inf, "terminated"
+    if left > 0:
+        k = 0.0  # a float index: a + k and b + k round as with an int k
         for t in terms:
-            append(t * ratio)
-            top = a + k
-            if top == 0.0:
+            t *= ratio
+            append(t)
+            running += t
+            mag = abs(t)
+            if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
+                small = small + 1 if mag <= stop_ratio * abs(running) else 0
+            grow = grow + 1 if mag > prev else 0
+            prev = mag
+            left -= 1
+            if small >= stop_run or grow >= window or not left:
+                # named only here, in precedence order: a term that goes on costs one test
+                stop = "converged" if small >= stop_run else "diverging" if grow >= window else end
                 break
-            ratio *= top / (b + k)
+            ratio *= (a + k) / (b + k)  # a + k != 0 here: a sum the ratio ends stops at that term
             k += 1.0
-        stop = "terminated"
-    else:
-        head = min(zeros, max_terms)
-        collected = [0.0] * head
-        append = collected.append
-        stop_ratio, stop_run = STOP_RATIO, STOP_RUN
-        running, ratio = 0.0, 1.0
-        small = grow = 0
-        prev = 0.0 if head else math.inf  # with no zeros the first term is never an increase
-        left = max_terms - head  # terms the budget still allows
-        stop = "budget"
-        if left > 0:
-            k = 0.0  # a float index: a + k and b + k round as with an int k
-            for t in terms:
-                t *= ratio
-                append(t)
-                running += t
-                mag = abs(t)
-                if running != 0.0:  # zero (e.g. zero leading terms) is no evidence either way
-                    small = small + 1 if mag <= stop_ratio * abs(running) else 0
-                grow = grow + 1 if mag > prev else 0
-                prev = mag
-                left -= 1
-                if small >= stop_run or grow >= window or not left:
-                    # named only here, in precedence order: a term that goes on costs one test
-                    stop = "converged" if small >= stop_run else "diverging" if grow >= window else "budget"
-                    break
-                ratio *= (a + k) / (b + k)  # a + k != 0 here: the lean loop took those sums
-                k += 1.0
-            else:
-                stop = "terminated"
+        else:
+            stop = "terminated"
 
     try:
         total = math.fsum(collected)

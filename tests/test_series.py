@@ -811,6 +811,20 @@ class TestGeneralExpansion:
         assert approx.converged
         assert approx.terms_used == 2
 
+    @pytest.mark.parametrize("nu", [2.5, 2.0])
+    def test_a_finite_sum_with_growing_terms_is_terminated(self, nu):
+        # at s = 6, a = -s ends the sum after s + 1 terms.  At nu = 2.5 all
+        # seven are read and |term| grows six times in a row, by 6.0e7 in
+        # all; at nu = 2.0 four reciprocal-gamma zeros come first.  Neither
+        # sum may stop on the divergence streak
+        s, alpha, beta, x = 6.0, -1.0, 30.0, 1.0
+        approx = general_expansion_m7(s, nu, alpha, beta, x)
+        with mpmath.workdps(40):
+            ref = mpmath.diff(lambda t: t ** nu * mpmath.exp(-beta * t ** alpha), x, int(s))
+        assert approx.stop_reason == "terminated"
+        assert approx.terms_used == s + 1
+        assert approx.value == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
     def test_small_beta_reduces_to_power_rule(self):
         s, nu = -0.4, 1.2
         for x in (0.7, 1.0):
@@ -1066,6 +1080,8 @@ class TestTruncationEngine:
              a=-2.0, b=1.0, zeros=3)  # terminated: the ratio's end is exactly the budget
     @example(terms=[1.0, 2.0, 0.5], max_terms=3, window=5, scale=1.0,
              a=1.0, b=1.0, zeros=0)  # budget: a stream ending at the budget is not seen to end
+    @example(terms=[1.0, 2.0, 4.0], max_terms=10, window=1, scale=1.0,
+             a=-7.0, b=1.0, zeros=2)  # terminated, 5 terms: the stream ends before the ratio does
     @settings(max_examples=300, deadline=None)
     def test_stop_reason_matches_a_reference_classifier(self, terms, max_terms, window, scale, a, b, zeros):
         approx = sum_with_policy(iter(terms), TruncationPolicy(max_terms, window), scale, a, b, zeros)
