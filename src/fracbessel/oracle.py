@@ -218,9 +218,16 @@ def _exp_of_sum(terms: list[float]) -> float:
     sum's size: its integer part is exponentiated apart, in halves, so that
     no factor overflows before the product does.  A value past float64
     raises ``DomainError`` that names the whole exponent, not the factor
-    that overflowed."""
-    total = math.fsum(terms)
-    whole = round(total)
+    that overflowed; so does an exponent of +inf or NaN, and one of -inf
+    is 0.0."""
+    total = math.nan  # until fsum forms it: it raises at inf - inf or a partial sum past float64
+    try:
+        total = math.fsum(terms)
+        whole = round(total)  # raises at an infinite or NaN sum
+    except (ValueError, OverflowError):
+        if total == -math.inf:
+            return 0.0
+        raise _range_error(f"exp({total:.6g})") from None
     try:
         return _in_range(_guarded_exp(math.fsum([*terms, -whole]))
                          * _guarded_exp(whole // 2) * _guarded_exp(whole - whole // 2))
@@ -263,7 +270,8 @@ def verify_m4b(mu: float, beta: float, x: float, tol: float = 1e-7) -> Verificat
     lg = math.lgamma(mu)
     lhs = _left_side(lambda t: (mu - 1.0) * np.log(x + t) - 2.0 * mu * np.log(t) - beta / t,
                      beta / (2.0 * mu), -mu, x, lg)
-    pref = (mu - 0.5) * math.log(2.0 / beta) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
+    # ln 2 - ln beta: 2 / beta is inf once beta is below ~1.1e-308
+    pref = (mu - 0.5) * (_LN2 - math.log(beta)) + (mu - 1.5) * math.log(x) - 0.5 * math.log(math.pi)
     rhs = _right_side([pref, lg], k)
     return _record("M4B", {"mu": mu, "beta": beta, "x": x}, lhs, rhs, tol)
 

@@ -198,7 +198,9 @@ def _temme_series(mu: float, z: float, left: int) -> tuple:
     One loop sums both from Gamma1(mu) = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu)
     and Gamma2(mu) = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, both from the Taylor
     coefficients of 1/Gamma(1+x), in the first term and at most ``left``
-    more.  Returns (K_mu, K_{mu+1}, |last term| of each, terms, stop).
+    more.  Returns (K_mu, K_{mu+1}, share, terms, stop), where share is the
+    larger of the last term's shares |t| / |sum| of the two sums; a sum of
+    exactly 0.0 adds no share.
     """
     mu2 = mu * mu
     gam1 = gam2 = 0.0
@@ -239,8 +241,9 @@ def _temme_series(mu: float, z: float, left: int) -> tuple:
             stop = "converged"
             break
         i += 1.0
+    share = max(abs(t / total) if total else 0.0, abs(t1 / total1) if total1 else 0.0)
     # K_{mu+1} = (2/z) total1; past float64 it is inf, and so is every K above it
-    return total, 2.0 * total1 / z, abs(t), 2.0 * abs(t1) / z, terms - left, stop
+    return total, 2.0 * total1 / z, share, terms - left, stop
 
 
 def _steed_cf2(mu: float, z: float, left: int) -> tuple:
@@ -251,8 +254,8 @@ def _steed_cf2(mu: float, z: float, left: int) -> tuple:
     the continued fraction h of K_{mu+1} / K_mu are formed together, in a
     first increment and at most ``left`` more; it stops once an increment
     of S is below ``_TEMME_EPS`` of S.  Returns the two scaled values, the
-    same two times the last increment's share of S, the increments summed
-    and the stop.  At z past ~9e307, b = 2(1 + z) overflows; ``_k_temme``
+    last increment's share |dS / S| of S, the increments summed and the
+    stop.  At z past ~9e307, b = 2(1 + z) overflows; ``_k_temme``
     never calls it beyond z ~ 1490.
     """
     b = 2.0 * (1.0 + z)
@@ -285,8 +288,7 @@ def _steed_cf2(mu: float, z: float, left: int) -> tuple:
         i += 1.0
     k0 = math.sqrt(0.5 * math.pi / z) / total
     k1 = k0 * (mu + z + 0.5 - a1 * h) / z
-    share = abs(dels / total)
-    return k0, k1, share * k0, share * k1, terms - left, stop
+    return k0, k1, abs(dels / total), terms - left, stop
 
 
 def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximation:
@@ -307,33 +309,34 @@ def _k_temme(s: float, z: float, policy: TruncationPolicy) -> SeriesApproximatio
     Each term or increment counts toward ``policy.max_terms``; the sum is
     ``"converged"`` once the last term of each of its sums is below
     ``_TEMME_EPS`` of that sum, and ``"budget"`` if the budget runs out
-    first.  It never reports ``"diverging"``.  ``last_term_abs`` is what the
-    climb makes of the two last terms' magnitudes (for the continued
-    fraction, of the last increment's share of each value), in the scale of
-    K_s.
+    first.  It never reports ``"diverging"``.  The climb carries the values
+    alone, and ``last_term_abs`` is share * |K_s|, share the last term's
+    larger share of its sum (for the continued fraction, the last
+    increment's share of S).  Each K_nu the climb forms is a non-negative
+    combination of K_mu and K_{mu+1}, so share * |K_s| is, up to rounding,
+    at least what the two last terms would give if climbed like the values.
     """
     n = round(s)
     mu = s - n  # exact at every s >= 0 (Sterbenz)
     left = policy.max_terms - 1  # terms the budget allows after the first
     scale = rest = 1.0  # the climb's values times scale times rest are K
     if z <= CORNER_MAX_Z:
-        k0, value, l0, last, terms, stop = _temme_series(mu, z, left)
+        k0, value, share, terms, stop = _temme_series(mu, z, left)
     else:
         scale = math.exp(-z)
         if scale < sys.float_info.min:  # e^{-z/2} twice: one subnormal rounding
             scale = rest = math.exp(-0.5 * z)
             if not scale:
                 return SeriesApproximation(0.0, 0, 0.0, "converged")
-        k0, value, l0, last, terms, stop = _steed_cf2(mu, z, left)
+        k0, value, share, terms, stop = _steed_cf2(mu, z, left)
     if not n:
-        value, last = k0, l0
-    # the recurrence carries the two last terms as it carries the two values
-    nu = mu + 1.0
+        value = k0
+    two_nu = 2.0 * (mu + 1.0)  # 2 nu, and each step adds 2.0 exactly as nu adds 1.0
     for _ in range(n - 1):
-        k0, value = value, k0 + 2.0 * nu * value / z
-        l0, last = last, l0 + 2.0 * nu * last / z
-        nu += 1.0
-    return SeriesApproximation(_in_range(value * scale * rest), terms, last * scale * rest, stop)
+        k0, value = value, k0 + two_nu * value / z
+        two_nu += 2.0
+    value = _in_range(value * scale * rest)
+    return SeriesApproximation(value, terms, share * abs(value), stop)
 
 
 # --- public evaluators -------------------------------------------------------

@@ -62,6 +62,9 @@ class SeriesApproximation(NamedTuple):
     ``last_term_abs`` is reported in the same scale as ``value``.  For a
     terminated sum it is 0.0, so the convergence invariant
     ``converged => last_term_abs <= STOP_RATIO * |value|`` holds there too.
+    For Temme's method it is share * |value|, share the last term's larger
+    relative share of Temme's two sums (or the last increment's share of
+    Steed's S); a converged result's share is at most 1e-16.
     """
 
     value: float

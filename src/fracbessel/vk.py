@@ -64,7 +64,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -86,11 +85,10 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-def _simplify(c) -> object:
-    """Collapse Fractions with unit denominator to ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _exact_quotient(num: int, den: int) -> int | Fraction:
+    """num / den exactly: an int where den divides num, else a Fraction."""
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
 
 
 def _validate_alpha_k(alpha, k: int) -> tuple[Fraction, int]:
@@ -243,16 +241,23 @@ def vk_coeffs_sum(alpha, k: int) -> Polynomial:
 
         A_{k,j} = (-1)^k sum_i (-1)^i C(j, i) R_i / (j! q^k),
 
-    one exact division per coefficient.
+    one exact division per coefficient.  This is still the explicit double
+    sum: its inner sum over i is (-1)^j Delta^j R_0, the j-th forward
+    difference of R at 0, and all of them are read off one difference
+    table of the R_i, built by subtraction alone.
     """
     a, k = _validate_alpha_k(alpha, k)
     n, q = a.numerator, a.denominator
     # R_i does not depend on j, so each rising product is formed once
-    rising = [math.prod(m * q - n * i for m in range(k)) for i in range(k + 1)]
+    diffs = [math.prod(m * q - n * i for m in range(k)) for i in range(k + 1)]
+    den = q ** k  # j! q^k
     coeffs = []
     for j in range(k + 1):
-        acc = sum((-1) ** i * comb(j, i) * rising[i] for i in range(j + 1))
-        coeffs.append(_simplify(Fraction((-1) ** k * acc, factorial(j) * q ** k)))
+        if j:
+            den *= j
+            diffs = [upper - lower for lower, upper in zip(diffs, diffs[1:])]
+        acc = diffs[0]  # Delta^j R_0
+        coeffs.append(_exact_quotient(-acc if (k + j) % 2 else acc, den))
     return Polynomial(tuple(coeffs))
 
 
@@ -294,7 +299,7 @@ def vk_coeffs_recurrence(alpha, k: int) -> Polynomial:
     a, k = _validate_alpha_k(alpha, k)
     row = next(islice(_vk_rows(a), k, None))
     scale = (-a.denominator) ** k
-    return Polynomial(tuple(_simplify(Fraction(m, scale)) for m in reversed(row)))
+    return Polynomial(tuple(_exact_quotient(m, scale) for m in reversed(row)))
 
 
 def vk_eval(p: Polynomial, z: float) -> float:

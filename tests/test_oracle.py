@@ -118,6 +118,19 @@ class TestKOracle:
         assert isinstance(value, float) and math.isfinite(value)
 
 
+class TestExpOfSum:
+    """e to a sum of logs: 0.0 or the range error off the finite exponents, never a raw error."""
+
+    @pytest.mark.parametrize("terms", [[-math.inf, 1.0], [-math.inf, -math.inf]])
+    def test_an_exponent_of_minus_infinity_is_zero(self, terms):
+        assert oracle._exp_of_sum(terms) == 0.0
+
+    @pytest.mark.parametrize("terms", [[math.inf], [math.nan, 1.0], [math.inf, -math.inf], [1e308, 1e308]])
+    def test_an_exponent_of_inf_or_nan_is_the_range_error(self, terms):
+        with pytest.raises(DomainError, match="float64 range"):
+            oracle._exp_of_sum(terms)
+
+
 class TestOracleAccuracy:
     """k_oracle against two independent references: 40-digit mpmath and scipy's kv."""
 
@@ -311,6 +324,20 @@ class TestM4B:
     def test_power_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="float64 range"):
             verify_m4b(50.0, 1.0, 0.001)  # the left side rounds to 0
+
+    def test_a_beta_whose_reciprocal_overflows(self):
+        # 2 / beta is inf below beta ~ 1.1e-308: the prefactor took ln inf, and
+        # rounding the infinite exponent raised a raw OverflowError
+        rec = verify_m4b(0.3, 5e-324, 1e-300)
+        with mpmath.workdps(40):
+            mu, beta, x = mpmath.mpf(0.3), mpmath.mpf(5e-324), mpmath.mpf(1e-300)
+            want = ((2 / beta) ** (mu - 0.5) * x ** (mu - 1.5) * mpmath.gamma(mu)
+                    * mpmath.besselk(mu - 0.5, beta / x) / mpmath.sqrt(mpmath.pi))
+        assert rec.rhs == pytest.approx(float(want), rel=1e-13)
+        assert rec.rel_dev <= 1e-11
+        assert verify_m4a(0.3, 5e-324, 1e-300).rel_dev <= 1e-11
+        with pytest.raises(DomainError, match="float64 range"):
+            verify_m4b(1.70, 7.5e-316, 7.4e-66)  # the left side rounds to 0
 
 
 class TestM5A:

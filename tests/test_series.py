@@ -721,6 +721,8 @@ class TestTemmeCorner:
         window=st.integers(1, 5),
     )
     @settings(max_examples=200, deadline=None)
+    @example(s=1e-10, z=2.5, n=100, window=5)
+    @example(s=99.5, z=1.0, n=100, window=5)
     def test_never_diverging_and_inside_the_budget(self, s, z, n, window):
         try:
             approx = k_mcdonald(s, z, TruncationPolicy(max_terms=n, divergence_window=window))
@@ -732,7 +734,10 @@ class TestTemmeCorner:
         assert approx.stop_reason in ("converged", "budget")
         assert approx.stop_reason == "converged" or approx.terms_used == n
         if approx.converged:
-            assert approx.last_term_abs <= STOP_RATIO * abs(approx.value)
+            # last_term_abs = share |K_s|, with share <= _TEMME_EPS up to the
+            # roundings of the stop test, the share and its product
+            eps = series_module._TEMME_EPS * (1.0 + 2.0 ** -51)
+            assert approx.last_term_abs <= eps * abs(approx.value)
 
     def test_the_reciprocal_gamma_coefficients_are_mpmaths(self):
         # g_j = c_{j+1} of 1/Gamma(x) = sum_k c_k x^k, rounded from 40 digits, bit
@@ -800,6 +805,74 @@ class TestTemmeUpToOrder100:
     @settings(max_examples=150, deadline=None)
     def test_anywhere(self, s, z, half):
         _assert_k_or_range_error(min(math.floor(s), 99) + 0.5 if half else s, z)
+
+
+#: ``k_mcdonald`` on both of Temme's branches: repr(value) and terms used,
+#: every one ``"converged"``, at PINNED_ARGS (None where K_s leaves float64).
+#: A rewrite of the two branches or of the climb must keep them bit for bit.
+PINNED_ARGS = [1e-3, 0.1, 1.0, 2.0, 2.5, 10.0, 100.0, 745.0]
+PINNED = {
+    1e-10: [("7.023688800562382", 4), ("2.427069024702017", 7), ("0.42102443824070834", 11),
+            ("0.11389387274953344", 14), ("0.06234755320036614", 67), ("1.778006231616765e-05", 24),
+            ("4.656628229175903e-45", 9), ("0.0", 6)],
+    0.3: [("14.406547529041024", 4), ("2.8050564750215705", 7), ("0.4350760242088021", 11),
+          ("0.11603697434811942", 14), ("0.06331387929629557", 65), ("1.7856607016823023e-05", 24),
+          ("4.658713811548967e-45", 9), ("0.0", 6)],
+    0.5: [("39.593659513116656", 4), ("3.58616683879726", 7), ("0.4610685044478943", 11),
+          ("0.11993777196806117", 14), ("0.06506594315400999", 2), ("1.799347809370518e-05", 2),
+          ("4.6624238126346715e-45", 2), ("0.0", 2)],
+    1.3: [("8776.652798451121", 4), ("21.89583886358725", 7), ("0.7636468895046624", 11),
+          ("0.16082436361104638", 14), ("0.08297332088868557", 65), ("1.927209506608461e-05", 24),
+          ("4.6959466194032914e-45", 9), ("0.0", 6)],
+    5.5: [("3.7453440881630044e+19", 4), ("374326429.22827005", 7), ("1120.8575343128316", 11),
+          ("21.090307589508818", 14), ("5.50124741453976", 2), ("7.330453007985021e-05", 2),
+          ("5.4127455530679225e-45", 2), ("0.0", 2)],
+    10.3: [("3.5871796653567605e+39", 4), ("9.00816633464325e+18", 7), ("439640174.27595794", 11),
+           ("321916.01339304505", 14), ("30459.43085976637", 65), ("0.002094240106060587", 24),
+           ("7.890533617419446e-45", 9), ("0.0", 6)],
+    40.5: [("3.161860925382283e+180", 4), ("3.1616608341098884e+99", 7), ("9.935604441068461e+58", 11),
+           ("6.269555577020832e+46", 14), ("7.348553458231259e+42", 2), ("1.68765204225609e+18", 2),
+           ("1.469075424758813e-41", 2), ("0.0", 2)],
+    99.5: [None, ("1.327642842071377e+284", 7), ("4.187839463730581e+184", 11),
+           ("4.6365917801115383e+154", 14), ("1.0499600849705224e+145", 2), ("1.0304056307474168e+85", 2),
+           ("4.912796629798403e-25", 2), ("1e-322", 2)],
+    100.0: [None, ("5.915102278090796e+285", 7), ("5.900333183638618e+185", 11),
+            ("4.619415977601277e+155", 14), ("9.356609723103983e+145", 67), ("4.5966740842695265e+85", 24),
+            ("7.617129630494092e-25", 9), ("1.04e-322", 6)],
+}
+#: The same at a budget of three terms: (s, z, repr(value), terms used, stop).
+PINNED_SHORT = [
+    (1.3, 0.1, "21.89583901049141", 3, "budget"), (1.3, 2.5, "0.0830013977053309", 3, "budget"),
+    (1.3, 20.0, "5.982921658861687e-10", 3, "budget"), (40.5, 0.1, "3.1616608557164476e+99", 3, "budget"),
+    (40.5, 2.5, "7.348553458231259e+42", 2, "converged"), (40.5, 20.0, "174585.48845274723", 2, "converged"),
+]
+
+
+class TestTemmeResults:
+    """What Temme's method returns, and what its ``last_term_abs`` claims."""
+
+    @pytest.mark.parametrize("s", list(PINNED))
+    def test_pinned_values_and_term_counts(self, s):
+        for z, want in zip(PINNED_ARGS, PINNED[s]):
+            if want is None:
+                with pytest.raises(DomainError, match="float64 range"):
+                    k_mcdonald(s, z)
+                continue
+            approx = k_mcdonald(s, z)
+            assert (repr(approx.value), approx.terms_used, approx.stop_reason) == (*want, "converged"), z
+
+    @pytest.mark.parametrize("s,z,value,terms,stop", PINNED_SHORT)
+    def test_pinned_at_a_short_budget(self, s, z, value, terms, stop):
+        approx = k_mcdonald(s, z, TruncationPolicy(max_terms=3))
+        assert (repr(approx.value), approx.terms_used, approx.stop_reason) == (value, terms, stop)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 40, 99])
+    def test_half_integers_past_the_corner_are_exact(self, m):
+        # at |mu| = 1/2, 1/4 - mu^2 = 0 zeroes every increment of S after the
+        # first: CF2 stops at its second with nothing left out
+        for z in (2.0000000000000004, 2.5, 10.0, 100.0, 700.0):
+            approx = k_mcdonald(m + 0.5, z)
+            assert (approx.last_term_abs, approx.terms_used, approx.stop_reason) == (0.0, 2, "converged"), z
 
 
 class TestGeneralExpansion:
